@@ -167,12 +167,25 @@ type benchDoc struct {
 	// sequential pass: total simulated cycles charged divided by wall
 	// time. It is the harness's throughput figure of merit — unlike
 	// wall time alone it scales out differences in experiment mix.
-	SimCyclesPerSec float64           `json:"sim_cycles_per_sec"`
-	SequentialMS    float64           `json:"sequential_ms"`
-	ParallelMS      float64           `json:"parallel_ms"`
-	Speedup         float64           `json:"speedup"`
+	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
+	SequentialMS    float64 `json:"sequential_ms"`
+	ParallelMS      float64 `json:"parallel_ms"`
+	// Speedup is sequential over parallel wall time. It is omitted on a
+	// host with fewer than two CPUs or GOMAXPROCS below two, where the
+	// parallel pass cannot run in parallel and the ratio says nothing
+	// about scaling.
+	Speedup         *float64          `json:"speedup,omitempty"`
 	IdenticalOutput bool              `json:"identical_output"`
 	Experiments     []benchExperiment `json:"experiments"`
+}
+
+// setSpeedup records the parallel speedup if the host could run the
+// parallel pass in parallel.
+func (d *benchDoc) setSpeedup(seq, par time.Duration) {
+	if d.HostCPUs >= 2 && d.GoMaxProcs >= 2 {
+		s := seq.Seconds() / par.Seconds()
+		d.Speedup = &s
+	}
 }
 
 // counterChecksum fingerprints a rendered table: sha256, truncated to
@@ -207,9 +220,9 @@ func benchHarness(path string, scale report.Scale, j int) int {
 		GoMaxProcs:      runtime.GOMAXPROCS(0),
 		SequentialMS:    float64(seqWall.Microseconds()) / 1000,
 		ParallelMS:      float64(parWall.Microseconds()) / 1000,
-		Speedup:         seqWall.Seconds() / parWall.Seconds(),
 		IdenticalOutput: renderAll(seq) == renderAll(par),
 	}
+	doc.setSpeedup(seqWall, parWall)
 	var totalCycles uint64
 	for _, r := range seq {
 		if r.Err != nil {
@@ -235,8 +248,12 @@ func benchHarness(path string, scale report.Scale, j int) int {
 		fmt.Fprintf(os.Stderr, "mmureport: %v\n", err)
 		return 1
 	}
-	fmt.Printf("harness: sequential %.1fms, -j %d %.1fms (%.2fx), output identical: %v\n",
-		doc.SequentialMS, j, doc.ParallelMS, doc.Speedup, doc.IdenticalOutput)
+	speedup := fmt.Sprintf("no speedup: %d host CPUs, GOMAXPROCS %d", doc.HostCPUs, doc.GoMaxProcs)
+	if doc.Speedup != nil {
+		speedup = fmt.Sprintf("%.2fx", *doc.Speedup)
+	}
+	fmt.Printf("harness: sequential %.1fms, -j %d %.1fms (%s), output identical: %v\n",
+		doc.SequentialMS, j, doc.ParallelMS, speedup, doc.IdenticalOutput)
 	if !doc.IdenticalOutput {
 		return 1
 	}

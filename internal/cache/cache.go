@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mmutricks/internal/arch"
 )
@@ -314,6 +315,66 @@ func (c *Cache) ZeroLine(pa arch.PhysAddr, class Class) (castout bool) {
 	return c.fill(set, tag, class, true)
 }
 
+// Stores is a run's store pattern: reference i of a run stores iff bit
+// i&3 is set (higher bits are ignored). A period of four covers pure
+// load and pure store streams as well as the user mix's one store per
+// four accesses (§4).
+type Stores uint8
+
+const (
+	// NoStores is a load-only run.
+	NoStores Stores = 0
+	// AllStores is a store-only run.
+	AllStores Stores = 0xF
+)
+
+// StoresOf returns the uniform mask of a load (false) or store (true)
+// run.
+//
+//mmutricks:noalloc
+func StoresOf(write bool) Stores {
+	if write {
+		return AllStores
+	}
+	return NoStores
+}
+
+// At reports whether reference i of the run stores.
+//
+//mmutricks:noalloc
+func (s Stores) At(i int) bool { return s>>(i&3)&1 != 0 }
+
+// From returns the mask of the run's tail starting at reference i.
+//
+//mmutricks:noalloc
+func (s Stores) From(i int) Stores {
+	s &= AllStores
+	r := uint(i & 3)
+	return (s>>r | s<<(4-r)) & AllStores
+}
+
+// storeLanes is a store mask replicated across a 64-bit word: bit j is
+// the store flag of the reference j places ahead. 64 is a multiple of
+// the mask's period, so rotating right by k advances the run by k
+// references.
+type storeLanes uint64
+
+//mmutricks:noalloc
+func (s Stores) lanes() storeLanes {
+	return storeLanes(uint64(s&AllStores) * 0x1111111111111111)
+}
+
+// take consumes the next k ≥ 1 references, which all land on one line:
+// the line ends dirty iff any of them stores.
+//
+//mmutricks:noalloc
+func (l storeLanes) take(k int) (dirty uint8, rest storeLanes) {
+	if uint64(l)&(1<<min(k, 4)-1) != 0 {
+		dirty = 1
+	}
+	return dirty, storeLanes(bits.RotateLeft64(uint64(l), -k))
+}
+
 // MissRef records one missing reference within a run: the index of the
 // reference in the run and whether its fill cast out a dirty victim.
 type MissRef struct {
@@ -322,21 +383,23 @@ type MissRef struct {
 }
 
 // AccessRun performs n equally-strided accesses (pa, pa+stride, ...)
-// on behalf of class, exactly as n scalar Access calls would: same
-// counters, same final LRU/dirty state, same eviction attribution.
-// Consecutive references landing on one resident line collapse into a
-// single sequence advance with the final LRU stamp (the intermediate
-// stamps are unobservable — a hit touches no other line). Missing
-// references are recorded in misses, in reference order, so the
+// on behalf of class, reference i storing iff st.At(i), exactly as n
+// scalar Access calls would: same counters, same final LRU/dirty state,
+// same eviction attribution. Consecutive references landing on one
+// resident line collapse into a single sequence advance with the final
+// LRU stamp (the intermediate stamps are unobservable — a hit touches
+// no other line), and the line ends dirty iff any of them stores.
+// Missing references are recorded in misses, in reference order, so the
 // machine layer can charge fills and emit trace events at the right
 // points; the caller's buffer must hold one entry per distinct line
 // the run can touch.
 //
 //mmutricks:free misses are returned; the machine layer charges the fills
 //mmutricks:noalloc
-func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bool, misses []MissRef) (nmiss int) {
+func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
 	c.stats.Accesses[class] += uint64(n)
 	lineSize := 1 << c.lineShift
+	sl := st.lanes()
 	if stride&(lineSize-1) == 0 && uint32(pa)&uint32(lineSize-1) == 0 {
 		// Line-aligned references with a line-multiple stride — the
 		// dominant shape (one access per line): no two references share
@@ -347,9 +410,6 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 		ways := c.ways
 		seq := c.seq
 		var dirty uint8
-		if write {
-			dirty = 1
-		}
 		// Per-victim-class eviction counts accumulate in locals and
 		// flush once after the loop — the increments are the hottest
 		// stores in the simulator. Sized 8 and masked so indexing by
@@ -362,6 +422,7 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 				q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
 				want := la | lineKeyValid
 				seq++
+				dirty, sl = sl.take(1)
 				var hitLine *line
 				switch want {
 				case q[0].key:
@@ -424,6 +485,7 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 			lines := c.lines[base : base+ways]
 			want := la | lineKeyValid
 			seq++
+			dirty, sl = sl.take(1)
 			way := -1
 			for w := range lines {
 				if lines[w].key == want {
@@ -479,6 +541,8 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
 			k++
 		}
+		var dirty uint8
+		dirty, sl = sl.take(k)
 		set := int(la & c.setMask)
 		lines := c.setLines(set)
 		want := la | lineKeyValid
@@ -492,15 +556,13 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 		if way >= 0 {
 			c.seq += uint64(k)
 			lines[way].lru = c.seq
-			if write {
-				lines[way].dirty = 1
-			}
+			lines[way].dirty |= dirty
 		} else {
 			// The first reference misses and fills; the remaining k-1
 			// hit the freshly filled line.
 			c.seq++
 			c.stats.Misses[class]++
-			castout := c.fill(set, la, class, write)
+			castout := c.fill(set, la, class, dirty != 0)
 			misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
 			nmiss++
 			if k > 1 {
@@ -518,7 +580,15 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 	return nmiss
 }
 
-// AccessRunCount is AccessRun without the per-miss records: cache
+// AccessRunCount is AccessRunCountMask for a pure load or store run.
+//
+//mmutricks:free miss/castout counts are returned; the machine layer charges them
+//mmutricks:noalloc
+func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
+	return c.AccessRunCountMask(pa, n, stride, class, StoresOf(write))
+}
+
+// AccessRunCountMask is AccessRun without the per-miss records: cache
 // state and statistics advance identically, but only the miss and
 // castout counts come back. The machine layer uses it when the tracer
 // is off and there is no L2 — the per-miss fill costs are then
@@ -527,9 +597,10 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 //
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 //mmutricks:noalloc
-func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
+func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
 	c.stats.Accesses[class] += uint64(n)
 	lineSize := 1 << c.lineShift
+	sl := st.lanes()
 	if stride&(lineSize-1) == 0 && uint32(pa)&uint32(lineSize-1) == 0 && c.ways == 4 {
 		la := uint32(pa) >> c.lineShift
 		step := uint32(stride) >> c.lineShift
@@ -537,14 +608,12 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 		mask := c.setMask
 		lines := c.lines
 		var dirty uint8
-		if write {
-			dirty = 1
-		}
 		var ev, co [8]uint64
 		for i := 0; i < n; i++ {
 			q := (*[4]line)(lines[int(la&mask)*4:])
 			want := la | lineKeyValid
 			seq++
+			dirty, sl = sl.take(1)
 			// Probe all four ways with conditional moves, then branch
 			// once on hit/miss — runs are phase-coherent (a clear run
 			// misses throughout, a warm run hits throughout), so the
@@ -628,6 +697,8 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 			for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
 				k++
 			}
+			var dirty uint8
+			dirty, sl = sl.take(k)
 			q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
 			want := la | lineKeyValid
 			wi := -1
@@ -647,9 +718,7 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 				c.seq += uint64(k)
 				p := &q[wi&3]
 				p.lru = c.seq
-				if write {
-					p.dirty = 1
-				}
+				p.dirty |= dirty
 			} else {
 				c.seq++
 				c.stats.Misses[class]++
@@ -685,14 +754,10 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 						vi = 3
 					}
 				}
-				var d uint8
-				if write {
-					d = 1
-				}
 				nmiss++
 				// Install, then restamp with the group's trailing hits.
 				c.seq += uint64(k - 1)
-				q[vi&3] = line{key: want, class: uint8(class), dirty: d, lru: c.seq}
+				q[vi&3] = line{key: want, class: uint8(class), dirty: dirty, lru: c.seq}
 			}
 			i += k
 		}
@@ -705,6 +770,8 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
 			k++
 		}
+		var dirty uint8
+		dirty, sl = sl.take(k)
 		set := int(la & c.setMask)
 		lines := c.setLines(set)
 		want := la | lineKeyValid
@@ -718,13 +785,11 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 		if way >= 0 {
 			c.seq += uint64(k)
 			lines[way].lru = c.seq
-			if write {
-				lines[way].dirty = 1
-			}
+			lines[way].dirty |= dirty
 		} else {
 			c.seq++
 			c.stats.Misses[class]++
-			if c.fill(set, la, class, write) {
+			if c.fill(set, la, class, dirty != 0) {
 				ncast++
 			}
 			nmiss++
@@ -750,8 +815,9 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 //
 //mmutricks:free misses are returned; the machine layer charges the uncached latency
 //mmutricks:noalloc
-func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, write bool, misses []MissRef) (nmiss int) {
+func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
 	c.stats.Accesses[class] += uint64(n)
+	sl := st.lanes()
 	for i := 0; i < n; {
 		a := pa + arch.PhysAddr(i*stride)
 		la := uint32(a) >> c.lineShift
@@ -759,6 +825,8 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, w
 		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
 			k++
 		}
+		var dirty uint8
+		dirty, sl = sl.take(k)
 		set := c.setLines(int(la & c.setMask))
 		want := la | lineKeyValid
 		way := -1
@@ -771,9 +839,7 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, w
 		c.seq += uint64(k)
 		if way >= 0 {
 			set[way].lru = c.seq
-			if write {
-				set[way].dirty = 1
-			}
+			set[way].dirty |= dirty
 		} else {
 			c.stats.Misses[class] += uint64(k)
 			for j := 0; j < k; j++ {

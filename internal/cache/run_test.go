@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"mmutricks/internal/arch"
@@ -8,11 +9,11 @@ import (
 
 // AccessRunCount is the harness's hottest function: it must agree with
 // the scalar Access loop on every statistic and every line of cache
-// state, for any alignment, stride, and geometry. scalarCount is the
-// ground truth.
-func scalarCount(c *Cache, pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
+// state, for any alignment, stride, geometry, and store mask.
+// scalarCount is the ground truth.
+func scalarCount(c *Cache, pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
 	for i := 0; i < n; i++ {
-		hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, write)
+		hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i))
 		if !hit {
 			nmiss++
 			if castout {
@@ -23,81 +24,151 @@ func scalarCount(c *Cache, pa arch.PhysAddr, n, stride int, class Class, write b
 	return nmiss, ncast
 }
 
-func TestAccessRunCountMatchesScalar(t *testing.T) {
-	cases := []struct {
-		name             string
-		size, ways, line int
-		pa               arch.PhysAddr
-		n, stride        int
-		write            bool
-	}{
-		{"aligned line stride", 16 << 10, 4, 32, 0x10000, 4096, 32, false},
-		{"aligned write stream", 16 << 10, 4, 32, 0x10000, 4096, 32, true},
-		{"aligned wide stride", 32 << 10, 4, 32, 0x8000, 1024, 128, true},
-		{"unaligned base", 16 << 10, 4, 32, 0x10004, 2048, 32, false},
-		{"sub-line stride", 16 << 10, 4, 32, 0x10000, 5000, 8, true},
-		{"sub-line unaligned", 32 << 10, 4, 32, 0x10006, 3000, 12, false},
-		{"single reference", 16 << 10, 4, 32, 0x2000, 1, 4, true},
-		{"2-way geometry", 16 << 10, 2, 32, 0x10000, 2048, 32, true},
-		{"8-way geometry", 16 << 10, 8, 32, 0x10000, 2048, 32, false},
+type runCase struct {
+	name             string
+	size, ways, line int
+	pa               arch.PhysAddr
+	n, stride        int
+	st               Stores
+}
+
+var runCases = []runCase{
+	{"aligned line stride", 16 << 10, 4, 32, 0x10000, 4096, 32, NoStores},
+	{"aligned write stream", 16 << 10, 4, 32, 0x10000, 4096, 32, AllStores},
+	{"aligned wide stride", 32 << 10, 4, 32, 0x8000, 1024, 128, AllStores},
+	{"unaligned base", 16 << 10, 4, 32, 0x10004, 2048, 32, NoStores},
+	{"sub-line stride", 16 << 10, 4, 32, 0x10000, 5000, 8, AllStores},
+	{"sub-line unaligned", 32 << 10, 4, 32, 0x10006, 3000, 12, NoStores},
+	{"single reference", 16 << 10, 4, 32, 0x2000, 1, 4, AllStores},
+	{"2-way geometry", 16 << 10, 2, 32, 0x10000, 2048, 32, AllStores},
+	{"8-way geometry", 16 << 10, 8, 32, 0x10000, 2048, 32, NoStores},
+	{"mixed aligned", 16 << 10, 4, 32, 0x10000, 4099, 32, 0x8},
+	{"mixed unaligned", 16 << 10, 4, 32, 0x10006, 2050, 32, 0x2},
+	{"mixed sub-line", 16 << 10, 4, 32, 0x10000, 5001, 8, 0x8},
+	{"mixed sub-line unaligned", 32 << 10, 4, 32, 0x10006, 3001, 12, 0x5},
+	{"mixed word stride", 16 << 10, 4, 32, 0x10004, 4000, 4, 0x1},
+	{"mixed 2-way", 16 << 10, 2, 32, 0x10000, 2049, 32, 0x8},
+	{"mixed 8-way sub-line", 16 << 10, 8, 32, 0x10002, 3000, 20, 0x6},
+}
+
+// warmTwins gives both caches the same warm, partly dirty contents, so
+// eviction and castout paths run.
+func warmTwins(tc runCase) (run, scalar *Cache) {
+	run = New("run", tc.size, tc.ways, tc.line)
+	scalar = New("scalar", tc.size, tc.ways, tc.line)
+	for _, c := range []*Cache{run, scalar} {
+		for i := 0; i < 4096; i++ {
+			c.Access(arch.PhysAddr(i*tc.line), ClassKernelData, i%3 == 0)
+		}
 	}
-	for _, tc := range cases {
+	return run, scalar
+}
+
+// sameState requires bit-identical statistics, LRU sequence, and lines.
+func sameState(t *testing.T, cr, cs *Cache) {
+	t.Helper()
+	if *cr.Stats() != *cs.Stats() {
+		t.Fatalf("stats diverge:\nrun    %+v\nscalar %+v", *cr.Stats(), *cs.Stats())
+	}
+	if cr.seq != cs.seq {
+		t.Fatalf("LRU sequence diverges: run %d, scalar %d", cr.seq, cs.seq)
+	}
+	for i := range cr.lines {
+		if cr.lines[i] != cs.lines[i] {
+			t.Fatalf("line %d diverges: run %+v, scalar %+v", i, cr.lines[i], cs.lines[i])
+		}
+	}
+}
+
+func TestAccessRunCountMatchesScalar(t *testing.T) {
+	for _, tc := range runCases {
 		t.Run(tc.name, func(t *testing.T) {
-			cr := New("run", tc.size, tc.ways, tc.line)
-			cs := New("scalar", tc.size, tc.ways, tc.line)
-			// Warm both caches identically so eviction and castout
-			// paths run, then compare the batched and scalar counts.
-			warm := func(c *Cache) {
-				for i := 0; i < 4096; i++ {
-					c.Access(arch.PhysAddr(i*tc.line), ClassKernelData, i%3 == 0)
-				}
-			}
-			warm(cr)
-			warm(cs)
-			rm, rc := cr.AccessRunCount(tc.pa, tc.n, tc.stride, ClassUser, tc.write)
-			sm, sc := scalarCount(cs, tc.pa, tc.n, tc.stride, ClassUser, tc.write)
+			cr, cs := warmTwins(tc)
+			rm, rc := cr.AccessRunCountMask(tc.pa, tc.n, tc.stride, ClassUser, tc.st)
+			sm, sc := scalarCount(cs, tc.pa, tc.n, tc.stride, ClassUser, tc.st)
 			if rm != sm || rc != sc {
 				t.Fatalf("counts diverge: run (%d misses, %d castouts), scalar (%d, %d)", rm, rc, sm, sc)
 			}
-			if *cr.Stats() != *cs.Stats() {
-				t.Fatalf("stats diverge:\nrun    %+v\nscalar %+v", *cr.Stats(), *cs.Stats())
-			}
-			if cr.seq != cs.seq {
-				t.Fatalf("LRU sequence diverges: run %d, scalar %d", cr.seq, cs.seq)
-			}
-			for i := range cr.lines {
-				if cr.lines[i] != cs.lines[i] {
-					t.Fatalf("line %d diverges: run %+v, scalar %+v", i, cr.lines[i], cs.lines[i])
-				}
-			}
+			sameState(t, cr, cs)
 		})
 	}
 }
 
-// FuzzAccessRunCountParity drives random interleavings of batched and
-// scalar accesses over random geometries, checking that batched counts
-// never deviate and the final cache state is bit-identical.
+// AccessRun and AccessNoAllocRun (the tracer/L2 and locked routes) must
+// record each miss at the reference the scalar loop misses on.
+func TestAccessRunMissesMatchScalar(t *testing.T) {
+	for _, tc := range runCases {
+		t.Run(tc.name, func(t *testing.T) {
+			misses := make([]MissRef, tc.n)
+			var want []MissRef
+
+			cr, cs := warmTwins(tc)
+			got := misses[:cr.AccessRun(tc.pa, tc.n, tc.stride, ClassUser, tc.st, misses)]
+			for i := 0; i < tc.n; i++ {
+				if hit, castout := cs.Access(tc.pa+arch.PhysAddr(i*tc.stride), ClassUser, tc.st.At(i)); !hit {
+					want = append(want, MissRef{Index: int32(i), Castout: castout})
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("AccessRun misses diverge: run %d, scalar %d", len(got), len(want))
+			}
+			sameState(t, cr, cs)
+
+			cr, cs = warmTwins(tc)
+			got = misses[:cr.AccessNoAllocRun(tc.pa, tc.n, tc.stride, ClassUser, tc.st, misses)]
+			want = want[:0]
+			for i := 0; i < tc.n; i++ {
+				if !cs.AccessNoAlloc(tc.pa+arch.PhysAddr(i*tc.stride), ClassUser, tc.st.At(i)) {
+					want = append(want, MissRef{Index: int32(i)})
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("AccessNoAllocRun misses diverge: run %d, scalar %d", len(got), len(want))
+			}
+			sameState(t, cr, cs)
+		})
+	}
+}
+
+func TestStoresRotation(t *testing.T) {
+	for st := Stores(0); st <= AllStores; st++ {
+		for from := 0; from < 9; from++ {
+			for i := 0; i < 12; i++ {
+				if got, want := st.From(from).At(i), st.At(from+i); got != want {
+					t.Fatalf("Stores(%#x).From(%d).At(%d) = %v, want %v", st, from, i, got, want)
+				}
+			}
+		}
+	}
+	if StoresOf(true) != AllStores || StoresOf(false) != NoStores {
+		t.Fatal("StoresOf is not the uniform mask")
+	}
+}
+
+// FuzzAccessRunCountParity drives random batched runs over random
+// geometries and store masks, checking that batched counts never
+// deviate from the scalar loop and the final cache state is
+// bit-identical.
 func FuzzAccessRunCountParity(f *testing.F) {
-	f.Add(uint8(0), uint32(0x10000), uint16(512), uint8(32), uint8(1))
-	f.Add(uint8(1), uint32(0x8004), uint16(3000), uint8(12), uint8(0))
-	f.Fuzz(func(t *testing.T, geom uint8, pa uint32, n uint16, stride, write uint8) {
+	f.Add(uint8(0), uint32(0x10000), uint16(512), uint8(32), uint8(AllStores))
+	f.Add(uint8(1), uint32(0x8004), uint16(3000), uint8(12), uint8(NoStores))
+	f.Add(uint8(2), uint32(0x10000), uint16(1030), uint8(32), uint8(0x8))
+	f.Add(uint8(1), uint32(0x10006), uint16(2000), uint8(4), uint8(0x5))
+	f.Fuzz(func(t *testing.T, geom uint8, pa uint32, n uint16, stride, stores uint8) {
 		ways := []int{2, 4, 8}[geom%3]
-		st := int(stride)%256 + 1
+		step := int(stride)%256 + 1
+		st := Stores(stores)
 		cr := New("run", 16<<10, ways, 32)
 		cs := New("scalar", 16<<10, ways, 32)
-		rm, rc := cr.AccessRunCount(arch.PhysAddr(pa), int(n), st, ClassUser, write%2 == 1)
-		sm, sc := scalarCount(cs, arch.PhysAddr(pa), int(n), st, ClassUser, write%2 == 1)
+		rm, rc := cr.AccessRunCountMask(arch.PhysAddr(pa), int(n), step, ClassUser, st)
+		sm, sc := scalarCount(cs, arch.PhysAddr(pa), int(n), step, ClassUser, st)
 		if rm != sm || rc != sc {
 			t.Fatalf("counts diverge: run (%d, %d), scalar (%d, %d)", rm, rc, sm, sc)
 		}
-		if *cr.Stats() != *cs.Stats() || cr.seq != cs.seq {
-			t.Fatal("stats or LRU sequence diverge")
+		if cr.DirtyLines() != cs.DirtyLines() {
+			t.Fatalf("dirty lines diverge: run %d, scalar %d", cr.DirtyLines(), cs.DirtyLines())
 		}
-		for i := range cr.lines {
-			if cr.lines[i] != cs.lines[i] {
-				t.Fatalf("line %d diverges", i)
-			}
-		}
+		sameState(t, cr, cs)
 	})
 }
 
@@ -109,9 +180,11 @@ func TestAccessRunZeroAllocs(t *testing.T) {
 	var missBuf [256]MissRef
 	var pa arch.PhysAddr
 	if n := testing.AllocsPerRun(200, func() {
-		c.AccessRun(pa, 128, 32, ClassUser, true, missBuf[:])
+		c.AccessRun(pa, 128, 32, ClassUser, AllStores, missBuf[:])
+		c.AccessRun(pa+2048, 64, 32, ClassUser, 0x8, missBuf[:])
 		c.AccessRunCount(pa, 128, 32, ClassUser, true)
 		c.AccessRunCount(pa+4, 100, 12, ClassUser, false)
+		c.AccessRunCountMask(pa+8, 128, 32, ClassUser, 0x8)
 		pa += 4096
 	}); n != 0 {
 		t.Fatalf("batched access paths allocate %.1f times per op, want 0", n)

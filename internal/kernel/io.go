@@ -119,7 +119,7 @@ func (k *Kernel) FBWrite(off, nbytes int) {
 		cnt := min(total-done, (fbBytes-o+line-1)/line)
 		k.AccessRun(k.cur, Run{
 			EA: UserFBBase + arch.EffectiveAddr(o), Count: cnt, Stride: line,
-			Class: cache.ClassIO, Write: true,
+			Class: cache.ClassIO, Stores: cache.AllStores,
 		})
 		done += cnt
 	}
@@ -135,7 +135,7 @@ func (k *Kernel) KernelFBWrite(off, nbytes int) {
 		cnt := min(total-done, (fbBytes-o+line-1)/line)
 		k.AccessRun(k.cur, Run{
 			EA: KernelFBBase + arch.EffectiveAddr(o), Count: cnt, Stride: line,
-			Class: cache.ClassIO, Write: true,
+			Class: cache.ClassIO, Stores: cache.AllStores,
 		})
 		done += cnt
 	}

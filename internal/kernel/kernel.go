@@ -237,7 +237,7 @@ func (k *Kernel) kdataRW(off uint32, nbytes int, write bool) {
 	base := uint32(kvirt(k.dataPA)) + off
 	k.AccessRun(k.cur, Run{
 		EA: arch.EffectiveAddr(base), Count: (nbytes + line - 1) / line, Stride: line,
-		Class: cache.ClassKernelData, Write: write,
+		Class: cache.ClassKernelData, Stores: cache.StoresOf(write),
 	})
 }
 
@@ -249,33 +249,21 @@ func (k *Kernel) kframe(pfn arch.PFN, off, nbytes int, class cache.Class, write 
 	base := uint32(kvirt(pfn.Addr())) + uint32(off)
 	k.AccessRun(k.cur, Run{
 		EA: arch.EffectiveAddr(base), Count: (nbytes + line - 1) / line, Stride: line,
-		Class: class, Write: write,
+		Class: class, Stores: cache.StoresOf(write),
 	})
 }
 
+// userMix is utouch's store mask: in every four lines, three loads and
+// then one store.
+const userMix cache.Stores = 0x8
+
 // utouch performs user-mode data accesses covering [ea, ea+nbytes), one
-// per cache line, on behalf of the current task.
-// utouch models a typical user read/write mix: roughly one store per
-// four accesses.
+// per cache line, on behalf of the current task, in the userMix
+// read/write pattern.
 func (k *Kernel) utouch(ea arch.EffectiveAddr, nbytes int) {
 	line := k.M.LineSize()
-	n := (nbytes + line - 1) / line
-	for j := 0; j < n; {
-		reads := 3
-		if rem := n - j; rem < reads {
-			reads = rem
-		}
-		k.AccessRun(k.cur, Run{
-			EA: ea + arch.EffectiveAddr(j*line), Count: reads, Stride: line,
-			Class: cache.ClassUser,
-		})
-		j += reads
-		if j < n {
-			k.AccessRun(k.cur, Run{
-				EA: ea + arch.EffectiveAddr(j*line), Count: 1, Stride: line,
-				Class: cache.ClassUser, Write: true,
-			})
-			j++
-		}
-	}
+	k.AccessRun(k.cur, Run{
+		EA: ea, Count: (nbytes + line - 1) / line, Stride: line,
+		Class: cache.ClassUser, Stores: userMix,
+	})
 }

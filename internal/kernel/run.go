@@ -9,22 +9,25 @@ package kernel
 // machine's batch cache simulation. Anything that can deviate from
 // the straight-line pattern — fault injection, COW/RO write checks —
 // forces the scalar loop, so counters, trace emits, and cycle charges
-// stay reference-for-reference identical to scalar execution.
+// stay reference-for-reference identical to scalar execution. A run's
+// loads and stores may mix: its store mask (cache.Stores) says which
+// references store.
 
 import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 )
 
-// Run describes a batch of references sharing class, width, and
-// direction: Count references at EA, EA+Stride, ... Stride is in
-// bytes and must be positive.
+// Run describes a batch of references sharing class and width: Count
+// references at EA, EA+Stride, ... Stride is in bytes and must be
+// positive. Reference i stores iff Stores.At(i); instruction runs
+// never store.
 type Run struct {
 	EA     arch.EffectiveAddr
 	Count  int
 	Stride int
 	Class  cache.Class
-	Write  bool
+	Stores cache.Stores
 	Instr  bool
 }
 
@@ -168,7 +171,8 @@ func (k *Kernel) dataResident(ea arch.EffectiveAddr) bool {
 // AccessRun performs r.Count accesses on behalf of task t, splitting
 // the run at page boundaries: one translation (and fault resolution)
 // per page streak, batched cache simulation for the streak's
-// references. Fault injection and pending COW/RO write checks force
+// references, with the store mask rotated to each streak's starting
+// reference. Fault injection and pending COW/RO write checks force
 // the scalar loop — those paths must observe every reference.
 //
 //mmutricks:noalloc
@@ -177,14 +181,15 @@ func (k *Kernel) AccessRun(t *Task, r Run) {
 		return
 	}
 	if k.M.Inj != nil ||
-		(r.Write && t != nil && !r.EA.IsKernel() && (len(t.cowPages) > 0 || len(t.roPages) > 0)) {
+		(r.Stores&cache.AllStores != 0 && t != nil && !r.EA.IsKernel() && (len(t.cowPages) > 0 || len(t.roPages) > 0)) {
 		for i := 0; i < r.Count; i++ {
-			k.access(t, r.EA+arch.EffectiveAddr(i*r.Stride), r.Instr, r.Class, r.Write) //mmutricks:noalloc-ok scalar fallback runs the allocating fault/COW paths by design
+			k.access(t, r.EA+arch.EffectiveAddr(i*r.Stride), r.Instr, r.Class, r.Stores.At(i)) //mmutricks:noalloc-ok scalar fallback runs the allocating fault/COW paths by design
 		}
 		return
 	}
 	ea := r.EA
 	n := r.Count
+	st := r.Stores
 	for n > 0 {
 		off := int(ea.Offset())
 		var cnt int
@@ -205,9 +210,10 @@ func (k *Kernel) AccessRun(t *Task, r Run) {
 		if r.Instr {
 			k.M.FetchRun(pa, cnt, r.Stride, r.Class, inh)
 		} else {
-			k.M.MemAccessRun(pa, cnt, r.Stride, r.Class, inh, r.Write)
+			k.M.MemAccessRunMask(pa, cnt, r.Stride, r.Class, inh, st)
 		}
 		ea += arch.EffectiveAddr(cnt * r.Stride)
 		n -= cnt
+		st = st.From(cnt)
 	}
 }

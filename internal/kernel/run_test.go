@@ -18,20 +18,24 @@ import (
 // full observable state after every step.
 
 // scalarRun replays r reference-for-reference through the scalar access
-// path — the ground truth the batched pipeline must reproduce.
+// path — the ground truth the batched pipeline must reproduce. Each
+// reference's store flag comes from the run's mask.
 func scalarRun(k *Kernel, t *Task, r Run) {
 	for i := 0; i < r.Count; i++ {
-		k.access(t, r.EA+arch.EffectiveAddr(i*r.Stride), r.Instr, r.Class, r.Write)
+		k.access(t, r.EA+arch.EffectiveAddr(i*r.Stride), r.Instr, r.Class, r.Stores.At(i))
 	}
 }
 
 // runObs is the complete observable state the equivalence proof
-// compares. Anything the harness can render derives from these.
+// compares. Anything the harness can render derives from these. The
+// dirty-line count catches a wrong store flag at the step that sets
+// it, not only at a later castout.
 type runObs struct {
 	Mon    hwmon.Counters
 	Cycles clock.Cycles
 	DStats cache.Stats
 	IStats cache.Stats
+	DDirty int
 	DTLB   map[arch.VPN]arch.PFN
 	ITLB   map[arch.VPN]arch.PFN
 	Gen    uint64
@@ -43,6 +47,7 @@ func observeRun(k *Kernel) runObs {
 		Cycles: k.M.Led.Now(),
 		DStats: *k.M.DCache.Stats(),
 		IStats: *k.M.ICache.Stats(),
+		DDirty: k.M.DCache.DirtyLines(),
 		DTLB:   k.M.MMU.TLB.Snapshot(),
 		ITLB:   k.M.MMU.ITLB.Snapshot(),
 		Gen:    k.M.MMU.Gen(),
@@ -86,8 +91,8 @@ func TestAccessRunMatchesScalar(t *testing.T) {
 	steps := []runStep{
 		{name: "cold user stream, word stride", run: &Run{EA: UserDataBase, Count: 3000, Stride: 4, Class: cache.ClassUser}},
 		{name: "warm re-walk", run: &Run{EA: UserDataBase, Count: 3000, Stride: 4, Class: cache.ClassUser}},
-		{name: "write stream, line stride", run: &Run{EA: UserDataBase, Count: 600, Stride: line, Class: cache.ClassUser, Write: true}},
-		{name: "castout pressure, page-crossing", run: &Run{EA: UserDataBase + 0x8000, Count: 4096, Stride: line, Class: cache.ClassUser, Write: true}},
+		{name: "write stream, line stride", run: &Run{EA: UserDataBase, Count: 600, Stride: line, Class: cache.ClassUser, Stores: cache.AllStores}},
+		{name: "castout pressure, page-crossing", run: &Run{EA: UserDataBase + 0x8000, Count: 4096, Stride: line, Class: cache.ClassUser, Stores: cache.AllStores}},
 		{name: "single reference", run: &Run{EA: UserDataBase + 12, Count: 1, Stride: 4, Class: cache.ClassUser}},
 		{name: "two-line stride", run: &Run{EA: UserDataBase, Count: 300, Stride: 2 * line, Class: cache.ClassUser}},
 		{name: "unaligned sub-line stride", run: &Run{EA: UserDataBase + 6, Count: 2000, Stride: 12, Class: cache.ClassUser}},
@@ -103,6 +108,18 @@ func TestAccessRunMatchesScalar(t *testing.T) {
 		{name: "single-vpn invalidate",
 			op: func(k *Kernel, _ *Task) { k.M.MMU.InvalidateVPNAll(k.M.MMU.VPNFor(UserDataBase)) }},
 		{name: "stream after vpn invalidate", run: &Run{EA: UserDataBase, Count: 64, Stride: 4, Class: cache.ClassUser}},
+		// Mixed load/store runs: one store per four references at each
+		// start phase, a mask whose phase rotates at page splits (the
+		// first page takes 13 references), an unaligned EA, and a
+		// sub-line stride whose line groups mix loads and stores.
+		{name: "mixed mask, store at phase 3", run: &Run{EA: UserDataBase + 0x10000, Count: 130, Stride: line, Class: cache.ClassUser, Stores: 0x8}},
+		{name: "mixed mask, store at phase 2", run: &Run{EA: UserDataBase + 0x11000, Count: 130, Stride: line, Class: cache.ClassUser, Stores: 0x4}},
+		{name: "mixed mask, store at phase 1", run: &Run{EA: UserDataBase + 0x12000, Count: 130, Stride: line, Class: cache.ClassUser, Stores: 0x2}},
+		{name: "mixed mask, store at phase 0", run: &Run{EA: UserDataBase + 0x13000, Count: 130, Stride: line, Class: cache.ClassUser, Stores: 0x1}},
+		{name: "mixed mask, page-crossing", run: &Run{EA: UserDataBase + 0x14000 - 13*arch.EffectiveAddr(line), Count: 1000, Stride: line, Class: cache.ClassUser, Stores: 0x8}},
+		{name: "mixed mask, unaligned EA", run: &Run{EA: UserDataBase + 0x18006, Count: 300, Stride: line, Class: cache.ClassUser, Stores: 0x5}},
+		{name: "mixed mask, sub-line stride", run: &Run{EA: UserDataBase + 0x19004, Count: 3000, Stride: 12, Class: cache.ClassUser, Stores: 0x8}},
+		{name: "mixed mask, warm re-walk", run: &Run{EA: UserDataBase + 0x10000, Count: 520, Stride: line, Class: cache.ClassUser, Stores: 0x3}},
 	}
 	for _, model := range []clock.CPUModel{clock.PPC603At180(), clock.PPC604At185()} {
 		for _, cfg := range []struct {
@@ -127,7 +144,7 @@ func TestAccessRunAcrossContextSwitch(t *testing.T) {
 	tb2 := kb.Spawn(kb.LoadImage("other", 8))
 	ts2 := ks.Spawn(ks.LoadImage("other", 8))
 
-	r := Run{EA: UserDataBase, Count: 2000, Stride: 4, Class: cache.ClassUser, Write: true}
+	r := Run{EA: UserDataBase, Count: 2000, Stride: 4, Class: cache.ClassUser, Stores: cache.AllStores}
 	kb.AccessRun(tb, r)
 	scalarRun(ks, ts, r)
 
@@ -153,10 +170,13 @@ func TestAccessRunAcrossContextSwitch(t *testing.T) {
 // harness inner loop.
 func TestAccessRunZeroAllocsWhenResident(t *testing.T) {
 	k, task := bootTask(t, clock.PPC604At185(), Unoptimized())
-	r := Run{EA: UserDataBase, Count: 1024, Stride: 4, Class: cache.ClassUser, Write: true}
+	r := Run{EA: UserDataBase, Count: 1024, Stride: 4, Class: cache.ClassUser, Stores: cache.AllStores}
+	mix := Run{EA: UserDataBase, Count: 256, Stride: 32, Class: cache.ClassUser, Stores: userMix}
 	k.AccessRun(task, r) // fault the pages in
+	k.AccessRun(task, mix)
 	if n := testing.AllocsPerRun(100, func() {
 		k.AccessRun(task, r)
+		k.AccessRun(task, mix)
 	}); n != 0 {
 		t.Fatalf("resident AccessRun allocates %.1f times per op, want 0", n)
 	}
@@ -191,7 +211,7 @@ func FuzzAccessRunParity(f *testing.F) {
 					Count:  next()*16 + 1,
 					Stride: next()%128 + 1,
 					Class:  cache.ClassUser,
-					Write:  next()%2 == 1,
+					Stores: cache.Stores(next()),
 				}
 				kb.AccessRun(tb, r)
 				scalarRun(ks, ts, r)

@@ -407,7 +407,7 @@ func (k *Kernel) UserRefRun(ea arch.EffectiveAddr, count, stride int, write bool
 	if k.cur == nil {
 		panic("kernel: UserRefRun with no current task")
 	}
-	k.AccessRun(k.cur, Run{EA: ea, Count: count, Stride: stride, Class: cache.ClassUser, Write: write})
+	k.AccessRun(k.cur, Run{EA: ea, Count: count, Stride: stride, Class: cache.ClassUser, Stores: cache.StoresOf(write)})
 }
 
 // UserZero clears nbytes at ea from user mode, either with ordinary
@@ -536,7 +536,7 @@ func (k *Kernel) IPCMessage(bytes int) {
 		cnt := min(total-done, (0x1000-off)/line)
 		k.AccessRun(k.cur, Run{
 			EA: base + arch.EffectiveAddr(off), Count: cnt, Stride: line,
-			Class: cache.ClassKernelData, Write: true,
+			Class: cache.ClassKernelData, Stores: cache.AllStores,
 		})
 		done += cnt
 	}

@@ -50,19 +50,26 @@ func (m *Machine) runChunk(n, stride int, locked bool) int {
 	return max
 }
 
-// MemAccessRun performs n equally-strided data accesses (pa,
-// pa+stride, ...) on behalf of one traffic class — the batched
-// equivalent of n MemAccess calls.
+// MemAccessRun is MemAccessRunMask for a pure load or store run.
 //
 //mmutricks:noalloc
 func (m *Machine) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool) {
+	m.MemAccessRunMask(pa, n, stride, class, inhibited, cache.StoresOf(write))
+}
+
+// MemAccessRunMask performs n equally-strided data accesses (pa,
+// pa+stride, ...) on behalf of one traffic class, reference i storing
+// iff st.At(i) — the batched equivalent of n MemAccess calls.
+//
+//mmutricks:noalloc
+func (m *Machine) MemAccessRunMask(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited bool, st cache.Stores) {
 	if n <= 0 {
 		return
 	}
 	if m.Inj != nil {
 		// Injection polls are per-reference; keep the scalar loop.
 		for i := 0; i < n; i++ {
-			m.MemAccess(pa+arch.PhysAddr(i*stride), class, inhibited, write)
+			m.MemAccess(pa+arch.PhysAddr(i*stride), class, inhibited, st.At(i))
 		}
 		return
 	}
@@ -84,27 +91,28 @@ func (m *Machine) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Clas
 	if !m.cacheLocked && !m.Trc.Enabled() && m.L2 == nil {
 		// Tracer off, no L2: fill costs are closed-form, so the run
 		// needs neither per-miss records nor chunking.
-		nmiss, ncast := m.DCache.AccessRunCount(pa, n, stride, class, write)
+		nmiss, ncast := m.DCache.AccessRunCountMask(pa, n, stride, class, st)
 		m.Led.Charge(clock.Cycles(n) + clock.Cycles((nmiss+ncast)*m.Model.MemLatency))
 		return
 	}
 	for n > 0 {
 		chunk := m.runChunk(n, stride, m.cacheLocked)
 		if m.cacheLocked {
-			m.lockedRun(pa, chunk, stride, class, write)
+			m.lockedRun(pa, chunk, stride, class, st)
 		} else {
-			m.cachedRun(pa, chunk, stride, class, write)
+			m.cachedRun(pa, chunk, stride, class, st)
 		}
 		pa += arch.PhysAddr(chunk * stride)
 		n -= chunk
+		st = st.From(chunk)
 	}
 }
 
 // cachedRun simulates one chunk through the allocating D-cache.
 //
 //mmutricks:noalloc
-func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, write bool) {
-	nmiss := m.DCache.AccessRun(pa, n, stride, class, write, m.missBuf[:])
+func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, st cache.Stores) {
+	nmiss := m.DCache.AccessRun(pa, n, stride, class, st, m.missBuf[:])
 	if !m.Trc.Enabled() {
 		// No emit points inside the chunk, so the per-reference charges
 		// coalesce; the L2 is still consulted per miss in order.
@@ -151,8 +159,8 @@ func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, 
 // touching the L2, matching the scalar locked path).
 //
 //mmutricks:noalloc
-func (m *Machine) lockedRun(pa arch.PhysAddr, n, stride int, class cache.Class, write bool) {
-	nmiss := m.DCache.AccessNoAllocRun(pa, n, stride, class, write, m.missBuf[:])
+func (m *Machine) lockedRun(pa arch.PhysAddr, n, stride int, class cache.Class, st cache.Stores) {
+	nmiss := m.DCache.AccessNoAllocRun(pa, n, stride, class, st, m.missBuf[:])
 	lat := clock.Cycles(m.Model.MemLatency)
 	if !m.Trc.Enabled() {
 		m.Led.Charge(clock.Cycles(n-nmiss) + lat*clock.Cycles(nmiss))
@@ -201,7 +209,7 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 	if !m.Trc.Enabled() && m.L2 == nil {
 		// Fetch misses never cast out a charge (absorbed as on the
 		// scalar fetch path), so only the miss count matters.
-		nmiss, _ := m.ICache.AccessRunCount(pa, n, stride, class, false)
+		nmiss, _ := m.ICache.AccessRunCountMask(pa, n, stride, class, cache.NoStores)
 		if nmiss > 0 {
 			fills := clock.Cycles(nmiss * m.Model.MemLatency)
 			m.Led.Charge(fills)
@@ -211,7 +219,7 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 	}
 	for n > 0 {
 		chunk := m.runChunk(n, stride, false)
-		nmiss := m.ICache.AccessRun(pa, chunk, stride, class, false, m.missBuf[:])
+		nmiss := m.ICache.AccessRun(pa, chunk, stride, class, cache.NoStores, m.missBuf[:])
 		if !m.Trc.Enabled() {
 			var total clock.Cycles
 			if m.L2 == nil {

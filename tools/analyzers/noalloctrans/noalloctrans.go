@@ -51,15 +51,18 @@ type Root struct {
 }
 
 // Roots are the anchored proof obligations: the MMU translation entry,
-// the machine's physical access paths (scalar and batched), the
-// kernel's batched reference entry, and the tracer's emit path.
+// the machine's physical access paths (scalar and batched), the cache's
+// masked count-only run, the kernel's batched reference entry, and the
+// tracer's emit path.
 var Roots = []Root{
 	{"mmutricks/internal/ppc", "MMU", "Translate"},
 	{"mmutricks/internal/machine", "Machine", "MemAccess"},
 	{"mmutricks/internal/machine", "Machine", "Fetch"},
 	{"mmutricks/internal/machine", "Machine", "MemAccessRun"},
+	{"mmutricks/internal/machine", "Machine", "MemAccessRunMask"},
 	{"mmutricks/internal/machine", "Machine", "FetchRun"},
 	{"mmutricks/internal/machine", "Machine", "MemPairRun"},
+	{"mmutricks/internal/cache", "Cache", "AccessRunCountMask"},
 	{"mmutricks/internal/kernel", "Kernel", "AccessRun"},
 	{"mmutricks/internal/mmtrace", "Tracer", "Emit"},
 }

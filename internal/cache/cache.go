@@ -397,143 +397,99 @@ type MissRef struct {
 //mmutricks:free misses are returned; the machine layer charges the fills
 //mmutricks:noalloc
 func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
-	c.stats.Accesses[class] += uint64(n)
-	lineSize := 1 << c.lineShift
-	sl := st.lanes()
-	if stride&(lineSize-1) == 0 && uint32(pa)&uint32(lineSize-1) == 0 {
-		// Line-aligned references with a line-multiple stride — the
-		// dominant shape (one access per line): no two references share
-		// a line, so each is one probe with the fill inlined. The probe
-		// and the victim scan share one pass's state.
-		la := uint32(pa) >> c.lineShift
-		step := uint32(stride) >> c.lineShift
-		ways := c.ways
-		seq := c.seq
-		var dirty uint8
-		// Per-victim-class eviction counts accumulate in locals and
-		// flush once after the loop — the increments are the hottest
-		// stores in the simulator. Sized 8 and masked so indexing by
-		// the victim's class byte needs no bounds check.
-		var ev, co [8]uint64
-		if ways == 4 {
-			// Both L1 geometries are 4-way; unrolling the probe and
-			// victim scans removes all per-way loop overhead.
-			for i := 0; i < n; i++ {
-				q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
-				want := la | lineKeyValid
-				seq++
-				dirty, sl = sl.take(1)
-				var hitLine *line
-				switch want {
-				case q[0].key:
-					hitLine = &q[0]
-				case q[1].key:
-					hitLine = &q[1]
-				case q[2].key:
-					hitLine = &q[2]
-				case q[3].key:
-					hitLine = &q[3]
-				}
-				if hitLine != nil {
-					hitLine.lru = seq
-					hitLine.dirty |= dirty
-					la += step
-					continue
-				}
-				victim := &q[0]
-				castout := false
-				switch {
-				case q[0].key&lineKeyValid == 0:
-				case q[1].key&lineKeyValid == 0:
-					victim = &q[1]
-				case q[2].key&lineKeyValid == 0:
-					victim = &q[2]
-				case q[3].key&lineKeyValid == 0:
-					victim = &q[3]
-				default:
-					if q[1].lru < victim.lru {
-						victim = &q[1]
-					}
-					if q[2].lru < victim.lru {
-						victim = &q[2]
-					}
-					if q[3].lru < victim.lru {
-						victim = &q[3]
-					}
-					ev[victim.class&7]++
-					if victim.dirty != 0 {
-						co[victim.class&7]++
-						castout = true
-					}
-				}
-				*victim = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
+	if c.ways != 4 {
+		// Both L1s are 4-way and the direct-mapped L2 takes only scalar
+		// Access, so only test geometries get here: one Access per
+		// reference, exact by construction.
+		for i := 0; i < n; i++ {
+			if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
 				misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
 				nmiss++
-				la += step
 			}
-			c.seq = seq
-			c.stats.Misses[class] += uint64(nmiss)
-			c.stats.Fills[class] += uint64(nmiss)
-			for v := 0; v < int(numClasses); v++ {
-				c.stats.EvictedBy[v][class] += ev[v]
-				c.stats.Castouts[v] += co[v]
-			}
-			return nmiss
-		}
-		for i := 0; i < n; i++ {
-			base := int(la&c.setMask) * ways
-			lines := c.lines[base : base+ways]
-			want := la | lineKeyValid
-			seq++
-			dirty, sl = sl.take(1)
-			way := -1
-			for w := range lines {
-				if lines[w].key == want {
-					way = w
-					break
-				}
-			}
-			if way >= 0 {
-				lines[way].lru = seq
-				lines[way].dirty |= dirty
-				la += step
-				continue
-			}
-			victim := 0
-			castout := false
-			minLRU := ^uint64(0)
-			for w := range lines {
-				if lines[w].key&lineKeyValid == 0 {
-					victim = w
-					goto install
-				}
-				if lines[w].lru < minLRU {
-					minLRU = lines[w].lru
-					victim = w
-				}
-			}
-			ev[lines[victim].class&7]++
-			if lines[victim].dirty != 0 {
-				co[lines[victim].class&7]++
-				castout = true
-			}
-		install:
-			lines[victim] = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
-			misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
-			nmiss++
-			la += step
-		}
-		c.seq = seq
-		c.stats.Misses[class] += uint64(nmiss)
-		c.stats.Fills[class] += uint64(nmiss)
-		for v := 0; v < int(numClasses); v++ {
-			c.stats.EvictedBy[v][class] += ev[v]
-			c.stats.Castouts[v] += co[v]
 		}
 		return nmiss
 	}
-	// General shape: group the references by the line they land on (the
-	// grouping scan is division-free; line-crossing groups are short).
+	c.stats.Accesses[class] += uint64(n)
+	lineSize := 1 << c.lineShift
+	sl := st.lanes()
+	if stride&(lineSize-1) != 0 || uint32(pa)&uint32(lineSize-1) != 0 {
+		nmiss, _ = c.accessGroups(pa, n, stride, class, sl, misses)
+		return nmiss
+	}
+	// Line-aligned references with a line-multiple stride — the dominant
+	// shape (one access per line): no two references share a line, so
+	// each is one probe with the fill inlined.
+	la := uint32(pa) >> c.lineShift
+	step := uint32(stride) >> c.lineShift
+	seq := c.seq
+	var dirty uint8
+	// Per-victim-class eviction counts accumulate in locals and flush
+	// once after the loop — the increments are the hottest stores in
+	// the simulator. Sized 8 and masked so indexing by the victim's
+	// class byte needs no bounds check.
+	var ev, co [8]uint64
+	for i := 0; i < n; i++ {
+		q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
+		want := la | lineKeyValid
+		seq++
+		dirty, sl = sl.take(1)
+		la += step
+		var hitLine *line
+		switch want {
+		case q[0].key:
+			hitLine = &q[0]
+		case q[1].key:
+			hitLine = &q[1]
+		case q[2].key:
+			hitLine = &q[2]
+		case q[3].key:
+			hitLine = &q[3]
+		}
+		if hitLine != nil {
+			hitLine.lru = seq
+			hitLine.dirty |= dirty
+			continue
+		}
+		vi, full := victim4(q)
+		v := &q[vi&3]
+		var d uint64
+		if full {
+			ev[v.class&7]++
+			d = uint64(v.dirty)
+			co[v.class&7] += d
+		}
+		*v = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
+		misses[nmiss] = MissRef{Index: int32(i), Castout: d != 0}
+		nmiss++
+	}
+	c.seq = seq
+	c.flushRun(class, nmiss, &ev, &co)
+	return nmiss
+}
+
+// flushRun adds an aligned run's miss, fill and per-victim-class
+// eviction counts to the statistics.
+//
+//mmutricks:noalloc
+func (c *Cache) flushRun(class Class, nmiss int, ev, co *[8]uint64) {
+	c.stats.Misses[class] += uint64(nmiss)
+	c.stats.Fills[class] += uint64(nmiss)
+	for v := 0; v < int(numClasses); v++ {
+		c.stats.EvictedBy[v][class] += ev[v]
+		c.stats.Castouts[v] += co[v]
+	}
+}
+
+// accessGroups advances a 4-way run of any alignment and stride by
+// grouping its references by the line they land on (the grouping scan
+// is division-free; line-crossing groups are short). A group on a
+// resident line is one sequence advance to its final stamp. On any
+// other line the group's first reference misses and fills and the rest
+// hit the fresh line, so the fill takes the final stamp directly. The
+// misses are recorded in misses unless it is nil.
+//
+//mmutricks:noalloc
+func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl storeLanes, misses []MissRef) (nmiss, ncast int) {
 	for i := 0; i < n; {
 		a := pa + arch.PhysAddr(i*stride)
 		la := uint32(a) >> c.lineShift
@@ -543,41 +499,41 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 		}
 		var dirty uint8
 		dirty, sl = sl.take(k)
+		c.seq += uint64(k)
 		set := int(la & c.setMask)
-		lines := c.setLines(set)
+		q := (*[4]line)(c.lines[set*4:])
 		want := la | lineKeyValid
-		way := -1
-		for w := range lines {
-			if lines[w].key == want {
-				way = w
-				break
-			}
+		wi := -1
+		if q[0].key == want {
+			wi = 0
 		}
-		if way >= 0 {
-			c.seq += uint64(k)
-			lines[way].lru = c.seq
-			lines[way].dirty |= dirty
+		if q[1].key == want {
+			wi = 1
+		}
+		if q[2].key == want {
+			wi = 2
+		}
+		if q[3].key == want {
+			wi = 3
+		}
+		if wi >= 0 {
+			p := &q[wi&3]
+			p.lru = c.seq
+			p.dirty |= dirty
 		} else {
-			// The first reference misses and fills; the remaining k-1
-			// hit the freshly filled line.
-			c.seq++
 			c.stats.Misses[class]++
 			castout := c.fill(set, la, class, dirty != 0)
-			misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
+			if misses != nil {
+				misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
+			}
 			nmiss++
-			if k > 1 {
-				c.seq += uint64(k - 1)
-				for w := range lines {
-					if lines[w].key == want {
-						lines[w].lru = c.seq
-						break
-					}
-				}
+			if castout {
+				ncast++
 			}
 		}
 		i += k
 	}
-	return nmiss
+	return nmiss, ncast
 }
 
 // AccessRunCount is AccessRunCountMask for a pure load or store run.
@@ -598,213 +554,72 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 //mmutricks:noalloc
 func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
+	if c.ways != 4 {
+		// Test geometries only, as in AccessRun.
+		for i := 0; i < n; i++ {
+			if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
+				nmiss++
+				if castout {
+					ncast++
+				}
+			}
+		}
+		return nmiss, ncast
+	}
 	c.stats.Accesses[class] += uint64(n)
 	lineSize := 1 << c.lineShift
 	sl := st.lanes()
-	if stride&(lineSize-1) == 0 && uint32(pa)&uint32(lineSize-1) == 0 && c.ways == 4 {
-		la := uint32(pa) >> c.lineShift
-		step := uint32(stride) >> c.lineShift
-		seq := c.seq
-		mask := c.setMask
-		lines := c.lines
-		var dirty uint8
-		var ev, co [8]uint64
-		for i := 0; i < n; i++ {
-			q := (*[4]line)(lines[int(la&mask)*4:])
-			want := la | lineKeyValid
-			seq++
-			dirty, sl = sl.take(1)
-			// Probe all four ways with conditional moves, then branch
-			// once on hit/miss — runs are phase-coherent (a clear run
-			// misses throughout, a warm run hits throughout), so the
-			// single branch predicts well.
-			wi := -1
-			if q[0].key == want {
-				wi = 0
-			}
-			if q[1].key == want {
-				wi = 1
-			}
-			if q[2].key == want {
-				wi = 2
-			}
-			if q[3].key == want {
-				wi = 3
-			}
-			if wi >= 0 {
-				p := &q[wi&3]
-				p.lru = seq
-				p.dirty |= dirty
-				la += step
-				continue
-			}
-			vi := 0
-			if q[0].key&q[1].key&q[2].key&q[3].key&lineKeyValid != 0 {
-				// Set full: evict the LRU way. A tournament over
-				// preloaded stamps keeps the loads independent; every
-				// comparison is strict, so the earliest way wins ties
-				// exactly as the scalar scan decides them.
-				l0, l1, l2, l3 := q[0].lru, q[1].lru, q[2].lru, q[3].lru
-				m01, i01 := l0, 0
-				if l1 < l0 {
-					m01, i01 = l1, 1
-				}
-				m23, i23 := l2, 2
-				if l3 < l2 {
-					m23, i23 = l3, 3
-				}
-				vi = i01
-				if m23 < m01 {
-					vi = i23
-				}
-				ev[q[vi].class&7]++
-				if q[vi].dirty != 0 {
-					co[q[vi].class&7]++
-					ncast++
-				}
-			} else {
-				// A free way exists: take the first invalid one.
-				switch {
-				case q[0].key&lineKeyValid == 0:
-				case q[1].key&lineKeyValid == 0:
-					vi = 1
-				case q[2].key&lineKeyValid == 0:
-					vi = 2
-				default:
-					vi = 3
-				}
-			}
-			q[vi] = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
-			nmiss++
-			la += step
-		}
-		c.seq = seq
-		c.stats.Misses[class] += uint64(nmiss)
-		c.stats.Fills[class] += uint64(nmiss)
-		for v := 0; v < int(numClasses); v++ {
-			c.stats.EvictedBy[v][class] += ev[v]
-			c.stats.Castouts[v] += co[v]
-		}
-		return nmiss, ncast
+	if stride&(lineSize-1) != 0 || uint32(pa)&uint32(lineSize-1) != 0 {
+		return c.accessGroups(pa, n, stride, class, sl, nil)
 	}
-	if c.ways == 4 {
-		// Sub-line strides group into per-line streaks of a few
-		// references; the same unrolled 4-way probe applies per group.
-		for i := 0; i < n; {
-			a := pa + arch.PhysAddr(i*stride)
-			la := uint32(a) >> c.lineShift
-			k := 1
-			for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
-				k++
-			}
-			var dirty uint8
-			dirty, sl = sl.take(k)
-			q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
-			want := la | lineKeyValid
-			wi := -1
-			if q[0].key == want {
-				wi = 0
-			}
-			if q[1].key == want {
-				wi = 1
-			}
-			if q[2].key == want {
-				wi = 2
-			}
-			if q[3].key == want {
-				wi = 3
-			}
-			if wi >= 0 {
-				c.seq += uint64(k)
-				p := &q[wi&3]
-				p.lru = c.seq
-				p.dirty |= dirty
-			} else {
-				c.seq++
-				c.stats.Misses[class]++
-				c.stats.Fills[class]++
-				vi := 0
-				if q[0].key&q[1].key&q[2].key&q[3].key&lineKeyValid != 0 {
-					l0, l1, l2, l3 := q[0].lru, q[1].lru, q[2].lru, q[3].lru
-					m01, i01 := l0, 0
-					if l1 < l0 {
-						m01, i01 = l1, 1
-					}
-					m23, i23 := l2, 2
-					if l3 < l2 {
-						m23, i23 = l3, 3
-					}
-					vi = i01
-					if m23 < m01 {
-						vi = i23
-					}
-					c.stats.EvictedBy[q[vi].class&7][class]++
-					if q[vi].dirty != 0 {
-						c.stats.Castouts[q[vi].class&7]++
-						ncast++
-					}
-				} else {
-					switch {
-					case q[0].key&lineKeyValid == 0:
-					case q[1].key&lineKeyValid == 0:
-						vi = 1
-					case q[2].key&lineKeyValid == 0:
-						vi = 2
-					default:
-						vi = 3
-					}
-				}
-				nmiss++
-				// Install, then restamp with the group's trailing hits.
-				c.seq += uint64(k - 1)
-				q[vi&3] = line{key: want, class: uint8(class), dirty: dirty, lru: c.seq}
-			}
-			i += k
-		}
-		return nmiss, ncast
-	}
-	for i := 0; i < n; {
-		a := pa + arch.PhysAddr(i*stride)
-		la := uint32(a) >> c.lineShift
-		k := 1
-		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
-			k++
-		}
-		var dirty uint8
-		dirty, sl = sl.take(k)
-		set := int(la & c.setMask)
-		lines := c.setLines(set)
+	la := uint32(pa) >> c.lineShift
+	step := uint32(stride) >> c.lineShift
+	seq := c.seq
+	mask := c.setMask
+	lines := c.lines
+	var dirty uint8
+	var ev, co [8]uint64
+	for i := 0; i < n; i++ {
+		q := (*[4]line)(lines[int(la&mask)*4:])
 		want := la | lineKeyValid
-		way := -1
-		for w := range lines {
-			if lines[w].key == want {
-				way = w
-				break
-			}
+		seq++
+		dirty, sl = sl.take(1)
+		la += step
+		// Probe all four ways before acting on the result — runs are
+		// phase-coherent (a clear run misses throughout, a warm run hits
+		// throughout), so the probe's branches predict well.
+		wi := -1
+		if q[0].key == want {
+			wi = 0
 		}
-		if way >= 0 {
-			c.seq += uint64(k)
-			lines[way].lru = c.seq
-			lines[way].dirty |= dirty
-		} else {
-			c.seq++
-			c.stats.Misses[class]++
-			if c.fill(set, la, class, dirty != 0) {
-				ncast++
-			}
-			nmiss++
-			if k > 1 {
-				c.seq += uint64(k - 1)
-				for w := range lines {
-					if lines[w].key == want {
-						lines[w].lru = c.seq
-						break
-					}
-				}
-			}
+		if q[1].key == want {
+			wi = 1
 		}
-		i += k
+		if q[2].key == want {
+			wi = 2
+		}
+		if q[3].key == want {
+			wi = 3
+		}
+		if wi >= 0 {
+			p := &q[wi&3]
+			p.lru = seq
+			p.dirty |= dirty
+			continue
+		}
+		vi, full := victim4(q)
+		v := &q[vi&3]
+		if full {
+			ev[v.class&7]++
+			d := uint64(v.dirty)
+			co[v.class&7] += d
+			ncast += int(d)
+		}
+		*v = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
+		nmiss++
 	}
+	c.seq = seq
+	c.flushRun(class, nmiss, &ev, &co)
 	return nmiss, ncast
 }
 
@@ -914,76 +729,70 @@ func (c *Cache) Touch(pa arch.PhysAddr, class Class) {
 	c.fill(set, tag, class, false)
 }
 
-// fill installs a line, evicting the LRU way if the set is full. It
-// reports whether the victim was dirty (requiring a writeback).
+// fill installs a line stamped with the current sequence number,
+// evicting the LRU way if the set is full. It reports whether the
+// victim was dirty (requiring a writeback).
 //
 //mmutricks:noalloc
 func (c *Cache) fill(set int, tag uint32, class Class, write bool) (castout bool) {
 	c.stats.Fills[class]++
-	var dirty uint8
-	if c.ways == 4 {
-		q := (*[4]line)(c.lines[set*4:])
-		vi := 0
-		if q[0].key&q[1].key&q[2].key&q[3].key&lineKeyValid != 0 {
-			l0, l1, l2, l3 := q[0].lru, q[1].lru, q[2].lru, q[3].lru
-			m01, i01 := l0, 0
-			if l1 < l0 {
-				m01, i01 = l1, 1
-			}
-			m23, i23 := l2, 2
-			if l3 < l2 {
-				m23, i23 = l3, 3
-			}
-			vi = i01
-			if m23 < m01 {
-				vi = i23
-			}
-			c.stats.EvictedBy[q[vi].class&7][class]++
-			if q[vi].dirty != 0 {
-				c.stats.Castouts[q[vi].class&7]++
-				castout = true
-			}
-		} else {
-			switch {
-			case q[0].key&lineKeyValid == 0:
-			case q[1].key&lineKeyValid == 0:
-				vi = 1
-			case q[2].key&lineKeyValid == 0:
-				vi = 2
-			default:
-				vi = 3
-			}
-		}
-		if write {
-			dirty = 1
-		}
-		q[vi] = line{key: tag | lineKeyValid, class: uint8(class), dirty: dirty, lru: c.seq}
-		return castout
-	}
 	lines := c.setLines(set)
-	victim := 0
-	minLRU := ^uint64(0)
-	for i := range lines {
-		if lines[i].key&lineKeyValid == 0 {
-			victim = i
-			goto install
-		}
-		if lines[i].lru < minLRU {
-			minLRU = lines[i].lru
-			victim = i
+	vi, full := 0, true
+	if c.ways == 4 {
+		vi, full = victim4((*[4]line)(lines))
+	} else {
+		// The same rule as victim4, as a plain scan (the L2 is
+		// direct-mapped; other geometries are test-only).
+		for i := range lines {
+			if lines[i].key&lineKeyValid == 0 {
+				vi, full = i, false
+				break
+			}
+			if lines[i].lru < lines[vi].lru {
+				vi = i
+			}
 		}
 	}
-	c.stats.EvictedBy[lines[victim].class][class]++
-	if lines[victim].dirty != 0 {
-		c.stats.Castouts[lines[victim].class]++
-		castout = true
+	v := &lines[vi]
+	if full {
+		c.stats.EvictedBy[v.class][class]++
+		c.stats.Castouts[v.class] += uint64(v.dirty)
+		castout = v.dirty != 0
 	}
-install:
+	var dirty uint8
 	if write {
 		dirty = 1
 	}
-	lines[victim] = line{key: tag | lineKeyValid, class: uint8(class), dirty: dirty, lru: c.seq}
+	*v = line{key: tag | lineKeyValid, class: uint8(class), dirty: dirty, lru: c.seq}
 	return castout
+}
+
+// victim4 chooses the way of a 4-way set that a fill replaces: the
+// first invalid way, or, when the set is full, the least recently used
+// way — the smallest LRU stamp, the earliest way winning a tie. full
+// reports whether a resident line is evicted. Neither choice branches
+// on the data: a streaming fill's victim way varies from set to set, so
+// a branching scan mispredicts on a large share of misses. The only
+// branch, full or not, is steady within a run.
+//
+//mmutricks:noalloc
+func victim4(q *[4]line) (vi int, full bool) {
+	// Bit w of valid is way w's lineKeyValid bit (bit 31 of its key).
+	valid := q[0].key>>31 | q[1].key>>31<<1 | q[2].key>>31<<2 | q[3].key>>31<<3
+	if valid != 0xF {
+		return bits.TrailingZeros32(^valid), false
+	}
+	// A tournament of strict comparisons. The borrow of y-x is 1 iff
+	// y < x, so a later way displaces an earlier one only when its
+	// stamp is strictly older, and -borrow masks the selection.
+	l0, l1, l2, l3 := q[0].lru, q[1].lru, q[2].lru, q[3].lru
+	_, b01 := bits.Sub64(l1, l0, 0)
+	_, b23 := bits.Sub64(l3, l2, 0)
+	m01 := l0 ^ (l0^l1)&-b01
+	m23 := l2 ^ (l2^l3)&-b23
+	_, b := bits.Sub64(m23, m01, 0)
+	i01, i23 := b01, 2|b23
+	return int(i01 ^ (i01^i23)&-b), true
 }
 
 // Contains reports whether the line holding pa is currently resident.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -202,6 +203,31 @@ func BenchmarkAccessRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.AccessRunCount(pa, 128, 32, ClassUser, true)
 		pa += 4096
+	}
+}
+
+// BenchmarkAccessRunScattered is BenchmarkAccessRun with a victim way
+// that varies: whole pages are cleared in a seeded random order over a
+// 64-page working set (16x the cache), and each clear is followed by a
+// short load run re-touching part of one of the three pages cleared
+// before it, which reorders the LRU stamps of the sets it lands in.
+// BenchmarkAccessRun's fixed stride repeats its victims with a fixed
+// period, so there every branch predicts perfectly.
+func BenchmarkAccessRunScattered(b *testing.B) {
+	c := New("d", 16<<10, 4, 32)
+	rng := rand.New(rand.NewSource(1))
+	const nops = 1024
+	var page, hot [nops]arch.PhysAddr
+	for i := range page {
+		page[i] = arch.PhysAddr(rng.Intn(64)) << 12
+		hot[i] = page[(i+nops-1-rng.Intn(3))%nops] + arch.PhysAddr(rng.Intn(128-16))<<5
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % nops
+		c.AccessRunCount(page[j], 128, 32, ClassUser, true)
+		c.AccessRunCount(hot[j], 16, 32, ClassUser, false)
 	}
 }
 

@@ -44,14 +44,63 @@ type Stats struct {
 }
 
 // Memory is the physical memory of one simulated machine.
+//
+// Free frames sit on two intrusive lists threaded through per-frame
+// links. free is the free stack: FreeFrame pushes on top and
+// AllocFrame pops the top. cand holds the idle task's candidates, the
+// free frames not on the cleared list, in free-stack order. A frame is
+// on free iff !inUse and on cand iff also !onList. Both lists gain
+// frames only at the top (FreeFrame) and lose them by unlinking, so
+// cand stays a subsequence of free and its top is the topmost free
+// frame not yet cleared. Every operation is O(1), amortized for the
+// cleared slice's appends.
 type Memory struct {
 	frames  int
 	layout  Layout
-	free    []arch.PFN
+	free    frameList
+	cand    frameList
+	nfree   int
 	inUse   []bool
 	cleared []arch.PFN
 	onList  []bool
 	stats   Stats
+}
+
+// frameList is an intrusive doubly linked list of frames: entry f
+// holds frame f's neighbours, and the last entry, at index Frames(),
+// is the sentinel whose down link is the top and whose up link is the
+// bottom. An empty list's sentinel links to itself.
+type frameList []frameLink
+
+type frameLink struct{ up, down arch.PFN }
+
+// top returns the list's top frame; ok is false when it is empty.
+//
+//mmutricks:noalloc
+func (l frameList) top() (f arch.PFN, ok bool) {
+	s := len(l) - 1
+	if f = l[s].down; int(f) == s {
+		return 0, false
+	}
+	return f, true
+}
+
+// push puts a frame that is on no list of this kind on top.
+func (l frameList) push(f arch.PFN) {
+	s := arch.PFN(len(l) - 1)
+	top := l[s].down
+	l[f] = frameLink{up: s, down: top}
+	l[top].up = f
+	l[s].down = f
+}
+
+// unlink removes a frame from anywhere in the list.
+//
+//mmutricks:noalloc
+func (l frameList) unlink(f arch.PFN) {
+	up, down := l[f].up, l[f].down
+	l[up].down = down
+	l[down].up = up
 }
 
 // New builds a memory of the given size with the given kernel image
@@ -92,17 +141,27 @@ func NewWithHTAB(ramBytes, kernelBytes, htabGroups int) *Memory {
 			HTABBytes:   htabBytes,
 			FirstFree:   arch.PFN(reserved / arch.PageSize),
 		},
+		free:   make(frameList, frames+1),
+		cand:   make(frameList, frames+1),
+		nfree:  frames - reserved/arch.PageSize,
 		inUse:  make([]bool, frames),
 		onList: make([]bool, frames),
-	}
-	// Free frames are handed out low-to-high; keep the stack so the
-	// next allocation is the lowest free frame, which is deterministic.
-	for f := frames - 1; f >= int(m.layout.FirstFree); f-- {
-		m.free = append(m.free, arch.PFN(f))
 	}
 	for f := arch.PFN(0); f < m.layout.FirstFree; f++ {
 		m.inUse[f] = true
 	}
+	// Free frames are handed out low-to-high, which is deterministic:
+	// the stack runs from FirstFree on top down to the last frame, whose
+	// down link is the sentinel. Nothing is cleared yet, so the
+	// candidate list starts as the same sequence.
+	first, sentinel := m.layout.FirstFree, arch.PFN(frames)
+	for f := first; f < sentinel; f++ {
+		l := frameLink{up: f - 1, down: f + 1}
+		m.free[f], m.cand[f] = l, l
+	}
+	m.free[first].up, m.cand[first].up = sentinel, sentinel
+	l := frameLink{up: sentinel - 1, down: first}
+	m.free[sentinel], m.cand[sentinel] = l, l
 	return m
 }
 
@@ -113,7 +172,7 @@ func NewDefault() *Memory { return New(DefaultRAM, 2<<20) }
 func (m *Memory) Frames() int { return m.frames }
 
 // FreeFrames returns how many frames are currently free.
-func (m *Memory) FreeFrames() int { return len(m.free) }
+func (m *Memory) FreeFrames() int { return m.nfree }
 
 // Layout returns the fixed physical layout.
 func (m *Memory) Layout() Layout { return m.layout }
@@ -125,15 +184,28 @@ func (m *Memory) Stats() *Stats { return &m.stats }
 // memory is exhausted. The frame is NOT taken from the cleared list and
 // is not guaranteed zeroed; kernel code that needs a zeroed page uses
 // GetFreePage.
+//
+//mmutricks:noalloc
 func (m *Memory) AllocFrame() (pfn arch.PFN, ok bool) {
-	if len(m.free) == 0 {
-		return 0, false
+	if pfn, ok = m.free.top(); ok {
+		m.take(pfn, m.onList[pfn])
 	}
-	pfn = m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
+	return pfn, ok
+}
+
+// take marks a free frame allocated, unlinking it from the free stack
+// and, unless it is banked on the cleared list, from the candidates.
+// A banked frame keeps its onList flag and its cleared-list entry.
+//
+//mmutricks:noalloc
+func (m *Memory) take(pfn arch.PFN, banked bool) {
+	m.free.unlink(pfn)
+	if !banked {
+		m.cand.unlink(pfn)
+	}
+	m.nfree--
 	m.inUse[pfn] = true
 	m.stats.Allocated++
-	return pfn, true
 }
 
 // FreeFrame returns a frame to the allocator. Freeing a reserved or
@@ -148,7 +220,9 @@ func (m *Memory) FreeFrame(pfn arch.PFN) {
 	}
 	m.inUse[pfn] = false
 	m.onList[pfn] = false
-	m.free = append(m.free, pfn)
+	m.free.push(pfn)
+	m.cand.push(pfn)
+	m.nfree++
 }
 
 // InUse reports whether the frame is currently allocated (or reserved).
@@ -156,17 +230,15 @@ func (m *Memory) InUse(pfn arch.PFN) bool {
 	return int(pfn) < m.frames && m.inUse[pfn]
 }
 
-// PopClearedCandidate removes one free frame for the idle task to
-// clear, without marking it allocated. Returns false when nothing is
-// free or everything free is already on the cleared list.
+// PopClearedCandidate picks the free frame the idle task should clear
+// next: the topmost free frame not on the cleared list. It removes
+// nothing; the frame stays free, and stays the candidate, until
+// PushCleared banks it or an allocation takes it. Returns false when
+// nothing is free or everything free is already on the cleared list.
+//
+//mmutricks:noalloc
 func (m *Memory) PopClearedCandidate() (arch.PFN, bool) {
-	for i := len(m.free) - 1; i >= 0; i-- {
-		pfn := m.free[i]
-		if !m.onList[pfn] {
-			return pfn, true
-		}
-	}
-	return 0, false
+	return m.cand.top()
 }
 
 // PushCleared records that the idle task cleared the frame, making it
@@ -178,6 +250,7 @@ func (m *Memory) PushCleared(pfn arch.PFN) {
 		return
 	}
 	m.onList[pfn] = true
+	m.cand.unlink(pfn)
 	m.cleared = append(m.cleared, pfn)
 	m.stats.IdleCleared++
 }
@@ -190,23 +263,23 @@ func (m *Memory) ClearedLen() int { return len(m.cleared) }
 // any pre-cleared pages available", §9) and otherwise allocates a frame
 // the caller must clear. cleared reports whether the returned frame was
 // pre-cleared.
+//
+// A cleared-list entry can go stale: AllocFrame may take a banked
+// frame, leaving its entry behind, and once FreeFrame returns that
+// frame the entry still hands it out here as pre-cleared although it
+// was never cleared again (TestStaleClearedEntryHandedOut pins this).
+//
+//mmutricks:noalloc
 func (m *Memory) GetFreePage() (pfn arch.PFN, cleared, ok bool) {
 	for len(m.cleared) > 0 {
 		pfn = m.cleared[len(m.cleared)-1]
 		m.cleared = m.cleared[:len(m.cleared)-1]
+		banked := m.onList[pfn]
 		m.onList[pfn] = false
 		if m.inUse[pfn] {
 			continue // frame was grabbed by AllocFrame since clearing
 		}
-		// Remove it from the free stack.
-		for i := len(m.free) - 1; i >= 0; i-- {
-			if m.free[i] == pfn {
-				m.free = append(m.free[:i], m.free[i+1:]...)
-				break
-			}
-		}
-		m.inUse[pfn] = true
-		m.stats.Allocated++
+		m.take(pfn, banked)
 		m.stats.ClearedHits++
 		return pfn, true, true
 	}

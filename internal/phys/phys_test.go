@@ -245,3 +245,31 @@ func TestAllocFreeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStaleClearedEntryHandedOut pins a known defect so that the
+// allocator reproduces it exactly: AllocFrame may take a frame banked
+// on the cleared list, leaving its entry behind, and once FreeFrame
+// returns the (now dirty) frame, GetFreePage hands it out through the
+// stale entry as pre-cleared and counts a ClearedHit. Fixing it changes
+// simulated counters; a fix must flip this test to expect a dirty page
+// (cleared=false, a ClearedMiss).
+func TestStaleClearedEntryHandedOut(t *testing.T) {
+	m := NewDefault()
+	banked, _ := m.PopClearedCandidate()
+	m.PushCleared(banked)
+	pfn, _ := m.AllocFrame()
+	if pfn != banked {
+		t.Fatalf("AllocFrame took %v, want the banked top frame %v", pfn, banked)
+	}
+	m.FreeFrame(pfn) // the frame was used: its contents are dirty now
+	if m.ClearedLen() != 1 {
+		t.Fatalf("cleared list holds %d entries, want the 1 stale one", m.ClearedLen())
+	}
+	got, cleared, ok := m.GetFreePage()
+	if !ok || got != banked || !cleared {
+		t.Fatalf("GetFreePage = (%v, %v, %v), want the stale (%v, true, true)", got, cleared, ok, banked)
+	}
+	if st := m.Stats(); st.ClearedHits != 1 || st.ClearedMisses != 0 {
+		t.Fatalf("stale hand-out counted hits %d, misses %d; want 1, 0", st.ClearedHits, st.ClearedMisses)
+	}
+}

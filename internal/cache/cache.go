@@ -70,15 +70,18 @@ func (c Class) String() string {
 // is 0 and can never equal a wanted key.
 const lineKeyValid uint32 = 1 << 31
 
-// line is one cache line's state, packed to 16 bytes so a 4-way set
-// occupies a single host cache line.
+// line is one cache line's state, packed to 8 bytes so a 4-way set
+// occupies 32 bytes of one host cache line.
 type line struct {
 	key   uint32 // tag | lineKeyValid when resident; 0 when invalid
 	class uint8
 	dirty uint8
-	_     [2]byte
-	// lru is a per-set sequence number; larger = more recently used.
-	lru uint64
+	// ord is meaningful in way 0 of a 4-way set only: the set's
+	// recency list (see list), kept in the host cache line the probe
+	// loads anyway. Fills and invalidations write the other fields one
+	// by one so that way 0's ord survives.
+	ord uint8
+	_   uint8
 }
 
 // Stats aggregates per-class counters for one cache.
@@ -138,20 +141,32 @@ func (s *Stats) PollutionBy(c Class) uint64 {
 // are stored flat (set-major): one bounds-checked slice index reaches
 // any set, with no per-set pointer chase on the hot path.
 type Cache struct {
-	name      string
-	lines     []line
+	name  string
+	lines []line
+	// lists holds each set's recency list when the cache is not 4-way
+	// (nil otherwise: a 4-way set keeps its list in way 0's ord).
+	lists     []uint32
 	ways      int
+	rankBits  uint // bits per rank in a recency list
 	lineShift uint
 	setMask   uint32
-	seq       uint64
 	stats     Stats
 }
 
-// New builds a cache of the given total size, associativity and line
-// size. Size must be ways*lineSize*2^k for some k.
+// maxWays bounds the associativity so a recency list of 3-bit ranks
+// fits in a uint32.
+const maxWays = 8
+
+// New builds a cache of the given total size, associativity (at most
+// 8 ways) and line size. Size must be ways*lineSize*2^k for some k.
+//
+//mmutricks:free construction happens outside any measured window
 func New(name string, size, ways, lineSize int) *Cache {
 	if size <= 0 || ways <= 0 || lineSize <= 0 {
 		panic("cache: non-positive geometry")
+	}
+	if ways > maxWays {
+		panic(fmt.Sprintf("cache %s: %d ways exceeds the maximum of %d", name, ways, maxWays))
 	}
 	nlines := size / lineSize
 	nsets := nlines / ways
@@ -162,13 +177,19 @@ func New(name string, size, ways, lineSize int) *Cache {
 	for 1<<shift < lineSize {
 		shift++
 	}
-	return &Cache{
+	c := &Cache{
 		name:      name,
 		lines:     make([]line, nlines),
 		ways:      ways,
+		rankBits:  uint(bits.Len(uint(ways - 1))),
 		lineShift: shift,
 		setMask:   uint32(nsets - 1),
 	}
+	if ways != 4 {
+		c.lists = make([]uint32, nsets)
+	}
+	c.InvalidateAll()
+	return c
 }
 
 // Name returns the label the cache was created with.
@@ -217,25 +238,24 @@ func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout 
 	c.stats.Accesses[class]++
 	set, tag := c.index(pa)
 	want := tag | lineKeyValid
-	c.seq++
 	if c.ways == 4 {
 		q := (*[4]line)(c.lines[set*4:])
-		var hitLine *line
+		wi := -1
 		switch want {
 		case q[0].key:
-			hitLine = &q[0]
+			wi = 0
 		case q[1].key:
-			hitLine = &q[1]
+			wi = 1
 		case q[2].key:
-			hitLine = &q[2]
+			wi = 2
 		case q[3].key:
-			hitLine = &q[3]
+			wi = 3
 		}
-		if hitLine != nil {
-			hitLine.lru = c.seq
+		if wi >= 0 {
 			if write {
-				hitLine.dirty = 1
+				q[wi&3].dirty = 1
 			}
+			q[0].ord = touchTab[q[0].ord][wi&3]
 			return true, false
 		}
 		c.stats.Misses[class]++
@@ -244,10 +264,10 @@ func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout 
 	lines := c.setLines(set)
 	for i := range lines {
 		if lines[i].key == want {
-			lines[i].lru = c.seq
 			if write {
 				lines[i].dirty = 1
 			}
+			c.touch(set, i)
 			return true, false
 		}
 	}
@@ -276,13 +296,12 @@ func (c *Cache) AccessNoAlloc(pa arch.PhysAddr, class Class, write bool) (hit bo
 	set, tag := c.index(pa)
 	lines := c.setLines(set)
 	want := tag | lineKeyValid
-	c.seq++
 	for i := range lines {
 		if lines[i].key == want {
-			lines[i].lru = c.seq
 			if write {
 				lines[i].dirty = 1
 			}
+			c.touch(set, i)
 			return true
 		}
 	}
@@ -302,11 +321,10 @@ func (c *Cache) ZeroLine(pa arch.PhysAddr, class Class) (castout bool) {
 	set, tag := c.index(pa)
 	lines := c.setLines(set)
 	want := tag | lineKeyValid
-	c.seq++
 	for i := range lines {
 		if lines[i].key == want {
-			lines[i].lru = c.seq
 			lines[i].dirty = 1
+			c.touch(set, i)
 			return false
 		}
 	}
@@ -384,11 +402,11 @@ type MissRef struct {
 
 // AccessRun performs n equally-strided accesses (pa, pa+stride, ...)
 // on behalf of class, reference i storing iff st.At(i), exactly as n
-// scalar Access calls would: same counters, same final LRU/dirty state,
-// same eviction attribution. Consecutive references landing on one
-// resident line collapse into a single sequence advance with the final
-// LRU stamp (the intermediate stamps are unobservable — a hit touches
-// no other line), and the line ends dirty iff any of them stores.
+// scalar Access calls would: same counters, same final recency/dirty
+// state, same eviction attribution. Consecutive references landing on
+// one line collapse into a single recency update (repeated hits on the
+// most recent way leave the list unchanged), and the line ends dirty
+// iff any of them stores.
 // Missing references are recorded in misses, in reference order, so the
 // machine layer can charge fills and emit trace events at the right
 // points; the caller's buffer must hold one entry per distinct line
@@ -421,7 +439,6 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 	// each is one probe with the fill inlined.
 	la := uint32(pa) >> c.lineShift
 	step := uint32(stride) >> c.lineShift
-	seq := c.seq
 	var dirty uint8
 	// Per-victim-class eviction counts accumulate in locals and flush
 	// once after the loop — the increments are the hottest stores in
@@ -431,38 +448,38 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 	for i := 0; i < n; i++ {
 		q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
 		want := la | lineKeyValid
-		seq++
 		dirty, sl = sl.take(1)
 		la += step
-		var hitLine *line
+		wi := -1
 		switch want {
 		case q[0].key:
-			hitLine = &q[0]
+			wi = 0
 		case q[1].key:
-			hitLine = &q[1]
+			wi = 1
 		case q[2].key:
-			hitLine = &q[2]
+			wi = 2
 		case q[3].key:
-			hitLine = &q[3]
+			wi = 3
 		}
-		if hitLine != nil {
-			hitLine.lru = seq
-			hitLine.dirty |= dirty
+		o := q[0].ord
+		if wi >= 0 {
+			q[wi&3].dirty |= dirty
+			q[0].ord = touchTab[o][wi&3]
 			continue
 		}
-		vi, full := victim4(q)
-		v := &q[vi&3]
+		vi := o & 3
+		v := &q[vi]
 		var d uint64
-		if full {
+		if v.key&lineKeyValid != 0 {
 			ev[v.class&7]++
 			d = uint64(v.dirty)
 			co[v.class&7] += d
 		}
-		*v = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
+		v.key, v.class, v.dirty = want, uint8(class), dirty
+		q[0].ord = o>>2 | vi<<6
 		misses[nmiss] = MissRef{Index: int32(i), Castout: d != 0}
 		nmiss++
 	}
-	c.seq = seq
 	c.flushRun(class, nmiss, &ev, &co)
 	return nmiss
 }
@@ -483,10 +500,10 @@ func (c *Cache) flushRun(class Class, nmiss int, ev, co *[8]uint64) {
 // accessGroups advances a 4-way run of any alignment and stride by
 // grouping its references by the line they land on (the grouping scan
 // is division-free; line-crossing groups are short). A group on a
-// resident line is one sequence advance to its final stamp. On any
-// other line the group's first reference misses and fills and the rest
-// hit the fresh line, so the fill takes the final stamp directly. The
-// misses are recorded in misses unless it is nil.
+// resident line is one recency update. On any other line the group's
+// first reference misses and fills and the rest hit the fresh line,
+// which the fill already made the most recent. The misses are recorded
+// in misses unless it is nil.
 //
 //mmutricks:noalloc
 func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl storeLanes, misses []MissRef) (nmiss, ncast int) {
@@ -499,7 +516,6 @@ func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl st
 		}
 		var dirty uint8
 		dirty, sl = sl.take(k)
-		c.seq += uint64(k)
 		set := int(la & c.setMask)
 		q := (*[4]line)(c.lines[set*4:])
 		want := la | lineKeyValid
@@ -517,9 +533,8 @@ func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl st
 			wi = 3
 		}
 		if wi >= 0 {
-			p := &q[wi&3]
-			p.lru = c.seq
-			p.dirty |= dirty
+			q[wi&3].dirty |= dirty
+			q[0].ord = touchTab[q[0].ord][wi&3]
 		} else {
 			c.stats.Misses[class]++
 			castout := c.fill(set, la, class, dirty != 0)
@@ -574,7 +589,6 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 	}
 	la := uint32(pa) >> c.lineShift
 	step := uint32(stride) >> c.lineShift
-	seq := c.seq
 	mask := c.setMask
 	lines := c.lines
 	var dirty uint8
@@ -582,7 +596,6 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 	for i := 0; i < n; i++ {
 		q := (*[4]line)(lines[int(la&mask)*4:])
 		want := la | lineKeyValid
-		seq++
 		dirty, sl = sl.take(1)
 		la += step
 		// Probe all four ways before acting on the result — runs are
@@ -601,24 +614,24 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 		if q[3].key == want {
 			wi = 3
 		}
+		o := q[0].ord
 		if wi >= 0 {
-			p := &q[wi&3]
-			p.lru = seq
-			p.dirty |= dirty
+			q[wi&3].dirty |= dirty
+			q[0].ord = touchTab[o][wi&3]
 			continue
 		}
-		vi, full := victim4(q)
-		v := &q[vi&3]
-		if full {
+		vi := o & 3
+		v := &q[vi]
+		if v.key&lineKeyValid != 0 {
 			ev[v.class&7]++
 			d := uint64(v.dirty)
 			co[v.class&7] += d
 			ncast += int(d)
 		}
-		*v = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
+		v.key, v.class, v.dirty = want, uint8(class), dirty
+		q[0].ord = o>>2 | vi<<6
 		nmiss++
 	}
-	c.seq = seq
 	c.flushRun(class, nmiss, &ev, &co)
 	return nmiss, ncast
 }
@@ -642,19 +655,19 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, s
 		}
 		var dirty uint8
 		dirty, sl = sl.take(k)
-		set := c.setLines(int(la & c.setMask))
+		set := int(la & c.setMask)
+		lines := c.setLines(set)
 		want := la | lineKeyValid
 		way := -1
-		for w := range set {
-			if set[w].key == want {
+		for w := range lines {
+			if lines[w].key == want {
 				way = w
 				break
 			}
 		}
-		c.seq += uint64(k)
 		if way >= 0 {
-			set[way].lru = c.seq
-			set[way].dirty |= dirty
+			lines[way].dirty |= dirty
+			c.touch(set, way)
 		} else {
 			c.stats.Misses[class] += uint64(k)
 			for j := 0; j < k; j++ {
@@ -700,10 +713,9 @@ func (c *Cache) Prefetch(pa arch.PhysAddr, class Class) (filled bool) {
 	set, tag := c.index(pa)
 	lines := c.setLines(set)
 	want := tag | lineKeyValid
-	c.seq++
 	for i := range lines {
 		if lines[i].key == want {
-			lines[i].lru = c.seq
+			c.touch(set, i)
 			return false
 		}
 	}
@@ -719,80 +731,123 @@ func (c *Cache) Touch(pa arch.PhysAddr, class Class) {
 	set, tag := c.index(pa)
 	lines := c.setLines(set)
 	want := tag | lineKeyValid
-	c.seq++
 	for i := range lines {
 		if lines[i].key == want {
-			lines[i].lru = c.seq
+			c.touch(set, i)
 			return
 		}
 	}
 	c.fill(set, tag, class, false)
 }
 
-// fill installs a line stamped with the current sequence number,
-// evicting the LRU way if the set is full. It reports whether the
-// victim was dirty (requiring a writeback).
+// fill installs a line as the set's most recently used, replacing the
+// way at rank 0 of its recency list. It reports whether the victim was
+// dirty (requiring a writeback).
 //
 //mmutricks:noalloc
 func (c *Cache) fill(set int, tag uint32, class Class, write bool) (castout bool) {
 	c.stats.Fills[class]++
 	lines := c.setLines(set)
-	vi, full := 0, true
-	if c.ways == 4 {
-		vi, full = victim4((*[4]line)(lines))
-	} else {
-		// The same rule as victim4, as a plain scan (the L2 is
-		// direct-mapped; other geometries are test-only).
-		for i := range lines {
-			if lines[i].key&lineKeyValid == 0 {
-				vi, full = i, false
-				break
-			}
-			if lines[i].lru < lines[vi].lru {
-				vi = i
-			}
-		}
-	}
+	l := c.list(set)
+	vi := int(l & (1<<c.rankBits - 1))
 	v := &lines[vi]
-	if full {
+	if v.key&lineKeyValid != 0 {
 		c.stats.EvictedBy[v.class][class]++
 		c.stats.Castouts[v.class] += uint64(v.dirty)
 		castout = v.dirty != 0
 	}
-	var dirty uint8
+	v.key, v.class, v.dirty = tag|lineKeyValid, uint8(class), 0
 	if write {
-		dirty = 1
+		v.dirty = 1
 	}
-	*v = line{key: tag | lineKeyValid, class: uint8(class), dirty: dirty, lru: c.seq}
+	c.setList(set, l>>c.rankBits|uint32(vi)<<(c.rankBits*uint(c.ways-1)))
 	return castout
 }
 
-// victim4 chooses the way of a 4-way set that a fill replaces: the
-// first invalid way, or, when the set is full, the least recently used
-// way — the smallest LRU stamp, the earliest way winning a tie. full
-// reports whether a resident line is evicted. Neither choice branches
-// on the data: a streaming fill's victim way varies from set to set, so
-// a branching scan mispredicts on a large share of misses. The only
-// branch, full or not, is steady within a run.
+// Recency. Each set keeps a recency list: rank r names the way that is
+// r-th least recently used, c.rankBits bits per rank, rank 0 in the low
+// bits. Invalid ways sit at the lowest ranks in ascending way order, so
+// rank 0 is the replacement rule in one field: the first invalid way,
+// or, in a full set, the least recently used one. A fill shifts rank 0
+// out and its way in at the top; a hit moves its way to the top; an
+// invalidation sinks its way among the invalid ones.
+//
+// A 4-way set's list is one byte of four 2-bit ranks in way 0's ord, so
+// it shares the host cache line the probe has just loaded, and a hit is
+// one touchTab lookup. Other geometries (the direct-mapped L2, test
+// caches) keep their lists in c.lists.
+
+// list returns set's recency list.
 //
 //mmutricks:noalloc
-func victim4(q *[4]line) (vi int, full bool) {
-	// Bit w of valid is way w's lineKeyValid bit (bit 31 of its key).
-	valid := q[0].key>>31 | q[1].key>>31<<1 | q[2].key>>31<<2 | q[3].key>>31<<3
-	if valid != 0xF {
-		return bits.TrailingZeros32(^valid), false
+func (c *Cache) list(set int) uint32 {
+	if c.lists == nil {
+		return uint32(c.lines[set*4].ord)
 	}
-	// A tournament of strict comparisons. The borrow of y-x is 1 iff
-	// y < x, so a later way displaces an earlier one only when its
-	// stamp is strictly older, and -borrow masks the selection.
-	l0, l1, l2, l3 := q[0].lru, q[1].lru, q[2].lru, q[3].lru
-	_, b01 := bits.Sub64(l1, l0, 0)
-	_, b23 := bits.Sub64(l3, l2, 0)
-	m01 := l0 ^ (l0^l1)&-b01
-	m23 := l2 ^ (l2^l3)&-b23
-	_, b := bits.Sub64(m23, m01, 0)
-	i01, i23 := b01, 2|b23
-	return int(i01 ^ (i01^i23)&-b), true
+	return c.lists[set]
+}
+
+// setList replaces set's recency list.
+//
+//mmutricks:noalloc
+func (c *Cache) setList(set int, l uint32) {
+	if c.lists == nil {
+		c.lines[set*4].ord = uint8(l)
+		return
+	}
+	c.lists[set] = l
+}
+
+// touch makes way the most recently used of set.
+//
+//mmutricks:noalloc
+func (c *Cache) touch(set, way int) {
+	if c.lists == nil {
+		o := &c.lines[set*4].ord
+		*o = touchTab[*o][way&3]
+		return
+	}
+	c.lists[set] = promote(c.lists[set], way, c.ways, c.rankBits)
+}
+
+// promote returns the list l of k ways, b bits per rank, with way w
+// moved to the top rank and the ranks above it shifted down one.
+//
+//mmutricks:noalloc
+func promote(l uint32, w, k int, b uint) uint32 {
+	m := uint32(1)<<b - 1
+	r := uint(0)
+	for r < uint(k-1) && l>>(r*b)&m != uint32(w) {
+		r++
+	}
+	return l&(1<<(r*b)-1) | l>>((r+1)*b)<<(r*b) | uint32(w)<<(uint(k-1)*b)
+}
+
+// touchTab[o][w] is promote(o, w, 4, 2): a 4-way hit's list update.
+var touchTab = func() (t [256][4]uint8) {
+	for o := range t {
+		for w := range t[o] {
+			t[o][w] = uint8(promote(uint32(o), w, 4, 2))
+		}
+	}
+	return t
+}()
+
+// sink returns set's list with way w, just invalidated, moved down to
+// its place among the invalid ways: above those with a lower index,
+// below every other way.
+//
+//mmutricks:noalloc
+func (c *Cache) sink(set, w int) uint32 {
+	b, top := c.rankBits, c.rankBits*uint(c.ways-1)
+	rest := promote(c.list(set), w, c.ways, b) & (1<<top - 1)
+	p := uint(0)
+	for _, l := range c.setLines(set)[:w] {
+		if l.key&lineKeyValid == 0 {
+			p++
+		}
+	}
+	return rest&(1<<(p*b)-1) | uint32(w)<<(p*b) | rest>>(p*b)<<((p+1)*b)
 }
 
 // Contains reports whether the line holding pa is currently resident.
@@ -813,6 +868,13 @@ func (c *Cache) Contains(pa arch.PhysAddr) bool {
 func (c *Cache) InvalidateAll() {
 	for i := range c.lines {
 		c.lines[i] = line{}
+	}
+	var id uint32
+	for w := 0; w < c.ways; w++ {
+		id |= uint32(w) << (uint(w) * c.rankBits)
+	}
+	for set := 0; set < c.Sets(); set++ {
+		c.setList(set, id)
 	}
 }
 
@@ -856,7 +918,8 @@ func (c *Cache) InvalidateLine(pa arch.PhysAddr) bool {
 	want := tag | lineKeyValid
 	for i := range lines {
 		if lines[i].key == want {
-			lines[i] = line{}
+			lines[i].key, lines[i].class, lines[i].dirty = 0, 0, 0
+			c.setList(set, c.sink(set, i))
 			return true
 		}
 	}

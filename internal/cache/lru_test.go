@@ -1,55 +1,142 @@
 package cache
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 	"testing"
 
 	"mmutricks/internal/arch"
 )
 
-// TestVictim4Exhaustive holds victim4 to the scalar replacement rule —
-// the first invalid way, else the way with the strictly smallest LRU
-// stamp, the earliest way winning a tie — over every validity mask and
-// every ordering of four stamps, ties included (each way's stamp takes
-// one of four levels), at small stamps and at stamps spanning the
-// whole 64-bit range.
-func TestVictim4Exhaustive(t *testing.T) {
-	scales := [][4]uint64{{1, 2, 3, 4}, {0, 1 << 32, 1 << 63, ^uint64(0)}}
-	var q [4]line
-	for _, levels := range scales {
-		for valid := 0; valid < 16; valid++ {
-			for order := 0; order < 256; order++ {
-				for w := range q {
-					q[w] = line{lru: levels[order>>(2*w)&3]}
-					if valid>>w&1 != 0 {
-						q[w].key = uint32(w) | lineKeyValid
-					}
-				}
-				want, wantFull := -1, true
-				for w := range q {
-					if q[w].key&lineKeyValid == 0 {
-						want, wantFull = w, false
-						break
-					}
-					if want < 0 || q[w].lru < q[want].lru {
-						want = w
-					}
-				}
-				if vi, full := victim4(&q); vi != want || full != wantFull {
-					t.Fatalf("valid %04b, stamps %d %d %d %d: victim4 = (%d, %v), want (%d, %v)",
-						valid, q[0].lru, q[1].lru, q[2].lru, q[3].lru, vi, full, want, wantFull)
+// rankList decodes set's recency list: the way at each rank, least
+// recently used first.
+func rankList(c *Cache, set int) []int {
+	l, m := c.list(set), uint32(1)<<c.rankBits-1
+	r := make([]int, c.ways)
+	for i := range r {
+		r[i] = int(l >> (uint(i) * c.rankBits) & m)
+	}
+	return r
+}
+
+// encodeRanks is rankList's inverse.
+func encodeRanks(c *Cache, r []int) uint32 {
+	var l uint32
+	for i, w := range r {
+		l |= uint32(w) << (uint(i) * c.rankBits)
+	}
+	return l
+}
+
+// permutations calls f with every ordering of ws.
+func permutations(ws []int, f func([]int)) {
+	if len(ws) <= 1 {
+		f(ws)
+		return
+	}
+	for i := range ws {
+		ws[0], ws[i] = ws[i], ws[0]
+		permutations(ws[1:], func([]int) { f(ws) })
+		ws[0], ws[i] = ws[i], ws[0]
+	}
+}
+
+// TestRecencyExhaustive puts a one-set cache of each geometry into every
+// state the recency invariant allows — every validity mask, and every
+// recency order of the valid ways above the invalid ones in ascending
+// way order — and holds a fill, a hit on each valid way and an
+// invalidation of each valid way to a naive least-recent-first list:
+// the fill replaces the first invalid way, else the least recent one,
+// and every operation leaves the list the naive list predicts.
+func TestRecencyExhaustive(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 8} {
+		c := New("x", ways*32, ways, 32)
+		pa := func(w int) arch.PhysAddr { return arch.PhysAddr(w+1) << 5 }
+		var states int
+		for valid := 0; valid < 1<<ways; valid++ {
+			var invalid, resident []int
+			for w := 0; w < ways; w++ {
+				if valid>>w&1 != 0 {
+					resident = append(resident, w)
+				} else {
+					invalid = append(invalid, w)
 				}
 			}
+			permutations(resident, func(perm []int) {
+				states++
+				naive := append(append([]int(nil), invalid...), perm...)
+				load := func() {
+					for w := range c.lines {
+						c.lines[w].key, c.lines[w].class, c.lines[w].dirty = 0, 0, 0
+						if valid>>w&1 != 0 {
+							c.lines[w].key = uint32(pa(w))>>5 | lineKeyValid
+							c.lines[w].class, c.lines[w].dirty = uint8(w%int(numClasses)), uint8(w&1)
+						}
+					}
+					c.setList(0, encodeRanks(c, naive))
+				}
+				expect := func(op string, w int, want []int) {
+					t.Helper()
+					if got := c.list(0); got != encodeRanks(c, want) {
+						t.Fatalf("%d-way, valid %b, ranks %v: after the %s on way %d, ranks %v, want %v",
+							ways, valid, naive, op, w, rankList(c, 0), want)
+					}
+				}
+				toTop := func(w int) []int {
+					r := slices.DeleteFunc(slices.Clone(naive), func(x int) bool { return x == w })
+					return append(r, w)
+				}
+
+				load()
+				victim := -1
+				for w := 0; w < ways && victim < 0; w++ {
+					if valid>>w&1 == 0 {
+						victim = w
+					}
+				}
+				if victim < 0 {
+					victim = perm[0]
+				}
+				if hit, castout := c.Access(0x4000, ClassUser, false); hit || castout != (valid>>victim&1 != 0 && victim&1 != 0) {
+					t.Fatalf("%d-way, valid %b, ranks %v: fill = (hit %v, castout %v), victim way %d", ways, valid, naive, hit, castout, victim)
+				}
+				if c.lines[victim].key != 0x4000>>5|lineKeyValid {
+					t.Fatalf("%d-way, valid %b, ranks %v: fill missed way %d", ways, valid, naive, victim)
+				}
+				expect("fill", victim, toTop(victim))
+
+				for _, w := range perm {
+					load()
+					if hit, _ := c.Access(pa(w), ClassUser, false); !hit {
+						t.Fatalf("%d-way, valid %b: way %d does not hit", ways, valid, w)
+					}
+					expect("hit", w, toTop(w))
+
+					load()
+					if !c.InvalidateLine(pa(w)) {
+						t.Fatalf("%d-way, valid %b: way %d not invalidated", ways, valid, w)
+					}
+					inv := append(slices.Clone(invalid), w)
+					slices.Sort(inv)
+					rest := slices.DeleteFunc(slices.Clone(perm), func(x int) bool { return x == w })
+					expect("invalidation", w, append(inv, rest...))
+				}
+			})
+		}
+		// Σ over validity masks of (valid ways)!: 2, 5, 65, 109601.
+		if want := map[int]int{1: 2, 2: 5, 4: 65, 8: 109601}[ways]; states != want {
+			t.Fatalf("%d-way: %d states, want %d", ways, states, want)
 		}
 	}
 }
 
-// lruModel is a naive 4-way true-LRU copy-back cache: each set is a
-// recency list, most recent first, of at most four lines. It keeps no
-// sequence stamps and no way positions, so it shares nothing with the
-// Cache's victim choice and catches a victim bug that the run/scalar
-// parity tests cannot (both sides of those call victim4).
+// lruModel is a naive k-way true-LRU copy-back cache: each set is a
+// recency list, most recent first, of at most k lines. It keeps no way
+// positions or packed ranks, so it shares nothing with the Cache's
+// victim choice and catches a replacement bug that the run/scalar
+// parity tests cannot (both sides of those share the recency list).
 type lruModel struct {
+	ways  int
 	sets  [][]modelLine
 	stats Stats
 }
@@ -60,14 +147,15 @@ type modelLine struct {
 	dirty bool
 }
 
-const (
-	oracleLineShift = 5
-	oracleSets      = 8
-)
+const oracleLineShift = 5
+
+func newLRUModel(ways, sets int) *lruModel {
+	return &lruModel{ways: ways, sets: make([][]modelLine, sets)}
+}
 
 func (m *lruModel) where(pa arch.PhysAddr) (set int, tag uint32) {
 	tag = uint32(pa) >> oracleLineShift
-	return int(tag % oracleSets), tag
+	return int(tag % uint32(len(m.sets))), tag
 }
 
 func (m *lruModel) access(pa arch.PhysAddr, class Class, write bool) (hit, castout bool) {
@@ -84,14 +172,14 @@ func (m *lruModel) access(pa arch.PhysAddr, class Class, write bool) (hit, casto
 	}
 	m.stats.Misses[class]++
 	m.stats.Fills[class]++
-	if len(l) == 4 {
-		v := l[3]
+	if len(l) == m.ways {
+		v := l[m.ways-1]
 		m.stats.EvictedBy[v.class][class]++
 		if v.dirty {
 			m.stats.Castouts[v.class]++
 			castout = true
 		}
-		l = l[:3]
+		l = l[:m.ways-1]
 	}
 	m.sets[set] = append([]modelLine{{tag, class, write}}, l...)
 	return false, castout
@@ -110,30 +198,30 @@ func (m *lruModel) invalidate(pa arch.PhysAddr) bool {
 }
 
 // sameAsModel requires the cache to hold exactly the model's lines —
-// tags, classes and dirty bits — in the model's recency order, and the
-// two to agree on every statistic.
+// tags, classes and dirty bits — in the model's recency order as the
+// set's own recency list gives it, with the invalid ways below them in
+// ascending way order, and the two to agree on every statistic.
 func sameAsModel(t *testing.T, c *Cache, m *lruModel) {
 	t.Helper()
 	if *c.Stats() != m.stats {
 		t.Fatalf("stats diverge:\ncache %+v\nmodel %+v", *c.Stats(), m.stats)
 	}
 	for s := range m.sets {
-		var got []line
-		for _, l := range c.setLines(s) {
-			if l.key&lineKeyValid != 0 {
-				got = append(got, l)
-			}
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i].lru > got[j].lru })
+		lines, ranks := c.setLines(s), rankList(c, s)
 		want := m.sets[s]
-		if len(got) != len(want) {
-			t.Fatalf("set %d holds %d lines, model %d", s, len(got), len(want))
-		}
-		for i, l := range got {
-			w := want[i]
-			if l.key != w.tag|lineKeyValid || Class(l.class) != w.class || (l.dirty != 0) != w.dirty {
-				t.Fatalf("set %d, recency rank %d: cache has tag %#x class %v dirty %d, model %+v",
-					s, i, l.key&^lineKeyValid, Class(l.class), l.dirty, w)
+		ninv := c.ways - len(want)
+		for i, w := range ranks {
+			l := lines[w]
+			if i < ninv {
+				if l.key&lineKeyValid != 0 || i > 0 && w <= ranks[i-1] {
+					t.Fatalf("set %d ranks %v: rank %d is not the next invalid way (model holds %d lines)", s, ranks, i, len(want))
+				}
+				continue
+			}
+			x := want[c.ways-1-i]
+			if l.key != x.tag|lineKeyValid || Class(l.class) != x.class || (l.dirty != 0) != x.dirty {
+				t.Fatalf("set %d ranks %v, rank %d (way %d): cache has key %#x class %v dirty %d, model %+v",
+					s, ranks, i, w, l.key, Class(l.class), l.dirty, x)
 			}
 		}
 	}
@@ -143,11 +231,16 @@ func sameAsModel(t *testing.T, c *Cache, m *lruModel) {
 // take both the aligned loop and the grouping loop.
 var oracleStrides = []int{4, 8, 12, 20, 32, 64, 96, 256}
 
-// FuzzLRUOracle drives a small 4-way cache (8 sets, a working set
-// several times its size) with random Access, AccessRun,
-// AccessRunCountMask, InvalidateLine and CorruptCleanLine operations,
-// six bytes each, and checks every result and the whole cache state
-// after every operation against lruModel.
+// oracleGeoms are FuzzLRUOracle's caches: the 4-way L1 shape, the
+// direct-mapped L2 shape, and the 2- and 8-way test geometries, each
+// holding half or a quarter of the 2 KB working set.
+var oracleGeoms = []struct{ ways, sets int }{{4, 8}, {1, 16}, {2, 8}, {8, 4}}
+
+// FuzzLRUOracle drives small caches of every geometry in oracleGeoms
+// with one stream of random Access, AccessRun, AccessRunCountMask,
+// InvalidateLine and CorruptCleanLine operations, six bytes each, and
+// checks every result and the whole cache state after every operation
+// against lruModel.
 func FuzzLRUOracle(f *testing.F) {
 	f.Add([]byte{
 		0, 0x00, 0x00, 0, 0, 1, // store misses fill set 0
@@ -178,65 +271,82 @@ func FuzzLRUOracle(f *testing.F) {
 		2, 0x00, 0x00, 0x3f, 0, 0x4f,
 		4, 0x00, 0x00, 0x01, 0, 0,
 	})
+	f.Add([]byte{
+		0, 0x00, 0x00, 0, 0, 0, // fill set 0 of the 4-way cache
+		0, 0x01, 0x00, 0, 0, 0,
+		0, 0x02, 0x00, 0, 0, 0,
+		0, 0x03, 0x00, 0, 0, 0,
+		2, 0x01, 0x00, 1, 0, 0x70, // aligned count run hits reorder the set
+		0, 0x04, 0x00, 0, 1, 1, // ... and choose this fill's victim
+		1, 0x03, 0x00, 1, 0, 0x7f, // aligned recorded run, store hits
+		0, 0x05, 0x00, 0, 2, 0,
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		c := New("lru", oracleSets*4<<oracleLineShift, 4, 1<<oracleLineShift)
-		m := &lruModel{sets: make([][]modelLine, oracleSets)}
-		misses := make([]MissRef, 64)
-		for len(ops) >= 6 {
-			op, b := ops[0], ops[1:6]
-			ops = ops[6:]
-			pa := arch.PhysAddr(uint32(b[0])<<8|uint32(b[1])) & 0x7ff
-			n := 1 + int(b[2]&0x3f)
-			class := Class(b[3] % byte(numClasses))
-			st := Stores(b[4])
-			stride := oracleStrides[int(b[4]>>4)%len(oracleStrides)]
-			switch op % 6 {
-			case 0, 5:
-				hit, castout := c.Access(pa, class, st.At(0))
-				wantHit, wantCastout := m.access(pa, class, st.At(0))
-				if hit != wantHit || castout != wantCastout {
-					t.Fatalf("Access(%v): (hit %v, castout %v), model (%v, %v)", pa, hit, castout, wantHit, wantCastout)
-				}
-			case 1:
-				got := misses[:c.AccessRun(pa, n, stride, class, st, misses)]
-				var want []MissRef
-				for i := 0; i < n; i++ {
-					if hit, castout := m.access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
-						want = append(want, MissRef{Index: int32(i), Castout: castout})
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("AccessRun(%v, %d, %d): %d misses, model %d", pa, n, stride, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("AccessRun(%v, %d, %d): miss %d is %+v, model %+v", pa, n, stride, i, got[i], want[i])
-					}
-				}
-			case 2:
-				nmiss, ncast := c.AccessRunCountMask(pa, n, stride, class, st)
-				var wantMiss, wantCast int
-				for i := 0; i < n; i++ {
-					if hit, castout := m.access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
-						wantMiss++
-						if castout {
-							wantCast++
-						}
-					}
-				}
-				if nmiss != wantMiss || ncast != wantCast {
-					t.Fatalf("AccessRunCountMask(%v, %d, %d): (%d, %d), model (%d, %d)", pa, n, stride, nmiss, ncast, wantMiss, wantCast)
-				}
-			case 3:
-				if got, want := c.InvalidateLine(pa), m.invalidate(pa); got != want {
-					t.Fatalf("InvalidateLine(%v) = %v, model %v", pa, got, want)
-				}
-			case 4:
-				checkCorruptClean(t, c, m, uint64(b[2]), pa)
-			}
-			sameAsModel(t, c, m)
+		for _, g := range oracleGeoms {
+			t.Run(fmt.Sprintf("%d-way", g.ways), func(t *testing.T) {
+				c := New("lru", g.sets*g.ways<<oracleLineShift, g.ways, 1<<oracleLineShift)
+				runOracle(t, c, newLRUModel(g.ways, g.sets), ops)
+			})
 		}
 	})
+}
+
+// runOracle applies FuzzLRUOracle's operation stream to c and m.
+func runOracle(t *testing.T, c *Cache, m *lruModel, ops []byte) {
+	misses := make([]MissRef, 64)
+	for ; len(ops) >= 6; ops = ops[6:] {
+		op, b := ops[0], ops[1:6]
+		pa := arch.PhysAddr(uint32(b[0])<<8|uint32(b[1])) & 0x7ff
+		n := 1 + int(b[2]&0x3f)
+		class := Class(b[3] % byte(numClasses))
+		st := Stores(b[4])
+		stride := oracleStrides[int(b[4]>>4)%len(oracleStrides)]
+		switch op % 6 {
+		case 0, 5:
+			hit, castout := c.Access(pa, class, st.At(0))
+			wantHit, wantCastout := m.access(pa, class, st.At(0))
+			if hit != wantHit || castout != wantCastout {
+				t.Fatalf("Access(%v): (hit %v, castout %v), model (%v, %v)", pa, hit, castout, wantHit, wantCastout)
+			}
+		case 1:
+			got := misses[:c.AccessRun(pa, n, stride, class, st, misses)]
+			var want []MissRef
+			for i := 0; i < n; i++ {
+				if hit, castout := m.access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
+					want = append(want, MissRef{Index: int32(i), Castout: castout})
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("AccessRun(%v, %d, %d): %d misses, model %d", pa, n, stride, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("AccessRun(%v, %d, %d): miss %d is %+v, model %+v", pa, n, stride, i, got[i], want[i])
+				}
+			}
+		case 2:
+			nmiss, ncast := c.AccessRunCountMask(pa, n, stride, class, st)
+			var wantMiss, wantCast int
+			for i := 0; i < n; i++ {
+				if hit, castout := m.access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
+					wantMiss++
+					if castout {
+						wantCast++
+					}
+				}
+			}
+			if nmiss != wantMiss || ncast != wantCast {
+				t.Fatalf("AccessRunCountMask(%v, %d, %d): (%d, %d), model (%d, %d)", pa, n, stride, nmiss, ncast, wantMiss, wantCast)
+			}
+		case 3:
+			if got, want := c.InvalidateLine(pa), m.invalidate(pa); got != want {
+				t.Fatalf("InvalidateLine(%v) = %v, model %v", pa, got, want)
+			}
+		case 4:
+			checkCorruptClean(t, c, m, uint64(b[2]), pa)
+		}
+		sameAsModel(t, c, m)
+	}
 }
 
 // checkCorruptClean requires CorruptCleanLine to name a resident clean
@@ -247,8 +357,8 @@ func checkCorruptClean(t *testing.T, c *Cache, m *lruModel, rnd uint64, avoid ar
 	t.Helper()
 	victim, ok := c.CorruptCleanLine(rnd, avoid)
 	_, avoidTag := m.where(avoid)
-	for i := 0; i < oracleSets; i++ {
-		s := (int(rnd) + i) % oracleSets
+	for i := range m.sets {
+		s := (int(rnd) + i) % len(m.sets)
 		for _, l := range m.sets[s] {
 			if l.dirty || l.tag == avoidTag {
 				continue

@@ -65,14 +65,17 @@ func warmTwins(tc runCase) (run, scalar *Cache) {
 	return run, scalar
 }
 
-// sameState requires bit-identical statistics, LRU sequence, and lines.
+// sameState requires bit-identical statistics, recency lists, and
+// lines.
 func sameState(t *testing.T, cr, cs *Cache) {
 	t.Helper()
 	if *cr.Stats() != *cs.Stats() {
 		t.Fatalf("stats diverge:\nrun    %+v\nscalar %+v", *cr.Stats(), *cs.Stats())
 	}
-	if cr.seq != cs.seq {
-		t.Fatalf("LRU sequence diverges: run %d, scalar %d", cr.seq, cs.seq)
+	for s := 0; s < cr.Sets(); s++ {
+		if cr.list(s) != cs.list(s) {
+			t.Fatalf("set %d recency diverges: run %v, scalar %v", s, rankList(cr, s), rankList(cs, s))
+		}
 	}
 	for i := range cr.lines {
 		if cr.lines[i] != cs.lines[i] {
@@ -228,6 +231,33 @@ func BenchmarkAccessRunScattered(b *testing.B) {
 		j := i % nops
 		c.AccessRunCount(page[j], 128, 32, ClassUser, true)
 		c.AccessRunCount(hot[j], 16, 32, ClassUser, false)
+	}
+}
+
+// BenchmarkAccessRunResident is the hit-dominated counterpart, the
+// shape of mm-churn's user data (which hits 84–92% of the time): runs
+// of the user load/store mix (one store per four references) over
+// whole pages of a four-page working set that fills the cache exactly.
+// The lines are loaded in a seeded random order, so each page sits in
+// a different way from set to set and the hit way varies along a run.
+func BenchmarkAccessRunResident(b *testing.B) {
+	c := New("d", 16<<10, 4, 32)
+	rng := rand.New(rand.NewSource(1))
+	const pages = 4
+	for _, i := range rng.Perm(pages << 7) {
+		c.Access(arch.PhysAddr(i)<<5, ClassUser, false)
+	}
+	var page [1024]arch.PhysAddr
+	for i := range page {
+		page[i] = arch.PhysAddr(rng.Intn(pages)) << 12
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AccessRunCountMask(page[i%len(page)], 128, 32, ClassUser, 0x8)
+	}
+	if m := c.Stats().TotalMisses(); m != pages<<7 {
+		b.Fatalf("%d misses, want only the %d loading ones", m, pages<<7)
 	}
 }
 

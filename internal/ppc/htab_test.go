@@ -165,6 +165,30 @@ func TestHTABFlushVPN(t *testing.T) {
 	}
 }
 
+// TestFlushVPNStoreChargedAtTableBase pins a known bug: FlushVPN
+// charges its invalidating store at the table's base (PTEG 0, slot 0),
+// not at the flushed entry's own address as its comment says. Fixing
+// it changes the counter checksums and bench/mmubench/golden.json, so
+// the fix waits for a change allowed to re-pin both (ROADMAP open item
+// 7), and must flip this test.
+func TestFlushVPNStoreChargedAtTableBase(t *testing.T) {
+	h := newTestHTAB()
+	vpn := arch.VPNOf(3, 0x00002000)
+	h.Insert(vpn, 9, false, nil, nil)
+	pg := arch.HashPrimary(vpn, h.Groups())
+	if pg == 0 {
+		t.Fatal("the entry must live outside PTEG 0 for the store address to tell")
+	}
+	var bus countingBus
+	if found, _ := h.FlushVPN(vpn, &bus); !found {
+		t.Fatal("flush did not find the entry")
+	}
+	if bus.last != h.EntryAddr(0, 0) {
+		t.Fatalf("invalidating store charged at %#x, want the table base %#x (the entry is at %#x)",
+			bus.last, h.EntryAddr(0, 0), h.EntryAddr(pg, 0))
+	}
+}
+
 func TestHTABReclaimScan(t *testing.T) {
 	h := newTestHTAB()
 	live := arch.VSID(1)

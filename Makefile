@@ -1,7 +1,7 @@
 # The paper-reproduction simulator is pure Go; these targets wrap the
 # toolchain invocations the project treats as canonical.
 
-.PHONY: build test lint prove check model bench benchsmoke pgo report mmudsmoke
+.PHONY: build test lint check model bench benchsmoke pgo report
 
 build:
 	go build ./...
@@ -9,20 +9,14 @@ build:
 test:
 	go test ./...
 
-# lint runs the mmulint hygiene suite (tools/analyzers): the cyclecost,
-# invariantcheck, and registry disciplines, enforced statically. check
-# runs this too; lint alone is the fast iteration loop while annotating.
+# lint runs mmulint (tools/analyzers): the cyclecost, invariantcheck,
+# and registry disciplines, plus the whole-program proofs — transitive
+# noalloc over the call graph, determinism of byte-identical-output
+# packages, hwmon↔mmtrace parity, model↔kernel transition parity, and
+# phase-span balance. check runs this too; lint alone is the fast
+# iteration loop while annotating.
 lint:
 	go run ./cmd/mmulint ./...
-
-# prove runs the mmuprove whole-program proof passes: transitive
-# noalloc over the call graph, determinism of byte-identical-output
-# packages, hwmon↔mmtrace parity, model↔kernel transition parity,
-# phase-span balance, the guardedby mutex discipline (every annotated
-# field access provably under its lock), and the lockorder pinned
-# acquisition DAG. check runs this too.
-prove:
-	go run ./cmd/mmuprove ./...
 
 # model runs the mmumodel gates by hand: exhaustive exploration of the
 # context-switch/MM state machine, the seeded kernel refinement, and
@@ -34,8 +28,8 @@ model:
 	go run ./cmd/mmumodel -refine -tasks 3 -mms 2 -gens 3 -walks 25 -steps 60
 	! go run -tags mmumutant ./cmd/mmumodel -refine -walks 25 -steps 60
 
-# check is the tier-1 gate: build, vet, gofmt, mmulint, mmuprove, and
-# the race-enabled test suite. Run it before sending changes.
+# check is the tier-1 gate: build, vet, gofmt, mmulint, and the
+# race-enabled test suite. Run it before sending changes.
 check:
 	sh scripts/check.sh
 
@@ -51,12 +45,6 @@ bench: build
 # buildable PGO profile. CI runs this; wall times are NOT compared.
 benchsmoke:
 	sh scripts/bench_smoke.sh
-
-# mmudsmoke drives the mmud daemon end to end over HTTP: cache-hit
-# byte-identity, a chaos audit, SIGTERM drain, and journal replay.
-# CI runs this and uploads the journal as an artifact.
-mmudsmoke:
-	sh scripts/mmud_smoke.sh
 
 # pgo regenerates cmd/mmureport/default.pgo — the profile `go build`
 # applies automatically when compiling the harness — from two merged

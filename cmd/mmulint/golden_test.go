@@ -14,18 +14,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current diagnostics")
 
-// TestGolden pins mmuprove's rendered diagnostics — messages, file:line
+// TestGolden pins mmulint's rendered diagnostics — messages, file:line
 // ordering, and the vet-style format — against a golden file, over a
-// fixture tree holding one violation per proof pass.
+// fixture tree holding one violation per whole-program proof pass.
 func TestGolden(t *testing.T) {
 	prog, err := load.Load(load.Config{FakeRoot: "testdata/src", Tests: true},
-		"proofs/kern", "proofs/locks", "report", "mmutricks/internal/hwmon", "mmutricks/internal/mmtrace")
+		"proofs/kern", "report", "mmutricks/internal/hwmon", "mmutricks/internal/mmtrace")
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	diags, err := driver.Run(prog, suite.Prove)
+	diags, err := driver.Run(prog, suite.Default)
 	if err != nil {
-		t.Fatalf("running proofs: %v", err)
+		t.Fatalf("running analyzers: %v", err)
 	}
 
 	var b strings.Builder

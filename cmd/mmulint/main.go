@@ -1,11 +1,15 @@
-// mmulint is the repo's structural static-analysis gate: a
-// multichecker enforcing cycle-accounting completeness (cyclecost),
-// consistency checking in state-mutating tests and experiments
-// (invariantcheck), and experiment-registration hygiene (registry).
-// The whole-program proof passes live in its sibling cmd/mmuprove;
-// both tools share one analyzer registry (tools/analyzers/suite), so
-// -run can select any registered pass from either binary and -list
-// shows them all.
+// mmulint is the repo's static-analysis gate. Its default set holds
+// the structural hygiene checks — cycle-accounting completeness
+// (cyclecost), consistency checking in state-mutating tests and
+// experiments (invariantcheck), experiment-registration hygiene
+// (registry) — and the whole-program proofs: transitive
+// //mmutricks:noalloc over the call graph (noalloctrans), determinism
+// of the packages that promise byte-identical output (determinism),
+// counter↔trace parity between hwmon increments and mmtrace emits
+// (parity), model↔kernel transition parity (transitions), and
+// telemetry phase-span balance (phasebalance). The registry lives in
+// tools/analyzers/suite: -list shows every registered pass and -run
+// selects any of them.
 //
 // Usage:
 //
@@ -18,5 +22,5 @@ package main
 import "mmutricks/tools/analyzers/suite"
 
 func main() {
-	suite.Main("mmulint", suite.Lint)
+	suite.Main()
 }

@@ -111,7 +111,7 @@ type sectionRun struct {
 // reported per section with Report.OK false. Cancelling ctx stops
 // starting new sections (cooperative, section granularity); a
 // cancelled run panics workpool.Canceled through RowSet, which the
-// caller's containment (report.RunOne, the mmud daemon) classifies.
+// caller's containment (report.RunOne) classifies.
 func Run(ctx context.Context, opts Options) (*Report, error) {
 	model, ok := clock.ModelByName(opts.CPU)
 	if !ok {

@@ -156,7 +156,7 @@ type Cycles uint64
 // all ledgers. Ledgers flush to it in batches so the (single-hottest-
 // path) Charge call pays no atomic per charge; the total therefore
 // trails reality by less than meterBatch cycles per live ledger.
-var meter atomic.Uint64 //mmutricks:atomic
+var meter atomic.Uint64
 
 // meterBatch is the flush granularity: small enough that per-experiment
 // readings are accurate to a fraction of a percent, large enough that
@@ -182,7 +182,7 @@ type Ledger struct {
 // defaultBudget seeds every new ledger's cycle budget; zero (the
 // process default) means unlimited. The report harness sets it so a
 // runaway experiment trips a watchdog instead of hanging the run.
-var defaultBudget atomic.Uint64 //mmutricks:atomic
+var defaultBudget atomic.Uint64
 
 // SetDefaultBudget sets the budget NewLedger hands to future ledgers
 // (0 = unlimited) and returns the previous value so callers can

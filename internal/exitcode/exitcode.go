@@ -1,8 +1,8 @@
 // Package exitcode is the repo-wide exit-status contract for the CLI
 // tools. Historically every failure collapsed to 1, which made
-// scripts/check.sh (and any orchestrator, including the mmud daemon's
-// smoke tests) unable to tell a budget-tripped experiment from a
-// contained panic from a failed chaos audit. The codes here are
+// scripts/check.sh (and any orchestrator) unable to tell a
+// budget-tripped experiment from a contained panic from a failed chaos
+// audit. The codes here are
 // stable: scripts and CI match on the numeric values.
 //
 // Precedence when one run carries several failure classes: Panic

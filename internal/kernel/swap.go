@@ -115,49 +115,55 @@ func (k *Kernel) reclaimPages(n int) int {
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 
 	freed := 0
-	for _, pid := range pids {
-		t := k.tasks[pid]
-		if t.State == TaskZombie || t.PT == nil {
-			continue
-		}
-		type victim struct {
-			ea  arch.EffectiveAddr
-			pfn arch.PFN
-		}
-		var victims []victim
-		for _, r := range t.Regions() {
-			if r.Kind != RegionAnon && r.Kind != RegionStack {
+	// A sweep skips pages at or below each task's cursor and resets the
+	// cursor of every task it passes. So when a whole sweep frees
+	// nothing — the cursors sat past every resident page — a second
+	// sweep from the reset cursors is the wrap.
+	for pass := 0; pass < 2 && freed == 0; pass++ {
+		for _, pid := range pids {
+			t := k.tasks[pid]
+			if t.State == TaskZombie || t.PT == nil {
 				continue
 			}
-			t.PT.Range(r.Start, r.End(), func(ea arch.EffectiveAddr, e pagetable.Entry) bool {
-				if len(victims) >= n-freed {
-					return false
-				}
-				if !t.owns(e.RPN) { // COW-shared or otherwise pinned
-					return true
-				}
-				if ea.PageNumber() <= t.reclaimCursor {
-					return true // already stolen this sweep; age others first
-				}
-				victims = append(victims, victim{ea, e.RPN})
-				return true
-			})
-			if len(victims) >= n-freed {
-				break
+			type victim struct {
+				ea  arch.EffectiveAddr
+				pfn arch.PFN
 			}
+			var victims []victim
+			for _, r := range t.Regions() {
+				if r.Kind != RegionAnon && r.Kind != RegionStack {
+					continue
+				}
+				t.PT.Range(r.Start, r.End(), func(ea arch.EffectiveAddr, e pagetable.Entry) bool {
+					if len(victims) >= n-freed {
+						return false
+					}
+					if !t.owns(e.RPN) { // COW-shared or otherwise pinned
+						return true
+					}
+					if ea.PageNumber() <= t.reclaimCursor {
+						return true // already stolen this sweep; age others first
+					}
+					victims = append(victims, victim{ea, e.RPN})
+					return true
+				})
+				if len(victims) >= n-freed {
+					break
+				}
+			}
+			for _, v := range victims {
+				k.swapOut(t, v.ea, v.pfn)
+				t.reclaimCursor = v.ea.PageNumber()
+				freed++
+			}
+			if freed > 0 && t.reclaimCursor != 0 && len(victims) == 0 {
+				t.reclaimCursor = 0 // wrapped: start over next time
+			}
+			if freed >= n {
+				return freed
+			}
+			t.reclaimCursor = 0
 		}
-		for _, v := range victims {
-			k.swapOut(t, v.ea, v.pfn)
-			t.reclaimCursor = v.ea.PageNumber()
-			freed++
-		}
-		if freed > 0 && t.reclaimCursor != 0 && len(victims) == 0 {
-			t.reclaimCursor = 0 // wrapped: start over next time
-		}
-		if freed >= n {
-			return freed
-		}
-		t.reclaimCursor = 0
 	}
 	return freed
 }

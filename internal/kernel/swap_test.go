@@ -139,3 +139,41 @@ func TestSwapDeterminism(t *testing.T) {
 		t.Fatalf("swap nondeterministic: %d/%d vs %d/%d", c1, s1, c2, s2)
 	}
 }
+
+// TestReclaimWrapsPastCursor reaches the wrapped-cursor state at small
+// scale. A reclaim batch that ends exactly on the task's last resident
+// anonymous page leaves the cursor there; the task then faults its
+// first pages back in, below the cursor. With free memory drained, the
+// next fault must still find those pages: the sweep wraps instead of
+// reporting nothing reclaimable.
+func TestReclaimWrapsPastCursor(t *testing.T) {
+	k, task := bootTask(t, clock.PPC604At185(), Optimized())
+	const pages = 8
+	k.SysBrk(pages)
+	k.UserTouchPages(UserDataBase, pages)
+	if got := k.reclaimPages(pages); got != pages {
+		t.Fatalf("reclaimPages(%d) freed %d", pages, got)
+	}
+	last := (UserDataBase + arch.EffectiveAddr((pages-1)*arch.PageSize)).PageNumber()
+	if task.reclaimCursor != last {
+		t.Fatalf("cursor = %#x, want the last page %#x", task.reclaimCursor, last)
+	}
+	k.UserTouchPages(UserDataBase, 2)
+
+	var held []arch.PFN
+	for k.M.Mem.FreeFrames() > 0 {
+		pfn, _ := k.M.Mem.AllocFrame()
+		held = append(held, pfn)
+	}
+	before := k.M.Mon.SwapOuts
+	k.UserTouchPages(UserDataBase+2*arch.PageSize, 1)
+	if k.M.Mon.SwapOuts == before {
+		t.Fatal("the fault under memory pressure swapped nothing out")
+	}
+	for _, pfn := range held {
+		k.M.Mem.FreeFrame(pfn)
+	}
+	if err := k.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

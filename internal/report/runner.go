@@ -58,7 +58,7 @@ type RunResult struct {
 	Err error
 	// FailReason classifies a contained failure: "panic",
 	// "cycle-budget", "canceled", or "timeout" (empty when Err is nil).
-	// cmd exit codes and the mmud daemon's retry policy key off it.
+	// cmd exit codes key off it.
 	FailReason string
 	// Wall is host wall-clock time spent inside Run.
 	Wall time.Duration
@@ -118,10 +118,9 @@ func runExperiments(ctx context.Context, exps []Experiment, scale Scale, paralle
 
 // RunOne executes a single experiment while holding one harness token,
 // containing any panic (including ledger budget trips and cooperative
-// cancellation) into a structured RunResult: the daemon and the CLI
-// both rely on a failed experiment never taking the caller down. The
-// caller is responsible for the default cycle budget (RunAll arms the
-// watchdog; mmud installs per-job budgets).
+// cancellation) into a structured RunResult: the CLIs rely on a failed
+// experiment never taking the caller down. The caller is responsible
+// for the default cycle budget (RunAll arms the watchdog).
 func RunOne(ctx context.Context, e Experiment, scale Scale) (r RunResult) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -20,8 +20,8 @@ import (
 
 var (
 	poolMu sync.Mutex
-	par    = 1           //mmutricks:guarded-by(poolMu)
-	tokens chan struct{} //mmutricks:guarded-by(poolMu)
+	par    = 1           // guarded by poolMu
+	tokens chan struct{} // guarded by poolMu
 )
 
 func init() { SetParallelism(runtime.GOMAXPROCS(0)) }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -156,5 +157,71 @@ func TestRowSetDeadline(t *testing.T) {
 	}
 	if !strings.Contains(c.Error(), "workpool: run canceled") {
 		t.Errorf("error %q missing the fixed phrase", c.Error())
+	}
+}
+
+// TestSetParallelismConcurrentAcquire resizes the pool while workers
+// read Parallelism and hold and return tokens through Acquire and
+// RowSet. Each release goes back to the channel its token came from,
+// so once the pool is quiet the current channel holds exactly
+// Parallelism tokens: none leaked, none doubled. Under -race this is
+// also the check that par and tokens are only touched under poolMu.
+func TestSetParallelismConcurrentAcquire(t *testing.T) {
+	resetPool(t)
+	SetParallelism(2)
+	stop := make(chan struct{})
+	var resizer sync.WaitGroup
+	resizer.Add(1)
+	go func() {
+		defer resizer.Done()
+		for j := 1; ; j = j%4 + 1 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			SetParallelism(j)
+			runtime.Gosched()
+		}
+	}()
+
+	var workers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			for iter := 0; iter < 200; iter++ {
+				if p := Parallelism(); p < 1 || p > 4 {
+					t.Errorf("Parallelism() = %d, want 1..4", p)
+				}
+				if w%2 == 0 {
+					release := Acquire()
+					runtime.Gosched()
+					release()
+					continue
+				}
+				ran := make([]int, 8)
+				RowSet(context.Background(), len(ran), func(i int) { ran[i]++ })
+				for i, n := range ran {
+					if n != 1 {
+						t.Errorf("worker %d: row %d ran %d times", w, i, n)
+					}
+				}
+			}
+		}(w)
+	}
+	quiet := make(chan struct{})
+	go func() { workers.Wait(); close(quiet) }()
+	select {
+	case <-quiet:
+	case <-time.After(time.Minute):
+		t.Fatal("workers still blocked after a minute: a token leaked")
+	}
+	close(stop)
+	resizer.Wait()
+
+	par, tok := Parallelism(), pool()
+	if len(tok) != par || cap(tok) != par {
+		t.Fatalf("quiet pool holds %d tokens (cap %d), want %d", len(tok), cap(tok), par)
 	}
 }

@@ -1,20 +1,18 @@
 #!/bin/sh
-# check.sh — the repo's tier-1 gate: build, vet, formatting, the
-# mmulint hygiene suite, the mmuprove whole-program proofs (transitive
+# check.sh — the repo's tier-1 gate: build, vet, formatting, mmulint
+# (the hygiene checks plus the whole-program proofs: transitive
 # noalloc, determinism zones, counter↔trace parity, model↔kernel
-# transition parity, phase-span balance, the guarded-by mutex
-# discipline, and the pinned lock-acquisition order), the full test
-# suite under the race detector, and
-# the mmumodel gates (exhaustive exploration of the context-switch/MM
-# state machine plus a kernel refinement pass), and the CLI exit-code
-# gates (quick mmureport -all and an mmuchaos escalate soak, whose
-# distinct exit codes — 3 cycle-budget, 4 panic, 5 audit — propagate
-# as this script's own exit status instead of collapsing to 1). CI
-# and `make check` both run exactly this script. The test suite
-# includes the
-# fault-injection and chaos-soak audits (internal/faultinject,
-# internal/chaos, internal/kernel machine-check tests), so passing
-# this gate also certifies the machine-check recovery identities.
+# transition parity, and phase-span balance), the full test suite
+# under the race detector, the mmumodel gates (exhaustive exploration
+# of the context-switch/MM state machine plus a kernel refinement
+# pass), and the CLI exit-code gates (quick mmureport -all and an
+# mmuchaos escalate soak, whose distinct exit codes — 3 cycle-budget,
+# 4 panic, 5 audit — propagate as this script's own exit status
+# instead of collapsing to 1). CI and `make check` both run exactly
+# this script. The test suite includes the fault-injection and
+# chaos-soak audits (internal/faultinject, internal/chaos,
+# internal/kernel machine-check tests), so passing this gate also
+# certifies the machine-check recovery identities.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,9 +33,6 @@ fi
 
 echo '== go run ./cmd/mmulint ./...'
 go run ./cmd/mmulint ./...
-
-echo '== go run ./cmd/mmuprove ./...'
-go run ./cmd/mmuprove ./...
 
 echo '== go test -race ./...'
 go test -race ./...

@@ -48,37 +48,6 @@
 //	    must say how the mutation is otherwise audited). The reason is
 //	    mandatory.
 //
-//	//mmutricks:guarded-by(<mutex>)
-//	    On a struct field (or a package-level var sharing a var block
-//	    with a mutex): the field may only be read or written while the
-//	    named sibling sync.Mutex/sync.RWMutex is held. The guardedby
-//	    analyzer proves every access sits on a path where the lock is
-//	    provably held.
-//
-//	//mmutricks:atomic
-//	    On a struct field or package-level var: the field is accessed
-//	    only through sync/atomic (an atomic.* typed value's methods, or
-//	    its address passed to a sync/atomic function). The guardedby
-//	    analyzer enforces the discipline instead of requiring a mutex.
-//
-//	//mmutricks:unsync <reason>
-//	    On a struct field in a mutex-bearing struct: the field is
-//	    deliberately outside the lock (immutable after construction,
-//	    synchronized by a happens-before edge, itself a sync type
-//	    wrapper...). The reason is mandatory and is the reviewer's
-//	    audit trail; the guardedby analyzer does not check accesses.
-//
-//	//mmutricks:guardedby-ok <reason>  (trailing, same line)
-//	    Statement-level waiver for the guardedby analyzer on an access
-//	    to a guarded field outside its lock (e.g. constructor or other
-//	    pre-publication access). The reason is mandatory.
-//
-//	//mmutricks:lockorder-ok <reason>  (trailing, same line)
-//	    Statement-level waiver for the lockorder analyzer on a lock
-//	    acquisition the pinned order does not cover (the reason must
-//	    argue why the ordering cannot deadlock). The reason is
-//	    mandatory.
-//
 // Directives are comment directives in the gofmt sense (no space after
 // //) and must appear in the doc comment block of the declaration they
 // annotate, except the *-ok waivers which trail the waived line.
@@ -140,15 +109,9 @@ func ParseDoc(doc *ast.CommentGroup) Set {
 				continue
 			}
 			s.Nocheck, s.NocheckReason = true, rest
-		case "noalloc-ok", "nondet-ok", "parity-ok", "phasebalance-ok", "guardedby-ok", "lockorder-ok":
+		case "noalloc-ok", "nondet-ok", "parity-ok", "phasebalance-ok":
 			s.Malformed = append(s.Malformed, c.Text+" ("+verb+" is a line waiver, not a declaration annotation)")
-		case "atomic", "unsync":
-			s.Malformed = append(s.Malformed, c.Text+" ("+verb+" is a field annotation, not a declaration annotation)")
 		default:
-			if strings.HasPrefix(verb, "guarded-by") {
-				s.Malformed = append(s.Malformed, c.Text+" (guarded-by is a field annotation, not a declaration annotation)")
-				continue
-			}
 			s.Malformed = append(s.Malformed, c.Text+" (unknown directive)")
 		}
 	}
@@ -198,86 +161,6 @@ func Waivers(fset *token.FileSet, f *ast.File, verb string) (waived map[int]stri
 		}
 	}
 	return waived, malformed
-}
-
-// FieldSet is the parsed concurrency annotations of one struct field or
-// package-level var. At most one of GuardedBy/Atomic/Unsync should be
-// set; the guardedby analyzer rejects conflicting combinations.
-type FieldSet struct {
-	// GuardedBy names the sibling mutex from //mmutricks:guarded-by(mu);
-	// empty when absent.
-	GuardedBy string
-	// Atomic is set by //mmutricks:atomic.
-	Atomic bool
-	// Unsync/UnsyncReason mirror Free/FreeReason for //mmutricks:unsync.
-	Unsync       bool
-	UnsyncReason string
-	// Malformed collects directives that parsed badly, as in Set.
-	Malformed []string
-}
-
-// Count returns how many of the three field disciplines are declared —
-// the coverage rule requires exactly one.
-func (s FieldSet) Count() int {
-	n := 0
-	if s.GuardedBy != "" {
-		n++
-	}
-	if s.Atomic {
-		n++
-	}
-	if s.Unsync {
-		n++
-	}
-	return n
-}
-
-// OfField returns the concurrency annotations of a struct field or
-// ValueSpec, reading both the doc comment above it and the trailing
-// comment on its line.
-func OfField(doc, comment *ast.CommentGroup) FieldSet {
-	var s FieldSet
-	parseFieldGroup(doc, &s)
-	parseFieldGroup(comment, &s)
-	return s
-}
-
-func parseFieldGroup(cg *ast.CommentGroup, s *FieldSet) {
-	if cg == nil {
-		return
-	}
-	for _, c := range cg.List {
-		text, ok := strings.CutPrefix(c.Text, prefix)
-		if !ok {
-			continue
-		}
-		verb, rest, _ := strings.Cut(text, " ")
-		rest = strings.TrimSpace(rest)
-		switch {
-		case verb == "atomic":
-			if rest != "" {
-				s.Malformed = append(s.Malformed, c.Text+" (atomic takes no argument)")
-				continue
-			}
-			s.Atomic = true
-		case verb == "unsync":
-			if rest == "" {
-				s.Malformed = append(s.Malformed, c.Text+" (unsync requires a reason)")
-				continue
-			}
-			s.Unsync, s.UnsyncReason = true, rest
-		case strings.HasPrefix(verb, "guarded-by"):
-			arg, ok := strings.CutPrefix(verb, "guarded-by(")
-			arg, ok2 := strings.CutSuffix(arg, ")")
-			if !ok || !ok2 || arg == "" || rest != "" {
-				s.Malformed = append(s.Malformed, c.Text+" (guarded-by requires a parenthesized mutex name and nothing else)")
-				continue
-			}
-			s.GuardedBy = arg
-		default:
-			s.Malformed = append(s.Malformed, c.Text+" (not a field annotation)")
-		}
-	}
 }
 
 // Pos of the first directive, for malformed-directive diagnostics.

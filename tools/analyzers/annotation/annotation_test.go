@@ -39,12 +39,6 @@ func TestParseDoc(t *testing.T) {
 		{"//mmutricks:nondet-ok sorted later", Set{Malformed: []string{"//mmutricks:nondet-ok sorted later (nondet-ok is a line waiver, not a declaration annotation)"}}},
 		{"//mmutricks:parity-ok remote emit", Set{Malformed: []string{"//mmutricks:parity-ok remote emit (parity-ok is a line waiver, not a declaration annotation)"}}},
 		{"//mmutricks:frobnicate", Set{Malformed: []string{"//mmutricks:frobnicate (unknown directive)"}}},
-		{"//mmutricks:guardedby-ok constructor", Set{Malformed: []string{"//mmutricks:guardedby-ok constructor (guardedby-ok is a line waiver, not a declaration annotation)"}}},
-		{"//mmutricks:lockorder-ok never nests", Set{Malformed: []string{"//mmutricks:lockorder-ok never nests (lockorder-ok is a line waiver, not a declaration annotation)"}}},
-		// Field verbs on a function declaration are malformed, never honoured.
-		{"//mmutricks:guarded-by(mu)", Set{Malformed: []string{"//mmutricks:guarded-by(mu) (guarded-by is a field annotation, not a declaration annotation)"}}},
-		{"//mmutricks:atomic", Set{Malformed: []string{"//mmutricks:atomic (atomic is a field annotation, not a declaration annotation)"}}},
-		{"//mmutricks:unsync immutable", Set{Malformed: []string{"//mmutricks:unsync immutable (unsync is a field annotation, not a declaration annotation)"}}},
 		// Non-directive comments are ignored.
 		{"// mmutricks:noalloc has a space, so it is prose", Set{}},
 	}
@@ -145,129 +139,5 @@ func g() {}
 	noallocOK, _ := Waivers(fset, f, "noalloc-ok")
 	if got := noallocOK[9]; got != "cold path" || len(noallocOK) != 1 {
 		t.Errorf("noalloc-ok waived = %v, want exactly line 9", noallocOK)
-	}
-}
-
-// TestConcurrencyWaiverVerbs exercises the PR 10 waiver verbs through
-// the same generalized scan: stacked directives on adjacent lines,
-// per-verb isolation, reasonless rejection, and prefix-overlap (the
-// field verb "guarded-by(...)" must never be claimed by a scan for the
-// "guardedby-ok" waiver or vice versa).
-func TestConcurrencyWaiverVerbs(t *testing.T) {
-	src := `package p
-
-func f() {
-	g() //mmutricks:guardedby-ok constructor, not yet published
-	g() //mmutricks:lockorder-ok replay path, single-threaded
-	g() //mmutricks:guardedby-ok
-	g() //mmutricks:lockorder-ok
-}
-
-func g() {}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-
-	gb, gbBad := Waivers(fset, f, "guardedby-ok")
-	if got := gb[4]; got != "constructor, not yet published" || len(gb) != 1 {
-		t.Errorf("guardedby-ok waived = %v, want exactly line 4", gb)
-	}
-	if _, ok := gbBad[6]; !ok || len(gbBad) != 1 {
-		t.Errorf("guardedby-ok malformed = %v, want exactly line 6 (reasonless)", gbBad)
-	}
-
-	lo, loBad := Waivers(fset, f, "lockorder-ok")
-	if got := lo[5]; got != "replay path, single-threaded" || len(lo) != 1 {
-		t.Errorf("lockorder-ok waived = %v, want exactly line 5", lo)
-	}
-	if _, ok := loBad[7]; !ok || len(loBad) != 1 {
-		t.Errorf("lockorder-ok malformed = %v, want exactly line 7 (reasonless)", loBad)
-	}
-
-	// Prefix overlap against the field verb: a file carrying
-	// //mmutricks:guarded-by(mu) trailing a field must not register as
-	// a guardedby-ok (or any other) line waiver.
-	fieldSrc := `package p
-
-type t struct {
-	mu int
-	n  int //mmutricks:guarded-by(mu)
-}
-`
-	ff, err := parser.ParseFile(fset, "q.go", fieldSrc, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	for _, verb := range []string{"guardedby-ok", "guarded-by", "guarded-by(mu)"} {
-		w, bad := Waivers(fset, ff, verb)
-		if len(w) != 0 && verb != "guarded-by(mu)" {
-			t.Errorf("Waivers(%q) claimed the field annotation: %v", verb, w)
-		}
-		_ = bad
-	}
-}
-
-// TestOfField exercises the field-annotation grammar on struct fields:
-// doc vs trailing placement, each verb's argument rules, and stacking.
-func TestOfField(t *testing.T) {
-	src := `package p
-
-import "sync"
-
-type t struct {
-	mu sync.Mutex
-	a  int //mmutricks:guarded-by(mu)
-	// b is documented.
-	//mmutricks:guarded-by(mu)
-	b int
-	c int //mmutricks:atomic
-	d int //mmutricks:unsync immutable after construction
-	e int //mmutricks:guarded-by
-	f int //mmutricks:guarded-by()
-	g int //mmutricks:guarded-by(mu) trailing junk
-	h int //mmutricks:atomic extra
-	i int //mmutricks:unsync
-	j int //mmutricks:noalloc
-	k int //mmutricks:guarded-by(mu)
-	//mmutricks:atomic
-	l int
-}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	st := f.Decls[1].(*ast.GenDecl).Specs[0].(*ast.TypeSpec).Type.(*ast.StructType)
-	byName := map[string]FieldSet{}
-	for _, fld := range st.Fields.List {
-		byName[fld.Names[0].Name] = OfField(fld.Doc, fld.Comment)
-	}
-
-	if got := byName["a"]; got.GuardedBy != "mu" || len(got.Malformed) != 0 {
-		t.Errorf("a = %+v, want GuardedBy mu", got)
-	}
-	if got := byName["b"]; got.GuardedBy != "mu" || len(got.Malformed) != 0 {
-		t.Errorf("b (doc placement) = %+v, want GuardedBy mu", got)
-	}
-	if got := byName["c"]; !got.Atomic || got.Count() != 1 {
-		t.Errorf("c = %+v, want Atomic", got)
-	}
-	if got := byName["d"]; !got.Unsync || got.UnsyncReason != "immutable after construction" {
-		t.Errorf("d = %+v, want Unsync with reason", got)
-	}
-	for _, name := range []string{"e", "f", "g", "h", "i", "j"} {
-		if got := byName[name]; len(got.Malformed) != 1 || got.Count() != 0 {
-			t.Errorf("%s = %+v, want exactly one malformed directive and no discipline", name, got)
-		}
-	}
-	if got := byName["l"]; !got.Atomic {
-		t.Errorf("l (doc placement) = %+v, want Atomic", got)
-	}
-	if got := byName["k"]; got.Count() != 1 {
-		t.Errorf("k = %+v, want one discipline", got)
 	}
 }

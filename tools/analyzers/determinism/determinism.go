@@ -1,6 +1,6 @@
 // Package determinism guards the packages that promise byte-identical
 // output at any -j (the determinism zones: report, tracerec, chaos,
-// mmtrace, mmud). Today that promise is enforced by runtime cmp checks in CI,
+// mmtrace). Today that promise is enforced by runtime cmp checks in CI,
 // which only catch divergence on the paths a test happens to drive;
 // this pass proves the absence of the usual divergence sources over
 // every path:
@@ -47,12 +47,6 @@ var zones = map[string]bool{
 	"tracerec": true,
 	"chaos":    true,
 	"mmtrace":  true,
-	// mmud's response-encoding path renders cached/deterministic job
-	// results; wall-clock readings there would leak into result bytes,
-	// so the daemon package is held to the same standard (HTTP
-	// scaffolding that genuinely needs wall time carries nondet-ok
-	// waivers).
-	"mmud": true,
 }
 
 // seededConstructors are math/rand package functions that build

@@ -1,21 +1,20 @@
 // Package suite is the single registry of the repo's analyzers and the
-// shared command-line driver behind cmd/mmulint and cmd/mmuprove.
-// Adding an analyzer is a one-line registration in the set it belongs
-// to; both tools pick it up, and -list prints it.
+// command-line driver behind cmd/mmulint. Adding an analyzer is a
+// one-line registration in the set it belongs to; mmulint picks it
+// up, and -list prints it.
 //
 // The sets:
 //
-//   - Lint: structural hygiene checks run by mmulint — cycle-accounting
-//     completeness, invariant checking in state-mutating tests, and
-//     experiment-registration hygiene.
-//   - Prove: whole-program proofs run by mmuprove — transitive noalloc
-//     over the call graph, determinism of byte-identical output
-//     packages, counter↔trace parity, model↔kernel transition
-//     parity, telemetry phase-span balance, the guarded-by mutex
-//     discipline, and the pinned lock-acquisition order.
-//   - Extra: registered and selectable via -run, but in no default set.
-//     The single-function noalloc pass lives here: noalloctrans
-//     subsumes it, and running both would double-report.
+//   - Default: every pass mmulint runs with no -run flag. The
+//     structural hygiene checks — cycle-accounting completeness,
+//     invariant checking in state-mutating tests, experiment-
+//     registration hygiene — and the whole-program proofs: transitive
+//     noalloc over the call graph, determinism of byte-identical
+//     output packages, counter↔trace parity, model↔kernel transition
+//     parity, and telemetry phase-span balance.
+//   - Extra: registered and selectable via -run, but not run by
+//     default. The single-function noalloc pass lives here:
+//     noalloctrans subsumes it, and running both would double-report.
 package suite
 
 import (
@@ -29,10 +28,8 @@ import (
 	"mmutricks/tools/analyzers/cyclecost"
 	"mmutricks/tools/analyzers/determinism"
 	"mmutricks/tools/analyzers/driver"
-	"mmutricks/tools/analyzers/guardedby"
 	"mmutricks/tools/analyzers/invariantcheck"
 	"mmutricks/tools/analyzers/load"
-	"mmutricks/tools/analyzers/lockorder"
 	"mmutricks/tools/analyzers/noalloc"
 	"mmutricks/tools/analyzers/noalloctrans"
 	"mmutricks/tools/analyzers/parity"
@@ -41,51 +38,42 @@ import (
 	"mmutricks/tools/analyzers/transitions"
 )
 
-// Lint is the default set for cmd/mmulint.
-var Lint = []*analysis.Analyzer{
+// Default is the set mmulint runs when no -run flag is given.
+var Default = []*analysis.Analyzer{
 	cyclecost.Analyzer,
 	invariantcheck.Analyzer,
 	registry.Analyzer,
-}
-
-// Prove is the default set for cmd/mmuprove.
-var Prove = []*analysis.Analyzer{
 	noalloctrans.Analyzer,
 	determinism.Analyzer,
 	parity.Analyzer,
 	transitions.Analyzer,
 	phasebalance.Analyzer,
-	guardedby.Analyzer,
-	lockorder.Analyzer,
 }
 
-// Extra holds analyzers in no default set, still selectable via -run.
+// Extra holds analyzers outside the default set, still selectable via
+// -run.
 var Extra = []*analysis.Analyzer{
 	noalloc.Analyzer,
 }
 
-// All returns every registered analyzer, default sets first.
+// All returns every registered analyzer, the default set first.
 func All() []*analysis.Analyzer {
-	var all []*analysis.Analyzer
-	all = append(all, Lint...)
-	all = append(all, Prove...)
-	all = append(all, Extra...)
-	return all
+	return append(append([]*analysis.Analyzer(nil), Default...), Extra...)
 }
 
-// Main is the shared driver: parse flags, load packages, run the
-// tool's default analyzers (or the -run selection from the full
-// registry), print vet-style diagnostics, and exit 1 on a non-empty
-// report or 2 on load errors. tool names the binary in messages.
-func Main(tool string, defaults []*analysis.Analyzer) {
+// Main is mmulint's driver: parse flags, load packages, run the
+// default analyzers (or the -run selection from the full registry),
+// print vet-style diagnostics, and exit 1 on a non-empty report or 2 on
+// load errors.
+func Main() {
 	list := flag.Bool("list", false, "list all registered analyzers and exit")
 	tests := flag.Bool("tests", true, "analyze _test.go files too")
-	run := flag.String("run", "", "comma-separated analyzer names to run (default: this tool's set)")
+	run := flag.String("run", "", "comma-separated analyzer names to run instead of the default set")
 	flag.Parse()
 
 	if *list {
 		inSet := map[string]bool{}
-		for _, a := range defaults {
+		for _, a := range Default {
 			inSet[a.Name] = true
 		}
 		for _, a := range All() {
@@ -95,11 +83,11 @@ func Main(tool string, defaults []*analysis.Analyzer) {
 			}
 			fmt.Printf("%s %-15s %s\n", mark, a.Name, firstLine(a.Doc))
 		}
-		fmt.Printf("\n* = in %s's default set\n", tool)
+		fmt.Print("\n* = in the default set\n")
 		return
 	}
 
-	analyzers := defaults
+	analyzers := Default
 	if *run != "" {
 		byName := map[string]*analysis.Analyzer{}
 		for _, a := range All() {
@@ -109,7 +97,7 @@ func Main(tool string, defaults []*analysis.Analyzer) {
 		for _, name := range strings.Split(*run, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "%s: unknown analyzer %q\n", tool, name)
+				fmt.Fprintf(os.Stderr, "mmulint: unknown analyzer %q\n", name)
 				os.Exit(2)
 			}
 			analyzers = append(analyzers, a)
@@ -122,12 +110,12 @@ func Main(tool string, defaults []*analysis.Analyzer) {
 	}
 	prog, err := load.Load(load.Config{Tests: *tests}, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		fmt.Fprintf(os.Stderr, "mmulint: %v\n", err)
 		os.Exit(2)
 	}
 	diags, err := driver.Run(prog, analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		fmt.Fprintf(os.Stderr, "mmulint: %v\n", err)
 		os.Exit(2)
 	}
 	wd, _ := os.Getwd()

@@ -5,7 +5,7 @@ package kernel
 // of references; the scalar path pays a full MMU translation for every
 // one of them. A Run resolves the translation once per page streak,
 // replays the per-reference translation side effects (hit counters,
-// TLB LRU/sequence) in closed form, and hands the streak to the
+// the TLB way becoming MRU) in closed form, and hands the streak to the
 // machine's batch cache simulation. Anything that can deviate from
 // the straight-line pattern — fault injection, COW/RO write checks —
 // forces the scalar loop, so counters, trace emits, and cycle charges
@@ -16,6 +16,7 @@ package kernel
 import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
+	"mmutricks/internal/ppc"
 )
 
 // Run describes a batch of references sharing class and width: Count
@@ -106,25 +107,20 @@ func (k *Kernel) translate(t *Task, ea arch.EffectiveAddr, instr bool) (arch.Phy
 // note refreshes the last-translation record after a successful full
 // walk. With an injector attached the fastpath is disabled, so there
 // is nothing to remember.
-func (k *Kernel) note(t *Task, ea arch.EffectiveAddr, instr bool, pa arch.PhysAddr, inhibited, viaBAT bool) {
+func (k *Kernel) note(t *Task, ea arch.EffectiveAddr, instr bool, r ppc.Result) {
 	if k.M.Inj != nil {
 		return
 	}
-	mmu := k.M.MMU
 	rec := k.xrec(t, instr)
-	if viaBAT {
+	if r.ViaBAT {
 		*rec = xlatRec{
-			gen: mmu.Gen(), page: pageOf(ea),
-			paPage: pa - arch.PhysAddr(ea.Offset()),
-			viaBAT: true, inhibited: inhibited,
+			gen: k.M.MMU.Gen(), page: pageOf(ea),
+			paPage: r.PA - arch.PhysAddr(ea.Offset()),
+			viaBAT: true, inhibited: r.Inhibited,
 		}
 		return
 	}
-	if way, ok := mmu.TLBFor(instr).WayOf(mmu.VPNFor(ea)); ok {
-		*rec = xlatRec{gen: mmu.Gen(), page: pageOf(ea), way: way, inhibited: inhibited}
-		return
-	}
-	*rec = xlatRec{}
+	*rec = xlatRec{gen: k.M.MMU.Gen(), page: pageOf(ea), way: r.Way, inhibited: r.Inhibited}
 }
 
 // replayHits performs the translation side effects of n further
@@ -144,13 +140,10 @@ func (k *Kernel) replayHits(ea arch.EffectiveAddr, instr bool, n int) {
 		k.M.Mon.BATHits += uint64(n)
 		return
 	}
-	vpn := mmu.VPNFor(ea)
-	tlb := mmu.TLBFor(instr)
-	way, ok := tlb.WayOf(vpn)
-	if !ok {
+	// Repeated hits leave the TLB as one hit does (the way is MRU).
+	if _, _, ok := mmu.TLBFor(instr).Lookup(mmu.VPNFor(ea)); !ok {
 		panic("kernel: replayHits: translation vanished inside a run")
 	}
-	tlb.ReplayWay(vpn, way, n)
 	k.M.Mon.TLBHits += uint64(n)
 }
 

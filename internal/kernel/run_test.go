@@ -7,7 +7,9 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
+	"mmutricks/internal/faultinject"
 	"mmutricks/internal/hwmon"
+	"mmutricks/internal/machine"
 )
 
 // The batched reference pipeline's contract is exact equivalence: a Run
@@ -243,4 +245,115 @@ func FuzzAccessRunParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReloadRetryShortcut covers translateSlow's three exits after a
+// 603 software reload. Two identically booted kernels run the same
+// steps: one without an injector, whose retry may run as a single TLB
+// hit, and one with an armed injector that never fires, which always
+// retries with the full Translate. After every step the two must agree
+// on every hwmon counter and on the cycle count.
+func TestReloadRetryShortcut(t *testing.T) {
+	boot := func(inj *faultinject.Injector) (*Kernel, *Task) {
+		k := New(machine.NewWithOptions(clock.PPC603At180(), machine.Options{Injector: inj}), Optimized())
+		task := k.Spawn(k.LoadImage("retry", 8))
+		k.SysBrk(16)
+		k.UserTouchPages(UserDataBase, 8)
+		return k, task
+	}
+	sched := faultinject.DefaultSchedule(1)
+	sched.RatePPM = 0
+	inj := faultinject.New(sched)
+	inj.Arm()
+	plain, task := boot(nil)
+	full, _ := boot(inj)
+	same := func(step string) {
+		t.Helper()
+		if a, b := plain.M.Led.Now(), full.M.Led.Now(); a != b {
+			t.Fatalf("%s: %d cycles, %d with the full retry", step, a, b)
+		}
+		if *plain.M.Mon != *full.M.Mon {
+			t.Fatalf("%s: counters differ from the full retry:\nshortcut %+v\nfull     %+v", step, *plain.M.Mon, *full.M.Mon)
+		}
+		if full.retryHits != 0 {
+			t.Fatalf("%s: a kernel with an injector took the retry shortcut %d times", step, full.retryHits)
+		}
+	}
+	same("boot")
+
+	// A plain reload: the page is mapped, only its TLB entry is gone.
+	// A foreign VSID's entry holds way 0 of the page's set, so the
+	// reload fills way 1.
+	ea := UserDataBase + 3*arch.PageSize + 0x40
+	foreign := arch.VPNOf(0x7777, ea)
+	before, hits := plain.M.Mon.Snapshot(), plain.retryHits
+	for _, k := range []*Kernel{plain, full} {
+		k.M.MMU.InvalidateTLBs()
+		k.M.MMU.TLB.Insert(foreign, 1, false, false)
+		k.UserRef(ea, false)
+	}
+	same("plain reload")
+	if d := plain.M.Mon.Delta(before); d.TLBMisses != 1 || d.SoftwareReloads != 1 || d.TLBHits != 1 {
+		t.Fatalf("plain reload: %d misses, %d reloads, %d hits; want 1 of each", d.TLBMisses, d.SoftwareReloads, d.TLBHits)
+	}
+	if plain.retryHits != hits+1 {
+		t.Fatalf("plain reload: retry shortcut taken %d times, want 1", plain.retryHits-hits)
+	}
+	mmu := plain.M.MMU
+	way, ok := mmu.TLB.WayOf(mmu.VPNFor(ea))
+	if rec := task.xlat[0]; !ok || way != 1 || rec.way != way || rec.gen != mmu.Gen() || rec.page != pageOf(ea) || rec.viaBAT {
+		t.Fatalf("plain reload: record %+v, TLB way %d (held %v), generation %d", rec, way, ok, mmu.Gen())
+	}
+	for _, k := range []*Kernel{plain, full} {
+		k.M.MMU.InvalidateVPNAll(foreign)
+	}
+
+	// A reload whose page fault reclaims memory: the reclaim flushes
+	// translations, the generation moves, and the retry must be the
+	// full Translate.
+	held := func(k *Kernel) (pfns []arch.PFN) {
+		for k.M.Mem.FreeFrames() > 0 {
+			pfn, _ := k.M.Mem.AllocFrame()
+			pfns = append(pfns, pfn)
+		}
+		return pfns
+	}
+	heldPlain, heldFull := held(plain), held(full)
+	ea = UserDataBase + 8*arch.PageSize
+	gen, hits, swaps := mmu.Gen(), plain.retryHits, plain.M.Mon.SwapOuts
+	for _, k := range []*Kernel{plain, full} {
+		k.UserRef(ea, false)
+	}
+	same("reload with reclaim")
+	if plain.M.Mon.SwapOuts == swaps || mmu.Gen() == gen {
+		t.Fatalf("reload with reclaim: %d swap-outs, generation %d -> %d; the fault must reclaim and flush",
+			plain.M.Mon.SwapOuts-swaps, gen, mmu.Gen())
+	}
+	if plain.retryHits != hits {
+		t.Fatal("reload with reclaim: the retry took the shortcut after the generation moved")
+	}
+	for _, pfn := range heldPlain {
+		plain.M.Mem.FreeFrame(pfn)
+	}
+	for _, pfn := range heldFull {
+		full.M.Mem.FreeFrame(pfn)
+	}
+
+	// A stream of reloads across many pages, each checked against the
+	// full retry.
+	for i := 0; i < 64; i++ {
+		ea := UserDataBase + arch.EffectiveAddr(i*7%16)*arch.PageSize
+		for _, k := range []*Kernel{plain, full} {
+			if i%8 == 0 {
+				k.M.MMU.InvalidateTLBs()
+			}
+			k.UserRef(ea, i%3 == 0)
+		}
+		same("reload stream")
+	}
+	for _, k := range []*Kernel{plain, full} {
+		if err := k.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -45,6 +45,10 @@ func (b *BATEntry) Translate(ea arch.EffectiveAddr) arch.PhysAddr {
 // instruction and data arrays).
 type BATArray struct {
 	entries [NumBATs]BATEntry
+	// segs has bit s set when a valid entry overlaps segment s, so an
+	// address in a segment no block touches misses after one bit test
+	// (no BAT maps user space).
+	segs uint16
 	// gen, when wired by the owning MMU, is bumped whenever a register
 	// changes so last-translation fastpaths notice remapped blocks.
 	gen *uint64
@@ -75,6 +79,13 @@ func (a *BATArray) Set(i int, e BATEntry) error {
 	}
 	a.bumpGen()
 	a.entries[i] = e
+	a.segs = 0
+	for j := range a.entries {
+		if b := &a.entries[j]; b.Valid {
+			first, last := uint32(b.Base)>>arch.SegmentShift, (uint32(b.Base)+b.Len-1)>>arch.SegmentShift
+			a.segs |= uint16(1<<(last+1) - 1<<first)
+		}
+	}
 	return nil
 }
 
@@ -85,6 +96,7 @@ func (a *BATArray) Get(i int) BATEntry { return a.entries[i] }
 func (a *BATArray) Clear() {
 	a.bumpGen()
 	a.entries = [NumBATs]BATEntry{}
+	a.segs = 0
 }
 
 // Lookup finds the entry covering ea, if any. On real hardware the BAT
@@ -93,6 +105,9 @@ func (a *BATArray) Clear() {
 //
 //mmutricks:noalloc
 func (a *BATArray) Lookup(ea arch.EffectiveAddr) (pa arch.PhysAddr, inhibited, ok bool) {
+	if a.segs&(1<<ea.SegIndex()) == 0 {
+		return 0, false, false
+	}
 	for i := range a.entries {
 		if a.entries[i].Covers(ea) {
 			return a.entries[i].Translate(ea), a.entries[i].Inhibited, true

@@ -87,3 +87,63 @@ func TestBATTranslationIsOffsetPreserving(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBATLookupMatchesScan checks Lookup, which rejects an address
+// whose segment no valid block overlaps before comparing, against a
+// plain scan of all four registers' Covers, at probe addresses in
+// every segment and at every block's edges, after each step of a
+// sequence of Set and Clear calls.
+func TestBATLookupMatchesScan(t *testing.T) {
+	type set struct {
+		i int
+		e BATEntry
+	}
+	steps := []struct {
+		name string
+		sets []set
+		clr  bool
+	}{
+		{name: "128 KB block", sets: []set{{0, BATEntry{Valid: true, Base: 0xC0000000, Len: 128 << 10, Phys: 0x20000}}}},
+		{name: "256 MB block", sets: []set{{1, BATEntry{Valid: true, Base: 0x30000000, Len: 256 << 20}}}},
+		{name: "512 MB block spanning two segments", sets: []set{{2, BATEntry{Valid: true, Base: 0x40000000, Len: 512 << 20, Inhibited: true}}}},
+		{name: "block ending at 0xFFFFFFFF", sets: []set{{3, BATEntry{Valid: true, Base: 0xFFFE0000, Len: 128 << 10, Phys: 0x40000}}}},
+		{name: "2 GB block ending at 0xFFFFFFFF", sets: []set{{3, BATEntry{Valid: true, Base: 0x80000000, Len: 1 << 31}}}},
+		{name: "register reprogrammed to another segment", sets: []set{{1, BATEntry{Valid: true, Base: 0x10000000, Len: 1 << 20}}}},
+		{name: "register set invalid", sets: []set{{2, BATEntry{Base: 0x40000000, Len: 512 << 20}}}},
+		{name: "clear", clr: true},
+		{name: "after clear", sets: []set{{0, BATEntry{Valid: true, Base: 0x00000000, Len: 8 << 20}}}},
+	}
+	var a BATArray
+	for _, st := range steps {
+		for _, s := range st.sets {
+			if err := a.Set(s.i, s.e); err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+		}
+		if st.clr {
+			a.Clear()
+		}
+		var probes []arch.EffectiveAddr
+		for seg := uint32(0); seg < arch.NumSegments; seg++ {
+			base := seg << arch.SegmentShift
+			probes = append(probes, arch.EffectiveAddr(base), arch.EffectiveAddr(base+0x0800_0000), arch.EffectiveAddr(base+0x0FFF_FFFF))
+		}
+		for i := 0; i < NumBATs; i++ {
+			e := a.Get(i)
+			probes = append(probes, e.Base, e.Base-1, e.Base+arch.EffectiveAddr(e.Len-1), e.Base+arch.EffectiveAddr(e.Len))
+		}
+		for _, ea := range probes {
+			var want arch.PhysAddr
+			var wantInh, wantOK bool
+			for i := 0; i < NumBATs; i++ {
+				if e := a.Get(i); e.Covers(ea) {
+					want, wantInh, wantOK = e.Translate(ea), e.Inhibited, true
+					break
+				}
+			}
+			if pa, inh, ok := a.Lookup(ea); pa != want || inh != wantInh || ok != wantOK {
+				t.Errorf("%s: Lookup(%v) = (%v, %v, %v), scan (%v, %v, %v)", st.name, ea, pa, inh, ok, want, wantInh, wantOK)
+			}
+		}
+	}
+}

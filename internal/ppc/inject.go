@@ -141,11 +141,10 @@ func (t *TLB) CorruptEntry(rnd uint64, avoid arch.VPN) (victim arch.VPN, ok bool
 		if si == avoidSet {
 			continue
 		}
-		set := t.setLines(si)
-		for j := range set {
-			if set[j].valid {
-				set[j].rpn ^= 1
-				return set[j].vpn, true
+		for w := range t.sets[si] {
+			if e := &t.sets[si][w]; e.key != 0 {
+				e.rpn ^= 1
+				return e.vpn(), true
 			}
 		}
 	}
@@ -161,11 +160,11 @@ func (t *TLB) CorruptEntry(rnd uint64, avoid arch.VPN) (victim arch.VPN, ok bool
 func (t *TLB) SpuriousInvalidate(rnd uint64) (victim arch.VPN, ok bool) {
 	start := uint32(rnd) & t.setMask
 	for i := 0; i <= int(t.setMask); i++ {
-		set := t.setLines((start + uint32(i)) & t.setMask)
-		for j := range set {
-			if set[j].valid {
-				vpn := set[j].vpn
-				set[j] = TLBEntry{}
+		s := &t.sets[(start+uint32(i))&t.setMask]
+		for w := range s {
+			if s[w].key != 0 {
+				vpn := s[w].vpn()
+				s.invalidate(int8(w))
 				return vpn, true
 			}
 		}
@@ -174,16 +173,13 @@ func (t *TLB) SpuriousInvalidate(rnd uint64) (victim arch.VPN, ok bool) {
 }
 
 // Peek reports the frame a valid entry currently translates vpn to,
-// without touching LRU state or counters — for the machine-check
+// without touching recency state or counters — for the machine-check
 // handler and tests.
 //
 //mmutricks:noalloc
 func (t *TLB) Peek(vpn arch.VPN) (arch.PFN, bool) {
-	set := t.set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			return set[i].rpn, true
-		}
+	if s, way := t.find(vpn); way >= 0 {
+		return s[way].rpn, true
 	}
 	return 0, false
 }

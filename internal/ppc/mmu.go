@@ -139,15 +139,25 @@ func (m *MMU) VPNFor(ea arch.EffectiveAddr) arch.VPN {
 	return arch.VPNOf(m.segs[ea.SegIndex()], ea)
 }
 
-// Result is the outcome of one translation.
+// Result is the outcome of one translation. It has four top-level
+// fields so the compiler keeps it in registers (a larger struct is
+// copied through the stack on every Translate); the facts about a
+// successful translation share the embedded Hit.
 type Result struct {
-	PA        arch.PhysAddr
-	Inhibited bool
-	Fault     Fault
+	PA arch.PhysAddr
+	Hit
+	Fault Fault
 	// VPN is the virtual page that faulted (valid when Fault != FaultNone).
 	VPN arch.VPN
+}
+
+// Hit describes how a successful translation was satisfied.
+type Hit struct {
+	Inhibited bool
 	// ViaBAT reports the translation was satisfied by a BAT register.
 	ViaBAT bool
+	// Way is the TLB way holding the translation (TLB-sourced results).
+	Way int8
 }
 
 // perPTECost is the fixed pipeline cost of examining one PTE during the
@@ -172,12 +182,11 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	}
 	if pa, inh, ok := bats.Lookup(ea); ok {
 		m.mon.BATHits++
-		return Result{PA: pa, Inhibited: inh, ViaBAT: true}
+		return Result{PA: pa, Hit: Hit{Inhibited: inh, ViaBAT: true}}
 	}
 	vpn := m.VPNFor(ea)
-	if rpn, inh, ok := m.TLBFor(instr).Lookup(vpn); ok {
-		m.mon.TLBHits++
-		return Result{PA: rpn.Addr() + arch.PhysAddr(ea.Offset()), Inhibited: inh}
+	if r, ok := m.TLBHit(ea, vpn, instr); ok {
+		return r
 	}
 	m.mon.TLBMisses++
 
@@ -206,7 +215,8 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 		}
 		m.trc.Emit(mmtrace.KindTLBMiss, vpn.VSID(), ea, walkCost, 0)
 		pte.R = true
-		if m.TLBFor(instr).Insert(vpn, pte.RPN, pte.CacheInhibited, ea.IsKernel()) {
+		way, evicted := m.TLBFor(instr).insert(vpn, pte.RPN, pte.CacheInhibited, ea.IsKernel())
+		if evicted {
 			m.trc.Emit(mmtrace.KindTLBEvict, vpn.VSID(), ea, 0, 0)
 		}
 		m.trc.Emit(mmtrace.KindTLBInsert, vpn.VSID(), ea, 0, 0)
@@ -214,7 +224,7 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 		// access belongs to; an exact transfer moves its cycles to
 		// tlb-miss without a span (no defer on the noalloc path).
 		m.ph.Attribute(telemetry.PhaseTLBMiss, walkCost)
-		return Result{PA: pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), Inhibited: pte.CacheInhibited}
+		return Result{PA: pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), Hit: Hit{Inhibited: pte.CacheInhibited, Way: way}}
 	}
 	// Neither bucket matched: hash-table miss interrupt (>= 91 cycles
 	// just to invoke the handler, §5).
@@ -229,6 +239,22 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	return Result{Fault: FaultHashMiss, VPN: vpn}
 }
 
+// TLBHit is Translate's TLB stage alone, for a caller that already
+// knows ea misses the BATs and that vpn is ea's current virtual page
+// (the translation generation is unchanged since a Translate computed
+// it). A hit has Translate's side effects (the hit count, the way
+// becoming MRU); a miss has none.
+//
+//mmutricks:noalloc
+func (m *MMU) TLBHit(ea arch.EffectiveAddr, vpn arch.VPN, instr bool) (Result, bool) {
+	e, way := m.TLBFor(instr).lookup(vpn)
+	if e == nil {
+		return Result{}, false
+	}
+	m.mon.TLBHits++
+	return Result{PA: e.rpn.Addr() + arch.PhysAddr(ea.Offset()), Hit: Hit{Inhibited: e.inhibited, Way: way}}, true
+}
+
 // Probe translates without charging cycles or counters — for
 // assertions and tools. It reports ok=false if the address has no
 // hardware translation right now.
@@ -241,11 +267,8 @@ func (m *MMU) Probe(ea arch.EffectiveAddr, instr bool) (arch.PhysAddr, bool) {
 		return pa, true
 	}
 	vpn := m.VPNFor(ea)
-	set := m.TLBFor(instr).set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			return set[i].rpn.Addr() + arch.PhysAddr(ea.Offset()), true
-		}
+	if rpn, ok := m.TLBFor(instr).Peek(vpn); ok {
+		return rpn.Addr() + arch.PhysAddr(ea.Offset()), true
 	}
 	if pte, _, _ := m.HTAB.Search(vpn, nil); pte != nil {
 		return pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), true

@@ -6,26 +6,42 @@ import (
 	"mmutricks/internal/arch"
 )
 
-// TLBEntry is one translation held by the TLB.
+// tlbValid marks a live entry's key. A VPN is 40 bits wide, so the top
+// bit never collides with one, and a single compare of vpn|tlbValid
+// against the key checks validity and tag together.
+const tlbValid = 1 << 63
+
+// TLBEntry is one translation held by the TLB: 16 bytes.
 type TLBEntry struct {
-	valid     bool
-	vpn       arch.VPN
+	key       uint64 // vpn | tlbValid; 0 when invalid
 	rpn       arch.PFN
 	inhibited bool
 	kernel    bool // translates a kernel address — for footprint stats
-	lru       uint64
+	// mru is kept in way 0 only and names the set's most recently used
+	// way. It survives invalidation of way 0.
+	mru uint8
 }
+
+// vpn returns the virtual page the entry translates (meaningful only
+// while the entry is valid).
+//
+//mmutricks:noalloc
+func (e *TLBEntry) vpn() arch.VPN { return arch.VPN(e.key &^ tlbValid) }
+
+// tlbSet is one 2-way set.
+type tlbSet [2]TLBEntry
 
 // TLB is the set-associative translation lookaside buffer. Both the 603
 // (128 entries) and 604 (256 entries) are 2-way set-associative indexed
 // by the low bits of the effective page index, which is how the real
-// parts index their TLBs. Entries are stored flat (set-major) so the
-// hit path is one slice index away from the data.
+// parts index their TLBs, so 2-way is the only geometry built.
+//
+// Replacement is exact LRU without stamps: a fill takes the first
+// invalid way, else the way that is not the set's MRU — the rule
+// 64-bit recency stamps gave, since fresh stamps never tie.
 type TLB struct {
-	entries []TLBEntry
-	ways    int
+	sets    []tlbSet
 	setMask uint32
-	seq     uint64
 	// gen, when wired by the owning MMU, is bumped on every
 	// invalidation so last-translation fastpaths can prove their
 	// remembered entry was never flushed.
@@ -33,20 +49,20 @@ type TLB struct {
 }
 
 // NewTLB builds a TLB with the given total entry count and
-// associativity. entries/ways must be a power of two.
+// associativity. ways must be 2 and entries/ways a power of two.
 func NewTLB(entries, ways int) *TLB {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		panic(fmt.Sprintf("ppc: bad TLB geometry %d/%d", entries, ways))
+	if entries <= 0 || ways != len(tlbSet{}) || entries%ways != 0 {
+		panic(fmt.Sprintf("ppc: bad TLB geometry %d/%d (the TLB is 2-way)", entries, ways))
 	}
 	nsets := entries / ways
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("ppc: TLB set count %d not a power of two", nsets))
 	}
-	return &TLB{entries: make([]TLBEntry, entries), ways: ways, setMask: uint32(nsets - 1)}
+	return &TLB{sets: make([]tlbSet, nsets), setMask: uint32(nsets - 1)}
 }
 
 // Entries returns the total capacity.
-func (t *TLB) Entries() int { return len(t.entries) }
+func (t *TLB) Entries() int { return len(t.sets) * len(tlbSet{}) }
 
 // bumpGen advances the owning MMU's translation generation (no-op for
 // a TLB constructed standalone in tests).
@@ -58,28 +74,41 @@ func (t *TLB) bumpGen() {
 	}
 }
 
+// find returns vpn's set and the way holding a valid translation for
+// it (-1 when none does). Pure probe: no recency side effects.
+//
 //mmutricks:noalloc
-func (t *TLB) set(vpn arch.VPN) []TLBEntry {
-	return t.setLines(vpn.PageIndex() & t.setMask)
+func (t *TLB) find(vpn arch.VPN) (s *tlbSet, way int8) {
+	s = &t.sets[vpn.PageIndex()&t.setMask]
+	key := uint64(vpn) | tlbValid
+	if s[0].key == key {
+		return s, 0
+	}
+	if s[1].key == key {
+		return s, 1
+	}
+	return s, -1
 }
 
+// lookup is a hitting Lookup that also reports the way: on a hit the
+// way becomes its set's MRU; a miss has no side effects.
+//
 //mmutricks:noalloc
-func (t *TLB) setLines(si uint32) []TLBEntry {
-	base := int(si) * t.ways
-	return t.entries[base : base+t.ways]
+func (t *TLB) lookup(vpn arch.VPN) (e *TLBEntry, way int8) {
+	s, way := t.find(vpn)
+	if way < 0 {
+		return nil, way
+	}
+	s[0].mru = uint8(way)
+	return &s[way], way
 }
 
 // Lookup searches for a translation of vpn.
 //
 //mmutricks:noalloc
 func (t *TLB) Lookup(vpn arch.VPN) (rpn arch.PFN, inhibited, ok bool) {
-	set := t.set(vpn)
-	t.seq++
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			set[i].lru = t.seq
-			return set[i].rpn, set[i].inhibited, true
-		}
+	if e, _ := t.lookup(vpn); e != nil {
+		return e.rpn, e.inhibited, true
 	}
 	return 0, false, false
 }
@@ -92,114 +121,97 @@ func (t *TLB) Lookup(vpn arch.VPN) (rpn arch.PFN, inhibited, ok bool) {
 //
 //mmutricks:noalloc
 func (t *TLB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (evictedValid bool) {
-	set := t.set(vpn)
-	t.seq++
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			victim = i
-			goto install
-		}
-	}
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			goto install
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	evictedValid = true
-install:
-	set[victim] = TLBEntry{valid: true, vpn: vpn, rpn: rpn, inhibited: inhibited, kernel: kernel, lru: t.seq}
+	_, evictedValid = t.insert(vpn, rpn, inhibited, kernel)
 	return evictedValid
 }
 
+// insert is Insert that also reports the way filled. The way reused
+// for the same VPN, else the first invalid way, else the way that is
+// not MRU; the filled way becomes MRU.
+//
+//mmutricks:noalloc
+func (t *TLB) insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (way int8, evictedValid bool) {
+	s, way := t.find(vpn)
+	switch {
+	case way >= 0:
+	case s[0].key == 0:
+		way = 0
+	case s[1].key == 0:
+		way = 1
+	default:
+		way = int8(s[0].mru ^ 1)
+		evictedValid = true
+	}
+	// Field by field: a composite literal is built on the stack and
+	// copied in with one wide load that cannot forward the narrow
+	// stores just made.
+	e := &s[way]
+	e.key, e.rpn, e.inhibited, e.kernel = uint64(vpn)|tlbValid, rpn, inhibited, kernel
+	s[0].mru = uint8(way)
+	return way, evictedValid
+}
+
 // WayOf reports which way of vpn's set currently holds a valid
-// translation for it. Pure probe: no LRU, sequence, or statistics side
+// translation for it. Pure probe: no recency or statistics side
 // effects — fastpaths use it to remember where a hit lives.
 //
 //mmutricks:noalloc
 func (t *TLB) WayOf(vpn arch.VPN) (way int8, ok bool) {
-	set := t.set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			return int8(i), true
-		}
+	if _, way = t.find(vpn); way < 0 {
+		return 0, false
 	}
-	return 0, false
+	return way, true
 }
 
 // LookupWay replays one Lookup hit at a remembered way. On success the
-// side effects are exactly those of a hitting Lookup (sequence bump,
-// LRU touch); on a stale way — entry invalidated or replaced since it
-// was remembered — nothing is touched and the caller must fall back to
-// the full Lookup.
+// side effects are exactly those of a hitting Lookup (the way becomes
+// MRU); on a stale way — entry invalidated or replaced since it was
+// remembered — nothing is touched and the caller must fall back to the
+// full Lookup. Any number of consecutive hits leave the same state as
+// one, so a batch of hits replays as a single LookupWay.
 //
 //mmutricks:noalloc
 func (t *TLB) LookupWay(vpn arch.VPN, way int8) (rpn arch.PFN, inhibited, ok bool) {
-	set := t.set(vpn)
-	if int(way) >= len(set) {
+	if uint8(way) >= uint8(len(tlbSet{})) {
 		return 0, false, false
 	}
-	e := &set[way]
-	if !e.valid || e.vpn != vpn {
+	s := &t.sets[vpn.PageIndex()&t.setMask]
+	e := &s[way]
+	if e.key != uint64(vpn)|tlbValid {
 		return 0, false, false
 	}
-	t.seq++
-	e.lru = t.seq
+	s[0].mru = uint8(way)
 	return e.rpn, e.inhibited, true
 }
 
-// ReplayWay replays n consecutive Lookup hits at a remembered way in
-// one step: the sequence advances by n and the entry's LRU stamp lands
-// on the final value, exactly as n scalar hitting Lookups would leave
-// it (no other entry is touched by a hit, so the intermediate stamps
-// are unobservable).
+// invalidate clears one entry, keeping way 0's MRU byte.
 //
 //mmutricks:noalloc
-func (t *TLB) ReplayWay(vpn arch.VPN, way int8, n int) (rpn arch.PFN, inhibited, ok bool) {
-	set := t.set(vpn)
-	if int(way) >= len(set) {
-		return 0, false, false
-	}
-	e := &set[way]
-	if !e.valid || e.vpn != vpn {
-		return 0, false, false
-	}
-	t.seq += uint64(n)
-	e.lru = t.seq
-	return e.rpn, e.inhibited, true
+func (s *tlbSet) invalidate(way int8) {
+	s[way] = TLBEntry{mru: s[way].mru}
 }
 
 // InvalidateVPN removes a single translation (the tlbie instruction).
 func (t *TLB) InvalidateVPN(vpn arch.VPN) {
 	t.bumpGen()
-	set := t.set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			set[i] = TLBEntry{}
-		}
+	if s, way := t.find(vpn); way >= 0 {
+		s.invalidate(way)
 	}
 }
 
 // InvalidateAll flushes the whole TLB (the tlbia instruction).
 func (t *TLB) InvalidateAll() {
 	t.bumpGen()
-	for i := range t.entries {
-		t.entries[i] = TLBEntry{}
+	for i := range t.sets {
+		t.sets[i].invalidate(0)
+		t.sets[i].invalidate(1)
 	}
 }
 
 // Valid returns how many entries are currently valid.
 func (t *TLB) Valid() int {
 	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
-			n++
-		}
-	}
+	t.each(func(*TLBEntry) { n++ })
 	return n
 }
 
@@ -207,11 +219,11 @@ func (t *TLB) Valid() int {
 // addresses — the OS TLB footprint of §5.1.
 func (t *TLB) KernelEntries() int {
 	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].kernel {
+	t.each(func(e *TLBEntry) {
+		if e.kernel {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -219,11 +231,7 @@ func (t *TLB) KernelEntries() int {
 // virtual page number — for consistency checking and tools.
 func (t *TLB) Snapshot() map[arch.VPN]arch.PFN {
 	m := make(map[arch.VPN]arch.PFN)
-	for i := range t.entries {
-		if t.entries[i].valid {
-			m[t.entries[i].vpn] = t.entries[i].rpn
-		}
-	}
+	t.each(func(e *TLBEntry) { m[e.vpn()] = e.rpn })
 	return m
 }
 
@@ -232,10 +240,17 @@ func (t *TLB) Snapshot() map[arch.VPN]arch.PFN {
 // flush.
 func (t *TLB) CountVSIDs() map[arch.VSID]int {
 	m := make(map[arch.VSID]int)
-	for i := range t.entries {
-		if t.entries[i].valid {
-			m[t.entries[i].vpn.VSID()]++
+	t.each(func(e *TLBEntry) { m[e.vpn().VSID()]++ })
+	return m
+}
+
+// each calls f on every valid entry, in set-major order.
+func (t *TLB) each(f func(e *TLBEntry)) {
+	for i := range t.sets {
+		for w := range t.sets[i] {
+			if e := &t.sets[i][w]; e.key != 0 {
+				f(e)
+			}
 		}
 	}
-	return m
 }

@@ -12,7 +12,7 @@ func TestTLBGeometry(t *testing.T) {
 	if tlb.Entries() != 128 {
 		t.Fatalf("Entries = %d", tlb.Entries())
 	}
-	for _, g := range [][2]int{{0, 2}, {128, 0}, {127, 2}, {100, 3}} {
+	for _, g := range [][2]int{{0, 2}, {128, 0}, {127, 2}, {100, 3}, {128, 1}, {128, 4}} {
 		func() {
 			defer func() {
 				if recover() == nil {

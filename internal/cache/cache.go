@@ -237,43 +237,40 @@ func (c *Cache) index(pa arch.PhysAddr) (set int, tag uint32) {
 func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout bool) {
 	c.stats.Accesses[class]++
 	set, tag := c.index(pa)
-	want := tag | lineKeyValid
-	if c.ways == 4 {
-		q := (*[4]line)(c.lines[set*4:])
-		wi := -1
-		switch want {
-		case q[0].key:
-			wi = 0
-		case q[1].key:
-			wi = 1
-		case q[2].key:
-			wi = 2
-		case q[3].key:
-			wi = 3
-		}
-		if wi >= 0 {
-			if write {
-				q[wi&3].dirty = 1
-			}
-			q[0].ord = touchTab[q[0].ord][wi&3]
-			return true, false
-		}
-		c.stats.Misses[class]++
-		return false, c.fill(set, tag, class, write)
+	if c.ways != 4 {
+		return c.accessOther(set, tag, class, write)
 	}
+	want := tag | lineKeyValid
+	q := (*[4]line)(c.lines[set*4:])
+	if wi := probe4(q, want); wi >= 0 {
+		q[wi&3].dirty |= dirtyOf(write)
+		q[0].ord = touchTab[q[0].ord][wi&3]
+		return true, false
+	}
+	c.stats.Misses[class]++
+	c.stats.Fills[class]++
+	v, valid := fill4(q, want, class, dirtyOf(write))
+	c.evicted(v, valid, class)
+	return false, v&1 != 0
+}
+
+// accessOther is Access's probe and fill on the geometries other than
+// 4-way: the direct-mapped L2 and test caches. Keeping it out of Access
+// keeps the 4-way path's register pressure down.
+//
+//mmutricks:noalloc
+func (c *Cache) accessOther(set int, tag uint32, class Class, write bool) (hit, castout bool) {
+	want := tag | lineKeyValid
 	lines := c.setLines(set)
 	for i := range lines {
 		if lines[i].key == want {
-			if write {
-				lines[i].dirty = 1
-			}
+			lines[i].dirty |= dirtyOf(write)
 			c.touch(set, i)
 			return true, false
 		}
 	}
 	c.stats.Misses[class]++
-	castout = c.fill(set, tag, class, write)
-	return false, castout
+	return false, c.fill(set, tag, class, write)
 }
 
 // AccessInhibited performs a cache-inhibited access: it never hits and
@@ -330,7 +327,7 @@ func (c *Cache) ZeroLine(pa arch.PhysAddr, class Class) (castout bool) {
 	}
 	// Counts as an access but not a (latency-bearing) miss: the fill
 	// needs no memory read.
-	return c.fill(set, tag, class, true)
+	return c.install(set, tag, class, true)
 }
 
 // Stores is a run's store pattern: reference i of a run stores iff bit
@@ -415,140 +412,8 @@ type MissRef struct {
 //mmutricks:free misses are returned; the machine layer charges the fills
 //mmutricks:noalloc
 func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
-	if c.ways != 4 {
-		// Both L1s are 4-way and the direct-mapped L2 takes only scalar
-		// Access, so only test geometries get here: one Access per
-		// reference, exact by construction.
-		for i := 0; i < n; i++ {
-			if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
-				misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
-				nmiss++
-			}
-		}
-		return nmiss
-	}
-	c.stats.Accesses[class] += uint64(n)
-	lineSize := 1 << c.lineShift
-	sl := st.lanes()
-	if stride&(lineSize-1) != 0 || uint32(pa)&uint32(lineSize-1) != 0 {
-		nmiss, _ = c.accessGroups(pa, n, stride, class, sl, misses)
-		return nmiss
-	}
-	// Line-aligned references with a line-multiple stride — the dominant
-	// shape (one access per line): no two references share a line, so
-	// each is one probe with the fill inlined.
-	la := uint32(pa) >> c.lineShift
-	step := uint32(stride) >> c.lineShift
-	var dirty uint8
-	// Per-victim-class eviction counts accumulate in locals and flush
-	// once after the loop — the increments are the hottest stores in
-	// the simulator. Sized 8 and masked so indexing by the victim's
-	// class byte needs no bounds check.
-	var ev, co [8]uint64
-	for i := 0; i < n; i++ {
-		q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
-		want := la | lineKeyValid
-		dirty, sl = sl.take(1)
-		la += step
-		wi := -1
-		switch want {
-		case q[0].key:
-			wi = 0
-		case q[1].key:
-			wi = 1
-		case q[2].key:
-			wi = 2
-		case q[3].key:
-			wi = 3
-		}
-		o := q[0].ord
-		if wi >= 0 {
-			q[wi&3].dirty |= dirty
-			q[0].ord = touchTab[o][wi&3]
-			continue
-		}
-		vi := o & 3
-		v := &q[vi]
-		var d uint64
-		if v.key&lineKeyValid != 0 {
-			ev[v.class&7]++
-			d = uint64(v.dirty)
-			co[v.class&7] += d
-		}
-		v.key, v.class, v.dirty = want, uint8(class), dirty
-		q[0].ord = o>>2 | vi<<6
-		misses[nmiss] = MissRef{Index: int32(i), Castout: d != 0}
-		nmiss++
-	}
-	c.flushRun(class, nmiss, &ev, &co)
+	nmiss, _ = c.accessRun(pa, n, stride, class, st, misses)
 	return nmiss
-}
-
-// flushRun adds an aligned run's miss, fill and per-victim-class
-// eviction counts to the statistics.
-//
-//mmutricks:noalloc
-func (c *Cache) flushRun(class Class, nmiss int, ev, co *[8]uint64) {
-	c.stats.Misses[class] += uint64(nmiss)
-	c.stats.Fills[class] += uint64(nmiss)
-	for v := 0; v < int(numClasses); v++ {
-		c.stats.EvictedBy[v][class] += ev[v]
-		c.stats.Castouts[v] += co[v]
-	}
-}
-
-// accessGroups advances a 4-way run of any alignment and stride by
-// grouping its references by the line they land on (the grouping scan
-// is division-free; line-crossing groups are short). A group on a
-// resident line is one recency update. On any other line the group's
-// first reference misses and fills and the rest hit the fresh line,
-// which the fill already made the most recent. The misses are recorded
-// in misses unless it is nil.
-//
-//mmutricks:noalloc
-func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl storeLanes, misses []MissRef) (nmiss, ncast int) {
-	for i := 0; i < n; {
-		a := pa + arch.PhysAddr(i*stride)
-		la := uint32(a) >> c.lineShift
-		k := 1
-		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
-			k++
-		}
-		var dirty uint8
-		dirty, sl = sl.take(k)
-		set := int(la & c.setMask)
-		q := (*[4]line)(c.lines[set*4:])
-		want := la | lineKeyValid
-		wi := -1
-		if q[0].key == want {
-			wi = 0
-		}
-		if q[1].key == want {
-			wi = 1
-		}
-		if q[2].key == want {
-			wi = 2
-		}
-		if q[3].key == want {
-			wi = 3
-		}
-		if wi >= 0 {
-			q[wi&3].dirty |= dirty
-			q[0].ord = touchTab[q[0].ord][wi&3]
-		} else {
-			c.stats.Misses[class]++
-			castout := c.fill(set, la, class, dirty != 0)
-			if misses != nil {
-				misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
-			}
-			nmiss++
-			if castout {
-				ncast++
-			}
-		}
-		i += k
-	}
-	return nmiss, ncast
 }
 
 // AccessRunCount is AccessRunCountMask for a pure load or store run.
@@ -556,7 +421,7 @@ func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl st
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 //mmutricks:noalloc
 func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
-	return c.AccessRunCountMask(pa, n, stride, class, StoresOf(write))
+	return c.accessRun(pa, n, stride, class, StoresOf(write), nil)
 }
 
 // AccessRunCountMask is AccessRun without the per-miss records: cache
@@ -569,10 +434,26 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 //mmutricks:noalloc
 func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
+	return c.accessRun(pa, n, stride, class, st, nil)
+}
+
+// accessRun is AccessRun and AccessRunCountMask: misses == nil counts
+// the misses without recording them. A 4-way run goes to one of two
+// loops: a line-aligned run with a line-multiple stride (the dominant
+// shape, one access per line, the 128-line page clear among them) to
+// mixedRun, and any other run to accessGroups.
+//
+//mmutricks:noalloc
+func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
 	if c.ways != 4 {
-		// Test geometries only, as in AccessRun.
+		// Both L1s are 4-way and the direct-mapped L2 takes only scalar
+		// Access, so only test geometries get here: one Access per
+		// reference, exact by construction.
 		for i := 0; i < n; i++ {
 			if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
+				if misses != nil {
+					misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
+				}
 				nmiss++
 				if castout {
 					ncast++
@@ -582,58 +463,111 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 		return nmiss, ncast
 	}
 	c.stats.Accesses[class] += uint64(n)
-	lineSize := 1 << c.lineShift
-	sl := st.lanes()
-	if stride&(lineSize-1) != 0 || uint32(pa)&uint32(lineSize-1) != 0 {
-		return c.accessGroups(pa, n, stride, class, sl, nil)
+	lineMask := 1<<c.lineShift - 1
+	if stride&lineMask != 0 || int(pa)&lineMask != 0 {
+		return c.accessGroups(pa, n, stride, class, st.lanes(), misses)
 	}
-	la := uint32(pa) >> c.lineShift
-	step := uint32(stride) >> c.lineShift
-	mask := c.setMask
-	lines := c.lines
+	la, step := uint32(pa)>>c.lineShift, uint32(stride)>>c.lineShift
+	return c.mixedRun(la, step, n, class, st.lanes(), misses)
+}
+
+// A 4-way run counts its victims in a local histogram indexed by the
+// victim's class<<1|dirty, one increment per resident victim,
+// and flushRun adds it to the statistics once, after the loop: the
+// per-miss counter updates are the hottest stores in the simulator,
+// and most runs (short kernel-text fetches) miss nowhere and flush
+// nothing.
+
+// mixedRun advances an aligned 4-way run of any store mask, line
+// address la onward by step lines: no two references share a line, so
+// each is one probe, with the fill inlined. The misses are recorded in
+// misses unless it is nil.
+//
+//mmutricks:noalloc
+func (c *Cache) mixedRun(la, step uint32, n int, class Class, sl storeLanes, misses []MissRef) (nmiss, ncast int) {
+	var hist [16]uint64
+	lines, mask := c.lines, c.setMask
 	var dirty uint8
-	var ev, co [8]uint64
 	for i := 0; i < n; i++ {
 		q := (*[4]line)(lines[int(la&mask)*4:])
 		want := la | lineKeyValid
 		dirty, sl = sl.take(1)
 		la += step
-		// Probe all four ways before acting on the result — runs are
-		// phase-coherent (a clear run misses throughout, a warm run hits
-		// throughout), so the probe's branches predict well.
-		wi := -1
-		if q[0].key == want {
-			wi = 0
-		}
-		if q[1].key == want {
-			wi = 1
-		}
-		if q[2].key == want {
-			wi = 2
-		}
-		if q[3].key == want {
-			wi = 3
-		}
-		o := q[0].ord
-		if wi >= 0 {
+		if wi := probe4(q, want); wi >= 0 {
 			q[wi&3].dirty |= dirty
-			q[0].ord = touchTab[o][wi&3]
+			q[0].ord = touchTab[q[0].ord][wi&3]
 			continue
 		}
-		vi := o & 3
-		v := &q[vi]
-		if v.key&lineKeyValid != 0 {
-			ev[v.class&7]++
-			d := uint64(v.dirty)
-			co[v.class&7] += d
-			ncast += int(d)
+		v, valid := fill4(q, want, class, dirty)
+		if valid {
+			hist[v&15]++
 		}
-		v.key, v.class, v.dirty = want, uint8(class), dirty
-		q[0].ord = o>>2 | vi<<6
+		if misses != nil {
+			misses[nmiss] = MissRef{Index: int32(i), Castout: v&1 != 0}
+		}
 		nmiss++
 	}
-	c.flushRun(class, nmiss, &ev, &co)
-	return nmiss, ncast
+	return nmiss, c.flushRun(class, nmiss, &hist)
+}
+
+// accessGroups advances a 4-way run of any alignment and stride by
+// grouping its references by the line they land on (the grouping scan
+// is division-free; line-crossing groups are short). A group on a
+// resident line is one recency update. On any other line the group's
+// first reference misses and fills and the rest hit the fresh line,
+// which the fill already made the most recent. The misses are recorded
+// in misses unless it is nil.
+//
+//mmutricks:noalloc
+func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl storeLanes, misses []MissRef) (nmiss, ncast int) {
+	var hist [16]uint64
+	lines, mask, shift := c.lines, c.setMask, c.lineShift
+	for i := 0; i < n; {
+		a := pa + arch.PhysAddr(i*stride)
+		la := uint32(a) >> shift
+		k := 1
+		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>shift == la {
+			k++
+		}
+		var dirty uint8
+		dirty, sl = sl.take(k)
+		q := (*[4]line)(lines[int(la&mask)*4:])
+		want := la | lineKeyValid
+		if wi := probe4(q, want); wi >= 0 {
+			q[wi&3].dirty |= dirty
+			q[0].ord = touchTab[q[0].ord][wi&3]
+		} else {
+			v, valid := fill4(q, want, class, dirty)
+			if valid {
+				hist[v&15]++
+			}
+			if misses != nil {
+				misses[nmiss] = MissRef{Index: int32(i), Castout: v&1 != 0}
+			}
+			nmiss++
+		}
+		i += k
+	}
+	return nmiss, c.flushRun(class, nmiss, &hist)
+}
+
+// flushRun adds a 4-way run's misses, fills and victim histogram to the
+// statistics and returns the run's castout count.
+//
+//mmutricks:noalloc
+func (c *Cache) flushRun(class Class, nmiss int, hist *[16]uint64) (ncast int) {
+	if nmiss == 0 {
+		return 0
+	}
+	c.stats.Misses[class] += uint64(nmiss)
+	c.stats.Fills[class] += uint64(nmiss)
+	for v := 0; v < int(numClasses); v++ {
+		clean, dirty := hist[v<<1], hist[v<<1+1]
+		c.stats.EvictedBy[v][class] += clean + dirty
+		c.stats.Castouts[v] += dirty
+		ncast += int(dirty)
+	}
+	return ncast
 }
 
 // AccessNoAllocRun is AccessRun under a locked cache (§10.1): hits
@@ -719,7 +653,7 @@ func (c *Cache) Prefetch(pa arch.PhysAddr, class Class) (filled bool) {
 			return false
 		}
 	}
-	c.fill(set, tag, class, false)
+	c.install(set, tag, class, false)
 	return true
 }
 
@@ -737,12 +671,84 @@ func (c *Cache) Touch(pa arch.PhysAddr, class Class) {
 			return
 		}
 	}
-	c.fill(set, tag, class, false)
+	c.install(set, tag, class, false)
+}
+
+// probe4 returns the way of the 4-way set q holding want, or -1.
+//
+//mmutricks:noalloc
+func probe4(q *[4]line, want uint32) int {
+	switch want {
+	case q[0].key:
+		return 0
+	case q[1].key:
+		return 1
+	case q[2].key:
+		return 2
+	case q[3].key:
+		return 3
+	}
+	return -1
+}
+
+// fill4 installs want in the 4-way set q on behalf of class, replacing
+// the way at rank 0 of the set's recency list and making it the most
+// recent. It returns the victim's class<<1|dirty and whether the victim
+// was resident. An invalid way's class and dirty are 0, so victim&1 is
+// the castout either way.
+//
+//mmutricks:noalloc
+func fill4(q *[4]line, want uint32, class Class, dirty uint8) (victim uint8, valid bool) {
+	o := q[0].ord
+	vi := o & 3
+	v := &q[vi]
+	victim, valid = v.class<<1|v.dirty, v.key&lineKeyValid != 0
+	v.key, v.class, v.dirty = want, uint8(class), dirty
+	q[0].ord = o>>2 | vi<<6
+	return victim, valid
+}
+
+// evicted counts one fill's victim, as fill4 returned it, against the
+// filling class.
+//
+//mmutricks:noalloc
+func (c *Cache) evicted(victim uint8, valid bool, class Class) {
+	if valid {
+		c.stats.EvictedBy[victim>>1][class]++
+		c.stats.Castouts[victim>>1] += uint64(victim & 1)
+	}
+}
+
+// dirtyOf is a line's dirty byte after an access that stores or not.
+//
+//mmutricks:noalloc
+func dirtyOf(write bool) uint8 {
+	if write {
+		return 1
+	}
+	return 0
+}
+
+// install is the fill of the one-line paths outside Access (ZeroLine,
+// Prefetch, Touch): fill4 on a 4-way cache, fill on any other. It
+// reports whether the victim was dirty.
+//
+//mmutricks:noalloc
+func (c *Cache) install(set int, tag uint32, class Class, write bool) (castout bool) {
+	if c.ways != 4 {
+		return c.fill(set, tag, class, write)
+	}
+	c.stats.Fills[class]++
+	v, valid := fill4((*[4]line)(c.lines[set*4:]), tag|lineKeyValid, class, dirtyOf(write))
+	c.evicted(v, valid, class)
+	return v&1 != 0
 }
 
 // fill installs a line as the set's most recently used, replacing the
 // way at rank 0 of its recency list. It reports whether the victim was
-// dirty (requiring a writeback).
+// dirty (requiring a writeback). It serves the geometries other than
+// 4-way (the direct-mapped L2 and test caches); every 4-way path fills
+// through fill4.
 //
 //mmutricks:noalloc
 func (c *Cache) fill(set int, tag uint32, class Class, write bool) (castout bool) {
@@ -753,13 +759,12 @@ func (c *Cache) fill(set int, tag uint32, class Class, write bool) (castout bool
 	v := &lines[vi]
 	if v.key&lineKeyValid != 0 {
 		c.stats.EvictedBy[v.class][class]++
-		c.stats.Castouts[v.class] += uint64(v.dirty)
 		castout = v.dirty != 0
+		if castout {
+			c.stats.Castouts[v.class]++
+		}
 	}
-	v.key, v.class, v.dirty = tag|lineKeyValid, uint8(class), 0
-	if write {
-		v.dirty = 1
-	}
+	v.key, v.class, v.dirty = tag|lineKeyValid, uint8(class), dirtyOf(write)
 	c.setList(set, l>>c.rankBits|uint32(vi)<<(c.rankBits*uint(c.ways-1)))
 	return castout
 }

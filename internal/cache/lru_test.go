@@ -281,6 +281,31 @@ func FuzzLRUOracle(f *testing.F) {
 		1, 0x03, 0x00, 1, 0, 0x7f, // aligned recorded run, store hits
 		0, 0x05, 0x00, 0, 2, 0,
 	})
+	f.Add([]byte{
+		2, 0x00, 0x00, 7, 0, 0x4a, // lines 0-7: user loads, odd lines stored
+		2, 0x01, 0x00, 7, 2, 0x40, // lines 8-15: kernel-data loads
+		2, 0x02, 0x00, 7, 3, 0x40, // lines 16-23: page-table loads
+		1, 0x03, 0x00, 7, 4, 0x4f, // lines 24-31: recorded all-store run fills the 4-way sets
+		3, 0x01, 0x20, 0, 0, 0, // invalidate line 9 (way 1 of set 1)
+		3, 0x00, 0x60, 0, 0, 0, // invalidate line 3 (way 0 of set 3)
+		1, 0x00, 0x00, 0x0f, 5, 0x4f, // recorded all-store run: clean hits, dirty hits, two invalid-way fills
+		2, 0x04, 0x00, 0x0f, 6, 0x4f, // counted all-store run: clean page-table and dirty hash-table victims
+		1, 0x06, 0x00, 0x0f, 1, 0x4f, // recorded all-store run: dirty user and kernel-data victims
+		2, 0x00, 0x00, 0x3f, 0, 0x5f, // counted all-store run, two-line stride, hits and misses
+	})
+	f.Add([]byte{
+		0, 0x00, 0x00, 0, 0, 0, // set 0 of the 4-way cache: ways 0, 1, 2
+		0, 0x01, 0x00, 0, 1, 1,
+		0, 0x02, 0x00, 0, 2, 0,
+		3, 0x01, 0x00, 0, 0, 0, // invalidate way 1: the first invalid way is 1, not 0
+		0, 0x03, 0x00, 0, 3, 1, // scalar Access fills way 1
+		1, 0x04, 0x04, 7, 4, 0x05, // unaligned recorded run fills way 3 of set 0
+		0, 0x00, 0x40, 0, 0, 0, // set 2: ways 0 and 1, then way 1 invalid
+		0, 0x01, 0x40, 0, 1, 0,
+		3, 0x01, 0x40, 0, 0, 0,
+		2, 0x05, 0x44, 2, 5, 0x21, // unaligned counted run fills way 1 of set 2
+		0, 0x06, 0x40, 0, 6, 1, // and a scalar fill takes way 2
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, g := range oracleGeoms {
 			t.Run(fmt.Sprintf("%d-way", g.ways), func(t *testing.T) {

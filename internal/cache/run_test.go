@@ -96,6 +96,31 @@ func TestAccessRunCountMatchesScalar(t *testing.T) {
 			sameState(t, cr, cs)
 		})
 	}
+	// An all-store and a mixed aligned run (the page clear and the user
+	// mix), each over a cache holding lines of every class, clean and
+	// dirty: the run evicts
+	// them all, so every victim histogram slot must reach the same
+	// statistics as the scalar loop's one-at-a-time counting.
+	for _, st := range []Stores{AllStores, 0x8} {
+		cr, cs := New("run", 16<<10, 4, 32), New("scalar", 16<<10, 4, 32)
+		for _, c := range []*Cache{cr, cs} {
+			for i := 0; i < 512; i++ {
+				c.Access(arch.PhysAddr(i*32), Class(i%int(numClasses)), i/int(numClasses)%2 == 1)
+			}
+		}
+		rm, rc := cr.AccessRunCountMask(0x40000, 512, 32, ClassUser, st)
+		sm, sc := scalarCount(cs, 0x40000, 512, 32, ClassUser, st)
+		if rm != sm || rc != sc {
+			t.Fatalf("stores %#x: counts diverge: run (%d misses, %d castouts), scalar (%d, %d)", st, rm, rc, sm, sc)
+		}
+		sameState(t, cr, cs)
+		s := cr.Stats()
+		for v := Class(0); v < numClasses; v++ {
+			if d := s.Castouts[v]; d == 0 || s.EvictedBy[v][ClassUser] == d {
+				t.Fatalf("stores %#x: %v victims: %d evicted, %d dirty; want clean and dirty ones", st, v, s.EvictedBy[v][ClassUser], d)
+			}
+		}
+	}
 }
 
 // AccessRun and AccessNoAllocRun (the tracer/L2 and locked routes) must
@@ -271,4 +296,34 @@ func BenchmarkAccessScalar(b *testing.B) {
 		}
 		pa += 4096
 	}
+}
+
+// BenchmarkAccessScalarMiss is the scalar path's miss-heavy shape, that
+// of the 604 half of xlate-scatter: one Access per op on a 16 KB 4-way
+// cache, four in five references to random lines of a 4 MB span (which
+// miss) and the rest to a 64-line hot set (which stays resident), half
+// of them stores, so about half the victims are dirty.
+func BenchmarkAccessScalarMiss(b *testing.B) {
+	c := New("d", 16<<10, 4, 32)
+	rng := rand.New(rand.NewSource(1))
+	const nrefs = 4096
+	var pa [nrefs]arch.PhysAddr
+	var write [nrefs]bool
+	for i := range pa {
+		if rng.Intn(5) == 0 {
+			pa[i] = 0x400000 + arch.PhysAddr(rng.Intn(64))<<5
+		} else {
+			pa[i] = arch.PhysAddr(rng.Intn(4<<20)) &^ 3
+		}
+		write[i] = rng.Intn(2) == 0
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(pa[i%nrefs], ClassUser, write[i%nrefs])
+	}
+	b.StopTimer()
+	s := c.Stats()
+	b.ReportMetric(s.MissRate(), "miss/op")
+	b.ReportMetric(float64(s.Castouts[ClassUser])/float64(max(s.TotalMisses(), 1)), "castout/miss")
 }

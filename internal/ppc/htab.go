@@ -28,9 +28,11 @@ const (
 // bus access there so the table's cache behaviour is simulated, not
 // assumed.
 type HTAB struct {
-	groups  int
-	buckets [][]arch.PTE
-	base    arch.PhysAddr
+	groups int
+	// ptes holds the whole table flat, group-major, as the hardware
+	// lays it out: group g is ptes[g*PTEGSize:][:PTEGSize] (see bucket).
+	ptes []arch.PTE
+	base arch.PhysAddr
 	// inhibited marks the table cache-inhibited (§8's proposed fix:
 	// don't let page-table walks pollute the cache).
 	inhibited bool
@@ -45,11 +47,16 @@ func NewHTAB(groups int, base arch.PhysAddr) *HTAB {
 	if groups <= 0 || groups&(groups-1) != 0 {
 		panic(fmt.Sprintf("ppc: HTAB group count %d not a power of two", groups))
 	}
-	h := &HTAB{groups: groups, buckets: make([][]arch.PTE, groups), base: base}
-	for i := range h.buckets {
-		h.buckets[i] = make([]arch.PTE, arch.PTEGSize)
-	}
-	return h
+	return &HTAB{groups: groups, ptes: make([]arch.PTE, groups*arch.PTEGSize), base: base}
+}
+
+// bucket returns group g's eight PTEs, capped so no append or reslice
+// can reach the next group.
+//
+//mmutricks:noalloc
+func (h *HTAB) bucket(g int) []arch.PTE {
+	i := g * arch.PTEGSize
+	return h.ptes[i : i+arch.PTEGSize : i+arch.PTEGSize]
 }
 
 // Groups returns the PTEG count.
@@ -113,7 +120,7 @@ func (h *HTAB) touchRun(bus Bus, group, slot, n int, write bool) {
 //mmutricks:noalloc
 func (h *HTAB) Search(vpn arch.VPN, bus Bus) (pte *arch.PTE, primary bool, accesses int) {
 	pg := arch.HashPrimary(vpn, h.groups)
-	pb := h.buckets[pg]
+	pb := h.bucket(pg)
 	for s := range pb {
 		if e := &pb[s]; e.Matches(vpn) && !e.Hash {
 			h.touchRun(bus, pg, 0, s+1, false)
@@ -123,7 +130,7 @@ func (h *HTAB) Search(vpn arch.VPN, bus Bus) (pte *arch.PTE, primary bool, acces
 	h.touchRun(bus, pg, 0, arch.PTEGSize, false)
 	accesses = arch.PTEGSize
 	sg := arch.HashSecondary(vpn, h.groups)
-	sb := h.buckets[sg]
+	sb := h.bucket(sg)
 	for s := range sb {
 		if e := &sb[s]; e.Matches(vpn) && e.Hash {
 			h.touchRun(bus, sg, 0, s+1, false)
@@ -152,7 +159,7 @@ func (h *HTAB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited bool, bus Bus, zombi
 		g    int
 		hash bool
 	}{{pg, false}, {sg, true}} {
-		b := h.buckets[loc.g]
+		b := h.bucket(loc.g)
 		for s := range b {
 			if !b[s].Valid {
 				h.touchRun(bus, loc.g, 0, s+1, false)
@@ -173,7 +180,7 @@ func (h *HTAB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited bool, bus Bus, zombi
 		g, hash = sg, true
 		pick -= arch.PTEGSize
 	}
-	victim := h.buckets[g][pick]
+	victim := h.bucket(g)[pick]
 	h.place(g, pick, vpn, rpn, inhibited, hash)
 	h.touch(bus, g, pick, true)
 	accesses++
@@ -184,7 +191,7 @@ func (h *HTAB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited bool, bus Bus, zombi
 }
 
 func (h *HTAB) place(g, s int, vpn arch.VPN, rpn arch.PFN, inhibited, hash bool) {
-	h.buckets[g][s] = arch.PTE{
+	h.bucket(g)[s] = arch.PTE{
 		Valid: true, VSID: vpn.VSID(), API: vpn.PageIndex(),
 		Hash: hash, RPN: rpn, R: true, CacheInhibited: inhibited,
 	}
@@ -195,8 +202,8 @@ func (h *HTAB) place(g, s int, vpn arch.VPN, rpn arch.PFN, inhibited, hash bool)
 // free (used by policy decisions before the charged insert).
 func (h *HTAB) BucketsFull(vpn arch.VPN) bool {
 	for _, g := range []int{arch.HashPrimary(vpn, h.groups), arch.HashSecondary(vpn, h.groups)} {
-		for s := range h.buckets[g] {
-			if !h.buckets[g][s].Valid {
+		for _, e := range h.bucket(g) {
+			if !e.Valid {
 				return false
 			}
 		}
@@ -234,7 +241,7 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 	}
 	for i := 0; i < n; i++ {
 		g := (start + i) % h.groups
-		b := h.buckets[g]
+		b := h.bucket(g)
 		// Groups with nothing to reclaim — the overwhelmingly common
 		// case in steady state — are a pure read sweep, so the eight
 		// touches collapse into one run. A group with a zombie keeps the
@@ -266,13 +273,10 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 // ForEachValid calls fn for every valid PTE in the table, in bucket
 // order; fn returning false stops the walk.
 func (h *HTAB) ForEachValid(fn func(vpn arch.VPN, rpn arch.PFN) bool) {
-	for g := range h.buckets {
-		for s := range h.buckets[g] {
-			e := &h.buckets[g][s]
-			if e.Valid {
-				if !fn(e.VPN(), e.RPN) {
-					return
-				}
+	for i := range h.ptes {
+		if e := &h.ptes[i]; e.Valid {
+			if !fn(e.VPN(), e.RPN) {
+				return
 			}
 		}
 	}
@@ -280,22 +284,16 @@ func (h *HTAB) ForEachValid(fn func(vpn arch.VPN, rpn arch.PFN) bool) {
 
 // InvalidateAll clears the whole table (boot / full flush).
 func (h *HTAB) InvalidateAll() {
-	for g := range h.buckets {
-		for s := range h.buckets[g] {
-			h.buckets[g][s] = arch.PTE{}
-		}
-	}
+	clear(h.ptes)
 }
 
 // Occupancy returns the number of valid PTEs (live + zombie) — the
 // paper's 600–700 vs 1400–2200 out of 16384 measurements.
 func (h *HTAB) Occupancy() int {
 	n := 0
-	for g := range h.buckets {
-		for s := range h.buckets[g] {
-			if h.buckets[g][s].Valid {
-				n++
-			}
+	for i := range h.ptes {
+		if h.ptes[i].Valid {
+			n++
 		}
 	}
 	return n
@@ -304,12 +302,9 @@ func (h *HTAB) Occupancy() int {
 // LiveOccupancy returns how many valid PTEs belong to live contexts.
 func (h *HTAB) LiveOccupancy(zombie func(arch.VSID) bool) int {
 	n := 0
-	for g := range h.buckets {
-		for s := range h.buckets[g] {
-			e := &h.buckets[g][s]
-			if e.Valid && (zombie == nil || !zombie(e.VSID)) {
-				n++
-			}
+	for i := range h.ptes {
+		if e := &h.ptes[i]; e.Valid && (zombie == nil || !zombie(e.VSID)) {
+			n++
 		}
 	}
 	return n
@@ -320,10 +315,10 @@ func (h *HTAB) LiveOccupancy(zombie func(arch.VSID) bool) int {
 // constant (§5.2).
 func (h *HTAB) OccupancyHistogram() *hwmon.Histogram {
 	hist := hwmon.NewHistogram(arch.PTEGSize + 1)
-	for g := range h.buckets {
+	for g := 0; g < h.groups; g++ {
 		n := 0
-		for s := range h.buckets[g] {
-			if h.buckets[g][s].Valid {
+		for _, e := range h.bucket(g) {
+			if e.Valid {
 				n++
 			}
 		}

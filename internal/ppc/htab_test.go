@@ -267,3 +267,97 @@ func TestHTABEntryAddrDistinct(t *testing.T) {
 		t.Fatal("PTE stride wrong")
 	}
 }
+
+// TestHTABBucketsDisjoint holds the flat table's groups apart: each
+// bucket is exactly one PTEG long and capped there, and filling all
+// eight slots of a group (or appending past them) leaves the groups
+// beside it byte-identical.
+func TestHTABBucketsDisjoint(t *testing.T) {
+	h := NewHTAB(8, 0)
+	for i := range h.ptes {
+		h.ptes[i] = arch.PTE{VSID: arch.VSID(i), API: uint32(i), RPN: arch.PFN(i)}
+	}
+	for g := 0; g < h.Groups(); g++ {
+		b := h.bucket(g)
+		if len(b) != arch.PTEGSize || cap(b) != arch.PTEGSize {
+			t.Fatalf("bucket(%d): len %d, cap %d, want %d", g, len(b), cap(b), arch.PTEGSize)
+		}
+		before := append([]arch.PTE(nil), h.ptes...)
+		for s := range b {
+			b[s] = arch.PTE{Valid: true, VSID: 0xabcdef, API: 0xffff, Hash: true, RPN: 0xfffff, R: true, C: true}
+		}
+		_ = append(b, arch.PTE{Valid: true, RPN: 1})
+		for _, n := range []int{g - 1, g + 1} {
+			if n < 0 || n >= h.Groups() {
+				continue
+			}
+			for s := 0; s < arch.PTEGSize; s++ {
+				if got, want := h.ReadSlot(n, s), before[n*arch.PTEGSize+s]; got != want {
+					t.Fatalf("filling group %d changed group %d slot %d: %+v, was %+v", g, n, s, got, want)
+				}
+			}
+		}
+		for s := range b {
+			if h.ReadSlot(g, s) != b[s] || h.EntryAddr(g, s) != h.base+arch.PhysAddr((g*arch.PTEGSize+s)*arch.PTEBytes) {
+				t.Fatalf("bucket(%d) slot %d is not the table's PTE at that address", g, s)
+			}
+		}
+	}
+}
+
+var htabSink *HTAB
+
+// NewHTAB allocates the table struct and one flat PTE array, whatever
+// the group count.
+func TestNewHTABAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(20, func() { htabSink = NewHTAB(arch.DefaultHTABGroups, 0) }); n > 2 {
+		t.Fatalf("NewHTAB allocates %.0f times, want at most 2", n)
+	}
+}
+
+// runCountingBus is countingBus with the batched entry point
+// machine.Machine offers, so a search's touches cost one call per run.
+type runCountingBus struct{ countingBus }
+
+//mmutricks:noalloc
+func (b *runCountingBus) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool) {
+	b.n += n
+}
+
+// BenchmarkHTABSearch times Search by outcome over a table filled to
+// 90% of its 16384 slots: a primary hit, a secondary hit (found after
+// the full primary bucket), and a miss (both buckets scanned, 16
+// accesses). Each sub-benchmark cycles through 1024 VPNs of its
+// outcome, so the groups it reads are scattered over the table.
+func BenchmarkHTABSearch(b *testing.B) {
+	h := newTestHTAB()
+	const fill = arch.DefaultHTABGroups * arch.PTEGSize * 9 / 10
+	for i := 0; i < fill; i++ {
+		h.Insert(arch.VPNOf(arch.VSID(i>>4+1), arch.EffectiveAddr(i&15)<<arch.PageShift), arch.PFN(i), false, nil, nil)
+	}
+	var primary, secondary, miss []arch.VPN
+	for i := 0; len(primary) < 1024 || len(secondary) < 1024 || len(miss) < 1024; i++ {
+		vpn := arch.VPNOf(arch.VSID(i>>4+1), arch.EffectiveAddr(i&15)<<arch.PageShift)
+		pte, prim, _ := h.Search(vpn, nil)
+		switch {
+		case pte == nil:
+			miss = append(miss, vpn)
+		case prim:
+			primary = append(primary, vpn)
+		default:
+			secondary = append(secondary, vpn)
+		}
+	}
+	for _, o := range []struct {
+		name string
+		vpns []arch.VPN
+	}{{"primary", primary[:1024]}, {"secondary", secondary[:1024]}, {"miss", miss[:1024]}} {
+		b.Run(o.name, func(b *testing.B) {
+			var bus runCountingBus
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.Search(o.vpns[i&1023], &bus)
+			}
+		})
+	}
+}

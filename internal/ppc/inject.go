@@ -199,9 +199,9 @@ func (h *HTAB) CorruptPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim a
 		if g == pg || g == sg {
 			continue
 		}
-		for s := range h.buckets[g] {
-			e := &h.buckets[g][s]
-			if e.Valid {
+		b := h.bucket(g)
+		for s := range b {
+			if e := &b[s]; e.Valid {
 				e.RPN ^= 1
 				return g, s, e.VPN(), true
 			}
@@ -224,9 +224,9 @@ func (h *HTAB) ResurrectPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim
 		if g == pg || g == sg {
 			continue
 		}
-		for s := range h.buckets[g] {
-			e := &h.buckets[g][s]
-			if !e.Valid && (e.RPN != 0 || e.VSID != 0 || e.API != 0) {
+		b := h.bucket(g)
+		for s := range b {
+			if e := &b[s]; !e.Valid && (e.RPN != 0 || e.VSID != 0 || e.API != 0) {
 				e.Valid = true
 				e.RPN ^= 1
 				return g, s, e.VPN(), true
@@ -251,13 +251,13 @@ func (h *HTAB) SlotOf(pa arch.PhysAddr) (group, slot int, ok bool) {
 }
 
 // ReadSlot returns the PTE in a slot (valid or not).
-func (h *HTAB) ReadSlot(group, slot int) arch.PTE { return h.buckets[group][slot] }
+func (h *HTAB) ReadSlot(group, slot int) arch.PTE { return h.bucket(group)[slot] }
 
 // InvalidateSlot clears one slot's valid bit, charging the store
 // through the bus like every other table write.
 func (h *HTAB) InvalidateSlot(group, slot int, bus Bus) {
-	if h.buckets[group][slot].Valid {
-		h.buckets[group][slot].Valid = false
+	if e := &h.bucket(group)[slot]; e.Valid {
+		e.Valid = false
 		h.touch(bus, group, slot, true)
 	}
 }

@@ -2,17 +2,17 @@
 # check.sh — the repo's tier-1 gate: build, vet, formatting, mmulint
 # (the hygiene checks plus the whole-program proofs: transitive
 # noalloc, determinism zones, counter↔trace parity, model↔kernel
-# transition parity, and phase-span balance), the full test suite
-# under the race detector, the mmumodel gates (exhaustive exploration
-# of the context-switch/MM state machine plus a kernel refinement
-# pass), and the CLI exit-code gates (quick mmureport -all and an
-# mmuchaos escalate soak, whose distinct exit codes — 3 cycle-budget,
-# 4 panic, 5 audit — propagate as this script's own exit status
-# instead of collapsing to 1). CI and `make check` both run exactly
-# this script. The test suite includes the fault-injection and
-# chaos-soak audits (internal/faultinject, internal/chaos,
-# internal/kernel machine-check tests), so passing this gate also
-# certifies the machine-check recovery identities.
+# transition parity, and phase-span balance), the cache's inlining
+# guard, the full test suite under the race detector, the mmumodel
+# gates (exhaustive exploration of the context-switch/MM state machine
+# plus a kernel refinement pass), and the CLI exit-code gates (quick
+# mmureport -all and an mmuchaos escalate soak, whose distinct exit
+# codes — 3 cycle-budget, 4 panic, 5 audit — propagate as this
+# script's own exit status instead of collapsing to 1). CI and `make
+# check` both run exactly this script. The test suite includes the
+# fault-injection and chaos-soak audits (internal/faultinject,
+# internal/chaos, internal/kernel machine-check tests), so passing this
+# gate also certifies the machine-check recovery identities.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,6 +33,45 @@ fi
 
 echo '== go run ./cmd/mmulint ./...'
 go run ./cmd/mmulint ./...
+
+# The 4-way cache paths do their probe and fill through two small
+# helpers that must inline: a helper grown past the inliner's budget
+# turns every simulated reference into a call and gives back most of
+# the inlined miss path's speed, with no test failing. The build is
+# without PGO, so the guard holds for every build.
+echo '== inlining: probe4 and fill4 in every 4-way cache path'
+go build -pgo=off -gcflags=-m ./internal/cache 2>&1 | awk '
+	FNR == NR {
+		if ($0 ~ /^func /) {
+			name = $0
+			sub(/^func (\([^)]*\) )?/, "", name)
+			sub(/[[(].*/, "", name)
+			nf++
+			start[nf] = FNR
+			fname[nf] = name
+		}
+		next
+	}
+	/^internal\/cache\/cache\.go:[0-9]+:[0-9]+: inlining call to (probe4|fill4)$/ {
+		split($0, pos, ":")
+		f = ""
+		for (i = 1; i <= nf && start[i] <= pos[2] + 0; i++)
+			f = fname[i]
+		inlined[f " " $NF] = 1
+	}
+	END {
+		bad = 0
+		n = split("Access accessGroups mixedRun", fns, " ")
+		for (i = 1; i <= n; i++)
+			for (h = 0; h < 2; h++) {
+				helper = h ? "fill4" : "probe4"
+				if (!((fns[i] " " helper) in inlined)) {
+					printf "check: %s is no longer inlined into (*Cache).%s\n", helper, fns[i] > "/dev/stderr"
+					bad = 1
+				}
+			}
+		exit bad
+	}' internal/cache/cache.go -
 
 echo '== go test -race ./...'
 go test -race ./...

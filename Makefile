@@ -12,9 +12,9 @@ test:
 # lint runs mmulint (tools/analyzers): the cyclecost, invariantcheck,
 # and registry disciplines, plus the whole-program proofs — transitive
 # noalloc over the call graph, determinism of byte-identical-output
-# packages, hwmon↔mmtrace parity, model↔kernel transition parity, and
-# phase-span balance. check runs this too; lint alone is the fast
-# iteration loop while annotating.
+# packages, model↔kernel transition parity, and phase-span balance.
+# check runs this too; lint alone is the fast iteration loop while
+# annotating.
 lint:
 	go run ./cmd/mmulint ./...
 

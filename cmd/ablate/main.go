@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 
 	"mmutricks/internal/ablate"
+	"mmutricks/internal/cli"
 	"mmutricks/internal/clock"
 	"mmutricks/internal/exitcode"
 	"mmutricks/internal/kbuild"
@@ -35,15 +35,7 @@ func main() {
 }
 
 func run() (code int) {
-	// Contain a crashed or budget-tripped run and classify it through
-	// the repo-wide exit-code contract instead of dying with status 2.
-	defer func() {
-		if p := recover(); p != nil {
-			reason := report.FailureReason(p)
-			fmt.Fprintf(os.Stderr, "ablate: FAILED(%s): %v\n%s", reason, p, debug.Stack())
-			code = exitcode.ForFailReasons([]string{reason})
-		}
-	}()
+	defer cli.Recover("ablate", &code)
 	var (
 		cpu    = flag.String("cpu", "603/180", "CPU model: 603/133, 603/180, 604/133, 604/185, 604/200")
 		units  = flag.Int("units", 4, "compile units per measured run (14 runs total)")

@@ -11,16 +11,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/debug"
-	"runtime/pprof"
 
+	"mmutricks/internal/cli"
 	"mmutricks/internal/clock"
 	"mmutricks/internal/exitcode"
 	"mmutricks/internal/kbuild"
 	"mmutricks/internal/kernel"
 	"mmutricks/internal/machine"
-	"mmutricks/internal/report"
+	"mmutricks/internal/telemetry"
 )
 
 func main() {
@@ -28,17 +26,7 @@ func main() {
 }
 
 func run() (code int) {
-	// Contain a crashed or budget-tripped run and classify it through
-	// the repo-wide exit-code contract instead of dying with status 2.
-	// The recover defer is declared first so the profile-flushing defers
-	// below still run during unwinding before the code is chosen.
-	defer func() {
-		if p := recover(); p != nil {
-			reason := report.FailureReason(p)
-			fmt.Fprintf(os.Stderr, "kcompile: FAILED(%s): %v\n%s", reason, p, debug.Stack())
-			code = exitcode.ForFailReasons([]string{reason})
-		}
-	}()
+	defer cli.Recover("kcompile", &code)
 	var (
 		cpu        = flag.String("cpu", "604/185", "CPU model: 603/133, 603/180, 604/133, 604/185, 604/200")
 		cfgName    = flag.String("config", "optimized", "kernel config: unoptimized, optimized, optimized+htab")
@@ -67,40 +55,16 @@ func run() (code int) {
 	bcfg.WorkPages = *work
 	bcfg.StrayRefs = *strays
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kcompile: %v\n", err)
-			return exitcode.Internal
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "kcompile: %v\n", err)
-			return exitcode.Internal
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := cli.Profile("kcompile", *cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kcompile: %v\n", err)
+		return exitcode.Internal
 	}
-	defer func() {
-		if *memprofile == "" {
-			return
-		}
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kcompile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "kcompile: %v\n", err)
-		}
-	}()
+	defer stopProfiles()
 
 	k := kernel.New(machine.New(model), cfg)
 	if *profile {
-		k.EnableProfiling()
+		k.M.Ph.Enable(telemetry.Options{})
 	}
 	r := kbuild.Run(k, bcfg)
 
@@ -117,7 +81,7 @@ func run() (code int) {
 		fmt.Printf("\n%s", k.M.Mon.String())
 	}
 	if *profile {
-		fmt.Printf("\nkernel-path profile:\n%s", k.Profile().String())
+		fmt.Printf("\nkernel-path profile:\n%s", k.M.Ph.String())
 	}
 	return exitcode.OK
 }

@@ -20,8 +20,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 
+	"mmutricks/internal/cli"
 	"mmutricks/internal/clock"
 	"mmutricks/internal/exitcode"
 	"mmutricks/internal/hwmon"
@@ -36,15 +36,7 @@ func main() {
 }
 
 func run() (code int) {
-	// Contain a crashed or budget-tripped run and classify it through
-	// the repo-wide exit-code contract instead of dying with status 2.
-	defer func() {
-		if p := recover(); p != nil {
-			reason := report.FailureReason(p)
-			fmt.Fprintf(os.Stderr, "lmbench: FAILED(%s): %v\n%s", reason, p, debug.Stack())
-			code = exitcode.ForFailReasons([]string{reason})
-		}
-	}()
+	defer cli.Recover("lmbench", &code)
 	var (
 		cpu      = flag.String("cpu", "604/185", "CPU model: 603/133, 603/180, 604/133, 604/185, 604/200")
 		cfgName  = flag.String("config", "optimized", "kernel config: unoptimized, optimized, optimized+htab")

@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the cu
 // fixture tree holding one violation per whole-program proof pass.
 func TestGolden(t *testing.T) {
 	prog, err := load.Load(load.Config{FakeRoot: "testdata/src", Tests: true},
-		"proofs/kern", "report", "mmutricks/internal/hwmon", "mmutricks/internal/mmtrace")
+		"proofs/kern", "report")
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}

@@ -5,9 +5,8 @@
 // (registry) — and the whole-program proofs: transitive
 // //mmutricks:noalloc over the call graph (noalloctrans), determinism
 // of the packages that promise byte-identical output (determinism),
-// counter↔trace parity between hwmon increments and mmtrace emits
-// (parity), model↔kernel transition parity (transitions), and
-// telemetry phase-span balance (phasebalance). The registry lives in
+// model↔kernel transition parity (transitions), and telemetry
+// phase-span balance (phasebalance). The registry lives in
 // tools/analyzers/suite: -list shows every registered pass and -run
 // selects any of them.
 //

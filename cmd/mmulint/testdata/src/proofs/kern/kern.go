@@ -1,27 +1,11 @@
-// Package kern is half of the golden fixture: one noalloctrans chain
-// and one parity violation, so the golden file pins those passes'
-// messages and ordering.
+// Package kern is half of the golden fixture: one noalloctrans chain,
+// so the golden file pins that pass's messages and ordering.
 package kern
-
-import (
-	"mmutricks/internal/hwmon"
-	"mmutricks/internal/mmtrace"
-)
-
-type K struct {
-	Mon hwmon.Counters
-	Trc *mmtrace.Tracer
-}
-
-// Miss drops the counter's paired emit.
-func (k *K) Miss() {
-	k.Mon.TLBMisses++
-}
 
 // Hot is proven noalloc but reaches an allocating helper.
 //
 //mmutricks:noalloc
-func (k *K) Hot() int {
+func Hot() int {
 	return helper()
 }
 

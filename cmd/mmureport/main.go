@@ -26,9 +26,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"time"
 
+	"mmutricks/internal/cli"
 	"mmutricks/internal/exitcode"
 	"mmutricks/internal/report"
 )
@@ -67,22 +67,12 @@ func run() int {
 		scale = report.Full
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmureport: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mmureport: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := cli.Profile("mmureport", *cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mmureport: %v\n", err)
+		return exitcode.Internal
 	}
-	defer writeMemProfile(*memprofile)
+	defer stopProfiles()
 
 	report.SetParallelism(*j)
 
@@ -126,22 +116,6 @@ func run() int {
 		return exitcode.Usage
 	}
 	return 0
-}
-
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmureport: %v\n", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintf(os.Stderr, "mmureport: %v\n", err)
-	}
 }
 
 // benchExperiment is one registry entry's cost in the sequential pass,

@@ -11,6 +11,7 @@ import (
 	"mmutricks/internal/kbuild"
 	"mmutricks/internal/kernel"
 	"mmutricks/internal/machine"
+	"mmutricks/internal/telemetry"
 )
 
 func main() {
@@ -29,10 +30,10 @@ func main() {
 		{"optimized", kernel.Optimized()},
 	} {
 		k := kernel.New(machine.New(clock.PPC603At180()), kc.cfg)
-		k.EnableProfiling()
+		k.M.Ph.Enable(telemetry.Options{})
 		r := kbuild.Run(k, cfg)
 		fmt.Printf("\n== %s (compute %.4f sim s) ==\n", kc.name, r.ComputeSeconds)
-		fmt.Print(k.Profile().String())
+		fmt.Print(k.M.Ph.String())
 	}
 	fmt.Println("\nThe miss-handler and flush shares collapsing into user time IS the")
 	fmt.Println("paper: every section (§5-§9) attacks one of these kernel slices.")

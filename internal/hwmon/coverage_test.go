@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// These tests walk the Counters struct with reflection so a counter
-// added by a future PR cannot be silently dropped from aggregation
-// (Add), windowing (Delta), or reports (String): the hand-written
-// field lists in those methods must keep up with the struct.
+// These tests walk the Counters struct with reflection so a new
+// counter cannot be silently dropped from aggregation (Add), windowing
+// (Delta), or reports (String): Add and Delta share one loop over the
+// fields, and String's hand-written labels must keep up with the
+// struct.
 
 // distinct fills each field of a Counters with a distinct large value
 // (base + 7i, all >= 100000 so no value collides with a field index or

@@ -103,48 +103,7 @@ func (c *Counters) Snapshot() Counters { return *c }
 // Delta returns the change since an earlier snapshot.
 func (c *Counters) Delta(since Counters) Counters {
 	d := *c
-	d.TLBHits -= since.TLBHits
-	d.TLBMisses -= since.TLBMisses
-	d.BATHits -= since.BATHits
-	d.HTABHits -= since.HTABHits
-	d.HTABMisses -= since.HTABMisses
-	d.HTABPrimaryHits -= since.HTABPrimaryHits
-	d.HTABInserts -= since.HTABInserts
-	d.HTABEvictsValid -= since.HTABEvictsValid
-	d.HTABEvictsZombie -= since.HTABEvictsZombie
-	d.HTABFreeSlot -= since.HTABFreeSlot
-	d.HTABFlushSearches -= since.HTABFlushSearches
-	d.SoftwareReloads -= since.SoftwareReloads
-	d.HardwareWalks -= since.HardwareWalks
-	d.HashMissFaults -= since.HashMissFaults
-	d.MinorFaults -= since.MinorFaults
-	d.MajorFaults -= since.MajorFaults
-	d.FlushPage -= since.FlushPage
-	d.FlushRange -= since.FlushRange
-	d.FlushContext -= since.FlushContext
-	d.Signals -= since.Signals
-	d.Syscalls -= since.Syscalls
-	d.CtxSwitches -= since.CtxSwitches
-	d.Forks -= since.Forks
-	d.Execs -= since.Execs
-	d.Exits -= since.Exits
-	d.KthreadMMSwitches -= since.KthreadMMSwitches
-	d.SwapOuts -= since.SwapOuts
-	d.SwapIns -= since.SwapIns
-	d.OnDemandScans -= since.OnDemandScans
-	d.IdlePolls -= since.IdlePolls
-	d.ZombiesReclaimed -= since.ZombiesReclaimed
-	d.IdlePagesCleared -= since.IdlePagesCleared
-	d.ClearedPageHits -= since.ClearedPageHits
-	d.IdleWaits -= since.IdleWaits
-	d.IdleScans -= since.IdleScans
-	d.MachineChecks -= since.MachineChecks
-	d.MCRepairsTLB -= since.MCRepairsTLB
-	d.MCRepairsHTAB -= since.MCRepairsHTAB
-	d.MCRepairsBAT -= since.MCRepairsBAT
-	d.MCRepairsCache -= since.MCRepairsCache
-	d.MCEscalations -= since.MCEscalations
-	d.MCSpurious -= since.MCSpurious
+	d.zip(&since, func(a, b uint64) uint64 { return a - b })
 	return d
 }
 
@@ -152,48 +111,16 @@ func (c *Counters) Delta(since Counters) Counters {
 // benchmark drivers use it to aggregate monitors from independent
 // per-benchmark kernels into one machine-wide view.
 func (c *Counters) Add(o Counters) {
-	c.TLBHits += o.TLBHits
-	c.TLBMisses += o.TLBMisses
-	c.BATHits += o.BATHits
-	c.HTABHits += o.HTABHits
-	c.HTABMisses += o.HTABMisses
-	c.HTABPrimaryHits += o.HTABPrimaryHits
-	c.HTABInserts += o.HTABInserts
-	c.HTABEvictsValid += o.HTABEvictsValid
-	c.HTABEvictsZombie += o.HTABEvictsZombie
-	c.HTABFreeSlot += o.HTABFreeSlot
-	c.HTABFlushSearches += o.HTABFlushSearches
-	c.SoftwareReloads += o.SoftwareReloads
-	c.HardwareWalks += o.HardwareWalks
-	c.HashMissFaults += o.HashMissFaults
-	c.MinorFaults += o.MinorFaults
-	c.MajorFaults += o.MajorFaults
-	c.FlushPage += o.FlushPage
-	c.FlushRange += o.FlushRange
-	c.FlushContext += o.FlushContext
-	c.Signals += o.Signals
-	c.Syscalls += o.Syscalls
-	c.CtxSwitches += o.CtxSwitches
-	c.Forks += o.Forks
-	c.Execs += o.Execs
-	c.Exits += o.Exits
-	c.KthreadMMSwitches += o.KthreadMMSwitches
-	c.SwapOuts += o.SwapOuts
-	c.SwapIns += o.SwapIns
-	c.OnDemandScans += o.OnDemandScans
-	c.IdlePolls += o.IdlePolls
-	c.ZombiesReclaimed += o.ZombiesReclaimed
-	c.IdlePagesCleared += o.IdlePagesCleared
-	c.ClearedPageHits += o.ClearedPageHits
-	c.IdleWaits += o.IdleWaits
-	c.IdleScans += o.IdleScans
-	c.MachineChecks += o.MachineChecks
-	c.MCRepairsTLB += o.MCRepairsTLB
-	c.MCRepairsHTAB += o.MCRepairsHTAB
-	c.MCRepairsBAT += o.MCRepairsBAT
-	c.MCRepairsCache += o.MCRepairsCache
-	c.MCEscalations += o.MCEscalations
-	c.MCSpurious += o.MCSpurious
+	c.zip(&o, func(a, b uint64) uint64 { return a + b })
+}
+
+// zip sets every counter of c to f(its value, o's value) — one loop
+// over the fields, so a new counter needs no entry here.
+func (c *Counters) zip(o *Counters, f func(a, b uint64) uint64) {
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).SetUint(f(cv.Field(i).Uint(), ov.Field(i).Uint()))
+	}
 }
 
 // CounterNames returns the Go field name of every counter, in

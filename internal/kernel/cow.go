@@ -5,8 +5,8 @@ import (
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/clock"
-	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/pagetable"
+	"mmutricks/internal/telemetry"
 )
 
 // Copy-on-write fork (Config.COWFork). Fork maps the parent's private
@@ -83,15 +83,14 @@ func (k *Kernel) forkCOW(parent, child *Task) {
 // takes: copy the page for the writer (or reclaim exclusivity if the
 // writer is the last sharer) and flush the stale translation.
 func (k *Kernel) cowBreak(t *Task, ea arch.EffectiveAddr) {
-	defer k.span(PathFault)()
+	defer k.M.Ph.Span(telemetry.PhaseFault)()
 	pn := ea.PageNumber()
 	start := k.M.Led.Now()
 	defer func() {
-		k.M.Trc.Emit(mmtrace.KindMinorFault, t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start, 0)
+		k.M.Trc.MinorFault(t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start)
 	}()
 	k.M.Led.Charge(clock.Cycles(k.M.Model.MissHandlerEntry))
 	k.kexecHandler(textPageFault+0x400, cowFaultInstr)
-	k.M.Mon.MinorFaults++
 
 	e, ok := t.PT.Lookup(ea.PageBase())
 	if !ok {

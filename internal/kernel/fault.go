@@ -6,8 +6,8 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
-	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/ppc"
+	"mmutricks/internal/telemetry"
 )
 
 // Instruction-path lengths of the fault handlers. The fast handlers are
@@ -86,7 +86,7 @@ func (k *Kernel) kdataDirect(off uint32, nbytes int, write bool) {
 
 // handleFault services a TLB miss (603) or hash-table miss (604).
 func (k *Kernel) handleFault(t *Task, ea arch.EffectiveAddr, r ppc.Result, instr bool) {
-	defer k.span(PathMiss)()
+	defer k.M.Ph.Span(telemetry.PhaseTLBMiss)()
 	k.faultDepth++
 	defer func() { k.faultDepth-- }()
 	if k.faultDepth > 6 {
@@ -104,15 +104,14 @@ func (k *Kernel) handleFault(t *Task, ea arch.EffectiveAddr, r ppc.Result, instr
 	start := k.M.Led.Now()
 	switch r.Fault {
 	case ppc.FaultTLBMiss:
-		k.M.Mon.SoftwareReloads++
 		k.handlerOverhead()
 		k.reload603(t, ea, r.VPN, instr)
-		k.M.Trc.Emit(mmtrace.KindSoftReload, r.VPN.VSID(), ea, k.M.Led.Now()-start, 0)
+		k.M.Trc.SoftReload(r.VPN.VSID(), ea, k.M.Led.Now()-start)
 	case ppc.FaultHashMiss:
 		// The MMU already charged the >=91-cycle interrupt cost.
 		k.handlerOverhead()
 		k.reload604(t, ea, r.VPN)
-		k.M.Trc.Emit(mmtrace.KindHashMissFault, r.VPN.VSID(), ea, k.M.Led.Now()-start, 0) //mmutricks:parity-ok HashMissFaults increments at the raise site, ppc.(*MMU).Translate; the emit waits here for the handler cost
+		k.M.Trc.HashMissHandled(r.VPN.VSID(), ea, k.M.Led.Now()-start)
 	default:
 		panic("kernel: unknown fault")
 	}
@@ -215,17 +214,14 @@ func (k *Kernel) softSearch(vpn arch.VPN) *arch.PTE {
 	k.M.Led.Charge(clock.Cycles(accesses * softSearchPerPTE))
 	cost := k.M.Led.Now() - start
 	if pte != nil {
-		k.M.Mon.HTABHits++
 		if primary {
-			k.M.Mon.HTABPrimaryHits++
-			k.M.Trc.Emit(mmtrace.KindHTABHitPrimary, vpn.VSID(), 0, cost, 0)
+			k.M.Trc.HTABHitPrimary(vpn.VSID(), 0, cost)
 		} else {
-			k.M.Trc.Emit(mmtrace.KindHTABHitSecondary, vpn.VSID(), 0, cost, 0)
+			k.M.Trc.HTABHitSecondary(vpn.VSID(), 0, cost)
 		}
 		pte.R = true
 	} else {
-		k.M.Mon.HTABMisses++
-		k.M.Trc.Emit(mmtrace.KindHTABMiss, vpn.VSID(), 0, cost, 0)
+		k.M.Trc.HTABMiss(vpn.VSID(), 0, cost)
 	}
 	return pte
 }
@@ -239,27 +235,21 @@ func (k *Kernel) htabInsert(vpn arch.VPN, rpn arch.PFN, inhibited bool) {
 		// paper rejected because "performance would be inconsistent if
 		// we had to occasionally scan the hash table". The unlucky
 		// operation eats a full-table sweep.
-		k.M.Mon.OnDemandScans++
 		scanStart := k.M.Led.Now()
 		_, n := k.M.MMU.HTAB.ReclaimScan(0, k.M.MMU.HTAB.Groups(), k.M, k.zombie)
-		k.M.Mon.ZombiesReclaimed += uint64(n)
-		k.M.Trc.Emit(mmtrace.KindOnDemandScan, vpn.VSID(), 0, k.M.Led.Now()-scanStart, uint32(n))
+		k.M.Trc.OnDemandScan(vpn.VSID(), k.M.Led.Now()-scanStart, uint32(n))
 	}
 	start := k.M.Led.Now()
 	k.M.Led.Charge(hashInsertInstr)
 	out, _ := k.M.MMU.HTAB.Insert(vpn, rpn, inhibited, k.M, k.zombie)
-	k.M.Mon.HTABInserts++
 	cost := k.M.Led.Now() - start
 	switch out {
 	case ppc.InsertFreeSlot:
-		k.M.Mon.HTABFreeSlot++
-		k.M.Trc.Emit(mmtrace.KindHTABInsertFree, vpn.VSID(), 0, cost, 0)
+		k.M.Trc.HTABInsertFree(vpn.VSID(), cost)
 	case ppc.InsertEvictLive:
-		k.M.Mon.HTABEvictsValid++
-		k.M.Trc.Emit(mmtrace.KindHTABEvictLive, vpn.VSID(), 0, cost, 0)
+		k.M.Trc.HTABEvictLive(vpn.VSID(), cost)
 	case ppc.InsertEvictZombie:
-		k.M.Mon.HTABEvictsZombie++
-		k.M.Trc.Emit(mmtrace.KindHTABEvictZombie, vpn.VSID(), 0, cost, 0)
+		k.M.Trc.HTABEvictZombie(vpn.VSID(), cost)
 	}
 }
 
@@ -298,7 +288,7 @@ type pagetableEntry struct {
 // access outside every region is a simulation bug and panics (the
 // workloads are well-behaved; there is no one to deliver SIGSEGV to).
 func (k *Kernel) pageFault(t *Task, ea arch.EffectiveAddr) {
-	defer k.span(PathFault)()
+	defer k.M.Ph.Span(telemetry.PhaseFault)()
 	start := k.M.Led.Now()
 	k.kexecHandler(textPageFault, pageFaultInstr)
 	k.kdataDirect(dataVMAs+t.slotOff()%0x1000, 64, false) // vma lookup
@@ -307,23 +297,19 @@ func (k *Kernel) pageFault(t *Task, ea arch.EffectiveAddr) {
 		panic(fmt.Sprintf("kernel: segfault: task %d at %v", t.PID, ea))
 	}
 	pageIdx := int(ea.PageBase()-reg.Start) / arch.PageSize
-	kind := mmtrace.KindMajorFault
+	minor := true
 	switch reg.Kind {
 	case RegionIO:
 		// Device space: shared, cache-inhibited, nothing to allocate.
-		k.M.Mon.MinorFaults++
-		kind = mmtrace.KindMinorFault
 		k.mapPage(t, ea.PageBase(), reg.Backing[pageIdx], true)
 	case RegionText:
 		// File-backed text: the frame is already in the page cache.
-		k.M.Mon.MinorFaults++
-		kind = mmtrace.KindMinorFault
 		k.kdataDirect(dataPageCache, 64, false)
 		k.mapPage(t, ea.PageBase(), reg.Backing[pageIdx], false)
 	default:
 		// Anonymous memory: swapped-out pages come back from the
 		// device; fresh pages are demand-zero.
-		k.M.Mon.MajorFaults++
+		minor = false
 		var pfn arch.PFN
 		if k.isSwapped(t, ea) {
 			pfn = k.swapIn(t, ea)
@@ -333,7 +319,11 @@ func (k *Kernel) pageFault(t *Task, ea arch.EffectiveAddr) {
 		t.ownFrame(pfn)
 		k.mapPage(t, ea.PageBase(), pfn, false)
 	}
-	k.M.Trc.Emit(kind, t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start, 0)
+	if minor {
+		k.M.Trc.MinorFault(t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start)
+	} else {
+		k.M.Trc.MajorFault(t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start)
+	}
 }
 
 // mapPage installs a translation in the task's page tree, charging the

@@ -3,8 +3,8 @@ package kernel
 import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/clock"
-	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/pagetable"
+	"mmutricks/internal/telemetry"
 )
 
 // Flush-path instruction lengths.
@@ -18,8 +18,7 @@ const (
 // table. The hash-table half is the expensive part: a search of up to
 // 16 PTEs (§7).
 func (k *Kernel) flushPage(t *Task, ea arch.EffectiveAddr) {
-	defer k.span(PathFlush)()
-	k.M.Mon.FlushPage++
+	defer k.M.Ph.Span(telemetry.PhaseFlush)()
 	start := k.M.Led.Now()
 	k.kexec(textFlush, flushPageInstr)
 	vpn := arch.VPNOf(t.Segs[ea.SegIndex()], ea)
@@ -28,7 +27,7 @@ func (k *Kernel) flushPage(t *Task, ea arch.EffectiveAddr) {
 		_, accesses := k.M.MMU.HTAB.FlushVPN(vpn, k.M)
 		k.M.Mon.HTABFlushSearches += uint64(accesses)
 	}
-	k.M.Trc.Emit(mmtrace.KindFlushPage, vpn.VSID(), ea, k.M.Led.Now()-start, 0)
+	k.M.Trc.FlushPage(vpn.VSID(), ea, k.M.Led.Now()-start)
 }
 
 // flushRange removes the translations for [start, start+pages*4K). The
@@ -41,22 +40,21 @@ func (k *Kernel) flushRange(t *Task, start arch.EffectiveAddr, pages int) {
 	if k.cfg.FlushRangeCutoff > 0 && pages > k.cfg.FlushRangeCutoff {
 		// The §7 cutoff decision: this range is big enough that a
 		// whole-context flush is cheaper than page-by-page searches.
-		// The cutoff path opens no flush span of its own — the emit is
-		// free, and flushContext below counts the one flush that
-		// actually happens, keeping span entries 1:1 with the flush
-		// counters.
-		k.M.Trc.Emit(mmtrace.KindFlushCutoff, t.Segs[start.SegIndex()], start, 0, uint32(pages))
+		// The cutoff path opens no flush span of its own — its event
+		// is free and counts nothing, and flushContext below counts the
+		// one flush that actually happens, keeping span entries 1:1
+		// with the flush counters.
+		k.M.Trc.FlushCutoff(t.Segs[start.SegIndex()], start, uint32(pages))
 		k.flushContext(t)
 		return
 	}
-	defer k.span(PathFlush)()
-	k.M.Mon.FlushRange++
+	defer k.M.Ph.Span(telemetry.PhaseFlush)()
 	begin := k.M.Led.Now()
 	k.kexec(textFlush+0x200, flushRangeInstr)
 	for i := 0; i < pages; i++ {
 		k.flushPage(t, start+arch.EffectiveAddr(i*arch.PageSize))
 	}
-	k.M.Trc.Emit(mmtrace.KindFlushRange, t.Segs[start.SegIndex()], start, k.M.Led.Now()-begin, uint32(pages))
+	k.M.Trc.FlushRange(t.Segs[start.SegIndex()], start, k.M.Led.Now()-begin, uint32(pages))
 }
 
 // flushContext removes every translation belonging to t.
@@ -69,8 +67,7 @@ func (k *Kernel) flushRange(t *Task, start arch.EffectiveAddr, pages int) {
 // Eager mode: walk every page the task has mapped and hunt its PTE down
 // in the hash table (up to 16 accesses each), then invalidate the TLB.
 func (k *Kernel) flushContext(t *Task) {
-	defer k.span(PathFlush)()
-	k.M.Mon.FlushContext++
+	defer k.M.Ph.Span(telemetry.PhaseFlush)()
 	// The flushed VSID names the context being destroyed (lazy mode
 	// replaces t.Segs before returning).
 	oldVSID := t.Segs[0]
@@ -83,7 +80,7 @@ func (k *Kernel) flushContext(t *Task) {
 		if t == k.cur {
 			k.loadSegments(t)
 		}
-		k.M.Trc.Emit(mmtrace.KindFlushContext, oldVSID, 0, k.M.Led.Now()-start, t.PID)
+		k.M.Trc.FlushContext(oldVSID, k.M.Led.Now()-start, t.PID)
 		return
 	}
 	k.kexec(textFlush+0x400, flushRangeInstr)
@@ -98,7 +95,7 @@ func (k *Kernel) flushContext(t *Task) {
 		}
 	}
 	k.M.MMU.InvalidateTLBs()
-	k.M.Trc.Emit(mmtrace.KindFlushContext, oldVSID, 0, k.M.Led.Now()-start, t.PID)
+	k.M.Trc.FlushContext(oldVSID, k.M.Led.Now()-start, t.PID)
 }
 
 // FlushTaskContext flushes every translation of the current task — the

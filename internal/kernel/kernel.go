@@ -7,6 +7,12 @@ import (
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
 	"mmutricks/internal/machine"
+	// The kernel reaches its tracer as k.M.Trc and never names the
+	// package, but the compiler inlines the typed event calls
+	// (k.M.Trc.MajorFault, ...) only into packages that import mmtrace
+	// themselves; without this import each disabled call would cost a
+	// function call.
+	_ "mmutricks/internal/mmtrace"
 	"mmutricks/internal/ppc"
 	"mmutricks/internal/vsid"
 )

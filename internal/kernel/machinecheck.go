@@ -5,8 +5,8 @@ import (
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/faultinject"
-	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/ppc"
+	"mmutricks/internal/telemetry"
 )
 
 // Machine-check path instruction lengths. Like the other exception
@@ -109,11 +109,10 @@ func (k *Kernel) machineCheck(p faultinject.Pending) {
 	k.inMC = true
 	defer func() { k.inMC = false }()
 
-	defer k.span(PathMCRepair)()
-	k.M.Mon.MachineChecks++
+	defer k.M.Ph.Span(telemetry.PhaseMCRepair)()
 	start := k.M.Led.Now()
 	k.fetchPhysText(textMC, mcEntryInstr)
-	k.M.Trc.Emit(mmtrace.KindMachineCheck, 0, arch.EffectiveAddr(p.Addr), k.M.Led.Now()-start, uint32(p.Cause))
+	k.M.Trc.MachineCheck(p.Addr, k.M.Led.Now()-start, uint32(p.Cause))
 
 	switch p.Cause {
 	case faultinject.CauseTLBParity:
@@ -163,8 +162,7 @@ func (k *Kernel) mcRepairTLB(p faultinject.Pending) {
 			break
 		}
 	}
-	k.M.Mon.MCRepairsTLB++
-	k.M.Trc.Emit(mmtrace.KindMCRepairTLB, p.VPN.VSID(), 0, k.M.Led.Now()-start, 0)
+	k.M.Trc.MCRepairTLB(p.VPN.VSID(), k.M.Led.Now()-start)
 }
 
 // mcRepairHTAB recovers from hash-table ECC poison: invalidate the
@@ -188,8 +186,7 @@ func (k *Kernel) mcRepairHTAB(p faultinject.Pending) {
 		}
 	}
 	k.M.MMU.InvalidateVPNAll(p.VPN)
-	k.M.Mon.MCRepairsHTAB++
-	k.M.Trc.Emit(mmtrace.KindMCRepairHTAB, p.VPN.VSID(), arch.EffectiveAddr(p.Addr), k.M.Led.Now()-start, 0)
+	k.M.Trc.MCRepairHTAB(p.VPN.VSID(), p.Addr, k.M.Led.Now()-start)
 }
 
 // canonicalBATs reconstructs what every BAT register should hold from
@@ -230,8 +227,7 @@ func (k *Kernel) mcRepairBAT(p faultinject.Pending) {
 		}
 	}
 	k.M.Led.Charge(2 * ppc.NumBATs) // mtspr upper/lower per register pair
-	k.M.Mon.MCRepairsBAT++
-	k.M.Trc.Emit(mmtrace.KindMCRepairBAT, 0, arch.EffectiveAddr(p.Addr), k.M.Led.Now()-start, 0)
+	k.M.Trc.MCRepairBAT(p.Addr, k.M.Led.Now()-start)
 }
 
 // mcRepairCache recovers from a clean-line parity error: invalidate the
@@ -242,8 +238,7 @@ func (k *Kernel) mcRepairCache(p faultinject.Pending) {
 	k.fetchPhysText(textMC+0x400, mcRepairInstr)
 	k.M.DCache.InvalidateLine(p.Addr)
 	k.M.Led.Charge(1) // the dcbi itself
-	k.M.Mon.MCRepairsCache++
-	k.M.Trc.Emit(mmtrace.KindMCRepairCache, 0, arch.EffectiveAddr(p.Addr), k.M.Led.Now()-start, 0)
+	k.M.Trc.MCRepairCache(p.Addr, k.M.Led.Now()-start)
 }
 
 // mcEscalate handles unrepairable corruption: ECC poison in a task's
@@ -257,8 +252,7 @@ func (k *Kernel) mcEscalate(p faultinject.Pending) {
 	if t, ok := k.tasks[p.PID]; ok && t.State != TaskZombie {
 		k.killTask(t)
 	}
-	k.M.Mon.MCEscalations++
-	k.M.Trc.Emit(mmtrace.KindMCEscalate, 0, p.EA, k.M.Led.Now()-start, p.PID)
+	k.M.Trc.MCEscalate(p.EA, k.M.Led.Now()-start, p.PID)
 }
 
 // killTask forcibly terminates a task from the machine-check handler.
@@ -295,8 +289,7 @@ func (k *Kernel) mcSpurious(p faultinject.Pending) {
 	if err := k.CheckConsistency(); err != nil {
 		panic(fmt.Sprintf("kernel: spurious machine check found real corruption: %v", err))
 	}
-	k.M.Mon.MCSpurious++
-	k.M.Trc.Emit(mmtrace.KindMCSpurious, 0, arch.EffectiveAddr(p.Addr), k.M.Led.Now()-start, 0)
+	k.M.Trc.MCSpurious(p.Addr, k.M.Led.Now()-start)
 }
 
 // DrainMachineChecks delivers every pending machine check immediately.

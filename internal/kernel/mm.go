@@ -3,7 +3,7 @@ package kernel
 import (
 	"fmt"
 
-	"mmutricks/internal/mmtrace"
+	"mmutricks/internal/telemetry"
 )
 
 // MM is the kernel's per-address-space descriptor — the piece of
@@ -132,7 +132,7 @@ func (k *Kernel) UseMM(t *Task) {
 	if t.State != TaskRunnable || t.mm == nil {
 		panic(fmt.Sprintf("kernel: UseMM on task %d without a live mm", t.PID))
 	}
-	defer k.span(PathSched)()
+	defer k.M.Ph.Span(telemetry.PhaseCtxSwitch)()
 	k.M.Mon.KthreadMMSwitches++
 	k.kexec(textSched+0x600, useMMInstr)
 	m := t.mm
@@ -154,7 +154,7 @@ func (k *Kernel) UnuseMM() {
 	if m == nil {
 		panic("kernel: UnuseMM without UseMM")
 	}
-	defer k.span(PathSched)()
+	defer k.M.Ph.Span(telemetry.PhaseCtxSwitch)()
 	k.M.Mon.KthreadMMSwitches++
 	k.kexec(textSched+0x700, unuseMMInstr)
 	k.mmGrab(m)
@@ -176,12 +176,11 @@ func (k *Kernel) SwitchToIdle() {
 	if k.kthreadMM != nil {
 		panic("kernel: SwitchToIdle during a UseMM span")
 	}
-	defer k.span(PathSched)()
-	k.M.Mon.CtxSwitches++
+	defer k.M.Ph.Span(telemetry.PhaseCtxSwitch)()
 	start := k.M.Led.Now()
 	defer func() {
 		// PID 0: the switch lands in the idle loop.
-		k.M.Trc.Emit(mmtrace.KindCtxSwitch, t.Segs[0], 0, k.M.Led.Now()-start, 0)
+		k.M.Trc.CtxSwitch(t.Segs[0], k.M.Led.Now()-start, 0)
 	}()
 	if k.cfg.FastReload {
 		k.kexec(textSched, schedInstr)

@@ -6,12 +6,13 @@ import (
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/clock"
+	"mmutricks/internal/telemetry"
 )
 
 func TestProfilerOffByDefault(t *testing.T) {
 	k, _ := bootTask(t, clock.PPC604At185(), Optimized())
-	if k.Profile() != nil {
-		t.Fatal("profiler should be nil until enabled")
+	if k.M.Ph.Enabled() {
+		t.Fatal("phase ledger should be off until enabled")
 	}
 	k.SysNull() // must not crash with profiling off
 }
@@ -19,7 +20,7 @@ func TestProfilerOffByDefault(t *testing.T) {
 func TestProfilerAttributesPaths(t *testing.T) {
 	k, _ := bootTask(t, clock.PPC604At185(), Unoptimized())
 	other := k.Fork()
-	k.EnableProfiling()
+	k.M.Ph.Enable(telemetry.Options{})
 
 	for i := 0; i < 20; i++ {
 		k.SysNull()
@@ -31,25 +32,26 @@ func TestProfilerAttributesPaths(t *testing.T) {
 	a := k.SysMmap(64)
 	k.SysMunmap(a, 64) // eager flushing
 
-	p := k.Profile()
-	for _, path := range []Path{PathSyscall, PathMiss, PathFault, PathSched, PathIdle, PathFlush} {
-		if p.Cycles(path) == 0 {
-			t.Errorf("no cycles attributed to %v", path)
+	p := k.M.Ph
+	for _, ph := range []telemetry.Phase{telemetry.PhaseSyscall, telemetry.PhaseTLBMiss, telemetry.PhaseFault,
+		telemetry.PhaseCtxSwitch, telemetry.PhaseIdle, telemetry.PhaseFlush} {
+		if p.Cycles(ph) == 0 {
+			t.Errorf("no cycles attributed to %v", ph)
 		}
 	}
-	if p.Cycles(PathUser) == 0 {
+	if p.Cycles(telemetry.PhaseUser) == 0 {
 		t.Error("no user cycles")
 	}
 	// Fractions sum to ~1.
 	var sum float64
-	for _, path := range Paths {
-		sum += p.Fraction(path)
+	for _, ph := range telemetry.AllPhases {
+		sum += p.Fraction(ph)
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("fractions sum to %f", sum)
 	}
 	if !strings.Contains(p.String(), "tlb-miss") {
-		t.Error("String() missing path names")
+		t.Error("String() missing phase names")
 	}
 	if err := p.CheckConservation(); err != nil {
 		t.Errorf("conservation after a mixed workload: %v", err)
@@ -64,15 +66,15 @@ func TestProfilerNesting(t *testing.T) {
 	// to the fault, not the syscall.
 	k, _ := bootTask(t, clock.PPC604At185(), Optimized())
 	p := k.SysPipe()
-	k.EnableProfiling()
+	k.M.Ph.Enable(telemetry.Options{})
 	// The read lands in untouched user pages: the copy faults them in.
 	k.SysPipeWrite(p, UserDataBase, 256)
 	k.SysPipeRead(p, UserDataBase+0x3000000%0x100000+0x200000, 256)
-	prof := k.Profile()
-	if prof.Cycles(PathFault) == 0 {
+	prof := k.M.Ph
+	if prof.Cycles(telemetry.PhaseFault) == 0 {
 		t.Fatal("nested fault not attributed")
 	}
-	if prof.Cycles(PathSyscall) == 0 {
+	if prof.Cycles(telemetry.PhaseSyscall) == 0 {
 		t.Fatal("syscall cycles missing")
 	}
 }
@@ -85,12 +87,12 @@ func TestProfilerShowsOptimizationShift(t *testing.T) {
 		k, _ := bootTask(t, clock.PPC603At180(), cfg)
 		addr := k.SysMmap(512)
 		k.UserTouchPages(addr, 512)
-		k.EnableProfiling()
+		k.M.Ph.Enable(telemetry.Options{})
 		for i := 0; i < 4; i++ {
 			k.UserTouchPages(addr, 512)
 			k.UserRun(0, 2000)
 		}
-		return k.Profile().Fraction(PathMiss)
+		return k.M.Ph.Fraction(telemetry.PhaseTLBMiss)
 	}
 	unopt := missShare(Unoptimized())
 	opt := missShare(Optimized())

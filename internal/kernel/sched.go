@@ -6,7 +6,7 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
-	"mmutricks/internal/mmtrace"
+	"mmutricks/internal/telemetry"
 )
 
 // Scheduler and idle-task instruction lengths.
@@ -34,13 +34,12 @@ func (k *Kernel) Switch(t *Task) {
 
 func (k *Kernel) switchTo(t *Task, charge bool) {
 	if charge {
-		defer k.span(PathSched)()
-		k.M.Mon.CtxSwitches++
+		defer k.M.Ph.Span(telemetry.PhaseCtxSwitch)()
 		// The event covers the whole switch (scheduler path, state
 		// save/restore, segment reload) and names the incoming task.
 		start := k.M.Led.Now()
 		defer func() {
-			k.M.Trc.Emit(mmtrace.KindCtxSwitch, t.Segs[0], 0, k.M.Led.Now()-start, t.PID)
+			k.M.Trc.CtxSwitch(t.Segs[0], k.M.Led.Now()-start, t.PID)
 		}()
 		if k.cfg.CachePreload {
 			// §10.2: prefetch the incoming task's state so the fills
@@ -102,7 +101,7 @@ type IdleStats struct {
 // configuration each poll reclaims zombie hash-table PTEs (§7) and/or
 // clears free pages (§9).
 func (k *Kernel) RunIdleFor(cycles clock.Cycles) IdleStats {
-	defer k.span(PathIdle)()
+	defer k.M.Ph.Span(telemetry.PhaseIdle)()
 	k.M.Mon.IdleWaits++
 	var st IdleStats
 	if k.cfg.IdleCacheLock {
@@ -159,14 +158,13 @@ func (k *Kernel) RunIdleFor(cycles clock.Cycles) IdleStats {
 // idleReclaimScan is one idle-poll sweep over the hash table for
 // zombie PTEs (§7), returning how many it reclaimed.
 func (k *Kernel) idleReclaimScan() int {
-	defer k.span(PathIdleReclaim)()
+	defer k.M.Ph.Span(telemetry.PhaseIdleReclaim)()
 	k.M.Mon.IdleScans++
 	var n int
 	scanStart := k.M.Led.Now()
 	k.idleScan, n = k.M.MMU.HTAB.ReclaimScan(k.idleScan, idleReclaimGroups, k.M, k.zombie)
-	k.M.Mon.ZombiesReclaimed += uint64(n)
 	if n > 0 {
-		k.M.Trc.Emit(mmtrace.KindIdleReclaim, 0, 0, k.M.Led.Now()-scanStart, uint32(n))
+		k.M.Trc.IdleReclaim(k.M.Led.Now()-scanStart, uint32(n))
 	}
 	return n
 }
@@ -174,13 +172,12 @@ func (k *Kernel) idleReclaimScan() int {
 // clearPageIdle clears one page from the idle task: a store per line,
 // cached or cache-inhibited per the experiment variant.
 func (k *Kernel) clearPageIdle(pfn arch.PFN, inhibited bool) {
-	defer k.span(PathPreZero)()
-	k.M.Mon.IdlePagesCleared++
+	defer k.M.Ph.Span(telemetry.PhasePreZero)()
 	start := k.M.Led.Now()
 	k.kexec(textIdle+0x200, idleClearInstr)
 	line := k.M.LineSize()
 	k.M.MemAccessRun(pfn.Addr(), arch.PageSize/line, line, cache.ClassIdle, inhibited, true)
 	// EA carries the physical frame address: the page has no virtual
 	// identity yet.
-	k.M.Trc.Emit(mmtrace.KindPageZero, 0, arch.EffectiveAddr(pfn.Addr()), k.M.Led.Now()-start, 0)
+	k.M.Trc.PageZero(pfn.Addr(), k.M.Led.Now()-start)
 }

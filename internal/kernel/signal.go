@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mmutricks/internal/arch"
+	"mmutricks/internal/telemetry"
 )
 
 // Signals, enough for LmBench's lat_sig: a process installs a handler;
@@ -98,7 +99,7 @@ func (k *Kernel) SysMprotect(addr arch.EffectiveAddr, pages int, readOnly bool) 
 // protFault services a store to a write-protected page: trap, SIGSEGV
 // to the handler (which must exist — there is no one else to kill).
 func (k *Kernel) protFault(t *Task, ea arch.EffectiveAddr) {
-	defer k.span(PathFault)()
+	defer k.M.Ph.Span(telemetry.PhaseFault)()
 	k.M.Led.Charge(arch.PageSize / arch.PageSize * 32) // trap entry
 	k.kexecHandler(textPageFault+0x800, 260)
 	if !t.sigInstalled {

@@ -6,8 +6,8 @@ import (
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
-	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/pagetable"
+	"mmutricks/internal/telemetry"
 )
 
 // Demand paging to swap. The paper's machines had 32 MB of RAM and a
@@ -45,11 +45,10 @@ type swapSlot int
 
 // swapOut writes one page to the swap device and releases its frame.
 func (k *Kernel) swapOut(t *Task, ea arch.EffectiveAddr, pfn arch.PFN) {
-	defer k.span(PathSwap)()
-	k.M.Mon.SwapOuts++
+	defer k.M.Ph.Span(telemetry.PhaseSwap)()
 	start := k.M.Led.Now()
 	defer func() {
-		k.M.Trc.Emit(mmtrace.KindSwapOut, t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start, 0)
+		k.M.Trc.SwapOut(t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start)
 	}()
 	k.kexecHandler(textGetFree+0x200, swapOutInstr)
 	// Read the page for the device write (DMA; the device does not
@@ -72,15 +71,14 @@ func (k *Kernel) swapOut(t *Task, ea arch.EffectiveAddr, pfn arch.PFN) {
 
 // swapIn brings a swapped page back for the current fault.
 func (k *Kernel) swapIn(t *Task, ea arch.EffectiveAddr) arch.PFN {
-	defer k.span(PathSwap)()
+	defer k.M.Ph.Span(telemetry.PhaseSwap)()
 	key := swapKey{t.PID, ea.PageBase().PageNumber()}
 	if _, ok := k.swapped[key]; !ok {
 		panic(fmt.Sprintf("kernel: swapIn of resident page %v", ea))
 	}
-	k.M.Mon.SwapIns++
 	start := k.M.Led.Now()
 	defer func() {
-		k.M.Trc.Emit(mmtrace.KindSwapIn, t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start, 0)
+		k.M.Trc.SwapIn(t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start)
 	}()
 	k.kexecHandler(textGetFree+0x400, swapInInstr)
 	k.M.Led.Charge(swapLatencyCycles)

@@ -7,6 +7,7 @@ import (
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
 	"mmutricks/internal/pagetable"
+	"mmutricks/internal/telemetry"
 )
 
 // Syscall instruction-path lengths. The fast figures are the §6.1
@@ -39,7 +40,7 @@ const (
 //
 //	defer k.syscallEntry()()
 func (k *Kernel) syscallEntry() func() {
-	done := k.span(PathSyscall)
+	done := k.M.Ph.Span(telemetry.PhaseSyscall)
 	k.M.Mon.Syscalls++
 	k.M.Led.Charge(trapCycles)
 	if k.cfg.FastReload {

@@ -7,7 +7,6 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
-	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/pagetable"
 	"mmutricks/internal/vsid"
 )
@@ -236,7 +235,7 @@ func (k *Kernel) newContext(t *Task) {
 	}
 	t.Ctx = ctx
 	t.Segs = k.ctx.VSIDs(ctx)
-	k.M.Trc.Emit(mmtrace.KindVSIDReassign, t.Segs[0], 0, 0, ctx)
+	k.M.Trc.VSIDReassign(t.Segs[0], ctx)
 }
 
 // Spawn creates a task running the given image — the boot-time

@@ -37,7 +37,7 @@ func TestConservationCorruptionTable(t *testing.T) {
 	for _, ph := range telemetry.AllPhases {
 		for _, d := range []int64{-1, 1} {
 			k, _ := bootTask(t, clock.PPC604At185(), Optimized())
-			k.EnableProfiling()
+			k.M.Ph.Enable(telemetry.Options{})
 			mixedWorkload(k)
 			if err := k.CheckConsistency(); err != nil {
 				t.Fatalf("clean run inconsistent: %v", err)
@@ -82,7 +82,7 @@ func TestReconcilePhaseEntries(t *testing.T) {
 		cfg.IdleClear = IdleClearUncachedList
 		k, _ := bootTask(t, model, cfg)
 		before := *k.M.Mon
-		k.EnableProfiling()
+		k.M.Ph.Enable(telemetry.Options{})
 		mixedWorkload(k)
 		k.M.Ph.Sync()
 		delta := k.M.Mon.Delta(before)

@@ -30,12 +30,14 @@ type Machine struct {
 	L2  *cache.Cache
 	Mem *phys.Memory
 	MMU *ppc.MMU
-	// Trc is the machine's event tracer. Always non-nil, constructed
-	// disabled; enable it (and snapshot Mon) to record a window.
+	// Trc is the machine's event tracer and the one instrumentation
+	// point for Mon's event counters: its typed calls bump Mon whether
+	// or not it records. Always non-nil, constructed disabled; enable it
+	// (and snapshot Mon) to record a window.
 	Trc *mmtrace.Tracer
 	// Ph is the machine's phase ledger (cycle attribution + interval
-	// sampling). Always non-nil, constructed disabled; the kernel's
-	// EnableProfiling and the recording drivers enable it.
+	// sampling). Always non-nil, constructed disabled; profilers and the
+	// recording drivers enable it.
 	Ph *telemetry.Phases
 
 	// Inj is the attached fault injector (nil = no injection; the
@@ -87,10 +89,10 @@ func NewWithOptions(model clock.CPUModel, opts Options) *Machine {
 	if model.L2Size > 0 {
 		m.L2 = cache.New("L2", model.L2Size, 1, model.LineSize)
 	}
-	m.Trc = mmtrace.NewTracer(m.Led, opts.TraceCapacity)
+	m.Trc = mmtrace.NewTracer(m.Led, m.Mon, opts.TraceCapacity)
 	m.Ph = telemetry.New(m.Led, m.Mon)
 	htab := ppc.NewHTAB(groups, m.Mem.Layout().HTABBase)
-	m.MMU = ppc.NewMMU(model, htab, m.Led, m, m.Mon, m.Trc)
+	m.MMU = ppc.NewMMU(model, htab, m.Led, m, m.Trc)
 	m.MMU.SetPhases(m.Ph)
 	if opts.Injector != nil {
 		m.Inj = opts.Injector
@@ -113,7 +115,7 @@ func (m *Machine) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, writ
 	if inhibited {
 		m.DCache.AccessInhibited(class)
 		m.Led.Charge(clock.Cycles(m.Model.MemLatency))
-		m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa), clock.Cycles(m.Model.MemLatency), uint32(class))
+		m.Trc.CacheFill(pa, clock.Cycles(m.Model.MemLatency), uint32(class))
 		return
 	}
 	if m.cacheLocked {
@@ -121,7 +123,7 @@ func (m *Machine) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, writ
 			m.Led.Charge(1)
 		} else {
 			m.Led.Charge(clock.Cycles(m.Model.MemLatency))
-			m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa), clock.Cycles(m.Model.MemLatency), uint32(class))
+			m.Trc.CacheFill(pa, clock.Cycles(m.Model.MemLatency), uint32(class))
 		}
 		return
 	}
@@ -132,7 +134,7 @@ func (m *Machine) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, writ
 	}
 	fill := clock.Cycles(1 + m.fillCost(pa, class, castout))
 	m.Led.Charge(fill)
-	m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa), fill, uint32(class))
+	m.Trc.CacheFill(pa, fill, uint32(class))
 }
 
 // fillCost returns the cycles to service an L1 miss: through the L2
@@ -234,7 +236,7 @@ func (m *Machine) Fetch(pa arch.PhysAddr, class cache.Class, inhibited bool) {
 		m.ICache.AccessInhibited(class)
 		m.Led.Charge(clock.Cycles(m.Model.MemLatency))
 		m.Ph.Attribute(telemetry.PhaseFetch, clock.Cycles(m.Model.MemLatency))
-		m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa), clock.Cycles(m.Model.MemLatency), uint32(class))
+		m.Trc.CacheFill(pa, clock.Cycles(m.Model.MemLatency), uint32(class))
 		return
 	}
 	if hit, _ := m.ICache.Access(pa, class, false); hit {
@@ -245,7 +247,7 @@ func (m *Machine) Fetch(pa arch.PhysAddr, class cache.Class, inhibited bool) {
 	fill := clock.Cycles(m.fillCost(pa, class, false))
 	m.Led.Charge(fill)
 	m.Ph.Attribute(telemetry.PhaseFetch, fill)
-	m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa), fill, uint32(class))
+	m.Trc.CacheFill(pa, fill, uint32(class))
 }
 
 // LineSize returns the cache line size for iteration helpers.

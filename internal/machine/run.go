@@ -24,7 +24,6 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
-	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/telemetry"
 )
 
@@ -84,7 +83,7 @@ func (m *Machine) MemAccessRunMask(pa arch.PhysAddr, n, stride int, class cache.
 		}
 		for i := 0; i < n; i++ {
 			m.Led.Charge(lat)
-			m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa+arch.PhysAddr(i*stride)), lat, uint32(class))
+			m.Trc.CacheFill(pa+arch.PhysAddr(i*stride), lat, uint32(class))
 		}
 		return
 	}
@@ -146,7 +145,7 @@ func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, 
 		a := pa + arch.PhysAddr(idx*stride)
 		fill := clock.Cycles(1 + m.fillCost(a, class, mr.Castout))
 		m.Led.Charge(fill)
-		m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(a), fill, uint32(class))
+		m.Trc.CacheFill(a, fill, uint32(class))
 		done = idx + 1
 	}
 	if hits := n - done; hits > 0 {
@@ -173,7 +172,7 @@ func (m *Machine) lockedRun(pa arch.PhysAddr, n, stride int, class cache.Class, 
 			m.Led.Charge(clock.Cycles(hits))
 		}
 		m.Led.Charge(lat)
-		m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa+arch.PhysAddr(idx*stride)), lat, uint32(class))
+		m.Trc.CacheFill(pa+arch.PhysAddr(idx*stride), lat, uint32(class))
 		done = idx + 1
 	}
 	if hits := n - done; hits > 0 {
@@ -202,7 +201,7 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 		for i := 0; i < n; i++ {
 			m.Led.Charge(lat)
 			m.Ph.Attribute(telemetry.PhaseFetch, lat)
-			m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa+arch.PhysAddr(i*stride)), lat, uint32(class))
+			m.Trc.CacheFill(pa+arch.PhysAddr(i*stride), lat, uint32(class))
 		}
 		return
 	}
@@ -241,7 +240,7 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 				fill := clock.Cycles(m.fillCost(a, class, false))
 				m.Led.Charge(fill)
 				m.Ph.Attribute(telemetry.PhaseFetch, fill)
-				m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(a), fill, uint32(class))
+				m.Trc.CacheFill(a, fill, uint32(class))
 			}
 		}
 		pa += arch.PhysAddr(chunk * stride)
@@ -310,7 +309,7 @@ func (m *Machine) memStep(pa arch.PhysAddr, class cache.Class, write bool, pend 
 	}
 	fill := clock.Cycles(1 + m.fillCost(pa, class, castout))
 	m.Led.Charge(fill)
-	m.Trc.Emit(mmtrace.KindCacheFill, 0, arch.EffectiveAddr(pa), fill, uint32(class))
+	m.Trc.CacheFill(pa, fill, uint32(class))
 	return 0
 }
 

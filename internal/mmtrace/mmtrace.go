@@ -8,10 +8,15 @@
 // belongs to, the effective address involved, and the cycle cost of the
 // operation.
 //
-// The tracer is built for the translation hot path:
+// The tracer is also the one instrumentation point for the counters
+// that have an event: each typed call (TLBMiss, MajorFault,
+// FlushRange, ...; events.go) bumps its hwmon counters and records its
+// event, so the two agree by construction. It is built for the
+// translation hot path:
 //
-//   - a disabled tracer costs one (inlined) branch per tracepoint;
-//   - the emit path allocates nothing — events land in a
+//   - a disabled call costs its counter bumps plus one (inlined)
+//     branch;
+//   - the record path allocates nothing — events land in a
 //     pre-allocated ring, histograms in fixed arrays — and is
 //     annotated //mmutricks:noalloc, so mmulint proves the property
 //     statically over every caller in the translation path;
@@ -27,6 +32,7 @@ import (
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/clock"
+	"mmutricks/internal/hwmon"
 )
 
 // Kind classifies one traced event. The set mirrors the places the
@@ -210,9 +216,9 @@ type Event struct {
 const HistBuckets = 33
 
 // Hist is the cycle-cost distribution of one event class. It covers
-// every emitted event of the class — including events the ring has
+// every recorded event of the class — including events the ring has
 // since overwritten — so Count reconciles with the hwmon counter the
-// class mirrors.
+// class's typed call bumps.
 type Hist struct {
 	// Count is how many events were emitted.
 	Count uint64
@@ -286,14 +292,15 @@ type TaskStat struct {
 	CostTotal uint64
 }
 
-// Tracer records events for one simulated machine. It is fixed-size
-// after construction: the emit path touches only pre-allocated memory.
-// A Tracer is not safe for concurrent use — like the Machine it
-// instruments, it belongs to one simulation goroutine.
+// Tracer counts and records events for one simulated machine. It is
+// fixed-size after construction: the record path touches only
+// pre-allocated memory. A Tracer is not safe for concurrent use — like
+// the Machine it instruments, it belongs to one simulation goroutine.
 type Tracer struct {
 	enabled  bool
 	curTask  uint32
 	led      *clock.Ledger
+	mon      *hwmon.Counters
 	ring     []Event
 	capacity int
 	head     uint64 // total events ever emitted
@@ -306,15 +313,21 @@ type Tracer struct {
 // benchmark window while staying cheap to allocate per machine.
 const DefaultCapacity = 1 << 15
 
-// NewTracer builds a disabled tracer reading timestamps from led. The
-// ring is allocated on first Enable, so machines that never trace —
-// most harness cells — pay nothing for it.
-func NewTracer(led *clock.Ledger, capacity int) *Tracer {
+// NewTracer builds a disabled tracer reading timestamps from led and
+// bumping the counters in mon. The ring is allocated on first Enable,
+// so machines that never trace — most harness cells — pay nothing for
+// it.
+func NewTracer(led *clock.Ledger, mon *hwmon.Counters, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{led: led, capacity: capacity}
+	return &Tracer{led: led, mon: mon, capacity: capacity}
 }
+
+// Counters returns the counter file the typed event calls bump.
+//
+//mmutricks:noalloc
+func (t *Tracer) Counters() *hwmon.Counters { return t.mon }
 
 // Enable starts recording. The hwmon.Counters snapshot for the
 // reconciliation window should be taken at the same moment.
@@ -348,30 +361,14 @@ func (t *Tracer) Reset() {
 // kernel calls it on every context switch.
 //
 //mmutricks:noalloc
-func (t *Tracer) SetTask(pid uint32) {
-	if t == nil {
-		return
-	}
-	t.curTask = pid
-}
+func (t *Tracer) SetTask(pid uint32) { t.curTask = pid }
 
-// Emit records one event. Disabled (or nil) tracers return after one
-// branch; the body is small enough to inline, so a disabled tracepoint
-// costs no call.
-//
-//mmutricks:noalloc
-func (t *Tracer) Emit(kind Kind, vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles, aux uint32) {
-	if t == nil || !t.enabled {
-		return
-	}
-	t.emit(kind, vs, ea, cost, aux)
-}
-
-// emit is the enabled slow path: histogram, per-task attribution, ring
+// record is the enabled slow path every typed event call (events.go)
+// takes when tracing is on: histogram, per-task attribution, ring
 // store. No allocation on any branch.
 //
 //mmutricks:noalloc
-func (t *Tracer) emit(kind Kind, vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles, aux uint32) {
+func (t *Tracer) record(kind Kind, vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles, aux uint32) {
 	h := &t.hists[kind]
 	h.Count++
 	h.CostTotal += uint64(cost)

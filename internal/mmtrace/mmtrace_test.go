@@ -10,7 +10,7 @@ import (
 
 func newTestTracer(cap int) (*Tracer, *clock.Ledger) {
 	led := clock.NewLedger(100)
-	tr := NewTracer(led, cap)
+	tr := NewTracer(led, &hwmon.Counters{}, cap)
 	tr.Enable()
 	return tr, led
 }
@@ -40,7 +40,7 @@ func TestEmitRecordsEventAndHist(t *testing.T) {
 	tr, led := newTestTracer(8)
 	led.Charge(100)
 	tr.SetTask(7)
-	tr.Emit(KindTLBMiss, 0x42, 0x1000_2000, 5, 0)
+	tr.TLBMiss(0x42, 0x1000_2000, 5)
 
 	evs := tr.Events()
 	if len(evs) != 1 {
@@ -61,22 +61,22 @@ func TestEmitRecordsEventAndHist(t *testing.T) {
 	}
 }
 
-func TestDisabledAndNilEmitAreNoOps(t *testing.T) {
+func TestDisabledCallCountsButRecordsNothing(t *testing.T) {
 	tr, _ := newTestTracer(8)
 	tr.Disable()
-	tr.Emit(KindTLBMiss, 1, 2, 3, 0)
-	if tr.Emitted() != 0 {
+	tr.TLBMiss(1, 2, 3)
+	if tr.Emitted() != 0 || tr.Hist(KindTLBMiss).Count != 0 {
 		t.Fatal("disabled tracer recorded an event")
 	}
-	var nilTr *Tracer
-	nilTr.Emit(KindTLBMiss, 1, 2, 3, 0) // must not panic
-	nilTr.SetTask(1)
+	if tr.Counters().TLBMisses != 1 {
+		t.Fatalf("disabled TLBMiss left TLBMisses at %d, want 1", tr.Counters().TLBMisses)
+	}
 }
 
 func TestRingOverflowKeepsNewestAndFullHists(t *testing.T) {
 	tr, _ := newTestTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Emit(KindMinorFault, 0, arch.EffectiveAddr(i), clock.Cycles(i), 0)
+		tr.MinorFault(0, arch.EffectiveAddr(i), clock.Cycles(i))
 	}
 	if tr.Emitted() != 10 || tr.Dropped() != 6 {
 		t.Fatalf("Emitted=%d Dropped=%d, want 10/6", tr.Emitted(), tr.Dropped())
@@ -123,10 +123,10 @@ func TestBucketing(t *testing.T) {
 func TestTaskAttribution(t *testing.T) {
 	tr, _ := newTestTracer(16)
 	tr.SetTask(3)
-	tr.Emit(KindTLBMiss, 0, 0, 10, 0)
-	tr.Emit(KindTLBMiss, 0, 0, 20, 0)
+	tr.TLBMiss(0, 0, 10)
+	tr.TLBMiss(0, 0, 20)
 	tr.SetTask(1)
-	tr.Emit(KindMinorFault, 0, 0, 5, 0)
+	tr.MinorFault(0, 0, 5)
 	stats := tr.TaskStats()
 	if len(stats) != 2 {
 		t.Fatalf("got %d task rows, want 2", len(stats))
@@ -142,7 +142,7 @@ func TestTaskAttribution(t *testing.T) {
 func TestResetClearsEverything(t *testing.T) {
 	tr, _ := newTestTracer(4)
 	tr.SetTask(9)
-	tr.Emit(KindFlushPage, 1, 2, 3, 0)
+	tr.FlushPage(1, 2, 3)
 	tr.Reset()
 	if tr.Emitted() != 0 || len(tr.Events()) != 0 || len(tr.TaskStats()) != 0 {
 		t.Fatal("Reset left data behind")
@@ -157,22 +157,20 @@ func TestResetClearsEverything(t *testing.T) {
 
 func TestReconcile(t *testing.T) {
 	tr, _ := newTestTracer(64)
-	tr.Emit(KindTLBMiss, 0, 0, 1, 0)
-	tr.Emit(KindTLBMiss, 0, 0, 1, 0)
-	tr.Emit(KindHTABHitPrimary, 0, 0, 1, 0)
-	tr.Emit(KindHTABHitSecondary, 0, 0, 1, 0)
-	tr.Emit(KindHTABInsertFree, 0, 0, 1, 0)
-	tr.Emit(KindIdleReclaim, 0, 0, 1, 3)
-	tr.Emit(KindOnDemandScan, 0, 0, 1, 2)
+	tr.TLBMiss(0, 0, 1)
+	tr.TLBMiss(0, 0, 1)
+	tr.HTABHitPrimary(0, 0, 1)
+	tr.HTABHitSecondary(0, 0, 1)
+	tr.HTABInsertFree(0, 1)
+	tr.IdleReclaim(1, 3)
+	tr.OnDemandScan(0, 1, 2)
+	tr.HashMissRaised(0, 0, 1)
+	tr.HashMissHandled(0, 0, 1)
 
-	var c hwmon.Counters
-	c.TLBMisses = 2
-	c.HTABPrimaryHits = 1
-	c.HTABHits = 2
-	c.HTABInserts = 1
-	c.HTABFreeSlot = 1
-	c.OnDemandScans = 1
-	c.ZombiesReclaimed = 5
+	c := *tr.Counters()
+	if c.TLBMisses != 2 || c.HTABHits != 2 || c.ZombiesReclaimed != 5 {
+		t.Fatalf("event calls left counters %+v", c)
+	}
 
 	rows := Reconcile(tr.Hists(), &c)
 	if len(rows) == 0 {

@@ -18,8 +18,13 @@ type ReconcileRow struct {
 // Reconcile cross-checks the tracer's per-class histogram totals
 // against a hwmon.Counters delta covering the same window. Every row
 // must hold when tracing was enabled for the whole window: histograms
-// count every emitted event (ring overflow only drops raw events), so
-// any mismatch means a tracepoint and its counter have drifted apart.
+// count every recorded event (ring overflow only drops raw events),
+// and each typed event call bumps its counters and records its event
+// together. A mismatch therefore means the trace window and the
+// counter window do not cover the same span, or one of the two
+// cross-site identities broke: hashmiss-fault (every hash miss the
+// 604 raised was handled) and mc-outcomes (every machine check had
+// exactly one outcome).
 func Reconcile(h *[NumKinds]Hist, c *hwmon.Counters) []ReconcileRow {
 	row := func(name string, trace, counter uint64) ReconcileRow {
 		return ReconcileRow{Name: name, TraceTotal: trace, Counter: counter, OK: trace == counter}

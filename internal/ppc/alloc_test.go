@@ -35,9 +35,7 @@ type nopBus struct{}
 func (nopBus) MemAccess(arch.PhysAddr, cache.Class, bool, bool) {}
 
 func TestTranslateTLBHitZeroAllocs(t *testing.T) {
-	model := clock.PPC604At185()
-	htab := NewHTAB(arch.DefaultHTABGroups, 0x200000)
-	m := NewMMU(model, htab, clock.NewLedger(model.MHz), nopBus{}, &hwmon.Counters{}, nil)
+	m, _ := tracedMMU(clock.PPC604At185(), false)
 	ea := arch.EffectiveAddr(0x1034_5678)
 	vpn := m.VPNFor(ea)
 	m.TLBFor(false).Insert(vpn, 0x99, false, false)
@@ -50,20 +48,19 @@ func TestTranslateTLBHitZeroAllocs(t *testing.T) {
 	}
 }
 
-// tracedMMU builds an MMU with a tracer in the given state. A nil
-// *Tracer (no tracer wired at all) is covered by the test above.
+// tracedMMU builds an MMU with its tracer in the given state.
 func tracedMMU(model clock.CPUModel, enabled bool) (*MMU, *mmtrace.Tracer) {
 	led := clock.NewLedger(model.MHz)
-	tr := mmtrace.NewTracer(led, 1024)
+	tr := mmtrace.NewTracer(led, &hwmon.Counters{}, 1024)
 	if enabled {
 		tr.Enable()
 	}
 	htab := NewHTAB(arch.DefaultHTABGroups, 0x200000)
-	return NewMMU(model, htab, led, nopBus{}, &hwmon.Counters{}, tr), tr
+	return NewMMU(model, htab, led, nopBus{}, tr), tr
 }
 
-// The emit path must stay allocation-free through a full Translate on
-// the miss path (where the tracepoints actually fire), enabled or not.
+// The record path must stay allocation-free through a full Translate
+// on the miss path (where the event calls record), enabled or not.
 func TestTranslateTracedZeroAllocs(t *testing.T) {
 	for _, enabled := range []bool{false, true} {
 		m, _ := tracedMMU(clock.PPC603At133(), enabled)
@@ -80,9 +77,10 @@ func TestTranslateTracedZeroAllocs(t *testing.T) {
 	}
 }
 
-// Tracing is observation only: with the tracer disabled (the default),
-// Translate must charge exactly the same cycles and counters as an
-// MMU with no tracer wired at all — the disabled path is one branch.
+// Tracing is observation only: an enabled tracer must leave Translate
+// charging exactly the same cycles and counters as a disabled one (the
+// default) — the event calls bump their counters either way, and
+// recording touches neither the ledger nor the counter file.
 func TestDisabledTracerCostNeutral(t *testing.T) {
 	run := func(m *MMU) (clock.Cycles, hwmon.Counters) {
 		for i := 0; i < 64; i++ {
@@ -95,18 +93,23 @@ func TestDisabledTracerCostNeutral(t *testing.T) {
 		return m.led.Now(), *m.mon
 	}
 	for _, model := range []clock.CPUModel{clock.PPC603At133(), clock.PPC604At185()} {
-		bare := NewMMU(model, NewHTAB(arch.DefaultHTABGroups, 0x200000),
-			clock.NewLedger(model.MHz), nopBus{}, &hwmon.Counters{}, nil)
-		traced, _ := tracedMMU(model, false)
-		bareCycles, bareMon := run(bare)
-		tracedCycles, tracedMon := run(traced)
-		if bareCycles != tracedCycles {
-			t.Errorf("%s: disabled tracer changed simulated cycles: %d vs %d",
-				model.Name, bareCycles, tracedCycles)
+		disabled, _ := tracedMMU(model, false)
+		enabled, tr := tracedMMU(model, true)
+		offCycles, offMon := run(disabled)
+		onCycles, onMon := run(enabled)
+		if tr.Emitted() == 0 {
+			t.Fatalf("%s: enabled tracer recorded nothing", model.Name)
 		}
-		if bareMon != tracedMon {
-			t.Errorf("%s: disabled tracer changed counters:\n%v\nvs\n%v",
-				model.Name, bareMon.String(), tracedMon.String())
+		if offMon.TLBMisses == 0 {
+			t.Fatalf("%s: disabled tracer's calls bumped no counters", model.Name)
+		}
+		if offCycles != onCycles {
+			t.Errorf("%s: enabling the tracer changed simulated cycles: %d vs %d",
+				model.Name, offCycles, onCycles)
+		}
+		if offMon != onMon {
+			t.Errorf("%s: enabling the tracer changed counters:\n%v\nvs\n%v",
+				model.Name, offMon.String(), onMon.String())
 		}
 	}
 }
@@ -123,10 +126,6 @@ func BenchmarkTranslateTLBHit(b *testing.B) {
 		}
 	}
 	model := clock.PPC604At185()
-	b.Run("no-tracer", func(b *testing.B) {
-		bench(b, NewMMU(model, NewHTAB(arch.DefaultHTABGroups, 0x200000),
-			clock.NewLedger(model.MHz), nopBus{}, &hwmon.Counters{}, nil))
-	})
 	b.Run("tracer-disabled", func(b *testing.B) {
 		m, _ := tracedMMU(model, false)
 		bench(b, m)

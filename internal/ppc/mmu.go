@@ -48,9 +48,10 @@ type MMU struct {
 	gen uint64
 }
 
-// NewMMU builds an MMU for the given CPU model. trc may be nil (no
-// tracing).
-func NewMMU(model clock.CPUModel, htab *HTAB, led *clock.Ledger, bus Bus, mon *hwmon.Counters, trc *mmtrace.Tracer) *MMU {
+// NewMMU builds an MMU for the given CPU model. Its counters are the
+// ones trc's event calls bump.
+func NewMMU(model clock.CPUModel, htab *HTAB, led *clock.Ledger, bus Bus, trc *mmtrace.Tracer) *MMU {
+	mon := trc.Counters()
 	m := &MMU{
 		Model: model,
 		HTAB:  htab,
@@ -188,14 +189,13 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	if r, ok := m.TLBHit(ea, vpn, instr); ok {
 		return r
 	}
-	m.mon.TLBMisses++
 
 	if m.Model.Kind == clock.CPU603 {
 		// The 603 interrupts to software immediately; the handler-entry
 		// cost is charged by the kernel's handler, which also decides
 		// what data structure to search (§6). The handler's soft-reload
 		// event carries the cost; this one marks the miss itself.
-		m.trc.Emit(mmtrace.KindTLBMiss, vpn.VSID(), ea, 0, 0)
+		m.trc.TLBMiss(vpn.VSID(), ea, 0)
 		return Result{Fault: FaultTLBMiss, VPN: vpn}
 	}
 
@@ -205,21 +205,19 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	pte, primary, accesses := m.HTAB.Search(vpn, m.bus)
 	m.led.Charge(clock.Cycles(accesses * perPTECost))
 	if pte != nil {
-		m.mon.HTABHits++
 		walkCost := m.led.Now() - walkStart
 		if primary {
-			m.mon.HTABPrimaryHits++
-			m.trc.Emit(mmtrace.KindHTABHitPrimary, vpn.VSID(), ea, walkCost, 0)
+			m.trc.HTABHitPrimary(vpn.VSID(), ea, walkCost)
 		} else {
-			m.trc.Emit(mmtrace.KindHTABHitSecondary, vpn.VSID(), ea, walkCost, 0)
+			m.trc.HTABHitSecondary(vpn.VSID(), ea, walkCost)
 		}
-		m.trc.Emit(mmtrace.KindTLBMiss, vpn.VSID(), ea, walkCost, 0)
+		m.trc.TLBMiss(vpn.VSID(), ea, walkCost)
 		pte.R = true
 		way, evicted := m.TLBFor(instr).insert(vpn, pte.RPN, pte.CacheInhibited, ea.IsKernel())
 		if evicted {
-			m.trc.Emit(mmtrace.KindTLBEvict, vpn.VSID(), ea, 0, 0)
+			m.trc.TLBEvict(vpn.VSID(), ea)
 		}
-		m.trc.Emit(mmtrace.KindTLBInsert, vpn.VSID(), ea, 0, 0)
+		m.trc.TLBInsert(vpn.VSID(), ea)
 		// The walk ran in hardware, under whatever phase the faulting
 		// access belongs to; an exact transfer moves its cycles to
 		// tlb-miss without a span (no defer on the noalloc path).
@@ -228,11 +226,11 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	}
 	// Neither bucket matched: hash-table miss interrupt (>= 91 cycles
 	// just to invoke the handler, §5).
-	m.mon.HTABMisses++
-	m.mon.HashMissFaults++ //mmutricks:parity-ok the hashmiss-fault event is emitted by kernel.(*Kernel).handleFault once the handler cost is known
+	// HashMissFaults counts here, at the raise; the kernel handler's
+	// HashMissHandled event follows once its cost is known.
 	m.led.Charge(clock.Cycles(m.Model.HashMissInterrupt))
-	m.trc.Emit(mmtrace.KindHTABMiss, vpn.VSID(), ea, m.led.Now()-walkStart, 0)
-	m.trc.Emit(mmtrace.KindTLBMiss, vpn.VSID(), ea, m.led.Now()-walkStart, 0)
+	m.trc.HashMissRaised(vpn.VSID(), ea, m.led.Now()-walkStart)
+	m.trc.TLBMiss(vpn.VSID(), ea, m.led.Now()-walkStart)
 	// Failed walk plus the interrupt-invocation cost, transferred like
 	// the hit path above; the software handler's span covers the rest.
 	m.ph.Attribute(telemetry.PhaseTLBMiss, m.led.Now()-walkStart)

@@ -6,6 +6,7 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/clock"
 	"mmutricks/internal/hwmon"
+	"mmutricks/internal/mmtrace"
 )
 
 func newTestMMU(model clock.CPUModel) (*MMU, *countingBus, *hwmon.Counters, *clock.Ledger) {
@@ -13,7 +14,7 @@ func newTestMMU(model clock.CPUModel) (*MMU, *countingBus, *hwmon.Counters, *clo
 	mon := &hwmon.Counters{}
 	led := clock.NewLedger(model.MHz)
 	htab := NewHTAB(arch.DefaultHTABGroups, 0x200000)
-	m := NewMMU(model, htab, led, bus, mon, nil)
+	m := NewMMU(model, htab, led, bus, mmtrace.NewTracer(led, mon, 0))
 	return m, bus, mon, led
 }
 

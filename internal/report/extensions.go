@@ -34,10 +34,10 @@ func runProfile(ctx context.Context, s Scale) *Table {
 	cfg.StrayRefs = 8
 	run := func(kcfg kernel.Config) *telemetry.Phases {
 		k := kernel.New(machine.New(clock.PPC603At180()), kcfg)
-		k.EnableProfiling()
+		k.M.Ph.Enable(telemetry.Options{})
 		kbuild.Run(k, cfg)
 		mustConsistent(k)
-		return k.Profile()
+		return k.M.Ph
 	}
 	cfgs := []kernel.Config{kernel.Unoptimized(), kernel.Optimized()}
 	var res [2]*telemetry.Phases
@@ -45,11 +45,11 @@ func runProfile(ctx context.Context, s Scale) *Table {
 	unopt, opt := res[0], res[1]
 
 	var rows [][]string
-	for _, path := range kernel.Paths {
+	for _, ph := range telemetry.AllPhases {
 		rows = append(rows, []string{
-			path.String(),
-			pct(unopt.Fraction(path)),
-			pct(opt.Fraction(path)),
+			ph.String(),
+			pct(unopt.Fraction(ph)),
+			pct(opt.Fraction(ph)),
 		})
 	}
 	return &Table{

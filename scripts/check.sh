@@ -1,10 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's tier-1 gate: build, vet, formatting, mmulint
 # (the hygiene checks plus the whole-program proofs: transitive
-# noalloc, determinism zones, counter↔trace parity, model↔kernel
-# transition parity, and phase-span balance), the cache's inlining
-# guard, the full test suite under the race detector, the mmumodel
-# gates (exhaustive exploration of the context-switch/MM state machine
+# noalloc, determinism zones, model↔kernel transition parity, and
+# phase-span balance), the inlining guards (cache paths, mmtrace
+# event calls), the full test suite under the race detector, the
+# mmumodel gates (exhaustive exploration of the context-switch/MM state machine
 # plus a kernel refinement pass), and the CLI exit-code gates (quick
 # mmureport -all and an mmuchaos escalate soak, whose distinct exit
 # codes — 3 cycle-budget, 4 panic, 5 audit — propagate as this
@@ -72,6 +72,43 @@ go build -pgo=off -gcflags=-m ./internal/cache 2>&1 | awk '
 			}
 		exit bad
 	}' internal/cache/cache.go -
+
+# The simulator counts and traces its events through the tracer's
+# typed calls (internal/mmtrace/events.go), which run whether or not
+# tracing is on. Each must inline: a call grown past the inliner's
+# budget (a second counter bump, a shared helper), or a package that
+# stops importing mmtrace itself, puts a function call on every TLB
+# miss, fault and flush, with no test failing. Every trc.<Call>( site
+# in ppc (the (*MMU).Translate miss path), kernel and machine must be
+# reported inlined, and there must be such sites in mmu.go.
+echo '== inlining: every mmtrace event call in ppc, kernel and machine'
+src=$(ls internal/ppc/*.go internal/kernel/*.go internal/machine/*.go | grep -v '_test\.go$')
+go build -pgo=off -gcflags=-m ./internal/ppc ./internal/kernel ./internal/machine 2>&1 | awk '
+	FILENAME != "-" {
+		if ($0 !~ /^[ \t]*\/\// && $0 ~ /[Tt]rc\.[A-Z][A-Za-z]*\(/) {
+			want[FILENAME ":" FNR] = 1
+			if (FILENAME == "internal/ppc/mmu.go")
+				nmmu++
+		}
+		next
+	}
+	/: inlining call to mmtrace\.\(\*Tracer\)\.[A-Za-z]+$/ {
+		split($0, pos, ":")
+		inlined[pos[1] ":" pos[2]] = 1
+	}
+	END {
+		bad = 0
+		if (nmmu == 0) {
+			print "check: found no trc event calls in internal/ppc/mmu.go" > "/dev/stderr"
+			bad = 1
+		}
+		for (k in want)
+			if (!(k in inlined)) {
+				printf "check: the mmtrace call at %s is no longer inlined\n", k > "/dev/stderr"
+				bad = 1
+			}
+		exit bad
+	}' $src -
 
 echo '== go test -race ./...'
 go test -race ./...

@@ -31,11 +31,6 @@
 //	    whose results are sorted before rendering, or wall-clock time
 //	    that never reaches the report bytes). The reason is mandatory.
 //
-//	//mmutricks:parity-ok <reason>  (trailing, same line)
-//	    Statement-level waiver for the parity analyzer on a counter
-//	    increment or trace emit whose partner lives in another function
-//	    (the reason must name the remote site). The reason is mandatory.
-//
 //	//mmutricks:phasebalance-ok <reason>  (trailing, same line)
 //	    Statement-level waiver for the phasebalance analyzer on a span
 //	    opener used outside the provable shapes (the reason must argue
@@ -109,7 +104,7 @@ func ParseDoc(doc *ast.CommentGroup) Set {
 				continue
 			}
 			s.Nocheck, s.NocheckReason = true, rest
-		case "noalloc-ok", "nondet-ok", "parity-ok", "phasebalance-ok":
+		case "noalloc-ok", "nondet-ok", "phasebalance-ok":
 			s.Malformed = append(s.Malformed, c.Text+" ("+verb+" is a line waiver, not a declaration annotation)")
 		default:
 			s.Malformed = append(s.Malformed, c.Text+" (unknown directive)")

@@ -37,7 +37,7 @@ func TestParseDoc(t *testing.T) {
 		// malformed, never honoured.
 		{"//mmutricks:noalloc-ok cold path", Set{Malformed: []string{"//mmutricks:noalloc-ok cold path (noalloc-ok is a line waiver, not a declaration annotation)"}}},
 		{"//mmutricks:nondet-ok sorted later", Set{Malformed: []string{"//mmutricks:nondet-ok sorted later (nondet-ok is a line waiver, not a declaration annotation)"}}},
-		{"//mmutricks:parity-ok remote emit", Set{Malformed: []string{"//mmutricks:parity-ok remote emit (parity-ok is a line waiver, not a declaration annotation)"}}},
+		{"//mmutricks:phasebalance-ok exit runs once", Set{Malformed: []string{"//mmutricks:phasebalance-ok exit runs once (phasebalance-ok is a line waiver, not a declaration annotation)"}}},
 		{"//mmutricks:frobnicate", Set{Malformed: []string{"//mmutricks:frobnicate (unknown directive)"}}},
 		// Non-directive comments are ignored.
 		{"// mmutricks:noalloc has a space, so it is prose", Set{}},
@@ -90,7 +90,7 @@ func TestWaiverVerbsAndPlacement(t *testing.T) {
 
 func f() {
 	g() //mmutricks:nondet-ok sorted downstream
-	g() //mmutricks:parity-ok remote increment lives in h
+	g() //mmutricks:phasebalance-ok exit runs in h
 	//mmutricks:nondet-ok floating waiver
 	g()
 	g() //mmutricks:nondet-ok
@@ -125,9 +125,9 @@ func g() {}
 		t.Errorf("nondet malformed = %v, want exactly line 8 (reasonless waiver)", nondetBad)
 	}
 
-	parity, parityBad := Waivers(fset, f, "parity-ok")
-	if got := parity[5]; got != "remote increment lives in h" || len(parity) != 1 || len(parityBad) != 0 {
-		t.Errorf("parity waived = %v malformed = %v, want exactly line 5", parity, parityBad)
+	balance, balanceBad := Waivers(fset, f, "phasebalance-ok")
+	if got := balance[5]; got != "exit runs in h" || len(balance) != 1 || len(balanceBad) != 0 {
+		t.Errorf("phasebalance waived = %v malformed = %v, want exactly line 5", balance, balanceBad)
 	}
 
 	// Prefix overlap: scanning for "noalloc" must not claim the

@@ -53,7 +53,7 @@ type Root struct {
 // Roots are the anchored proof obligations: the MMU translation entry,
 // the machine's physical access paths (scalar and batched), the cache's
 // masked count-only run, the kernel's batched reference entry, and the
-// tracer's emit path.
+// tracer's record path (every typed event call's enabled branch).
 var Roots = []Root{
 	{"mmutricks/internal/ppc", "MMU", "Translate"},
 	{"mmutricks/internal/machine", "Machine", "MemAccess"},
@@ -64,7 +64,7 @@ var Roots = []Root{
 	{"mmutricks/internal/machine", "Machine", "MemPairRun"},
 	{"mmutricks/internal/cache", "Cache", "AccessRunCountMask"},
 	{"mmutricks/internal/kernel", "Kernel", "AccessRun"},
-	{"mmutricks/internal/mmtrace", "Tracer", "Emit"},
+	{"mmutricks/internal/mmtrace", "Tracer", "record"},
 }
 
 func run(pass *analysis.Pass) error {

@@ -6,7 +6,7 @@
 // The proof is shape-based. Span returns an exit closure that must be
 // called exactly once; the pass pins every call to an *opener* — Span
 // itself, or any function that returns an opener's result (the
-// kernel's span and syscallEntry helpers) — to one of the shapes whose
+// kernel's syscallEntry helper) — to one of the shapes whose
 // balance is self-evident:
 //
 //	defer f(...)()      // exit runs on every path out of the frame
@@ -21,7 +21,7 @@
 // argument, branching on it, dropping it — is reported: no syntactic
 // argument can show such a closure runs exactly once per entry. Openers
 // are discovered transitively across package boundaries through the
-// module index, so a new helper wrapping k.span inherits the obligation
+// module index, so a new helper wrapping Span inherits the obligation
 // without registration.
 //
 // The raw primitives Enter and Exit are reported anywhere outside the
@@ -125,7 +125,7 @@ func (c *checker) isOpener(fn *types.Func) bool {
 		return false
 	}
 	// Locals assigned from opener calls count as opener results when
-	// returned (the syscallEntry shape: done := k.span(...); return done).
+	// returned (the syscallEntry shape: done := k.M.Ph.Span(...); return done).
 	vars := map[types.Object]bool{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)

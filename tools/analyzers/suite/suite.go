@@ -10,8 +10,8 @@
 //     invariant checking in state-mutating tests, experiment-
 //     registration hygiene — and the whole-program proofs: transitive
 //     noalloc over the call graph, determinism of byte-identical
-//     output packages, counter↔trace parity, model↔kernel transition
-//     parity, and telemetry phase-span balance.
+//     output packages, model↔kernel transition parity, and telemetry
+//     phase-span balance.
 //   - Extra: registered and selectable via -run, but not run by
 //     default. The single-function noalloc pass lives here:
 //     noalloctrans subsumes it, and running both would double-report.
@@ -32,7 +32,6 @@ import (
 	"mmutricks/tools/analyzers/load"
 	"mmutricks/tools/analyzers/noalloc"
 	"mmutricks/tools/analyzers/noalloctrans"
-	"mmutricks/tools/analyzers/parity"
 	"mmutricks/tools/analyzers/phasebalance"
 	"mmutricks/tools/analyzers/registry"
 	"mmutricks/tools/analyzers/transitions"
@@ -45,7 +44,6 @@ var Default = []*analysis.Analyzer{
 	registry.Analyzer,
 	noalloctrans.Analyzer,
 	determinism.Analyzer,
-	parity.Analyzer,
 	transitions.Analyzer,
 	phasebalance.Analyzer,
 }

@@ -64,7 +64,7 @@ func run() (code int) {
 
 	k := kernel.New(machine.New(model), cfg)
 	if *profile {
-		k.M.Ph.Enable(telemetry.Options{})
+		k.M.Trc.Phases().Enable(telemetry.Options{})
 	}
 	r := kbuild.Run(k, bcfg)
 
@@ -81,7 +81,7 @@ func run() (code int) {
 		fmt.Printf("\n%s", k.M.Mon.String())
 	}
 	if *profile {
-		fmt.Printf("\nkernel-path profile:\n%s", k.M.Ph.String())
+		fmt.Printf("\nkernel-path profile:\n%s", k.M.Trc.Phases().String())
 	}
 	return exitcode.OK
 }

@@ -30,10 +30,10 @@ func main() {
 		{"optimized", kernel.Optimized()},
 	} {
 		k := kernel.New(machine.New(clock.PPC603At180()), kc.cfg)
-		k.M.Ph.Enable(telemetry.Options{})
+		k.M.Trc.Phases().Enable(telemetry.Options{})
 		r := kbuild.Run(k, cfg)
 		fmt.Printf("\n== %s (compute %.4f sim s) ==\n", kc.name, r.ComputeSeconds)
-		fmt.Print(k.M.Ph.String())
+		fmt.Print(k.M.Trc.Phases().String())
 	}
 	fmt.Println("\nThe miss-handler and flush shares collapsing into user time IS the")
 	fmt.Println("paper: every section (§5-§9) attacks one of these kernel slices.")

@@ -182,7 +182,7 @@ func (k *Kernel) CheckConsistency() error {
 	// 7. Phase-cycle conservation. CheckConservation accrues before
 	// checking, so running this sweep from inside a phase (the
 	// machine-check handler calls it mid-span) is fine.
-	if ph := k.M.Ph; ph.Enabled() {
+	if ph := k.M.Trc.Phases(); ph.Enabled() {
 		if err := ph.CheckConservation(); err != nil {
 			return err
 		}

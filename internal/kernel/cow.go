@@ -83,12 +83,8 @@ func (k *Kernel) forkCOW(parent, child *Task) {
 // takes: copy the page for the writer (or reclaim exclusivity if the
 // writer is the last sharer) and flush the stale translation.
 func (k *Kernel) cowBreak(t *Task, ea arch.EffectiveAddr) {
-	defer k.M.Ph.Span(telemetry.PhaseFault)()
 	pn := ea.PageNumber()
-	start := k.M.Led.Now()
-	defer func() {
-		k.M.Trc.MinorFault(t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start)
-	}()
+	defer k.M.Trc.COWBreak(k.M.Trc.Enter(telemetry.PhaseFault), &t.Segs[ea.SegIndex()], ea)
 	k.M.Led.Charge(clock.Cycles(k.M.Model.MissHandlerEntry))
 	k.kexecHandler(textPageFault+0x400, cowFaultInstr)
 

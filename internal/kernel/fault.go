@@ -86,7 +86,7 @@ func (k *Kernel) kdataDirect(off uint32, nbytes int, write bool) {
 
 // handleFault services a TLB miss (603) or hash-table miss (604).
 func (k *Kernel) handleFault(t *Task, ea arch.EffectiveAddr, r ppc.Result, instr bool) {
-	defer k.M.Ph.Span(telemetry.PhaseTLBMiss)()
+	defer k.M.Trc.Exit(k.M.Trc.Enter(telemetry.PhaseTLBMiss))
 	k.faultDepth++
 	defer func() { k.faultDepth-- }()
 	if k.faultDepth > 6 {
@@ -288,7 +288,7 @@ type pagetableEntry struct {
 // access outside every region is a simulation bug and panics (the
 // workloads are well-behaved; there is no one to deliver SIGSEGV to).
 func (k *Kernel) pageFault(t *Task, ea arch.EffectiveAddr) {
-	defer k.M.Ph.Span(telemetry.PhaseFault)()
+	defer k.M.Trc.Exit(k.M.Trc.Enter(telemetry.PhaseFault))
 	start := k.M.Led.Now()
 	k.kexecHandler(textPageFault, pageFaultInstr)
 	k.kdataDirect(dataVMAs+t.slotOff()%0x1000, 64, false) // vma lookup

@@ -18,7 +18,7 @@ const (
 // table. The hash-table half is the expensive part: a search of up to
 // 16 PTEs (§7).
 func (k *Kernel) flushPage(t *Task, ea arch.EffectiveAddr) {
-	defer k.M.Ph.Span(telemetry.PhaseFlush)()
+	defer k.M.Trc.Exit(k.M.Trc.Enter(telemetry.PhaseFlush))
 	start := k.M.Led.Now()
 	k.kexec(textFlush, flushPageInstr)
 	vpn := arch.VPNOf(t.Segs[ea.SegIndex()], ea)
@@ -48,7 +48,7 @@ func (k *Kernel) flushRange(t *Task, start arch.EffectiveAddr, pages int) {
 		k.flushContext(t)
 		return
 	}
-	defer k.M.Ph.Span(telemetry.PhaseFlush)()
+	defer k.M.Trc.Exit(k.M.Trc.Enter(telemetry.PhaseFlush))
 	begin := k.M.Led.Now()
 	k.kexec(textFlush+0x200, flushRangeInstr)
 	for i := 0; i < pages; i++ {
@@ -67,7 +67,7 @@ func (k *Kernel) flushRange(t *Task, start arch.EffectiveAddr, pages int) {
 // Eager mode: walk every page the task has mapped and hunt its PTE down
 // in the hash table (up to 16 accesses each), then invalidate the TLB.
 func (k *Kernel) flushContext(t *Task) {
-	defer k.M.Ph.Span(telemetry.PhaseFlush)()
+	defer k.M.Trc.Exit(k.M.Trc.Enter(telemetry.PhaseFlush))
 	// The flushed VSID names the context being destroyed (lazy mode
 	// replaces t.Segs before returning).
 	oldVSID := t.Segs[0]

@@ -46,7 +46,7 @@ func (k *Kernel) namei(name string) (*File, bool) {
 // enters it in the namespace. Creating an existing name truncates it
 // to the new size.
 func (k *Kernel) SysCreat(name string, pages int) *File {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textFileIO+0x400, creatInstr)
 	if old, ok := k.namei(name); ok {
 		k.freeFilePages(old)
@@ -68,7 +68,7 @@ func (k *Kernel) SysCreat(name string, pages int) *File {
 
 // SysUnlink removes a file, returning its page-cache frames.
 func (k *Kernel) SysUnlink(name string) {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textFileIO+0x600, unlinkInstr)
 	f, ok := k.namei(name)
 	if !ok {
@@ -81,7 +81,7 @@ func (k *Kernel) SysUnlink(name string) {
 
 // Lookup resolves a name without mutating anything (a stat).
 func (k *Kernel) SysStat(name string) (*File, bool) {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textFileIO+0x700, 160)
 	return k.namei(name)
 }

@@ -71,7 +71,7 @@ func (k *Kernel) ioLinear(ea arch.EffectiveAddr) (arch.PFN, bool) {
 // for TLB slots.
 func (k *Kernel) IoremapFB() arch.EffectiveAddr {
 	t := k.cur
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textMmap+0x800, ioremapInstr)
 	if t.fbMapped {
 		return UserFBBase

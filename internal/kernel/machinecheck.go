@@ -109,7 +109,7 @@ func (k *Kernel) machineCheck(p faultinject.Pending) {
 	k.inMC = true
 	defer func() { k.inMC = false }()
 
-	defer k.M.Ph.Span(telemetry.PhaseMCRepair)()
+	defer k.M.Trc.Exit(k.M.Trc.Enter(telemetry.PhaseMCRepair))
 	start := k.M.Led.Now()
 	k.fetchPhysText(textMC, mcEntryInstr)
 	k.M.Trc.MachineCheck(p.Addr, k.M.Led.Now()-start, uint32(p.Cause))

@@ -132,15 +132,16 @@ func (k *Kernel) UseMM(t *Task) {
 	if t.State != TaskRunnable || t.mm == nil {
 		panic(fmt.Sprintf("kernel: UseMM on task %d without a live mm", t.PID))
 	}
-	defer k.M.Ph.Span(telemetry.PhaseCtxSwitch)()
-	k.M.Mon.KthreadMMSwitches++
+	defer k.M.Trc.Exit(k.M.Trc.KthreadMMSwitch())
 	k.kexec(textSched+0x600, useMMInstr)
 	m := t.mm
 	k.mmGet(m)
 	old := k.activeMM
 	k.activeMM = m
 	k.kthreadMM = m
-	k.M.Ph.SetTask(0, m.ID)
+	// Only the ledger's task changes: the tracer keeps naming the task
+	// that last ran (after an exit, the dead one), as it always has.
+	k.M.Trc.Phases().SetTask(0, m.ID)
 	k.loadSegments(t)
 	k.mmDrop(old)
 }
@@ -154,8 +155,7 @@ func (k *Kernel) UnuseMM() {
 	if m == nil {
 		panic("kernel: UnuseMM without UseMM")
 	}
-	defer k.M.Ph.Span(telemetry.PhaseCtxSwitch)()
-	k.M.Mon.KthreadMMSwitches++
+	defer k.M.Trc.Exit(k.M.Trc.KthreadMMSwitch())
 	k.kexec(textSched+0x700, unuseMMInstr)
 	k.mmGrab(m)
 	k.kthreadMM = nil
@@ -176,12 +176,8 @@ func (k *Kernel) SwitchToIdle() {
 	if k.kthreadMM != nil {
 		panic("kernel: SwitchToIdle during a UseMM span")
 	}
-	defer k.M.Ph.Span(telemetry.PhaseCtxSwitch)()
-	start := k.M.Led.Now()
-	defer func() {
-		// PID 0: the switch lands in the idle loop.
-		k.M.Trc.CtxSwitch(t.Segs[0], k.M.Led.Now()-start, 0)
-	}()
+	// PID 0: the switch lands in the idle loop.
+	defer k.M.Trc.CtxSwitch(k.M.Trc.Enter(telemetry.PhaseCtxSwitch), &t.Segs[0], 0)
 	if k.cfg.FastReload {
 		k.kexec(textSched, schedInstr)
 		k.kdataW(dataTaskStructs+t.slotOff(), 128) // save
@@ -192,10 +188,9 @@ func (k *Kernel) SwitchToIdle() {
 	k.kdata(dataRunQueue, 64)
 	k.mmGrab(t.mm)
 	k.cur = nil
-	k.M.Trc.SetTask(0)
 	// PID 0 on the borrowed space: idle cycles still attribute to the
 	// address space the segment registers name.
-	k.M.Ph.SetTask(0, k.activeMM.ID)
+	k.M.Trc.SetTask(0, k.activeMM.ID)
 }
 
 // MM returns the task's address-space descriptor (nil after exit).

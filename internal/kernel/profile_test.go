@@ -11,7 +11,7 @@ import (
 
 func TestProfilerOffByDefault(t *testing.T) {
 	k, _ := bootTask(t, clock.PPC604At185(), Optimized())
-	if k.M.Ph.Enabled() {
+	if k.M.Trc.Phases().Enabled() {
 		t.Fatal("phase ledger should be off until enabled")
 	}
 	k.SysNull() // must not crash with profiling off
@@ -20,7 +20,7 @@ func TestProfilerOffByDefault(t *testing.T) {
 func TestProfilerAttributesPaths(t *testing.T) {
 	k, _ := bootTask(t, clock.PPC604At185(), Unoptimized())
 	other := k.Fork()
-	k.M.Ph.Enable(telemetry.Options{})
+	k.M.Trc.Phases().Enable(telemetry.Options{})
 
 	for i := 0; i < 20; i++ {
 		k.SysNull()
@@ -32,7 +32,7 @@ func TestProfilerAttributesPaths(t *testing.T) {
 	a := k.SysMmap(64)
 	k.SysMunmap(a, 64) // eager flushing
 
-	p := k.M.Ph
+	p := k.M.Trc.Phases()
 	for _, ph := range []telemetry.Phase{telemetry.PhaseSyscall, telemetry.PhaseTLBMiss, telemetry.PhaseFault,
 		telemetry.PhaseCtxSwitch, telemetry.PhaseIdle, telemetry.PhaseFlush} {
 		if p.Cycles(ph) == 0 {
@@ -66,11 +66,11 @@ func TestProfilerNesting(t *testing.T) {
 	// to the fault, not the syscall.
 	k, _ := bootTask(t, clock.PPC604At185(), Optimized())
 	p := k.SysPipe()
-	k.M.Ph.Enable(telemetry.Options{})
+	k.M.Trc.Phases().Enable(telemetry.Options{})
 	// The read lands in untouched user pages: the copy faults them in.
 	k.SysPipeWrite(p, UserDataBase, 256)
 	k.SysPipeRead(p, UserDataBase+0x3000000%0x100000+0x200000, 256)
-	prof := k.M.Ph
+	prof := k.M.Trc.Phases()
 	if prof.Cycles(telemetry.PhaseFault) == 0 {
 		t.Fatal("nested fault not attributed")
 	}
@@ -87,12 +87,12 @@ func TestProfilerShowsOptimizationShift(t *testing.T) {
 		k, _ := bootTask(t, clock.PPC603At180(), cfg)
 		addr := k.SysMmap(512)
 		k.UserTouchPages(addr, 512)
-		k.M.Ph.Enable(telemetry.Options{})
+		k.M.Trc.Phases().Enable(telemetry.Options{})
 		for i := 0; i < 4; i++ {
 			k.UserTouchPages(addr, 512)
 			k.UserRun(0, 2000)
 		}
-		return k.M.Ph.Fraction(telemetry.PhaseTLBMiss)
+		return k.M.Trc.Phases().Fraction(telemetry.PhaseTLBMiss)
 	}
 	unopt := missShare(Unoptimized())
 	opt := missShare(Optimized())

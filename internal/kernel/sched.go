@@ -34,13 +34,9 @@ func (k *Kernel) Switch(t *Task) {
 
 func (k *Kernel) switchTo(t *Task, charge bool) {
 	if charge {
-		defer k.M.Ph.Span(telemetry.PhaseCtxSwitch)()
 		// The event covers the whole switch (scheduler path, state
 		// save/restore, segment reload) and names the incoming task.
-		start := k.M.Led.Now()
-		defer func() {
-			k.M.Trc.CtxSwitch(t.Segs[0], k.M.Led.Now()-start, t.PID)
-		}()
+		defer k.M.Trc.CtxSwitch(k.M.Trc.Enter(telemetry.PhaseCtxSwitch), &t.Segs[0], t.PID)
 		if k.cfg.CachePreload {
 			// §10.2: prefetch the incoming task's state so the fills
 			// overlap the switch path instead of stalling it.
@@ -78,8 +74,7 @@ func (k *Kernel) switchTo(t *Task, charge bool) {
 	}
 	k.activeMM = t.mm
 	k.cur = t
-	k.M.Trc.SetTask(t.PID)
-	k.M.Ph.SetTask(t.PID, t.mm.ID)
+	k.M.Trc.SetTask(t.PID, t.mm.ID)
 	k.loadSegments(t)
 	k.loadFBBAT(t)
 	if t.sigPending > 0 {
@@ -101,8 +96,7 @@ type IdleStats struct {
 // configuration each poll reclaims zombie hash-table PTEs (§7) and/or
 // clears free pages (§9).
 func (k *Kernel) RunIdleFor(cycles clock.Cycles) IdleStats {
-	defer k.M.Ph.Span(telemetry.PhaseIdle)()
-	k.M.Mon.IdleWaits++
+	defer k.M.Trc.Exit(k.M.Trc.IdleWait())
 	var st IdleStats
 	if k.cfg.IdleCacheLock {
 		// §10.1: nothing the idle task does is time-critical, so lock
@@ -158,8 +152,7 @@ func (k *Kernel) RunIdleFor(cycles clock.Cycles) IdleStats {
 // idleReclaimScan is one idle-poll sweep over the hash table for
 // zombie PTEs (§7), returning how many it reclaimed.
 func (k *Kernel) idleReclaimScan() int {
-	defer k.M.Ph.Span(telemetry.PhaseIdleReclaim)()
-	k.M.Mon.IdleScans++
+	defer k.M.Trc.Exit(k.M.Trc.IdleScan())
 	var n int
 	scanStart := k.M.Led.Now()
 	k.idleScan, n = k.M.MMU.HTAB.ReclaimScan(k.idleScan, idleReclaimGroups, k.M, k.zombie)
@@ -172,7 +165,7 @@ func (k *Kernel) idleReclaimScan() int {
 // clearPageIdle clears one page from the idle task: a store per line,
 // cached or cache-inhibited per the experiment variant.
 func (k *Kernel) clearPageIdle(pfn arch.PFN, inhibited bool) {
-	defer k.M.Ph.Span(telemetry.PhasePreZero)()
+	defer k.M.Trc.Exit(k.M.Trc.Enter(telemetry.PhasePreZero))
 	start := k.M.Led.Now()
 	k.kexec(textIdle+0x200, idleClearInstr)
 	line := k.M.LineSize()

@@ -24,7 +24,7 @@ const (
 // instructions per delivery.
 func (k *Kernel) SysSignal(hdlrPage, hdlrInstr int) {
 	t := k.cur
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textProc+0x1000, sigInstallInstr)
 	t.sigHandlerPage = hdlrPage
 	t.sigHandlerInstr = hdlrInstr
@@ -35,7 +35,7 @@ func (k *Kernel) SysSignal(hdlrPage, hdlrInstr int) {
 // the handler before SysKill returns (the lat_sig pattern); otherwise
 // the signal is left pending and fires when the target next runs.
 func (k *Kernel) SysKill(target *Task) {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textProc+0x1400, 150)
 	if !target.sigInstalled {
 		panic(fmt.Sprintf("kernel: signal to task %d with no handler", target.PID))
@@ -78,7 +78,7 @@ func (k *Kernel) SignalsDelivered() uint64 { return k.M.Mon.Signals }
 // the task's handler — LmBench's "prot fault" latency.
 func (k *Kernel) SysMprotect(addr arch.EffectiveAddr, pages int, readOnly bool) {
 	t := k.cur
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textMmap+0x1000, 220)
 	for i := 0; i < pages; i++ {
 		pn := (addr + arch.EffectiveAddr(i*arch.PageSize)).PageNumber()
@@ -99,7 +99,7 @@ func (k *Kernel) SysMprotect(addr arch.EffectiveAddr, pages int, readOnly bool) 
 // protFault services a store to a write-protected page: trap, SIGSEGV
 // to the handler (which must exist — there is no one else to kill).
 func (k *Kernel) protFault(t *Task, ea arch.EffectiveAddr) {
-	defer k.M.Ph.Span(telemetry.PhaseFault)()
+	defer k.M.Trc.Exit(k.M.Trc.Enter(telemetry.PhaseFault))
 	k.M.Led.Charge(arch.PageSize / arch.PageSize * 32) // trap entry
 	k.kexecHandler(textPageFault+0x800, 260)
 	if !t.sigInstalled {

@@ -45,11 +45,7 @@ type swapSlot int
 
 // swapOut writes one page to the swap device and releases its frame.
 func (k *Kernel) swapOut(t *Task, ea arch.EffectiveAddr, pfn arch.PFN) {
-	defer k.M.Ph.Span(telemetry.PhaseSwap)()
-	start := k.M.Led.Now()
-	defer func() {
-		k.M.Trc.SwapOut(t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start)
-	}()
+	defer k.M.Trc.SwapOut(k.M.Trc.Enter(telemetry.PhaseSwap), &t.Segs[ea.SegIndex()], ea)
 	k.kexecHandler(textGetFree+0x200, swapOutInstr)
 	// Read the page for the device write (DMA; the device does not
 	// pollute the cache but the read costs memory time per line).
@@ -71,15 +67,11 @@ func (k *Kernel) swapOut(t *Task, ea arch.EffectiveAddr, pfn arch.PFN) {
 
 // swapIn brings a swapped page back for the current fault.
 func (k *Kernel) swapIn(t *Task, ea arch.EffectiveAddr) arch.PFN {
-	defer k.M.Ph.Span(telemetry.PhaseSwap)()
 	key := swapKey{t.PID, ea.PageBase().PageNumber()}
 	if _, ok := k.swapped[key]; !ok {
 		panic(fmt.Sprintf("kernel: swapIn of resident page %v", ea))
 	}
-	start := k.M.Led.Now()
-	defer func() {
-		k.M.Trc.SwapIn(t.Segs[ea.SegIndex()], ea, k.M.Led.Now()-start)
-	}()
+	defer k.M.Trc.SwapIn(k.M.Trc.Enter(telemetry.PhaseSwap), &t.Segs[ea.SegIndex()], ea)
 	k.kexecHandler(textGetFree+0x400, swapInInstr)
 	k.M.Led.Charge(swapLatencyCycles)
 	delete(k.swapped, key)

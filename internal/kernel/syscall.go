@@ -6,8 +6,8 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
+	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/pagetable"
-	"mmutricks/internal/telemetry"
 )
 
 // Syscall instruction-path lengths. The fast figures are the §6.1
@@ -36,12 +36,11 @@ const (
 )
 
 // syscallEntry charges the cost of entering and leaving the kernel for
-// a system call, and opens the profiler's syscall span; callers write
+// a system call, and enters the syscall phase; callers write
 //
-//	defer k.syscallEntry()()
-func (k *Kernel) syscallEntry() func() {
-	done := k.M.Ph.Span(telemetry.PhaseSyscall)
-	k.M.Mon.Syscalls++
+//	defer k.M.Trc.Exit(k.syscallEntry())
+func (k *Kernel) syscallEntry() mmtrace.Span {
+	s := k.M.Trc.Syscall()
 	k.M.Led.Charge(trapCycles)
 	if k.cfg.FastReload {
 		k.kexec(textSyscall, syscallFastInstr)
@@ -50,13 +49,13 @@ func (k *Kernel) syscallEntry() func() {
 		k.kexec(textSyscall, syscallSlowInstr)
 		k.kdataW(dataTaskStructs+k.cur.slotOff(), 256)
 	}
-	return done
+	return s
 }
 
 // SysNull is the trivial system call (LmBench's getppid loop): pure
 // entry/exit overhead.
 func (k *Kernel) SysNull() {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 }
 
 // ---------------------------------------------------------------------
@@ -80,7 +79,7 @@ func (p *Pipe) Buffered() int { return p.used }
 
 // SysPipe creates a pipe, allocating its kernel buffer page.
 func (k *Kernel) SysPipe() *Pipe {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textPipe, 120)
 	pfn := k.getFreePage()
 	p := &Pipe{ID: k.nextPipe, buf: pfn}
@@ -94,7 +93,7 @@ func (k *Kernel) SysPipe() *Pipe {
 // and the caller would block — the workload is responsible for
 // scheduling the reader, as LmBench's ping-pong structure does).
 func (k *Kernel) SysPipeWrite(p *Pipe, src arch.EffectiveAddr, n int) int {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textPipe+0x200, pipeOpInstr)
 	k.kdata(dataPipeTable+uint32(p.ID%32)*64, 64)
 	n = min(n, p.Space())
@@ -109,7 +108,7 @@ func (k *Kernel) SysPipeWrite(p *Pipe, src arch.EffectiveAddr, n int) int {
 // SysPipeRead copies up to n bytes from the pipe into the user buffer
 // at dst, returning how many were read (0 means empty).
 func (k *Kernel) SysPipeRead(p *Pipe, dst arch.EffectiveAddr, n int) int {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textPipe+0x400, pipeOpInstr)
 	k.kdata(dataPipeTable+uint32(p.ID%32)*64, 64)
 	n = min(n, p.used)
@@ -178,7 +177,7 @@ func (k *Kernel) copyUserKernel(user arch.EffectiveAddr, frame arch.PFN, frameOf
 // returning the placement address. Pages are demand-faulted.
 func (k *Kernel) SysMmap(pages int) arch.EffectiveAddr {
 	t := k.cur
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textMmap, mmapInstr)
 	k.kdata(dataVMAs+t.slotOff()%0x1000, 128)
 	addr := t.nextMmap
@@ -194,7 +193,7 @@ func (k *Kernel) SysMmap(pages int) arch.EffectiveAddr {
 // its translations.
 func (k *Kernel) SysMunmap(addr arch.EffectiveAddr, pages int) {
 	t := k.cur
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textMmap+0x400, munmapInstr)
 	k.kdata(dataVMAs+t.slotOff()%0x1000, 128)
 	idx := -1
@@ -237,7 +236,7 @@ func (k *Kernel) unmapRangeFrames(t *Task, start, end arch.EffectiveAddr) {
 // lat_mmap actually maps.
 func (k *Kernel) SysMmapFile(f *File, offPages, pages int) arch.EffectiveAddr {
 	t := k.cur
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textMmap, mmapInstr)
 	k.kdata(dataVMAs+t.slotOff()%0x1000, 128)
 	if offPages < 0 || pages <= 0 || offPages+pages > len(f.Pages) {
@@ -259,7 +258,7 @@ func (k *Kernel) SysMmapFile(f *File, offPages, pages int) arch.EffectiveAddr {
 // that §7's tunable cutoff exists for.
 func (k *Kernel) SysBrk(newPages int) {
 	t := k.cur
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textMmap+0xC00, 250)
 	heap := t.regionFor(UserDataBase)
 	if heap == nil {
@@ -324,7 +323,7 @@ func (k *Kernel) CreateFile(pages int) *File {
 // dst: a page-cache lookup and a copy_to_user per page — LmBench's
 // "file reread" path.
 func (k *Kernel) SysRead(f *File, off int, dst arch.EffectiveAddr, n int) int {
-	defer k.syscallEntry()()
+	defer k.M.Trc.Exit(k.syscallEntry())
 	k.kexec(textFileIO, 80)
 	if off >= f.Size() {
 		return 0

@@ -1,9 +1,12 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
 	"mmutricks/internal/clock"
+	"mmutricks/internal/faultinject"
+	"mmutricks/internal/machine"
 	"mmutricks/internal/telemetry"
 )
 
@@ -37,16 +40,17 @@ func TestConservationCorruptionTable(t *testing.T) {
 	for _, ph := range telemetry.AllPhases {
 		for _, d := range []int64{-1, 1} {
 			k, _ := bootTask(t, clock.PPC604At185(), Optimized())
-			k.M.Ph.Enable(telemetry.Options{})
+			p := k.M.Trc.Phases()
+			p.Enable(telemetry.Options{})
 			mixedWorkload(k)
 			if err := k.CheckConsistency(); err != nil {
 				t.Fatalf("clean run inconsistent: %v", err)
 			}
-			k.M.Ph.Skew(ph, d)
+			p.Skew(ph, d)
 			if err := k.CheckConsistency(); err == nil {
 				t.Errorf("phase %v skewed by %+d cycles not caught", ph, d)
 			}
-			k.M.Ph.Skew(ph, -d) // restore for the deferred checks
+			p.Skew(ph, -d) // restore for the deferred checks
 		}
 	}
 }
@@ -58,7 +62,7 @@ func TestTelemetryNeutrality(t *testing.T) {
 	run := func(enable bool) (clock.Cycles, string) {
 		k, _ := bootTask(t, clock.PPC604At185(), Optimized())
 		if enable {
-			k.M.Ph.Enable(telemetry.Options{SampleInterval: 4096, SampleCapacity: 64})
+			k.M.Trc.Phases().Enable(telemetry.Options{SampleInterval: 4096, SampleCapacity: 64})
 		}
 		mixedWorkload(k)
 		return k.M.Led.Now(), k.M.Mon.String()
@@ -82,24 +86,85 @@ func TestReconcilePhaseEntries(t *testing.T) {
 		cfg.IdleClear = IdleClearUncachedList
 		k, _ := bootTask(t, model, cfg)
 		before := *k.M.Mon
-		k.M.Ph.Enable(telemetry.Options{})
+		p := k.M.Trc.Phases()
+		p.Enable(telemetry.Options{})
 		mixedWorkload(k)
-		k.M.Ph.Sync()
+		p.Sync()
 		delta := k.M.Mon.Delta(before)
-		for _, row := range telemetry.Reconcile(k.M.Ph, &delta) {
+		for _, row := range telemetry.Reconcile(p, &delta) {
 			if !row.OK {
 				t.Errorf("%s/%d: %s: %d phase entries vs %d counter events",
 					model.Name, model.MHz, row.Name, row.Enters, row.Counter)
 			}
 		}
-		if k.M.Ph.Enters(telemetry.PhaseSwap) == 0 {
+		if p.Enters(telemetry.PhaseSwap) == 0 {
 			t.Errorf("%s: workload never swapped — reconcile rows untested", model.Name)
 		}
-		if k.M.Ph.Enters(telemetry.PhasePreZero) == 0 {
+		if p.Enters(telemetry.PhasePreZero) == 0 {
 			t.Errorf("%s: workload never pre-zeroed", model.Name)
 		}
 		if err := k.CheckConsistency(); err != nil {
 			t.Errorf("%s: %v", model.Name, err)
 		}
+	}
+}
+
+// TestPhasesSurviveRecoveredPanic follows the chaos soak's recovery
+// path with phases on: a workload panics two spans deep (a segfault in
+// the page-fault span, inside the hash-miss handler's tlb-miss span),
+// the harness recovers it, disarms the injector and drains the pending
+// machine checks on the same kernel. The deferred exits must have
+// unwound both spans: conservation holds, the next cycles are user
+// time, and the next span enters and leaves cleanly.
+func TestPhasesSurviveRecoveredPanic(t *testing.T) {
+	sched := faultinject.DefaultSchedule(7)
+	sched.RatePPM = 20000
+	sched.Weights[faultinject.PTEFlip] = 0 // keep the task alive
+	inj := faultinject.New(sched)
+	k := New(machine.NewWithOptions(clock.PPC604At185(), machine.Options{Injector: inj}), Optimized())
+	k.Spawn(k.LoadImage("test", 8))
+	ph := k.M.Trc.Phases()
+	ph.Enable(telemetry.Options{SampleInterval: 4096})
+
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		inj.Arm()
+		k.UserTouchPages(UserDataBase, 64)
+		k.UserTouch(0x2000_0000, 4) // outside every region
+		return nil
+	}()
+	if msg, _ := recovered.(string); !strings.Contains(msg, "segfault") {
+		t.Fatalf("recovered %v, want the wild store's segfault", recovered)
+	}
+	inj.Disarm()
+	k.DrainMachineChecks()
+	if k.M.Mon.MachineChecks == 0 {
+		t.Fatal("no machine check delivered: the injector never fired")
+	}
+	if ph.Enters(telemetry.PhaseFault) == 0 || ph.Enters(telemetry.PhaseTLBMiss) == 0 {
+		t.Fatal("the panic was not taken inside the fault spans")
+	}
+
+	userOnly := func(when string) {
+		t.Helper()
+		if err := ph.CheckConservation(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		user := ph.Cycles(telemetry.PhaseUser)
+		k.M.Led.Charge(100)
+		ph.Sync()
+		if got := ph.Cycles(telemetry.PhaseUser) - user; got != 100 {
+			t.Fatalf("%s: %d of 100 cycles went to user time; a span is still open", when, got)
+		}
+	}
+	userOnly("after the recovered panic")
+	syscalls := ph.Enters(telemetry.PhaseSyscall)
+	k.SysNull()
+	if got := ph.Enters(telemetry.PhaseSyscall) - syscalls; got != 1 {
+		t.Fatalf("the next syscall entered its phase %d times, want 1", got)
+	}
+	userOnly("after the next span")
+	if err := k.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -30,15 +30,14 @@ type Machine struct {
 	L2  *cache.Cache
 	Mem *phys.Memory
 	MMU *ppc.MMU
-	// Trc is the machine's event tracer and the one instrumentation
-	// point for Mon's event counters: its typed calls bump Mon whether
-	// or not it records. Always non-nil, constructed disabled; enable it
-	// (and snapshot Mon) to record a window.
+	// Trc is the machine's one instrumentation point: its typed calls
+	// bump Mon's counters whether or not it records events, and it owns
+	// the phase ledger (Trc.Phases(): cycle attribution and interval
+	// sampling) that the kernel's spans enter and leave through it.
+	// Always non-nil, constructed with events and phases disabled;
+	// enable the tracer (and snapshot Mon) to record a window, and the
+	// ledger to attribute cycles.
 	Trc *mmtrace.Tracer
-	// Ph is the machine's phase ledger (cycle attribution + interval
-	// sampling). Always non-nil, constructed disabled; profilers and the
-	// recording drivers enable it.
-	Ph *telemetry.Phases
 
 	// Inj is the attached fault injector (nil = no injection; the
 	// injection points reduce to one never-taken branch).
@@ -90,10 +89,8 @@ func NewWithOptions(model clock.CPUModel, opts Options) *Machine {
 		m.L2 = cache.New("L2", model.L2Size, 1, model.LineSize)
 	}
 	m.Trc = mmtrace.NewTracer(m.Led, m.Mon, opts.TraceCapacity)
-	m.Ph = telemetry.New(m.Led, m.Mon)
 	htab := ppc.NewHTAB(groups, m.Mem.Layout().HTABBase)
 	m.MMU = ppc.NewMMU(model, htab, m.Led, m, m.Trc)
-	m.MMU.SetPhases(m.Ph)
 	if opts.Injector != nil {
 		m.Inj = opts.Injector
 		m.MMU.SetInjector(opts.Injector)
@@ -235,7 +232,7 @@ func (m *Machine) Fetch(pa arch.PhysAddr, class cache.Class, inhibited bool) {
 	if inhibited {
 		m.ICache.AccessInhibited(class)
 		m.Led.Charge(clock.Cycles(m.Model.MemLatency))
-		m.Ph.Attribute(telemetry.PhaseFetch, clock.Cycles(m.Model.MemLatency))
+		m.Trc.Phases().Attribute(telemetry.PhaseFetch, clock.Cycles(m.Model.MemLatency))
 		m.Trc.CacheFill(pa, clock.Cycles(m.Model.MemLatency), uint32(class))
 		return
 	}
@@ -246,7 +243,7 @@ func (m *Machine) Fetch(pa arch.PhysAddr, class cache.Class, inhibited bool) {
 	}
 	fill := clock.Cycles(m.fillCost(pa, class, false))
 	m.Led.Charge(fill)
-	m.Ph.Attribute(telemetry.PhaseFetch, fill)
+	m.Trc.Phases().Attribute(telemetry.PhaseFetch, fill)
 	m.Trc.CacheFill(pa, fill, uint32(class))
 }
 
@@ -267,5 +264,5 @@ func (m *Machine) Reset() {
 	m.MMU.InvalidateTLBs()
 	*m.Mon = hwmon.Counters{}
 	m.Trc.Reset()
-	m.Ph.Restart()
+	m.Trc.Phases().Restart()
 }

@@ -24,6 +24,16 @@ func TestNewWiresEverything(t *testing.T) {
 	}
 }
 
+// TestNewAllocs pins what building a machine allocates, so a second
+// instrumentation struct (a phase ledger beside the tracer's, say)
+// cannot come back unseen. A change that moves the count must say why.
+func TestNewAllocs(t *testing.T) {
+	const want = 19
+	if n := testing.AllocsPerRun(20, func() { New(clock.PPC604At185()) }); n != want {
+		t.Fatalf("machine.New allocates %.0f times, want %d", n, want)
+	}
+}
+
 func TestMemAccessCosts(t *testing.T) {
 	m := New(clock.PPC604At185())
 	lat := clock.Cycles(m.Model.MemLatency)

@@ -195,12 +195,12 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 		lat := clock.Cycles(m.Model.MemLatency)
 		if !m.Trc.Enabled() {
 			m.Led.Charge(lat * clock.Cycles(n))
-			m.Ph.Attribute(telemetry.PhaseFetch, lat*clock.Cycles(n))
+			m.Trc.Phases().Attribute(telemetry.PhaseFetch, lat*clock.Cycles(n))
 			return
 		}
 		for i := 0; i < n; i++ {
 			m.Led.Charge(lat)
-			m.Ph.Attribute(telemetry.PhaseFetch, lat)
+			m.Trc.Phases().Attribute(telemetry.PhaseFetch, lat)
 			m.Trc.CacheFill(pa+arch.PhysAddr(i*stride), lat, uint32(class))
 		}
 		return
@@ -212,7 +212,7 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 		if nmiss > 0 {
 			fills := clock.Cycles(nmiss * m.Model.MemLatency)
 			m.Led.Charge(fills)
-			m.Ph.Attribute(telemetry.PhaseFetch, fills)
+			m.Trc.Phases().Attribute(telemetry.PhaseFetch, fills)
 		}
 		return
 	}
@@ -232,14 +232,14 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 			}
 			if total > 0 {
 				m.Led.Charge(total)
-				m.Ph.Attribute(telemetry.PhaseFetch, total)
+				m.Trc.Phases().Attribute(telemetry.PhaseFetch, total)
 			}
 		} else {
 			for i := 0; i < nmiss; i++ {
 				a := pa + arch.PhysAddr(int(m.missBuf[i].Index)*stride)
 				fill := clock.Cycles(m.fillCost(a, class, false))
 				m.Led.Charge(fill)
-				m.Ph.Attribute(telemetry.PhaseFetch, fill)
+				m.Trc.Phases().Attribute(telemetry.PhaseFetch, fill)
 				m.Trc.CacheFill(a, fill, uint32(class))
 			}
 		}

@@ -3,6 +3,7 @@ package mmtrace
 import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/clock"
+	"mmutricks/internal/telemetry"
 )
 
 // The typed event calls below are the simulator's one instrumentation
@@ -12,8 +13,8 @@ import (
 // event that has a counter. Call sites sit where the operation
 // completes (after its cost is charged), so a counter moves at the
 // event's timestamp and a sampled counter file agrees with the ring at
-// every instant. Counters with no event (TLBHits, Syscalls, ...) stay
-// plain increments at their sites.
+// every instant. Counters with neither an event nor a phase (TLBHits,
+// Forks, ...) stay plain increments at their sites.
 //
 // Disabled, a call is its counter bumps plus one predictable branch.
 // Every call is small enough to inline; the branch is written out in
@@ -176,6 +177,15 @@ func (t *Tracer) MinorFault(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycl
 	}
 }
 
+// COWBreak: a store to a copy-on-write page was given its own page
+// (a minor fault); it ends span s. Bumps MinorFaults.
+//
+//mmutricks:noalloc
+func (t *Tracer) COWBreak(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
+	t.mon.MinorFaults++
+	t.end(s, KindMinorFault, vs, ea, 0)
+}
+
 // MajorFault: a page fault allocated (or swapped in) a page. Bumps
 // MajorFaults.
 //
@@ -238,14 +248,13 @@ func (t *Tracer) VSIDReassign(vs arch.VSID, ctx uint32) {
 	}
 }
 
-// CtxSwitch: a context switch to task pid finished. Bumps CtxSwitches.
+// CtxSwitch: a context switch to task pid finished; it ends span s
+// (see Span). Bumps CtxSwitches.
 //
 //mmutricks:noalloc
-func (t *Tracer) CtxSwitch(vs arch.VSID, cost clock.Cycles, pid uint32) {
+func (t *Tracer) CtxSwitch(s Span, vs *arch.VSID, pid uint32) {
 	t.mon.CtxSwitches++
-	if t.enabled {
-		t.record(KindCtxSwitch, vs, 0, cost, pid)
-	}
+	t.end(s, KindCtxSwitch, vs, 0, pid)
 }
 
 // IdleReclaim: an idle-task sweep invalidated reclaimed zombie PTEs.
@@ -270,24 +279,22 @@ func (t *Tracer) PageZero(pa arch.PhysAddr, cost clock.Cycles) {
 	}
 }
 
-// SwapOut: a page went to the swap device. Bumps SwapOuts.
+// SwapOut: a page went to the swap device; it ends span s. Bumps
+// SwapOuts.
 //
 //mmutricks:noalloc
-func (t *Tracer) SwapOut(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
+func (t *Tracer) SwapOut(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
 	t.mon.SwapOuts++
-	if t.enabled {
-		t.record(KindSwapOut, vs, ea, cost, 0)
-	}
+	t.end(s, KindSwapOut, vs, ea, 0)
 }
 
-// SwapIn: a page came back from the swap device. Bumps SwapIns.
+// SwapIn: a page came back from the swap device; it ends span s.
+// Bumps SwapIns.
 //
 //mmutricks:noalloc
-func (t *Tracer) SwapIn(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
+func (t *Tracer) SwapIn(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
 	t.mon.SwapIns++
-	if t.enabled {
-		t.record(KindSwapIn, vs, ea, cost, 0)
-	}
+	t.end(s, KindSwapIn, vs, ea, 0)
 }
 
 // CacheFill: an access to pa paid a fill from memory (or went around
@@ -375,4 +382,81 @@ func (t *Tracer) MCSpurious(pa arch.PhysAddr, cost clock.Cycles) {
 	if t.enabled {
 		t.record(KindMCSpurious, 0, arch.EffectiveAddr(pa), cost, 0)
 	}
+}
+
+// Span is the token an entering call returns: the cycle its phase was
+// entered at. Every token goes to exactly one deferred exiting call —
+// Exit, or an event call that ends the span (CtxSwitch, SwapOut,
+// SwapIn, COWBreak) — or is returned by an entering helper:
+//
+//	defer t.Exit(t.Enter(telemetry.PhaseFlush))
+//
+// Go evaluates a deferred call's arguments at the defer statement, so
+// the phase is entered there and left on every path out of the
+// function, panics included. The phasebalance analyzer holds every
+// caller to these shapes.
+type Span struct{ start clock.Cycles }
+
+// Enter enters phase ph and returns its token.
+//
+//mmutricks:noalloc
+func (t *Tracer) Enter(ph telemetry.Phase) Span { return Span{t.ph.Enter(ph)} }
+
+// Exit leaves the phase s entered.
+//
+//mmutricks:noalloc
+func (t *Tracer) Exit(s Span) { t.ph.Exit() }
+
+// end is the shared tail of the span-ending event calls: record the
+// event, costed from the span's start, then leave the phase. vs is
+// read here, at the end, because the operation may have given the
+// task fresh VSIDs (an exit run from a machine check).
+//
+//mmutricks:noalloc
+func (t *Tracer) end(s Span, kind Kind, vs *arch.VSID, ea arch.EffectiveAddr, aux uint32) {
+	if t.enabled {
+		t.record(kind, *vs, ea, t.led.Now()-s.start, aux)
+	}
+	t.ph.Exit()
+}
+
+// Syscall enters the syscall phase for one system call. Bumps
+// Syscalls. Like every entering call, it enters the phase before it
+// bumps the counter, so a sample taken on entry holds the counter as it
+// was before the call.
+//
+//mmutricks:noalloc
+func (t *Tracer) Syscall() Span {
+	s := Span{t.ph.Enter(telemetry.PhaseSyscall)}
+	t.mon.Syscalls++
+	return s
+}
+
+// IdleWait enters the idle phase for one I/O wait. Bumps IdleWaits.
+//
+//mmutricks:noalloc
+func (t *Tracer) IdleWait() Span {
+	s := Span{t.ph.Enter(telemetry.PhaseIdle)}
+	t.mon.IdleWaits++
+	return s
+}
+
+// IdleScan enters the idle-reclaim phase for one zombie sweep. Bumps
+// IdleScans.
+//
+//mmutricks:noalloc
+func (t *Tracer) IdleScan() Span {
+	s := Span{t.ph.Enter(telemetry.PhaseIdleReclaim)}
+	t.mon.IdleScans++
+	return s
+}
+
+// KthreadMMSwitch enters the ctx-switch phase for a kernel thread's
+// address-space adoption or release. Bumps KthreadMMSwitches.
+//
+//mmutricks:noalloc
+func (t *Tracer) KthreadMMSwitch() Span {
+	s := Span{t.ph.Enter(telemetry.PhaseCtxSwitch)}
+	t.mon.KthreadMMSwitches++
+	return s
 }

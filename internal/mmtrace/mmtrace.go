@@ -8,11 +8,13 @@
 // belongs to, the effective address involved, and the cycle cost of the
 // operation.
 //
-// The tracer is also the one instrumentation point for the counters
-// that have an event: each typed call (TLBMiss, MajorFault,
-// FlushRange, ...; events.go) bumps its hwmon counters and records its
-// event, so the two agree by construction. It is built for the
-// translation hot path:
+// The tracer is also the machine's one instrumentation point. Each
+// typed call (TLBMiss, MajorFault, FlushRange, ...; events.go) bumps
+// its hwmon counters and records its event, so the two agree by
+// construction; and the tracer owns the machine's phase ledger
+// (telemetry.Phases), which the kernel enters and leaves through the
+// tracer's span calls (events.go). It is built for the translation hot
+// path:
 //
 //   - a disabled call costs its counter bumps plus one (inlined)
 //     branch;
@@ -33,6 +35,7 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/clock"
 	"mmutricks/internal/hwmon"
+	"mmutricks/internal/telemetry"
 )
 
 // Kind classifies one traced event. The set mirrors the places the
@@ -278,12 +281,6 @@ func (h *Hist) Mean() float64 {
 	return float64(h.CostTotal) / float64(h.Count)
 }
 
-// TaskSlots is the size of the fixed per-task attribution table. Slots
-// are indexed PID mod TaskSlots; the workloads the tracer records keep
-// well under TaskSlots live PIDs, so collisions (which would merge two
-// tasks' totals) do not arise in practice.
-const TaskSlots = 256
-
 // TaskStat accumulates per-task attribution: how many events a task
 // incurred and their summed cycle cost.
 type TaskStat struct {
@@ -292,10 +289,11 @@ type TaskStat struct {
 	CostTotal uint64
 }
 
-// Tracer counts and records events for one simulated machine. It is
-// fixed-size after construction: the record path touches only
-// pre-allocated memory. A Tracer is not safe for concurrent use — like
-// the Machine it instruments, it belongs to one simulation goroutine.
+// Tracer counts and records events for one simulated machine, and owns
+// its phase ledger. It is fixed-size after construction: the record
+// path touches only pre-allocated memory. A Tracer is not safe for
+// concurrent use — like the Machine it instruments, it belongs to one
+// simulation goroutine.
 type Tracer struct {
 	enabled  bool
 	curTask  uint32
@@ -305,7 +303,10 @@ type Tracer struct {
 	capacity int
 	head     uint64 // total events ever emitted
 	hists    [NumKinds]Hist
-	tasks    [TaskSlots]TaskStat
+	tasks    [telemetry.TaskSlots]TaskStat
+	// ph is the machine's phase ledger, built with the tracer; spans
+	// enter and leave it through the tracer (events.go).
+	ph *telemetry.Phases
 }
 
 // DefaultCapacity is the ring size machines construct their tracer
@@ -314,15 +315,21 @@ type Tracer struct {
 const DefaultCapacity = 1 << 15
 
 // NewTracer builds a disabled tracer reading timestamps from led and
-// bumping the counters in mon. The ring is allocated on first Enable,
-// so machines that never trace — most harness cells — pay nothing for
-// it.
+// bumping the counters in mon, with a disabled phase ledger over the
+// same clock and counters. The ring is allocated on first Enable, so
+// machines that never trace — most harness cells — pay nothing for it.
 func NewTracer(led *clock.Ledger, mon *hwmon.Counters, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{led: led, mon: mon, capacity: capacity}
+	return &Tracer{led: led, mon: mon, capacity: capacity, ph: telemetry.New(led, mon)}
 }
+
+// Phases returns the machine's phase ledger. Profilers and the
+// recording drivers enable it and read its totals.
+//
+//mmutricks:noalloc
+func (t *Tracer) Phases() *telemetry.Phases { return t.ph }
 
 // Counters returns the counter file the typed event calls bump.
 //
@@ -354,14 +361,18 @@ func (t *Tracer) Reset() {
 	}
 	t.head = 0
 	t.hists = [NumKinds]Hist{}
-	t.tasks = [TaskSlots]TaskStat{}
+	t.tasks = [telemetry.TaskSlots]TaskStat{}
 }
 
-// SetTask names the task subsequent events are attributed to; the
-// kernel calls it on every context switch.
+// SetTask names the task subsequent events are attributed to, and the
+// task and address space subsequent cycles are; the kernel calls it on
+// every context switch.
 //
 //mmutricks:noalloc
-func (t *Tracer) SetTask(pid uint32) { t.curTask = pid }
+func (t *Tracer) SetTask(pid, mm uint32) {
+	t.curTask = pid
+	t.ph.SetTask(pid, mm)
+}
 
 // record is the enabled slow path every typed event call (events.go)
 // takes when tracing is on: histogram, per-task attribution, ring
@@ -375,7 +386,7 @@ func (t *Tracer) record(kind Kind, vs arch.VSID, ea arch.EffectiveAddr, cost clo
 	h.AuxTotal += uint64(aux)
 	h.Buckets[bucketOf(cost)]++
 
-	s := &t.tasks[t.curTask%TaskSlots]
+	s := &t.tasks[t.curTask%telemetry.TaskSlots]
 	s.PID = t.curTask
 	s.Events++
 	s.CostTotal += uint64(cost)
@@ -441,8 +452,8 @@ func (t *Tracer) TaskStats() []TaskStat {
 			out = append(out, t.tasks[i])
 		}
 	}
-	// Slots are PID mod TaskSlots; a selection sort keeps the package
-	// dependency-free and the row count is tiny.
+	// Slots are PID mod TaskSlots; an insertion sort keeps the package
+	// dependency-light and the row count is tiny.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j-1].PID > out[j].PID; j-- {
 			out[j-1], out[j] = out[j], out[j-1]

@@ -39,7 +39,7 @@ func TestKindNamesRoundTrip(t *testing.T) {
 func TestEmitRecordsEventAndHist(t *testing.T) {
 	tr, led := newTestTracer(8)
 	led.Charge(100)
-	tr.SetTask(7)
+	tr.SetTask(7, 0)
 	tr.TLBMiss(0x42, 0x1000_2000, 5)
 
 	evs := tr.Events()
@@ -122,10 +122,10 @@ func TestBucketing(t *testing.T) {
 
 func TestTaskAttribution(t *testing.T) {
 	tr, _ := newTestTracer(16)
-	tr.SetTask(3)
+	tr.SetTask(3, 0)
 	tr.TLBMiss(0, 0, 10)
 	tr.TLBMiss(0, 0, 20)
-	tr.SetTask(1)
+	tr.SetTask(1, 0)
 	tr.MinorFault(0, 0, 5)
 	stats := tr.TaskStats()
 	if len(stats) != 2 {
@@ -141,7 +141,7 @@ func TestTaskAttribution(t *testing.T) {
 
 func TestResetClearsEverything(t *testing.T) {
 	tr, _ := newTestTracer(4)
-	tr.SetTask(9)
+	tr.SetTask(9, 0)
 	tr.FlushPage(1, 2, 3)
 	tr.Reset()
 	if tr.Emitted() != 0 || len(tr.Events()) != 0 || len(tr.TaskStats()) != 0 {

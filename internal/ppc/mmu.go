@@ -31,9 +31,6 @@ type MMU struct {
 	bus Bus
 	mon *hwmon.Counters
 	trc *mmtrace.Tracer
-	// ph is the phase ledger the 604's hardware walk attributes its
-	// cycles to (nil = no attribution; the machine always sets one).
-	ph *telemetry.Phases
 	// inj is the attached fault injector; nil (the default) keeps the
 	// injection points to a single never-taken branch.
 	inj *faultinject.Injector
@@ -49,17 +46,15 @@ type MMU struct {
 }
 
 // NewMMU builds an MMU for the given CPU model. Its counters are the
-// ones trc's event calls bump.
+// ones trc's event calls bump, and its phase ledger is trc's.
 func NewMMU(model clock.CPUModel, htab *HTAB, led *clock.Ledger, bus Bus, trc *mmtrace.Tracer) *MMU {
-	mon := trc.Counters()
 	m := &MMU{
 		Model: model,
 		HTAB:  htab,
 		led:   led,
 		bus:   bus,
-		mon:   mon,
+		mon:   trc.Counters(),
 		trc:   trc,
-		ph:    telemetry.New(led, mon),
 	}
 	if model.SplitTLB {
 		m.TLB = NewTLB(model.TLBEntries/2, model.TLBWays)
@@ -74,10 +69,6 @@ func NewMMU(model clock.CPUModel, htab *HTAB, led *clock.Ledger, bus Bus, trc *m
 	m.DBAT.gen = &m.gen
 	return m
 }
-
-// SetPhases replaces the phase ledger the hardware walk attributes to;
-// the machine points the MMU at its own ledger during construction.
-func (m *MMU) SetPhases(p *telemetry.Phases) { m.ph = p }
 
 // Gen returns the current translation generation. Any cached
 // translation minted under an older generation must be revalidated.
@@ -221,7 +212,7 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 		// The walk ran in hardware, under whatever phase the faulting
 		// access belongs to; an exact transfer moves its cycles to
 		// tlb-miss without a span (no defer on the noalloc path).
-		m.ph.Attribute(telemetry.PhaseTLBMiss, walkCost)
+		m.trc.Phases().Attribute(telemetry.PhaseTLBMiss, walkCost)
 		return Result{PA: pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), Hit: Hit{Inhibited: pte.CacheInhibited, Way: way}}
 	}
 	// Neither bucket matched: hash-table miss interrupt (>= 91 cycles
@@ -233,7 +224,7 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	m.trc.TLBMiss(vpn.VSID(), ea, m.led.Now()-walkStart)
 	// Failed walk plus the interrupt-invocation cost, transferred like
 	// the hit path above; the software handler's span covers the rest.
-	m.ph.Attribute(telemetry.PhaseTLBMiss, m.led.Now()-walkStart)
+	m.trc.Phases().Attribute(telemetry.PhaseTLBMiss, m.led.Now()-walkStart)
 	return Result{Fault: FaultHashMiss, VPN: vpn}
 }
 

@@ -34,10 +34,10 @@ func runProfile(ctx context.Context, s Scale) *Table {
 	cfg.StrayRefs = 8
 	run := func(kcfg kernel.Config) *telemetry.Phases {
 		k := kernel.New(machine.New(clock.PPC603At180()), kcfg)
-		k.M.Ph.Enable(telemetry.Options{})
+		k.M.Trc.Phases().Enable(telemetry.Options{})
 		kbuild.Run(k, cfg)
 		mustConsistent(k)
-		return k.M.Ph
+		return k.M.Trc.Phases()
 	}
 	cfgs := []kernel.Config{kernel.Unoptimized(), kernel.Optimized()}
 	var res [2]*telemetry.Phases

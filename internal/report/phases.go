@@ -45,29 +45,30 @@ func runTelemetryPhases(ctx context.Context, s Scale) *Table {
 	var res [2]phaseRun
 	RowSet(ctx, 2, func(i int) {
 		m := machine.New(models[i])
-		m.Ph.Enable(telemetry.Options{SampleInterval: 1 << 18})
+		ph := m.Trc.Phases()
+		ph.Enable(telemetry.Options{SampleInterval: 1 << 18})
 		before := m.Mon.Snapshot()
 		k := kernel.New(m, kernel.Optimized())
 		kbuild.Run(k, cfg)
 		// mustConsistent includes the phase-cycle conservation sweep:
 		// every cycle of the run is attributed to exactly one phase.
 		mustConsistent(k)
-		m.Ph.Sync()
+		ph.Sync()
 		delta := m.Mon.Delta(before)
-		for _, ph := range telemetry.AllPhases {
-			res[i].cycles[ph] = uint64(m.Ph.Cycles(ph))
-			res[i].enters[ph] = m.Ph.Enters(ph)
-			res[i].total += uint64(m.Ph.Cycles(ph))
+		for _, p := range telemetry.AllPhases {
+			res[i].cycles[p] = uint64(ph.Cycles(p))
+			res[i].enters[p] = ph.Enters(p)
+			res[i].total += uint64(ph.Cycles(p))
 		}
-		for _, r := range telemetry.Reconcile(m.Ph, &delta) {
+		for _, r := range telemetry.Reconcile(ph, &delta) {
 			if r.OK {
 				res[i].okRows++
 			} else {
 				res[i].badRows++
 			}
 		}
-		res[i].samples = len(m.Ph.Samples())
-		res[i].dropped = m.Ph.Dropped()
+		res[i].samples = len(ph.Samples())
+		res[i].dropped = ph.Dropped()
 	})
 	r603, r604 := res[0], res[1]
 

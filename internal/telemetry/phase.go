@@ -14,10 +14,13 @@
 // holds exactly at every instant (kernel.CheckConsistency enforces it),
 // because phases are exclusive: the ledger keeps an explicit phase
 // stack, cycles accrue to the innermost phase, and transitions are
-// either stack pushes/pops (the kernel's span discipline, proven
-// balanced by the phasebalance analyzer) or exact transfers
-// (Attribute, used on the allocation-free translation and cache-fill
-// paths where a defer-based span cannot go).
+// either stack pushes/pops or exact transfers (Attribute, used on the
+// allocation-free translation and cache-fill paths where a span cannot
+// go). The ledger belongs to the machine's mmtrace.Tracer, the one
+// instrumentation point: the kernel enters and leaves phases through
+// the tracer's calls (defer t.Exit(t.Enter(ph)), or a typed entering
+// call such as Syscall that also bumps its counter), and the
+// phasebalance analyzer proves every entry is left on every path.
 //
 // The ledger is built for the translation hot path:
 //
@@ -128,8 +131,8 @@ var AllPhases = []Phase{
 // keeps the stack in one cache line pair.
 const MaxDepth = 32
 
-// TaskSlots sizes the fixed per-task and per-mm attribution tables.
-// Slots are indexed ID mod TaskSlots, the mmtrace convention: the
+// TaskSlots sizes the fixed per-task and per-mm attribution tables
+// here and in mmtrace. Slots are indexed ID mod TaskSlots: the
 // recorded workloads keep well under TaskSlots live IDs, so collisions
 // (which would merge two rows) do not arise in practice.
 const TaskSlots = 256
@@ -189,9 +192,6 @@ type Phases struct {
 	led     *clock.Ledger
 	mon     *hwmon.Counters
 	enabled bool
-	// exitFn is the one pre-bound Exit closure Span hands out, so an
-	// enabled span costs no allocation either.
-	exitFn func()
 
 	depth int
 	stack [MaxDepth]Phase
@@ -223,9 +223,7 @@ type Phases struct {
 // allocates nothing beyond the struct itself (the sample ring is
 // allocated by Enable).
 func New(led *clock.Ledger, mon *hwmon.Counters) *Phases {
-	p := &Phases{led: led, mon: mon}
-	p.exitFn = p.Exit
-	return p
+	return &Phases{led: led, mon: mon}
 }
 
 // Enable starts attribution at the current ledger reading, discarding
@@ -257,8 +255,8 @@ func (p *Phases) Enable(opt Options) {
 }
 
 // Disable stops attribution; the collected data stays readable. Spans
-// entered while enabled unwind as no-ops (their exit closures check
-// the flag), so disabling mid-span is safe.
+// entered while enabled unwind as no-ops (Exit checks the flag), so
+// disabling mid-span is safe.
 func (p *Phases) Disable() {
 	if p.enabled {
 		p.accrue()
@@ -337,22 +335,23 @@ func (p *Phases) sample(now clock.Cycles) {
 	s.Counters = *p.mon
 }
 
-// Enter pushes a phase. Prefer Span (or the kernel's span wrapper):
-// the phasebalance analyzer forbids direct Enter/Exit calls outside
-// this package precisely so every push provably has its pop.
+// Enter pushes a phase and returns the ledger reading it was entered
+// at. Callers outside this package go through the machine's tracer
+// (mmtrace's Enter and the typed entering calls), whose token the
+// phasebalance analyzer pins to a deferred exit.
 //
 //mmutricks:noalloc
-func (p *Phases) Enter(ph Phase) {
-	if !p.enabled {
-		return
+func (p *Phases) Enter(ph Phase) clock.Cycles {
+	if p.enabled {
+		p.accrue()
+		if p.depth == MaxDepth {
+			p.tripDepth(ph) //mmutricks:noalloc-ok stack-overflow watchdog: panics once, never returns to the hot path
+		}
+		p.stack[p.depth] = ph
+		p.depth++
+		p.enters[ph]++
 	}
-	p.accrue()
-	if p.depth == MaxDepth {
-		p.tripDepth(ph) //mmutricks:noalloc-ok stack-overflow watchdog: panics once, never returns to the hot path
-	}
-	p.stack[p.depth] = ph
-	p.depth++
-	p.enters[ph]++
+	return p.led.Now()
 }
 
 // Exit pops the innermost phase. Exits arriving with an empty stack
@@ -370,28 +369,10 @@ func (p *Phases) Exit() {
 	p.depth--
 }
 
-// nop is the closure Span returns while disabled; sharing one instance
-// keeps the disabled span allocation-free too.
-var nop = func() {}
-
-// Span enters a phase and returns the closure that leaves it; use as
-//
-//	defer p.Span(PhaseSyscall)()
-//
-// Both the enabled and disabled paths return a pre-existing closure,
-// so a span never allocates.
-func (p *Phases) Span(ph Phase) func() {
-	if !p.enabled {
-		return nop
-	}
-	p.Enter(ph)
-	return p.exitFn
-}
-
 // Attribute transfers n just-charged cycles from the current phase to
 // ph, counting one entry of ph. It is the span equivalent for the
-// allocation-free paths (translation, cache fills) where a defer-based
-// span cannot go: the caller charges the ledger, then immediately
+// allocation-free paths (translation, cache fills) where a deferred
+// exit cannot go: the caller charges the ledger, then immediately
 // attributes the charge — with no phase transition possible in
 // between, the n cycles are guaranteed to still sit in the current
 // phase, so the transfer is exact and self-balancing (no Exit).
@@ -412,8 +393,8 @@ func (p *Phases) Attribute(ph Phase, n clock.Cycles) {
 }
 
 // SetTask names the task and address space subsequent cycles are
-// attributed to; the kernel calls it on every context switch, next to
-// mmtrace's SetTask.
+// attributed to; the kernel calls it (through the tracer's SetTask)
+// on every context switch.
 //
 //mmutricks:noalloc
 func (p *Phases) SetTask(pid, mm uint32) {
@@ -470,7 +451,7 @@ func (p *Phases) tripDepth(ph Phase) {
 }
 
 func (p *Phases) tripEmpty() {
-	panic("telemetry: phase exit with empty stack")
+	panic(fmt.Sprintf("telemetry: phase exit with empty stack at cycle %d", p.led.Now()))
 }
 
 func (p *Phases) tripTransfer(cur, ph Phase, n clock.Cycles) {

@@ -20,6 +20,12 @@ func newEnabled(t *testing.T, opt Options) (*Phases, *clock.Ledger, *hwmon.Count
 	return p, led, mon
 }
 
+// span enters and at once leaves ph: one entry, no cycles.
+func span(p *Phases, ph Phase) {
+	p.Enter(ph)
+	p.Exit()
+}
+
 func TestPhaseNamesDistinct(t *testing.T) {
 	if len(AllPhases) != int(NumPhases) {
 		t.Fatalf("AllPhases lists %d phases, NumPhases is %d", len(AllPhases), NumPhases)
@@ -43,13 +49,13 @@ func TestPhaseNamesDistinct(t *testing.T) {
 func TestSpanAttributionAndConservation(t *testing.T) {
 	p, led, _ := newEnabled(t, Options{})
 	led.Charge(10)
-	done := p.Span(PhaseFlush)
+	p.Enter(PhaseFlush)
 	led.Charge(5)
-	inner := p.Span(PhaseFault)
+	p.Enter(PhaseFault)
 	led.Charge(3)
-	inner()
+	p.Exit()
 	led.Charge(2)
-	done()
+	p.Exit()
 	led.Charge(4)
 
 	if err := p.CheckConservation(); err != nil {
@@ -107,7 +113,7 @@ func TestSkewTripsConservation(t *testing.T) {
 		for _, d := range []int64{-1, 1} {
 			p, led, _ := newEnabled(t, Options{})
 			led.Charge(100)
-			p.Span(ph)() // make the phase plausible
+			span(p, ph) // make the phase plausible
 			p.Skew(ph, d)
 			if err := p.CheckConservation(); err == nil {
 				t.Errorf("skew %+d on %v not detected", d, ph)
@@ -120,7 +126,7 @@ func TestDisabledIsInert(t *testing.T) {
 	led := clock.NewLedger(185)
 	p := New(led, &hwmon.Counters{})
 	led.Charge(10)
-	p.Span(PhaseFlush)()
+	span(p, PhaseFlush)
 	p.Attribute(PhaseFetch, 5)
 	p.SetTask(3, 4)
 	if p.Total() != 0 {
@@ -242,25 +248,25 @@ func TestReconcileIdentities(t *testing.T) {
 	p, led, _ := newEnabled(t, Options{})
 	var c hwmon.Counters
 	led.Charge(1)
-	p.Span(PhaseSyscall)()
+	span(p, PhaseSyscall)
 	c.Syscalls++
-	p.Span(PhaseFlush)()
+	span(p, PhaseFlush)
 	c.FlushPage++
-	p.Span(PhaseFlush)()
+	span(p, PhaseFlush)
 	c.FlushContext++
-	p.Span(PhaseCtxSwitch)()
+	span(p, PhaseCtxSwitch)
 	c.CtxSwitches++
-	p.Span(PhaseCtxSwitch)()
+	span(p, PhaseCtxSwitch)
 	c.KthreadMMSwitches++
-	p.Span(PhaseIdle)()
+	span(p, PhaseIdle)
 	c.IdleWaits++
-	p.Span(PhaseIdleReclaim)()
+	span(p, PhaseIdleReclaim)
 	c.IdleScans++
-	p.Span(PhasePreZero)()
+	span(p, PhasePreZero)
 	c.IdlePagesCleared++
-	p.Span(PhaseSwap)()
+	span(p, PhaseSwap)
 	c.SwapOuts++
-	p.Span(PhaseMCRepair)()
+	span(p, PhaseMCRepair)
 	c.MachineChecks++
 	led.Charge(3)
 	p.Attribute(PhaseTLBMiss, 2)
@@ -313,7 +319,7 @@ func TestPercentiles(t *testing.T) {
 func TestWriteProfileIsValidGzipWithPhaseNames(t *testing.T) {
 	p, led, _ := newEnabled(t, Options{})
 	led.Charge(100)
-	p.Span(PhaseFlush)()
+	span(p, PhaseFlush)
 
 	var buf bytes.Buffer
 	if err := p.WriteProfile(&buf); err != nil {

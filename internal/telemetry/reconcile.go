@@ -21,6 +21,10 @@ type ReconcileRow struct {
 // treatment applied to phases. Every phase entry point in the kernel
 // sits next to exactly one counter increment, so each row is an exact
 // identity; a mismatch means a span and its counter have drifted apart.
+// Where one typed tracer call both enters the phase and bumps the
+// counter (syscall, idle, idle-reclaim, the kthread half of
+// ctx-switch), the row holds by construction; it stays because the
+// telemetry-phases report prints the row count.
 //
 // PhaseUser, PhaseFetch and PhaseFault carry no row: user is the stack
 // floor (never "entered"), fetch transfers happen per cache fill (no

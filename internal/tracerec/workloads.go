@@ -130,7 +130,7 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 			if iv == 0 {
 				iv = telemetry.DefaultSampleInterval
 			}
-			m.Ph.Enable(telemetry.Options{SampleInterval: iv, SampleCapacity: opts.SampleCapacity})
+			m.Trc.Phases().Enable(telemetry.Options{SampleInterval: iv, SampleCapacity: opts.SampleCapacity})
 		}
 		before := m.Mon.Snapshot()
 		k := kernel.New(m, cfg)
@@ -141,7 +141,7 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 		}
 		rec.Sections[i] = SectionFrom(runs[i].name, m.Trc, m.Mon.Delta(before))
 		if opts.Telemetry {
-			rec.Sections[i].Telemetry = TelemetryFrom(m.Ph)
+			rec.Sections[i].Telemetry = TelemetryFrom(m.Trc.Phases())
 		}
 	})
 	for _, err := range errs {

@@ -3,7 +3,7 @@
 # (the hygiene checks plus the whole-program proofs: transitive
 # noalloc, determinism zones, model↔kernel transition parity, and
 # phase-span balance), the inlining guards (cache paths, mmtrace
-# event calls), the full test suite under the race detector, the
+# event and phase calls), the full test suite under the race detector, the
 # mmumodel gates (exhaustive exploration of the context-switch/MM state machine
 # plus a kernel refinement pass), and the CLI exit-code gates (quick
 # mmureport -all and an mmuchaos escalate soak, whose distinct exit
@@ -73,33 +73,46 @@ go build -pgo=off -gcflags=-m ./internal/cache 2>&1 | awk '
 		exit bad
 	}' internal/cache/cache.go -
 
-# The simulator counts and traces its events through the tracer's
-# typed calls (internal/mmtrace/events.go), which run whether or not
-# tracing is on. Each must inline: a call grown past the inliner's
-# budget (a second counter bump, a shared helper), or a package that
-# stops importing mmtrace itself, puts a function call on every TLB
-# miss, fault and flush, with no test failing. Every trc.<Call>( site
-# in ppc (the (*MMU).Translate miss path), kernel and machine must be
-# reported inlined, and there must be such sites in mmu.go.
-echo '== inlining: every mmtrace event call in ppc, kernel and machine'
+# The simulator counts, traces and attributes its work through the
+# tracer's typed calls (internal/mmtrace): the event calls
+# (TLBMiss, MajorFault, ...), the phase calls (Phases, Enter, Exit,
+# SetTask, and the entering calls Syscall, IdleWait, IdleScan and
+# KthreadMMSwitch), and the span-ending event calls (CtxSwitch,
+# SwapOut, SwapIn, COWBreak). They run whether or not tracing is on,
+# and each must inline: a call grown past the inliner's budget (a
+# second counter bump, a shared helper), or a package that stops
+# importing mmtrace itself, puts a function call on every TLB miss,
+# fault, flush and syscall, with no test failing. Every trc.<Call>(
+# site in ppc (the (*MMU).Translate miss path), kernel and machine must
+# be reported inlined — each call on its own, so both calls of
+# `defer k.M.Trc.Exit(k.M.Trc.Enter(ph))` count — and there must be
+# such sites in mmu.go. Sites are keyed by file, line and the column of
+# the call's parenthesis, which is where the compiler reports it.
+echo '== inlining: every mmtrace call in ppc, kernel and machine'
 src=$(ls internal/ppc/*.go internal/kernel/*.go internal/machine/*.go | grep -v '_test\.go$')
-go build -pgo=off -gcflags=-m ./internal/ppc ./internal/kernel ./internal/machine 2>&1 | awk '
+go build -pgo=off -gcflags=-m ./internal/ppc ./internal/kernel ./internal/machine 2>&1 | LC_ALL=C awk '
 	FILENAME != "-" {
-		if ($0 !~ /^[ \t]*\/\// && $0 ~ /[Tt]rc\.[A-Z][A-Za-z]*\(/) {
-			want[FILENAME ":" FNR] = 1
+		if ($0 ~ /^[ \t]*\/\//)
+			next
+		rest = $0
+		col = 0
+		while (match(rest, /[Tt]rc\.[A-Z][A-Za-z]*\(/)) {
+			col += RSTART + RLENGTH - 1
+			want[FILENAME ":" FNR ":" col] = 1
 			if (FILENAME == "internal/ppc/mmu.go")
 				nmmu++
+			rest = substr(rest, RSTART + RLENGTH)
 		}
 		next
 	}
 	/: inlining call to mmtrace\.\(\*Tracer\)\.[A-Za-z]+$/ {
 		split($0, pos, ":")
-		inlined[pos[1] ":" pos[2]] = 1
+		inlined[pos[1] ":" pos[2] ":" pos[3]] = 1
 	}
 	END {
 		bad = 0
 		if (nmmu == 0) {
-			print "check: found no trc event calls in internal/ppc/mmu.go" > "/dev/stderr"
+			print "check: found no trc calls in internal/ppc/mmu.go" > "/dev/stderr"
 			bad = 1
 		}
 		for (k in want)

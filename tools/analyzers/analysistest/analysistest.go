@@ -67,18 +67,25 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	}
 }
 
-// collectWants extracts want expectations from one file's comments.
+// collectWants extracts want expectations from one file's comments: a
+// line comment containing "// want ", or a block comment /* want ... */
+// (for a line whose line comment is itself under test, such as a
+// waiver).
 func collectWants(t *testing.T, prog *load.Program, f *ast.File, emit func(file string, line int, rx *regexp.Regexp)) {
 	t.Helper()
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := c.Text
-			idx := strings.Index(text, "// want ")
-			if idx < 0 {
+			var rest string
+			if block, ok := strings.CutPrefix(text, "/* want "); ok {
+				rest = strings.TrimSuffix(block, "*/")
+			} else if idx := strings.Index(text, "// want "); idx >= 0 {
+				rest = text[idx+len("// want "):]
+			} else {
 				continue
 			}
 			pos := prog.Fset.Position(c.Pos())
-			rest := strings.TrimSpace(text[idx+len("// want "):])
+			rest = strings.TrimSpace(rest)
 			for rest != "" {
 				if rest[0] != '"' && rest[0] != '`' {
 					t.Fatalf("%s:%d: malformed want comment: %q", pos.Filename, pos.Line, text)

@@ -33,8 +33,9 @@
 //
 //	//mmutricks:phasebalance-ok <reason>  (trailing, same line)
 //	    Statement-level waiver for the phasebalance analyzer on a span
-//	    opener used outside the provable shapes (the reason must argue
-//	    why the exit still runs exactly once). The reason is mandatory.
+//	    token or exit used outside the provable shapes (the reason must
+//	    argue why the phase is still left exactly once). The reason is
+//	    mandatory.
 //
 //	//mmutricks:transitions-ok <reason>  (trailing the func line)
 //	    Waiver for the transitions analyzer on an exported kernel

@@ -1,32 +1,27 @@
 // Package phasebalance proves the phase-stack discipline: every phase
-// entered through telemetry.(*Phases).Span is exited on all paths, so
-// the conservation identity CheckConsistency enforces at runtime can
-// never be broken by a leaked span.
+// entered through the machine's tracer is left on every path, so the
+// ledger's stack cannot leak a phase and misattribute the cycles that
+// follow.
 //
-// The proof is shape-based. Span returns an exit closure that must be
-// called exactly once; the pass pins every call to an *opener* — Span
-// itself, or any function that returns an opener's result (the
-// kernel's syscallEntry helper) — to one of the shapes whose
-// balance is self-evident:
+// A phase is entered by a call that returns an mmtrace.Span token —
+// Enter, a typed entering call such as Syscall, or a helper that
+// returns one (the kernel's syscallEntry) — and left by a call that
+// takes the token as its first argument: Exit, or an event call that
+// ends the span (CtxSwitch, SwapOut, ...). The proof is local to each
+// function body. Each token is used exactly once, in one of the shapes
 //
-//	defer f(...)()      // exit runs on every path out of the frame
-//	f(...)()            // degenerate span, entered and exited in place
-//	return f(...)       // obligation moves to the caller, which this
-//	                    // pass checks because the function is now an
-//	                    // opener itself
-//	x := f(...)         // allowed only when every use of x is
-//	                    // `defer x()`, `x()`, or `return x`
+//	defer t.Exit(t.Enter(ph))          // argument of a deferred exit
+//	return t.Syscall()                 // returned by an entering helper
+//	s := t.Syscall(); ...; return s    // through one local, used once
 //
-// Any other use — storing the closure in a field, passing it as an
-// argument, branching on it, dropping it — is reported: no syntactic
-// argument can show such a closure runs exactly once per entry. Openers
-// are discovered transitively across package boundaries through the
-// module index, so a new helper wrapping Span inherits the obligation
-// without registration.
+// and every exiting call is deferred, so it runs on every path out of
+// the frame, panics included (Go evaluates the token argument at the
+// defer statement, which is where the phase is entered). A helper that
+// returns a token hands the obligation to its callers, which the pass
+// checks in turn because their calls return a token too.
 //
-// The raw primitives Enter and Exit are reported anywhere outside the
-// telemetry package itself: their balance depends on control flow the
-// pass cannot see, and Span costs the same.
+// The ledger's raw telemetry.Phases Enter and Exit are reported outside
+// the telemetry and mmtrace packages, which implement the discipline.
 //
 // //mmutricks:phasebalance-ok <reason> on the offending line waives a
 // finding (the reason is mandatory).
@@ -43,262 +38,175 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "phasebalance",
-	Doc:  "prove every telemetry phase Span is exited on all paths (opener shapes only)",
+	Doc:  "prove every phase entered through an mmtrace.Span token is left by exactly one deferred exit",
 	Run:  run,
 }
 
-// telemetryPkg is the package whose internals are exempt: it implements
-// the discipline the rest of the module is held to.
-const telemetryPkg = "mmutricks/internal/telemetry"
+const (
+	telemetryPkg = "mmutricks/internal/telemetry"
+	mmtracePkg   = "mmutricks/internal/mmtrace"
+)
 
 func run(pass *analysis.Pass) error {
-	if pass.Pkg.Path() == telemetryPkg {
+	if p := pass.Pkg.Path(); p == telemetryPkg || p == mmtracePkg {
 		return nil
 	}
-	a := &checker{pass: pass, openers: map[*types.Func]int{}}
 	for _, file := range pass.Files {
 		waived, malformed := annotation.Waivers(pass.Fset, file, "phasebalance-ok")
 		for line := range malformed {
 			pass.Reportf(noalloc.LineStart(pass.Fset, file, line), "mmutricks:phasebalance-ok waiver requires a reason")
 		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkBody(pass, fn.Type, fn.Body, waived)
+				}
+			case *ast.FuncLit:
+				checkBody(pass, fn.Type, fn.Body, waived)
 			}
-			a.checkFunc(fd, waived)
-		}
+			return true
+		})
 	}
 	return nil
 }
 
-type checker struct {
-	pass *analysis.Pass
-	// openers memoizes isOpener: 0 unvisited, 1 in progress or false,
-	// 2 true.
-	openers map[*types.Func]int
+// isToken reports whether t is mmtrace.Span.
+func isToken(t types.Type) bool {
+	n, ok := types.Unalias(t).(*types.Named)
+	return ok && n.Obj().Name() == "Span" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == mmtracePkg
 }
 
-// isSeed reports whether fn is telemetry.(*Phases).Span — the root
-// opener.
-func isSeed(fn *types.Func) bool {
-	return fn.Name() == "Span" && fn.Pkg() != nil && fn.Pkg().Path() == telemetryPkg
+// exiting reports whether fn leaves a phase: its first parameter is a
+// token.
+func exiting(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Params().Len() > 0 && isToken(sig.Params().At(0).Type())
 }
 
 // isRawPrimitive reports whether fn is telemetry.(*Phases).Enter or
-// Exit — forbidden outside their own package.
+// Exit.
 func isRawPrimitive(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != telemetryPkg {
-		return false
-	}
-	if fn.Name() != "Enter" && fn.Name() != "Exit" {
+	if fn.Pkg() == nil || fn.Pkg().Path() != telemetryPkg || (fn.Name() != "Enter" && fn.Name() != "Exit") {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() != nil
 }
 
-// isOpener reports whether fn's result is a span-exit closure: Span
-// itself, or a module function with a single func() result at least
-// one of whose returns traces to an opener call. Cycles resolve to
-// false (a recursive "opener" proves nothing).
-func (c *checker) isOpener(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	if isSeed(fn) {
-		return true
-	}
-	switch c.openers[fn] {
-	case 1:
-		return false
-	case 2:
-		return true
-	}
-	c.openers[fn] = 1
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != 1 || !isExitFuncType(sig.Results().At(0).Type()) {
-		return false
-	}
-	decl, _, info := c.pass.Module.FuncSource(fn)
-	if decl == nil || decl.Body == nil || info == nil {
-		return false
-	}
-	// Locals assigned from opener calls count as opener results when
-	// returned (the syscallEntry shape: done := k.M.Ph.Span(...); return done).
-	vars := map[types.Object]bool{}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
+// inBody calls visit on every node of body outside nested function
+// literals, which run calls checkBody on separately.
+func inBody(body *ast.BlockStmt, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, lit := n.(*ast.FuncLit); lit {
+			return false
 		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if call, ok := as.Rhs[0].(*ast.CallExpr); ok && c.isOpener(noalloc.CalleeFunc(info, call.Fun)) {
-			if obj := info.ObjectOf(id); obj != nil {
-				vars[obj] = true
-			}
+		if n != nil {
+			visit(n)
 		}
 		return true
 	})
-	opener := false
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 {
-			return true
-		}
-		switch e := ast.Unparen(ret.Results[0]).(type) {
-		case *ast.CallExpr:
-			if c.isOpener(noalloc.CalleeFunc(info, e.Fun)) {
-				opener = true
-			}
-		case *ast.Ident:
-			if vars[info.ObjectOf(e)] {
-				opener = true
-			}
-		}
-		return true
-	})
-	if opener {
-		c.openers[fn] = 2
-	}
-	return opener
 }
 
-// isExitFuncType reports whether t is func() — the exit-closure type.
-func isExitFuncType(t types.Type) bool {
-	sig, ok := t.Underlying().(*types.Signature)
-	return ok && sig.Params().Len() == 0 && sig.Results().Len() == 0 && sig.Recv() == nil
-}
-
-// checkFunc pins every opener call in one body to a balanced shape.
-func (c *checker) checkFunc(fd *ast.FuncDecl, waived map[int]string) {
-	info := c.pass.Info
-	// ok collects the opener calls consumed by a balanced shape; the
-	// sweep below reports the rest.
-	ok := map[*ast.CallExpr]bool{}
-	openerCall := func(e ast.Expr) *ast.CallExpr {
-		call, isCall := ast.Unparen(e).(*ast.CallExpr)
-		if isCall && c.isOpener(noalloc.CalleeFunc(info, call.Fun)) {
+// checkBody pins every token in one function body to a balanced shape.
+func checkBody(pass *analysis.Pass, ftype *ast.FuncType, body *ast.BlockStmt, waived map[int]string) {
+	info := pass.Info
+	returnsToken := ftype.Results != nil && len(ftype.Results.List) == 1 &&
+		len(ftype.Results.List[0].Names) <= 1 && isToken(info.TypeOf(ftype.Results.List[0].Type))
+	entering := func(e ast.Expr) *ast.CallExpr {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if ok && isToken(info.TypeOf(call)) {
 			return call
 		}
 		return nil
 	}
+	local := func(e ast.Expr) types.Object {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return nil
+		}
+		obj, ok := info.ObjectOf(id).(*types.Var)
+		if !ok || obj.Parent() == pass.Pkg.Scope() || !isToken(obj.Type()) {
+			return nil
+		}
+		return obj
+	}
 
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	// sinks are the places a token may end: an exiting call's first
+	// argument, or the result of a token-returning function. used
+	// counts every read of a token local, sunk the reads at a sink.
+	consumed := map[*ast.CallExpr]bool{}
+	deferred := map[*ast.CallExpr]bool{}
+	dropped := map[*ast.CallExpr]bool{}
+	sunk := map[types.Object]int{}
+	used := map[types.Object]int{}
+	held := map[*ast.CallExpr]types.Object{}
+	sink := func(e ast.Expr) {
+		if call := entering(e); call != nil {
+			consumed[call] = true
+		} else if obj := local(e); obj != nil {
+			sunk[obj]++
+		}
+	}
+	inBody(body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
-			// defer f(...)(): the deferred function is the opener result.
-			if call := openerCall(n.Call.Fun); call != nil {
-				ok[call] = true
+			deferred[n.Call] = true
+			if call := entering(n.Call); call != nil {
+				dropped[call] = true
 			}
 		case *ast.ExprStmt:
-			// f(...)(): entered and exited in place.
-			if outer, isCall := n.X.(*ast.CallExpr); isCall {
-				if call := openerCall(outer.Fun); call != nil {
-					ok[call] = true
-				}
+			if call := entering(n.X); call != nil {
+				dropped[call] = true
+			}
+		case *ast.CallExpr:
+			if fn := noalloc.CalleeFunc(info, n.Fun); fn != nil && exiting(fn) && len(n.Args) > 0 {
+				sink(n.Args[0])
 			}
 		case *ast.ReturnStmt:
-			// return f(...): the enclosing function becomes an opener and
-			// its callers carry the obligation.
-			if len(n.Results) == 1 {
-				if call := openerCall(n.Results[0]); call != nil {
-					ok[call] = true
-				}
+			if returnsToken && len(n.Results) == 1 {
+				sink(n.Results[0])
 			}
 		case *ast.AssignStmt:
-			// x := f(...): every use of x must itself be balanced.
 			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
-				if call := openerCall(n.Rhs[0]); call != nil {
-					if id, isIdent := n.Lhs[0].(*ast.Ident); isIdent && c.varUsesBalanced(fd, info.ObjectOf(id)) {
-						ok[call] = true
-					}
+				if call, obj := entering(n.Rhs[0]), local(n.Lhs[0]); call != nil && obj != nil {
+					held[call] = obj
 				}
 			}
+		case *ast.Ident:
+			if obj := local(n); obj != nil && info.Uses[n] == obj {
+				used[obj]++
+			}
 		}
-		return true
 	})
+	for call, obj := range held {
+		if used[obj] == 1 && sunk[obj] == 1 {
+			consumed[call] = true
+		}
+	}
 
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, isCall := n.(*ast.CallExpr)
-		if !isCall {
-			return true
+	inBody(body, func(n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		if _, w := waived[pass.Fset.Position(call.Pos()).Line]; w {
+			return
 		}
 		fn := noalloc.CalleeFunc(info, call.Fun)
-		line := c.pass.Fset.Position(call.Pos()).Line
-		if _, w := waived[line]; w {
-			return true
+		name := "call"
+		if fn != nil {
+			name = fn.Name()
 		}
-		if isRawPrimitive(fn) {
-			c.pass.Reportf(call.Pos(), "calls telemetry.Phases.%s directly; use Span so the exit is provably paired", fn.Name())
-			return true
+		switch {
+		case fn != nil && isRawPrimitive(fn):
+			pass.Reportf(call.Pos(), "calls telemetry.Phases.%s directly; enter and leave phases through the tracer's span calls", fn.Name())
+		case dropped[call]:
+			pass.Reportf(call.Pos(), "the span token %s returns is dropped, so its phase is never left (want `defer t.Exit(t.%s(...))`)", name, name)
+		case entering(call) != nil && !consumed[call]:
+			pass.Reportf(call.Pos(), "the span token %s returns must be used exactly once: as the argument of a deferred exit, or returned from an entering helper", name)
+		case fn != nil && exiting(fn) && !deferred[call]:
+			pass.Reportf(call.Pos(), "%s leaves a phase but is not deferred, so a panic before it leaves the phase open", name)
 		}
-		if c.isOpener(fn) && !ok[call] {
-			c.pass.Reportf(call.Pos(),
-				"span opener %s used outside a balanced shape (want `defer f(...)()`, `f(...)()`, `return f(...)`, or `x := f(...)` with every use of x a defer/call/return)",
-				fn.Name())
-		}
-		return true
 	})
-}
-
-// varUsesBalanced reports whether every use of obj inside fd (other
-// than its defining assignment) is one of `defer x()`, `x()`, or
-// `return x`, with at least one use — the shapes under which the
-// closure provably runs.
-func (c *checker) varUsesBalanced(fd *ast.FuncDecl, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	info := c.pass.Info
-	// consumed marks ident uses sitting in a balanced shape.
-	consumed := map[*ast.Ident]bool{}
-	isObj := func(e ast.Expr) *ast.Ident {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			return id
-		}
-		return nil
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if id := isObj(n.Call.Fun); id != nil && len(n.Call.Args) == 0 {
-				consumed[id] = true
-			}
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok && len(call.Args) == 0 {
-				if id := isObj(call.Fun); id != nil {
-					consumed[id] = true
-				}
-			}
-		case *ast.ReturnStmt:
-			if len(n.Results) == 1 {
-				if id := isObj(n.Results[0]); id != nil {
-					consumed[id] = true
-				}
-			}
-		}
-		return true
-	})
-	uses := 0
-	balanced := true
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || info.ObjectOf(id) != obj {
-			return true
-		}
-		// The defining occurrence is the one in info.Defs.
-		if info.Defs[id] == obj {
-			return true
-		}
-		uses++
-		if !consumed[id] {
-			balanced = false
-		}
-		return true
-	})
-	return balanced && uses > 0
 }

@@ -9,5 +9,5 @@ import (
 
 func TestPhaseBalance(t *testing.T) {
 	analysistest.Run(t, "testdata", phasebalance.Analyzer,
-		"kernel", "mmutricks/internal/telemetry")
+		"kernel", "mmutricks/internal/telemetry", "mmutricks/internal/mmtrace")
 }

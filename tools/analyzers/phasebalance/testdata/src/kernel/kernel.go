@@ -1,91 +1,79 @@
-// Package kernel is the phasebalance fixture: every balanced opener
-// shape the real kernel uses, plus the violations and waivers.
+// Package kernel is the phasebalance fixture: every balanced shape the
+// real kernel uses, then the violations.
 package kernel
 
-import "mmutricks/internal/telemetry"
+import (
+	"mmutricks/internal/mmtrace"
+	"mmutricks/internal/telemetry"
+)
 
 type K struct {
-	Ph   *telemetry.Phases
-	hook func()
-}
-
-// span is an opener: it returns Span's result, so its own call sites
-// carry the balance obligation.
-func (k *K) span(ph telemetry.Phase) func() { return k.Ph.Span(ph) }
-
-// entry is an opener through the assigned-then-returned shape.
-func (k *K) entry() func() {
-	done := k.span(1)
-	return done
+	Trc *mmtrace.Tracer
+	tok mmtrace.Span
+	vs  uint32
 }
 
 // deferred: the canonical shape.
 func (k *K) deferred() {
-	defer k.span(0)()
+	defer k.Trc.Exit(k.Trc.Enter(telemetry.Phase(1)))
 }
 
-// immediate: a degenerate span, entered and exited in place.
-func (k *K) immediate() {
-	k.span(0)()
+// eventExit: an event call that ends the span.
+func (k *K) eventExit() {
+	defer k.Trc.SwapOut(k.Trc.Enter(9), &k.vs)
 }
 
-// viaEntry: the syscallEntry pattern two openers deep.
-func (k *K) viaEntry() {
-	defer k.entry()()
-}
-
-// localDefer: assignment consumed by a defer.
-func (k *K) localDefer() {
-	exit := k.span(0)
-	defer exit()
-}
-
-// localCall: assignment consumed by a direct call.
-func (k *K) localCall() {
-	exit := k.span(0)
+// entry is an entering helper: its token goes back to the caller, whose
+// call then returns a token too.
+func (k *K) entry() mmtrace.Span {
+	s := k.Trc.Syscall()
 	k.work()
-	exit()
+	return s
+}
+
+// enter returns the token directly.
+func (k *K) enter() mmtrace.Span { return k.Trc.Enter(2) }
+
+// viaHelpers: the syscallEntry pattern.
+func (k *K) viaHelpers() {
+	defer k.Trc.Exit(k.entry())
+	defer k.Trc.Exit(k.enter())
+}
+
+// inClosure: a function literal is checked as a body of its own.
+func (k *K) inClosure() {
+	func() {
+		defer k.Trc.Exit(k.Trc.Enter(3))
+	}()
 }
 
 func (k *K) work() {}
 
-// leaked: the closure is dropped — the span can never exit.
-func (k *K) leaked() {
-	k.span(0) // want `span opener span used outside a balanced shape`
+// dropped: the token is discarded, so the phase is never left.
+func (k *K) dropped() {
+	k.Trc.Enter(0) // want `the span token Enter returns is dropped`
 }
 
-// deferredOpener: defers the opener itself, dropping the exit closure.
-func (k *K) deferredOpener() {
-	defer k.span(0) // want `span opener span used outside a balanced shape`
+// notDeferred: a panic in work would leave the phase open.
+func (k *K) notDeferred() {
+	s := k.Trc.Enter(0)
+	k.work()
+	k.Trc.Exit(s) // want `Exit leaves a phase but is not deferred`
 }
 
-// stored: the closure escapes into a field; no syntactic balance.
+// stored: a token in a field escapes the proof.
 func (k *K) stored() {
-	k.hook = k.span(0) // want `span opener span used outside a balanced shape`
+	k.tok = k.Trc.Syscall() // want `the span token Syscall returns must be used exactly once`
 }
 
-// passed: the closure escapes as an argument.
-func (k *K) passed() {
-	run(k.span(0)) // want `span opener span used outside a balanced shape`
+// raw: the ledger's primitives bypass the token.
+func (k *K) raw() {
+	k.Trc.Phases().Enter(0) // want `calls telemetry.Phases.Enter directly`
 }
 
-func run(f func()) { f() }
-
-// halfUsed: one use is balanced, another branches on it.
-func (k *K) halfUsed() {
-	exit := k.span(0) // want `span opener span used outside a balanced shape`
-	if exit != nil {
-		exit()
-	}
-}
-
-// rawEnter and rawExit: the primitives are forbidden outside telemetry.
-func (k *K) rawEnter() {
-	k.Ph.Enter(0) // want `calls telemetry.Phases.Enter directly`
-	k.Ph.Exit()   // want `calls telemetry.Phases.Exit directly`
-}
-
-// waived: the waiver vouches for the unprovable shape.
+// waived: the waiver vouches for the shape it sits on; a waiver needs a
+// reason.
 func (k *K) waived() {
-	k.hook = k.span(0) //mmutricks:phasebalance-ok exit invoked by the interrupt return path
+	k.tok = k.Trc.Enter(0)           //mmutricks:phasebalance-ok left by the interrupt return path
+	defer k.Trc.Exit(k.Trc.Enter(0)) /* want `waiver requires a reason` */ //mmutricks:phasebalance-ok
 }

@@ -14,6 +14,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"mmutricks/internal/arch"
 )
@@ -143,6 +144,9 @@ func (s *Stats) PollutionBy(c Class) uint64 {
 type Cache struct {
 	name  string
 	lines []line
+	// sets views lines as [4]line groups when the cache is 4-way (nil
+	// otherwise), for the run kernels: one bounds check reaches a set.
+	sets [][4]line
 	// lists holds each set's recency list when the cache is not 4-way
 	// (nil otherwise: a 4-way set keeps its list in way 0's ord).
 	lists     []uint32
@@ -151,6 +155,9 @@ type Cache struct {
 	lineShift uint
 	setMask   uint32
 	stats     Stats
+	// hist is a 4-way run's victim histogram (see flushRun), zero
+	// between runs.
+	hist [16]uint64
 }
 
 // maxWays bounds the associativity so a recency list of 3-bit ranks
@@ -185,7 +192,9 @@ func New(name string, size, ways, lineSize int) *Cache {
 		lineShift: shift,
 		setMask:   uint32(nsets - 1),
 	}
-	if ways != 4 {
+	if ways == 4 {
+		c.sets = unsafe.Slice((*[4]line)(unsafe.Pointer(&c.lines[0])), nsets)
+	} else {
 		c.lists = make([]uint32, nsets)
 	}
 	c.InvalidateAll()
@@ -379,6 +388,13 @@ func (s Stores) lanes() storeLanes {
 	return storeLanes(uint64(s&AllStores) * 0x1111111111111111)
 }
 
+// skip advances the lanes past the next k references.
+//
+//mmutricks:noalloc
+func (l storeLanes) skip(k int) storeLanes {
+	return storeLanes(bits.RotateLeft64(uint64(l), -k))
+}
+
 // take consumes the next k ≥ 1 references, which all land on one line:
 // the line ends dirty iff any of them stores.
 //
@@ -387,7 +403,25 @@ func (l storeLanes) take(k int) (dirty uint8, rest storeLanes) {
 	if uint64(l)&(1<<min(k, 4)-1) != 0 {
 		dirty = 1
 	}
-	return dirty, storeLanes(bits.RotateLeft64(uint64(l), -k))
+	return dirty, l.skip(k)
+}
+
+// perLine returns the store mask of a run's lines when each line takes
+// per ≥ 1 consecutive references, the first line from reference from
+// on: line j stores iff any of its references does.
+//
+//mmutricks:noalloc
+func (s Stores) perLine(from, per int) (m Stores) {
+	if per >= 4 {
+		// Every line takes each of the mask's four references.
+		return StoresOf(s&AllStores != 0)
+	}
+	for j := 0; j < 4; j++ {
+		if s.From(from+j*per)&(1<<per-1) != 0 {
+			m |= 1 << j
+		}
+	}
+	return m
 }
 
 // MissRef records one missing reference within a run: the index of the
@@ -438,10 +472,16 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 }
 
 // accessRun is AccessRun and AccessRunCountMask: misses == nil counts
-// the misses without recording them. A 4-way run goes to one of two
-// loops: a line-aligned run with a line-multiple stride (the dominant
-// shape, one access per line, the 128-line page clear among them) to
-// mixedRun, and any other run to accessGroups.
+// the misses without recording them. A 4-way run that stays on one line
+// (a one-line fetch, a hash-table probe of one or two PTEs) is one
+// probe. Otherwise a stride that is a multiple of the line size puts
+// each reference on a line of its own (the dominant shape: the 128-line
+// page clear, user touches, I-fetch), and the whole run is one line
+// run: hitRun, then lineRun from the first miss. A stride that divides
+// the line size puts the same number of references on every full line,
+// so the run is a head group, a line run and a tail group
+// (subLineRun). Only a stride that is neither goes to the generic
+// grouping of accessGroups.
 //
 //mmutricks:noalloc
 func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
@@ -463,65 +503,218 @@ func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 		return nmiss, ncast
 	}
 	c.stats.Accesses[class] += uint64(n)
-	lineMask := 1<<c.lineShift - 1
-	if stride&lineMask != 0 || int(pa)&lineMask != 0 {
-		return c.accessGroups(pa, n, stride, class, st.lanes(), misses)
-	}
-	la, step := uint32(pa)>>c.lineShift, uint32(stride)>>c.lineShift
-	return c.mixedRun(la, step, n, class, st.lanes(), misses)
-}
-
-// A 4-way run counts its victims in a local histogram indexed by the
-// victim's class<<1|dirty, one increment per resident victim,
-// and flushRun adds it to the statistics once, after the loop: the
-// per-miss counter updates are the hottest stores in the simulator,
-// and most runs (short kernel-text fetches) miss nowhere and flush
-// nothing.
-
-// mixedRun advances an aligned 4-way run of any store mask, line
-// address la onward by step lines: no two references share a line, so
-// each is one probe, with the fill inlined. The misses are recorded in
-// misses unless it is nil.
-//
-//mmutricks:noalloc
-func (c *Cache) mixedRun(la, step uint32, n int, class Class, sl storeLanes, misses []MissRef) (nmiss, ncast int) {
-	var hist [16]uint64
-	lines, mask := c.lines, c.setMask
-	var dirty uint8
-	for i := 0; i < n; i++ {
-		q := (*[4]line)(lines[int(la&mask)*4:])
+	shift := c.lineShift
+	la := uint32(pa) >> shift
+	if n > 0 && uint32(pa+arch.PhysAddr((n-1)*stride))>>shift == la {
+		// The run stays on one line: one probe, counted as scalar
+		// Access counts it. The first reference of a miss fills, and
+		// the rest hit the fresh line.
+		dirty, _ := st.lanes().take(n)
+		q := &c.sets[la&c.setMask]
 		want := la | lineKeyValid
-		dirty, sl = sl.take(1)
-		la += step
 		if wi := probe4(q, want); wi >= 0 {
-			q[wi&3].dirty |= dirty
-			q[0].ord = touchTab[q[0].ord][wi&3]
-			continue
+			hit4(q, wi&3, dirty)
+			return 0, 0
 		}
+		c.stats.Misses[class]++
+		c.stats.Fills[class]++
 		v, valid := fill4(q, want, class, dirty)
-		if valid {
-			hist[v&15]++
-		}
+		c.evicted(v, valid, class)
 		if misses != nil {
-			misses[nmiss] = MissRef{Index: int32(i), Castout: v&1 != 0}
+			misses[0] = MissRef{Castout: v&1 != 0}
 		}
-		nmiss++
+		return 1, int(v & 1)
 	}
-	return nmiss, c.flushRun(class, nmiss, &hist)
+	size := 1 << shift
+	switch {
+	case stride&(size-1) == 0:
+		step, sl := uint32(stride>>shift), st.lanes()
+		if rest := hitRun(c.sets, la, step, sl, n); rest > 0 {
+			nmiss = c.lineRun(la, step, n-rest, n, class, sl, misses)
+		}
+	case stride > 0 && stride&(stride-1) == 0:
+		// A power of two below the line size divides it.
+		nmiss = c.subLineRun(pa, n, stride, class, st, misses)
+	default:
+		nmiss = c.accessGroups(pa, n, stride, class, st.lanes(), misses)
+	}
+	if nmiss == 0 {
+		return 0, 0
+	}
+	return nmiss, c.flushRun(class, nmiss)
 }
 
-// accessGroups advances a 4-way run of any alignment and stride by
-// grouping its references by the line they land on (the grouping scan
-// is division-free; line-crossing groups are short). A group on a
-// resident line is one recency update. On any other line the group's
-// first reference misses and fills and the rest hit the fresh line,
-// which the fill already made the most recent. The misses are recorded
-// in misses unless it is nil.
+// A line run alternates between two out-of-line kernels: hitRun
+// advances while references hit, fillRun while they miss. A single
+// loop doing both kept more values live than amd64 has registers and
+// stored and reloaded its loop-carried ones (the line address, the
+// store lanes, the miss count, the slice bounds) on every reference.
+// Each kernel's loop carries only the next line's key, the store lanes
+// (rotated by one each reference) and the count left, plus for fillRun
+// the castout bits; the sets, the step and, for fillRun, the class and
+// the victim histogram are read-only. The kernels are not inlined, so
+// no caller's values add to their pressure; hit4 inlines into hitRun,
+// and probe4 and fill4 into fillRun.
+//
+// A run counts its victims in c.hist, indexed by the victim's
+// class<<1|dirty, one increment per resident victim; flushRun adds it
+// to the statistics once, after the run, and clears it. The per-miss
+// counter updates are the hottest stores in the simulator, and most
+// runs (short kernel-text fetches) miss nowhere and flush nothing.
+
+// lineRun finishes a 4-way run whose references each land on a line of
+// their own, line address la onward by step lines, reference k storing
+// iff lane k of sl is set, from reference i, which hitRun found
+// missing. The misses are recorded in misses unless it is nil.
 //
 //mmutricks:noalloc
-func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl storeLanes, misses []MissRef) (nmiss, ncast int) {
-	var hist [16]uint64
-	lines, mask, shift := c.lines, c.setMask, c.lineShift
+func (c *Cache) lineRun(la, step uint32, i, n int, class Class, sl storeLanes, misses []MissRef) (nmiss int) {
+	f := fillState{sets: c.sets, step: step, class: class, hist: &c.hist}
+	for i < n {
+		left := n - i
+		if misses != nil {
+			// The castout bits of one fillRun call cover 64 misses.
+			left = min(left, 64)
+		}
+		rest, castouts := fillRun(&f, la+uint32(i)*step, sl.skip(i), left)
+		j := i + left - rest
+		if misses != nil {
+			for k := i; k < j; k++ {
+				misses[nmiss] = MissRef{Index: int32(k), Castout: castouts>>(j-1-k)&1 != 0}
+				nmiss++
+			}
+		} else {
+			nmiss += j - i
+		}
+		if j == n {
+			break
+		}
+		i = n - hitRun(c.sets, la+uint32(j)*step, step, sl.skip(j), n-j)
+	}
+	return nmiss
+}
+
+// hitRun advances the n references of a line run (line address la +
+// k*step for reference k, storing iff lane k of sl is set) while they
+// hit, and returns how many are left from the first missing one on.
+//
+//go:noinline
+//mmutricks:noalloc
+func hitRun(sets [][4]line, la, step uint32, sl storeLanes, n int) (rest int) {
+	// want+step is the next reference's key: line addresses stay below
+	// bit 31, so the valid bit never takes a carry.
+	want := la | lineKeyValid
+	for ; n > 0; n-- {
+		q := &sets[want&uint32(len(sets)-1)]
+		d := uint8(sl & 1)
+		switch want {
+		case q[0].key:
+			hit4(q, 0, d)
+		case q[1].key:
+			hit4(q, 1, d)
+		case q[2].key:
+			hit4(q, 2, d)
+		case q[3].key:
+			hit4(q, 3, d)
+		default:
+			return n
+		}
+		want += step
+		sl = sl.skip(1)
+	}
+	return n
+}
+
+// fillState is what fillRun's loop reads but never changes: read
+// through one pointer, it leaves the registers to the values the loop
+// changes.
+type fillState struct {
+	sets  [][4]line
+	step  uint32
+	class Class
+	hist  *[16]uint64
+}
+
+// fillRun is hitRun's counterpart: it fills the n references of a line
+// run on behalf of f.class while they miss, counting each resident
+// victim in f.hist, and returns how many are left from the first
+// hitting one on. Bit k of castouts is set iff the k-th miss from the
+// last cast out a dirty victim.
+//
+//go:noinline
+//mmutricks:noalloc
+func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int, castouts uint64) {
+	want := la | lineKeyValid
+	for ; n > 0; n-- {
+		q := &f.sets[want&uint32(len(f.sets)-1)]
+		if probe4(q, want) >= 0 {
+			break
+		}
+		dirty := uint8(sl & 1)
+		sl = sl.skip(1)
+		v, valid := fill4(q, want, f.class, dirty)
+		if valid {
+			f.hist[v&15]++
+		}
+		castouts = castouts<<1 | uint64(v&1)
+		want += f.step
+	}
+	return n, castouts
+}
+
+// subLineRun advances a 4-way run whose stride divides the line size
+// and which spans more than one line. After the head (the references
+// before the first line boundary) every line takes line/stride
+// references, so the run is a head group, one line run over the full
+// lines with a store mask derived per line (a line stores iff any of
+// its references does), and a tail group. A miss is recorded, unless
+// misses is nil, at its line's first reference.
+//
+//mmutricks:noalloc
+func (c *Cache) subLineRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
+	shift, sshift := c.lineShift, uint(bits.TrailingZeros(uint(stride)))
+	la := uint32(pa) >> shift
+	i := 0
+	if off := int(pa) & (1<<shift - 1); off != 0 {
+		i = min(n, (1<<shift-off+stride-1)>>sshift)
+		dirty, _ := st.lanes().take(i)
+		nmiss = c.group(la, 0, dirty, class, misses, 0)
+		la++
+	}
+	per := 1 << (shift - sshift)
+	if full := (n - i) >> (shift - sshift); full > 0 {
+		sl := st.perLine(i, per).lanes()
+		if rest := hitRun(c.sets, la, 1, sl, full); rest > 0 {
+			if misses == nil {
+				nmiss += c.lineRun(la, 1, full-rest, full, class, sl, nil)
+			} else {
+				rec := misses[nmiss:]
+				m := c.lineRun(la, 1, full-rest, full, class, sl, rec)
+				for j := range rec[:m] {
+					rec[j].Index = int32(i + int(rec[j].Index)*per)
+				}
+				nmiss += m
+			}
+		}
+		la += uint32(full)
+		i += full * per
+	}
+	if i < n {
+		dirty, _ := st.From(i).lanes().take(n - i)
+		nmiss = c.group(la, i, dirty, class, misses, nmiss)
+	}
+	return nmiss
+}
+
+// accessGroups advances a 4-way run whose stride neither divides nor is
+// a multiple of the line size by grouping its references by the line
+// they land on (the grouping scan is division-free; line-crossing
+// groups are short). The misses are recorded in misses unless it is
+// nil.
+//
+//mmutricks:noalloc
+func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl storeLanes, misses []MissRef) (nmiss int) {
+	shift := c.lineShift
 	for i := 0; i < n; {
 		a := pa + arch.PhysAddr(i*stride)
 		la := uint32(a) >> shift
@@ -531,42 +724,56 @@ func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl st
 		}
 		var dirty uint8
 		dirty, sl = sl.take(k)
-		q := (*[4]line)(lines[int(la&mask)*4:])
-		want := la | lineKeyValid
-		if wi := probe4(q, want); wi >= 0 {
-			q[wi&3].dirty |= dirty
-			q[0].ord = touchTab[q[0].ord][wi&3]
-		} else {
-			v, valid := fill4(q, want, class, dirty)
-			if valid {
-				hist[v&15]++
-			}
-			if misses != nil {
-				misses[nmiss] = MissRef{Index: int32(i), Castout: v&1 != 0}
-			}
-			nmiss++
-		}
+		nmiss = c.group(la, i, dirty, class, misses, nmiss)
 		i += k
 	}
-	return nmiss, c.flushRun(class, nmiss, &hist)
+	return nmiss
+}
+
+// group advances a group of a 4-way run's references that all land on
+// line la, reference i the first of them, the line ending dirty iff
+// dirty is 1. On a resident line the group is one recency update. On
+// any other line its first reference misses and fills and the rest hit
+// the fresh line, which the fill already made the most recent; the
+// victim is counted in c.hist and the miss recorded at misses[nmiss]
+// unless misses is nil. It returns the run's miss count so far.
+//
+//mmutricks:noalloc
+func (c *Cache) group(la uint32, i int, dirty uint8, class Class, misses []MissRef, nmiss int) int {
+	q := &c.sets[la&c.setMask]
+	want := la | lineKeyValid
+	if wi := probe4(q, want); wi >= 0 {
+		hit4(q, wi&3, dirty)
+		return nmiss
+	}
+	v, valid := fill4(q, want, class, dirty)
+	if valid {
+		c.hist[v&15]++
+	}
+	if misses != nil {
+		misses[nmiss] = MissRef{Index: int32(i), Castout: v&1 != 0}
+	}
+	return nmiss + 1
 }
 
 // flushRun adds a 4-way run's misses, fills and victim histogram to the
-// statistics and returns the run's castout count.
+// statistics, clears the histogram, and returns the run's castout
+// count.
 //
 //mmutricks:noalloc
-func (c *Cache) flushRun(class Class, nmiss int, hist *[16]uint64) (ncast int) {
+func (c *Cache) flushRun(class Class, nmiss int) (ncast int) {
 	if nmiss == 0 {
 		return 0
 	}
 	c.stats.Misses[class] += uint64(nmiss)
 	c.stats.Fills[class] += uint64(nmiss)
 	for v := 0; v < int(numClasses); v++ {
-		clean, dirty := hist[v<<1], hist[v<<1+1]
+		clean, dirty := c.hist[v<<1], c.hist[v<<1+1]
 		c.stats.EvictedBy[v][class] += clean + dirty
 		c.stats.Castouts[v] += dirty
 		ncast += int(dirty)
 	}
+	c.hist = [16]uint64{}
 	return ncast
 }
 
@@ -691,6 +898,18 @@ func probe4(q *[4]line, want uint32) int {
 	return -1
 }
 
+// hit4 records a hit on way w of the 4-way set q: the line ends dirty
+// if d is 1, and the way becomes the most recent. hitRun calls it with
+// a constant way, one call per case of its probe, so that each inlined
+// copy addresses the line and the recency table at fixed offsets; the
+// one-line groups of a run call it with probe4's way.
+//
+//mmutricks:noalloc
+func hit4(q *[4]line, w int, d uint8) {
+	q[w].dirty |= d
+	q[0].ord = touchTab[q[0].ord][w]
+}
+
 // fill4 installs want in the 4-way set q on behalf of class, replacing
 // the way at rank 0 of the set's recency list and making it the most
 // recent. It returns the victim's class<<1|dirty and whether the victim
@@ -701,10 +920,10 @@ func probe4(q *[4]line, want uint32) int {
 func fill4(q *[4]line, want uint32, class Class, dirty uint8) (victim uint8, valid bool) {
 	o := q[0].ord
 	vi := o & 3
-	v := &q[vi]
-	victim, valid = v.class<<1|v.dirty, v.key&lineKeyValid != 0
-	v.key, v.class, v.dirty = want, uint8(class), dirty
 	q[0].ord = o>>2 | vi<<6
+	valid = q[vi].key&lineKeyValid != 0
+	victim = q[vi].class<<1 | q[vi].dirty
+	q[vi].key, q[vi].class, q[vi].dirty = want, uint8(class), dirty
 	return victim, valid
 }
 

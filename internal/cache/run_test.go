@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mmutricks/internal/arch"
@@ -50,6 +52,8 @@ var runCases = []runCase{
 	{"mixed word stride", 16 << 10, 4, 32, 0x10004, 4000, 4, 0x1},
 	{"mixed 2-way", 16 << 10, 2, 32, 0x10000, 2049, 32, 0x8},
 	{"mixed 8-way sub-line", 16 << 10, 8, 32, 0x10002, 3000, 20, 0x6},
+	{"descending line stride", 16 << 10, 4, 32, 0x40000, 600, -32, 0x8},
+	{"descending unaligned", 32 << 10, 4, 32, 0x40014, 600, -64, AllStores},
 }
 
 // warmTwins gives both caches the same warm, partly dirty contents, so
@@ -159,6 +163,142 @@ func TestAccessRunMissesMatchScalar(t *testing.T) {
 	}
 }
 
+// runLines returns the line addresses a run touches, in order, each
+// once: the lines whose residency decides where the run hits and
+// misses.
+func runLines(pa arch.PhysAddr, n, stride, line int) []arch.PhysAddr {
+	var ls []arch.PhysAddr
+	for i := 0; i < n; i++ {
+		l := (pa + arch.PhysAddr(i*stride)) &^ arch.PhysAddr(line-1)
+		if len(ls) == 0 || ls[len(ls)-1] != l {
+			ls = append(ls, l)
+		}
+	}
+	return ls
+}
+
+// fillAway fills c with lines of every class, every other one dirty,
+// from a region no run below touches, so that a run's fills evict clean
+// and dirty victims.
+func fillAway(c *Cache) {
+	for i := 0; i < 2*len(c.lines); i++ {
+		c.Access(0x400000+arch.PhysAddr(i)<<c.lineShift, Class(i%int(numClasses)), i%2 == 1)
+	}
+}
+
+// makeResident loads the j-th line of lines for each bit j set in
+// resident, dirty for even j.
+func makeResident(c *Cache, lines []arch.PhysAddr, resident uint64) {
+	for j, l := range lines[:min(len(lines), 64)] {
+		if resident>>j&1 != 0 {
+			c.Access(l, ClassKernelData, j%2 == 0)
+		}
+	}
+}
+
+// residencies are the patterns TestRunKernelHandOff makes resident:
+// bit j of mask(m), for a run touching m lines, makes its j-th line
+// resident, so the run hits there and misses elsewhere.
+var residencies = []struct {
+	name string
+	mask func(m int) uint64
+}{
+	{"all-hit", func(m int) uint64 { return 1<<m - 1 }},
+	{"all-miss", func(int) uint64 { return 0 }},
+	{"alternating", func(m int) uint64 { return 0x5555555555555555 & (1<<m - 1) }},
+	{"alternating-from-miss", func(m int) uint64 { return 0xAAAAAAAAAAAAAAAA & (1<<m - 1) }},
+	{"first-misses", func(m int) uint64 { return 1<<m - 2 }},
+	{"last-misses", func(m int) uint64 { return 1<<(m-1) - 1 }},
+}
+
+// TestRunKernelHandOff holds the hand-off between the run kernels
+// (hitRun stops at the first miss, fillRun at the first hit) to the
+// scalar Access loop, on the 603's and the 604's L1 geometries: line
+// runs under every store mask at every start phase, and sub-line runs
+// of strides 8 and 16 from every offset in a line with every head and
+// tail size, each over residencies that switch between hit and miss at
+// every line, at the first line only and at the last line only. Both
+// the counting and the recording entry points must match the scalar
+// loop's lines, statistics, miss and castout counts, and misses.
+func TestRunKernelHandOff(t *testing.T) {
+	type shape struct {
+		pa        arch.PhysAddr
+		n, stride int
+		st        Stores
+	}
+	var shapes []shape
+	for st := Stores(0); st <= AllStores; st++ {
+		for phase := 0; phase < 4; phase++ {
+			shapes = append(shapes, shape{0x10000, 9, 32, st.From(phase)})
+		}
+	}
+	for _, stride := range []int{8, 16} {
+		per := 32 / stride
+		for off := 0; off < 32; off++ {
+			for n := 1; n <= 2*per+2; n++ {
+				// Every store mask comes round as the offset and length
+				// vary, and the first line alternates between a set
+				// whose victim is clean and one whose victim is dirty.
+				shapes = append(shapes, shape{0x10000 + arch.PhysAddr(n%2*32+off), n, stride, Stores(off+n) & AllStores})
+			}
+		}
+	}
+	shapes = append(shapes, shape{0x10014, 9, 32, 0x8}, shape{0x10000, 9, 96, 0x5}, shape{0x1000c, 7, 4096, AllStores})
+	for _, size := range []int{16 << 10, 32 << 10} {
+		base := New("base", size, 4, 32)
+		fillAway(base)
+		cr, cs := New("run", size, 4, 32), New("scalar", size, 4, 32)
+		for _, sh := range shapes {
+			lines := runLines(sh.pa, sh.n, sh.stride, 32)
+			for _, res := range residencies {
+				for _, record := range []bool{false, true} {
+					name := func() string {
+						return fmt.Sprintf("%dK pa=%#x n=%d stride=%d stores=%#x %s record=%v", size>>10, sh.pa, sh.n, sh.stride, sh.st, res.name, record)
+					}
+					warm := res.mask(len(lines))
+					for _, c := range []*Cache{cr, cs} {
+						copy(c.lines, base.lines)
+						makeResident(c, lines, warm)
+						c.ResetStats()
+					}
+
+					var want []MissRef
+					sc := 0
+					for i := 0; i < sh.n; i++ {
+						if hit, castout := cs.Access(sh.pa+arch.PhysAddr(i*sh.stride), ClassUser, sh.st.At(i)); !hit {
+							want = append(want, MissRef{Index: int32(i), Castout: castout})
+							if castout {
+								sc++
+							}
+						}
+					}
+					var rm, rc int
+					if record {
+						buf := make([]MissRef, len(lines))
+						rm = cr.AccessRun(sh.pa, sh.n, sh.stride, ClassUser, sh.st, buf)
+						if got := buf[:rm]; !slices.Equal(got, want) {
+							t.Fatalf("%s: misses %v, scalar %v", name(), got, want)
+						}
+						for _, m := range buf[:rm] {
+							if m.Castout {
+								rc++
+							}
+						}
+					} else {
+						rm, rc = cr.AccessRunCountMask(sh.pa, sh.n, sh.stride, ClassUser, sh.st)
+					}
+					if rm != len(want) || rc != sc {
+						t.Fatalf("%s: run (%d misses, %d castouts), scalar (%d, %d)", name(), rm, rc, len(want), sc)
+					}
+					if *cr.Stats() != *cs.Stats() || !slices.Equal(cr.lines, cs.lines) {
+						t.Fatalf("%s: cache state diverges from the scalar loop", name())
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStoresRotation(t *testing.T) {
 	for st := Stores(0); st <= AllStores; st++ {
 		for from := 0; from < 9; from++ {
@@ -177,18 +317,39 @@ func TestStoresRotation(t *testing.T) {
 // FuzzAccessRunCountParity drives random batched runs over random
 // geometries and store masks, checking that batched counts never
 // deviate from the scalar loop and the final cache state is
-// bit-identical.
+// bit-identical. A nonzero resident starts both caches full
+// (fillAway), with the run's j-th line resident for each bit j set.
 func FuzzAccessRunCountParity(f *testing.F) {
-	f.Add(uint8(0), uint32(0x10000), uint16(512), uint8(32), uint8(AllStores))
-	f.Add(uint8(1), uint32(0x8004), uint16(3000), uint8(12), uint8(NoStores))
-	f.Add(uint8(2), uint32(0x10000), uint16(1030), uint8(32), uint8(0x8))
-	f.Add(uint8(1), uint32(0x10006), uint16(2000), uint8(4), uint8(0x5))
-	f.Fuzz(func(t *testing.T, geom uint8, pa uint32, n uint16, stride, stores uint8) {
+	f.Add(uint8(0), uint32(0x10000), uint16(512), uint8(32), uint8(AllStores), uint64(0))
+	f.Add(uint8(1), uint32(0x8004), uint16(3000), uint8(12), uint8(NoStores), uint64(0))
+	f.Add(uint8(2), uint32(0x10000), uint16(1030), uint8(32), uint8(0x8), uint64(0))
+	f.Add(uint8(1), uint32(0x10006), uint16(2000), uint8(4), uint8(0x5), uint64(0))
+	// TestRunKernelHandOff's residencies on the 603's (geom 1) and the
+	// 604's (geom 4) L1: every line resident, every other line, and
+	// all but the first or the last; line runs and sub-line runs with
+	// a head and a tail.
+	f.Add(uint8(1), uint32(0x10000), uint16(9), uint8(32), uint8(0x8), uint64(1<<9-1))
+	f.Add(uint8(4), uint32(0x10000), uint16(9), uint8(32), uint8(0x3), uint64(0x5555555555555555))
+	f.Add(uint8(1), uint32(0x10000), uint16(9), uint8(32), uint8(0xE), uint64(0xAAAAAAAAAAAAAAAA))
+	f.Add(uint8(4), uint32(0x10000), uint16(9), uint8(32), uint8(AllStores), uint64(1<<9-2))
+	f.Add(uint8(1), uint32(0x10000), uint16(9), uint8(32), uint8(0x1), uint64(1<<8-1))
+	f.Add(uint8(4), uint32(0x10014), uint16(10), uint8(8), uint8(0x6), uint64(0x5))
+	f.Add(uint8(1), uint32(0x10018), uint16(6), uint8(16), uint8(0x9), uint64(0x2))
+	f.Add(uint8(4), uint32(0x1000c), uint16(11), uint8(8), uint8(0x4), uint64(0x3))
+	f.Fuzz(func(t *testing.T, geom uint8, pa uint32, n uint16, stride, stores uint8, resident uint64) {
 		ways := []int{2, 4, 8}[geom%3]
+		size := 16 << 10 << (geom / 3 % 2)
 		step := int(stride)%256 + 1
 		st := Stores(stores)
-		cr := New("run", 16<<10, ways, 32)
-		cs := New("scalar", 16<<10, ways, 32)
+		cr := New("run", size, ways, 32)
+		cs := New("scalar", size, ways, 32)
+		if resident != 0 {
+			lines := runLines(arch.PhysAddr(pa), min(int(n), 64*32), step, 32)
+			for _, c := range []*Cache{cr, cs} {
+				fillAway(c)
+				makeResident(c, lines, resident)
+			}
+		}
 		rm, rc := cr.AccessRunCountMask(arch.PhysAddr(pa), int(n), step, ClassUser, st)
 		sm, sc := scalarCount(cs, arch.PhysAddr(pa), int(n), step, ClassUser, st)
 		if rm != sm || rc != sc {
@@ -283,6 +444,35 @@ func BenchmarkAccessRunResident(b *testing.B) {
 	}
 	if m := c.Stats().TotalMisses(); m != pages<<7 {
 		b.Fatalf("%d misses, want only the %d loading ones", m, pages<<7)
+	}
+}
+
+// BenchmarkShortRun is the shape of a kernel-text fetch: load-only runs
+// of 3 and 8 lines that all hit, from seeded line-aligned starts over a
+// working set that fills the cache exactly. A run's fixed costs (its
+// entry, the hit kernel's call, the flush) weigh the most here.
+func BenchmarkShortRun(b *testing.B) {
+	for _, lines := range []int{3, 8} {
+		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
+			c := New("i", 16<<10, 4, 32)
+			const resident = 16 << 10 >> 5
+			for i := 0; i < resident; i++ {
+				c.Access(arch.PhysAddr(i)<<5, ClassKernelText, false)
+			}
+			rng := rand.New(rand.NewSource(1))
+			var start [1024]arch.PhysAddr
+			for i := range start {
+				start[i] = arch.PhysAddr(rng.Intn(resident-lines)) << 5
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.AccessRunCountMask(start[i%len(start)], lines, 32, ClassKernelText, NoStores)
+			}
+			if m := c.Stats().TotalMisses(); m != resident {
+				b.Fatalf("%d misses, want only the %d loading ones", m, resident)
+			}
+		})
 	}
 }
 

@@ -35,43 +35,67 @@ echo '== go run ./cmd/mmulint ./...'
 go run ./cmd/mmulint ./...
 
 # The 4-way cache paths do their probe and fill through two small
-# helpers that must inline: a helper grown past the inliner's budget
-# turns every simulated reference into a call and gives back most of
-# the inlined miss path's speed, with no test failing. The build is
-# without PGO, so the guard holds for every build.
-echo '== inlining: probe4 and fill4 in every 4-way cache path'
-go build -pgo=off -gcflags=-m ./internal/cache 2>&1 | awk '
-	FNR == NR {
-		if ($0 ~ /^func /) {
-			name = $0
-			sub(/^func (\([^)]*\) )?/, "", name)
-			sub(/[[(].*/, "", name)
-			nf++
-			start[nf] = FNR
-			fname[nf] = name
+# helpers that must inline, and every 4-way run goes through two run
+# kernels that must not: hitRun advances a run while it hits and
+# fillRun while it misses, each keeping its loop state in registers. A
+# helper grown past the inliner's budget turns every simulated
+# reference into a call, and a kernel inlined into a caller brings the
+# caller's values into the loop and spills its state to the stack;
+# either gives back most of the run path's speed with no test failing.
+# probe4 and fill4 must inline into Access, accessRun (a run on one
+# line), group (a run's head, tail or other one-line group) and
+# fillRun, and hitRun's own hit update, hit4, into hitRun; both
+# kernels must be marked go:noinline and never be inlined. The guard runs twice: without PGO, so that it holds for
+# every build, and with the checked-in profile, the build that users
+# and the benchmark run.
+for pgo in off cmd/mmureport/default.pgo; do
+	echo "== inlining: the 4-way cache helpers and run kernels (-pgo=$pgo)"
+	go build -pgo="$pgo" -gcflags=-m=2 ./internal/cache 2>&1 | awk -v pgo="$pgo" '
+		FNR == NR {
+			if ($0 ~ /^func /) {
+				name = $0
+				sub(/^func (\([^)]*\) )?/, "", name)
+				sub(/[[(].*/, "", name)
+				nf++
+				start[nf] = FNR
+				fname[nf] = name
+			}
+			next
 		}
-		next
-	}
-	/^internal\/cache\/cache\.go:[0-9]+:[0-9]+: inlining call to (probe4|fill4)$/ {
-		split($0, pos, ":")
-		f = ""
-		for (i = 1; i <= nf && start[i] <= pos[2] + 0; i++)
-			f = fname[i]
-		inlined[f " " $NF] = 1
-	}
-	END {
-		bad = 0
-		n = split("Access accessGroups mixedRun", fns, " ")
-		for (i = 1; i <= n; i++)
-			for (h = 0; h < 2; h++) {
-				helper = h ? "fill4" : "probe4"
-				if (!((fns[i] " " helper) in inlined)) {
-					printf "check: %s is no longer inlined into (*Cache).%s\n", helper, fns[i] > "/dev/stderr"
+		/^internal\/cache\/cache\.go:[0-9]+:[0-9]+: inlining call to (probe4|fill4|hit4)$/ {
+			split($0, pos, ":")
+			f = ""
+			for (i = 1; i <= nf && start[i] <= pos[2] + 0; i++)
+				f = fname[i]
+			inlined[f " " $NF] = 1
+		}
+		/: inlining call to (hitRun|fillRun)$/ {
+			printf "check: the run kernel %s is inlined at %s (-pgo=%s)\n", $NF, $1, pgo > "/dev/stderr"
+			bad = 1
+		}
+		/: cannot inline (hitRun|fillRun): marked go:noinline$/ {
+			k = $4
+			sub(/:$/, "", k)
+			kernel[k] = 1
+		}
+		END {
+			n = split("Access:probe4 Access:fill4 accessRun:probe4 accessRun:fill4 group:probe4 group:fill4 hitRun:hit4 fillRun:probe4 fillRun:fill4", want, " ")
+			for (i = 1; i <= n; i++) {
+				split(want[i], fh, ":")
+				if (!((fh[1] " " fh[2]) in inlined)) {
+					printf "check: %s is no longer inlined into %s (-pgo=%s)\n", fh[2], fh[1], pgo > "/dev/stderr"
 					bad = 1
 				}
 			}
-		exit bad
-	}' internal/cache/cache.go -
+			split("hitRun fillRun", ks, " ")
+			for (i = 1; i <= 2; i++)
+				if (!(ks[i] in kernel)) {
+					printf "check: the run kernel %s is missing or not marked go:noinline (-pgo=%s)\n", ks[i], pgo > "/dev/stderr"
+					bad = 1
+				}
+			exit bad
+		}' internal/cache/cache.go -
+done
 
 # The simulator counts, traces and attributes its work through the
 # tracer's typed calls (internal/mmtrace): the event calls

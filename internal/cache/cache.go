@@ -250,10 +250,9 @@ func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout 
 		return c.accessOther(set, tag, class, write)
 	}
 	want := tag | lineKeyValid
-	q := (*[4]line)(c.lines[set*4:])
+	q := &c.sets[set]
 	if wi := probe4(q, want); wi >= 0 {
-		q[wi&3].dirty |= dirtyOf(write)
-		q[0].ord = touchTab[q[0].ord][wi&3]
+		hit4(q, wi&3, dirtyOf(write))
 		return true, false
 	}
 	c.stats.Misses[class]++
@@ -406,24 +405,6 @@ func (l storeLanes) take(k int) (dirty uint8, rest storeLanes) {
 	return dirty, l.skip(k)
 }
 
-// perLine returns the store mask of a run's lines when each line takes
-// per ≥ 1 consecutive references, the first line from reference from
-// on: line j stores iff any of its references does.
-//
-//mmutricks:noalloc
-func (s Stores) perLine(from, per int) (m Stores) {
-	if per >= 4 {
-		// Every line takes each of the mask's four references.
-		return StoresOf(s&AllStores != 0)
-	}
-	for j := 0; j < 4; j++ {
-		if s.From(from+j*per)&(1<<per-1) != 0 {
-			m |= 1 << j
-		}
-	}
-	return m
-}
-
 // MissRef records one missing reference within a run: the index of the
 // reference in the run and whether its fill cast out a dirty victim.
 type MissRef struct {
@@ -474,14 +455,11 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 // accessRun is AccessRun and AccessRunCountMask: misses == nil counts
 // the misses without recording them. A 4-way run that stays on one line
 // (a one-line fetch, a hash-table probe of one or two PTEs) is one
-// probe. Otherwise a stride that is a multiple of the line size puts
-// each reference on a line of its own (the dominant shape: the 128-line
-// page clear, user touches, I-fetch), and the whole run is one line
-// run: hitRun, then lineRun from the first miss. A stride that divides
-// the line size puts the same number of references on every full line,
-// so the run is a head group, a line run and a tail group
-// (subLineRun). Only a stride that is neither goes to the generic
-// grouping of accessGroups.
+// scalar Access. Otherwise a stride that is a multiple of the line size
+// puts each reference on a line of its own (the dominant shape: the
+// 128-line page clear, user touches, I-fetch), and the whole run is one
+// line run: hitRun, then lineRun from the first miss. Any other stride
+// goes to the grouping of accessGroups.
 //
 //mmutricks:noalloc
 func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
@@ -502,41 +480,32 @@ func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 		}
 		return nmiss, ncast
 	}
-	c.stats.Accesses[class] += uint64(n)
 	shift := c.lineShift
 	la := uint32(pa) >> shift
 	if n > 0 && uint32(pa+arch.PhysAddr((n-1)*stride))>>shift == la {
-		// The run stays on one line: one probe, counted as scalar
-		// Access counts it. The first reference of a miss fills, and
-		// the rest hit the fresh line.
+		// The run stays on one line: its first reference is a scalar
+		// Access that stores iff any reference does, and the rest hit.
 		dirty, _ := st.lanes().take(n)
-		q := &c.sets[la&c.setMask]
-		want := la | lineKeyValid
-		if wi := probe4(q, want); wi >= 0 {
-			hit4(q, wi&3, dirty)
-			return 0, 0
+		c.stats.Accesses[class] += uint64(n - 1)
+		if hit, castout := c.Access(pa, class, dirty != 0); !hit {
+			if misses != nil {
+				misses[0] = MissRef{Castout: castout}
+			}
+			if castout {
+				return 1, 1
+			}
+			return 1, 0
 		}
-		c.stats.Misses[class]++
-		c.stats.Fills[class]++
-		v, valid := fill4(q, want, class, dirty)
-		c.evicted(v, valid, class)
-		if misses != nil {
-			misses[0] = MissRef{Castout: v&1 != 0}
-		}
-		return 1, int(v & 1)
+		return 0, 0
 	}
-	size := 1 << shift
-	switch {
-	case stride&(size-1) == 0:
-		step, sl := uint32(stride>>shift), st.lanes()
+	c.stats.Accesses[class] += uint64(n)
+	if sl := st.lanes(); stride&(1<<shift-1) == 0 {
+		step := uint32(stride >> shift)
 		if rest := hitRun(c.sets, la, step, sl, n); rest > 0 {
 			nmiss = c.lineRun(la, step, n-rest, n, class, sl, misses)
 		}
-	case stride > 0 && stride&(stride-1) == 0:
-		// A power of two below the line size divides it.
-		nmiss = c.subLineRun(pa, n, stride, class, st, misses)
-	default:
-		nmiss = c.accessGroups(pa, n, stride, class, st.lanes(), misses)
+	} else {
+		nmiss = c.accessGroups(pa, n, stride, class, sl, misses)
 	}
 	if nmiss == 0 {
 		return 0, 0
@@ -662,55 +631,10 @@ func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int, castouts 
 	return n, castouts
 }
 
-// subLineRun advances a 4-way run whose stride divides the line size
-// and which spans more than one line. After the head (the references
-// before the first line boundary) every line takes line/stride
-// references, so the run is a head group, one line run over the full
-// lines with a store mask derived per line (a line stores iff any of
-// its references does), and a tail group. A miss is recorded, unless
-// misses is nil, at its line's first reference.
-//
-//mmutricks:noalloc
-func (c *Cache) subLineRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
-	shift, sshift := c.lineShift, uint(bits.TrailingZeros(uint(stride)))
-	la := uint32(pa) >> shift
-	i := 0
-	if off := int(pa) & (1<<shift - 1); off != 0 {
-		i = min(n, (1<<shift-off+stride-1)>>sshift)
-		dirty, _ := st.lanes().take(i)
-		nmiss = c.group(la, 0, dirty, class, misses, 0)
-		la++
-	}
-	per := 1 << (shift - sshift)
-	if full := (n - i) >> (shift - sshift); full > 0 {
-		sl := st.perLine(i, per).lanes()
-		if rest := hitRun(c.sets, la, 1, sl, full); rest > 0 {
-			if misses == nil {
-				nmiss += c.lineRun(la, 1, full-rest, full, class, sl, nil)
-			} else {
-				rec := misses[nmiss:]
-				m := c.lineRun(la, 1, full-rest, full, class, sl, rec)
-				for j := range rec[:m] {
-					rec[j].Index = int32(i + int(rec[j].Index)*per)
-				}
-				nmiss += m
-			}
-		}
-		la += uint32(full)
-		i += full * per
-	}
-	if i < n {
-		dirty, _ := st.From(i).lanes().take(n - i)
-		nmiss = c.group(la, i, dirty, class, misses, nmiss)
-	}
-	return nmiss
-}
-
-// accessGroups advances a 4-way run whose stride neither divides nor is
-// a multiple of the line size by grouping its references by the line
-// they land on (the grouping scan is division-free; line-crossing
-// groups are short). The misses are recorded in misses unless it is
-// nil.
+// accessGroups advances a 4-way run whose stride is not a multiple of
+// the line size by grouping its references by the line they land on
+// (the grouping scan is division-free; line-crossing groups are short).
+// The misses are recorded in misses unless it is nil.
 //
 //mmutricks:noalloc
 func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl storeLanes, misses []MissRef) (nmiss int) {
@@ -901,8 +825,8 @@ func probe4(q *[4]line, want uint32) int {
 // hit4 records a hit on way w of the 4-way set q: the line ends dirty
 // if d is 1, and the way becomes the most recent. hitRun calls it with
 // a constant way, one call per case of its probe, so that each inlined
-// copy addresses the line and the recency table at fixed offsets; the
-// one-line groups of a run call it with probe4's way.
+// copy addresses the line and the recency table at fixed offsets;
+// Access and group call it with probe4's way.
 //
 //mmutricks:noalloc
 func hit4(q *[4]line, w int, d uint8) {
@@ -958,7 +882,7 @@ func (c *Cache) install(set int, tag uint32, class Class, write bool) (castout b
 		return c.fill(set, tag, class, write)
 	}
 	c.stats.Fills[class]++
-	v, valid := fill4((*[4]line)(c.lines[set*4:]), tag|lineKeyValid, class, dirtyOf(write))
+	v, valid := fill4(&c.sets[set], tag|lineKeyValid, class, dirtyOf(write))
 	c.evicted(v, valid, class)
 	return v&1 != 0
 }

@@ -228,8 +228,8 @@ func sameAsModel(t *testing.T, c *Cache, m *lruModel) {
 }
 
 // oracleStrides mixes sub-line, line and multi-line strides, so runs
-// take every 4-way path: one line, line runs, sub-line runs with a head
-// and a tail, and the generic grouping.
+// take every 4-way path: one line, line runs, and the grouping of every
+// other stride.
 var oracleStrides = []int{4, 8, 12, 20, 32, 64, 96, 256}
 
 // oracleGeoms are FuzzLRUOracle's caches: the 4-way L1 shape, the

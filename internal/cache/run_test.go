@@ -476,6 +476,31 @@ func BenchmarkShortRun(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessRunPTEG is the shape of a hash-table search: load runs
+// of 8-byte PTEs from slot 0 of a 64-byte PTEG, 2 PTEs (one line, a hit
+// in the first slots) and 8 (both lines, a full search), over the
+// seeded PTEGs of a 64 KB table, four times the cache, so about three
+// in four searches miss.
+func BenchmarkAccessRunPTEG(b *testing.B) {
+	for _, ptes := range []int{2, 8} {
+		b.Run(fmt.Sprintf("ptes=%d", ptes), func(b *testing.B) {
+			c := New("d", 16<<10, 4, 32)
+			rng := rand.New(rand.NewSource(1))
+			var pteg [1024]arch.PhysAddr
+			for i := range pteg {
+				pteg[i] = arch.PhysAddr(rng.Intn(1024)) << 6
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.AccessRunCountMask(pteg[i%len(pteg)], ptes, 8, ClassPageTable, NoStores)
+			}
+			b.StopTimer()
+			b.ReportMetric(c.Stats().MissRate(), "miss/ref")
+		})
+	}
+}
+
 func BenchmarkAccessScalar(b *testing.B) {
 	c := New("d", 16<<10, 4, 32)
 	var pa arch.PhysAddr

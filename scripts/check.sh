@@ -42,12 +42,12 @@ go run ./cmd/mmulint ./...
 # reference into a call, and a kernel inlined into a caller brings the
 # caller's values into the loop and spills its state to the stack;
 # either gives back most of the run path's speed with no test failing.
-# probe4 and fill4 must inline into Access, accessRun (a run on one
-# line), group (a run's head, tail or other one-line group) and
-# fillRun, and hitRun's own hit update, hit4, into hitRun; both
-# kernels must be marked go:noinline and never be inlined. The guard runs twice: without PGO, so that it holds for
-# every build, and with the checked-in profile, the build that users
-# and the benchmark run.
+# probe4 and fill4 must inline into Access (which also serves a run
+# that stays on one line), group (a one-line group of any other run)
+# and fillRun, and hitRun's own hit update, hit4, into hitRun; both
+# kernels must be marked go:noinline and never be inlined. The guard
+# runs twice: without PGO, so that it holds for every build, and with
+# the checked-in profile, the build that users and the benchmark run.
 for pgo in off cmd/mmureport/default.pgo; do
 	echo "== inlining: the 4-way cache helpers and run kernels (-pgo=$pgo)"
 	go build -pgo="$pgo" -gcflags=-m=2 ./internal/cache 2>&1 | awk -v pgo="$pgo" '
@@ -79,7 +79,7 @@ for pgo in off cmd/mmureport/default.pgo; do
 			kernel[k] = 1
 		}
 		END {
-			n = split("Access:probe4 Access:fill4 accessRun:probe4 accessRun:fill4 group:probe4 group:fill4 hitRun:hit4 fillRun:probe4 fillRun:fill4", want, " ")
+			n = split("Access:probe4 Access:fill4 group:probe4 group:fill4 hitRun:hit4 fillRun:probe4 fillRun:fill4", want, " ")
 			for (i = 1; i <= n; i++) {
 				split(want[i], fh, ":")
 				if (!((fh[1] " " fh[2]) in inlined)) {

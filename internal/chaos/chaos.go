@@ -1,4 +1,4 @@
-// Package chaos is the soak harness behind cmd/mmuchaos: it runs the
+// Package chaos is the soak harness behind `mmu chaos`: it runs the
 // standard workloads (lmbench, kbuild, stress) plus an escalation
 // workload under a declarative fault schedule, then audits that every
 // injected fault was detected and either repaired or deliberately
@@ -47,7 +47,7 @@ type Options struct {
 	CPU string
 	// Config is the kernel.Named configuration.
 	Config string
-	// Iters scales the workloads, like mmutrace.
+	// Iters scales the workloads (see Sections).
 	Iters int
 	// Schedule is the faultinject schedule text. The embedded seed is
 	// the run seed; each section derives its own stream from it.
@@ -97,13 +97,17 @@ type Report struct {
 	Sections []SectionResult `json:"sections"`
 }
 
-type sectionRun struct {
-	name string
-	// escalate marks the one section whose schedule keeps pte-flip:
+// Section is one workload section: a named run on a freshly booted
+// kernel. The chaos soak and the tracerec recorder run the same
+// sections, so a soak and a recording of one workload drive the kernel
+// identically.
+type Section struct {
+	Name string
+	// Escalate marks the one section whose schedule keeps pte-flip:
 	// page-table poison kills the victim task, so only the section
 	// built around sacrificial tasks opts in.
-	escalate bool
-	run      func(k *kernel.Kernel)
+	Escalate bool
+	Run      func(k *kernel.Kernel)
 }
 
 // Run executes the soak and returns the report. An error means the
@@ -128,7 +132,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	if opts.Iters <= 0 {
 		opts.Iters = 100
 	}
-	runs, err := sections(opts.Workload, opts.Iters)
+	runs, err := Sections(opts.Workload, opts.Iters)
 	if err != nil {
 		return nil, err
 	}
@@ -156,10 +160,10 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 }
 
 // runSection soaks one workload section on a fresh machine.
-func runSection(model clock.CPUModel, cfg kernel.Config, base faultinject.Schedule, salt uint64, sr sectionRun) SectionResult {
+func runSection(model clock.CPUModel, cfg kernel.Config, base faultinject.Schedule, salt uint64, sr Section) SectionResult {
 	sched := base
 	sched.Seed = faultinject.DeriveSeed(base.Seed, salt)
-	if !sr.escalate {
+	if !sr.Escalate {
 		// Page-table poison is unrepairable and kills its victim; only
 		// the escalation section sacrifices tasks on purpose.
 		sched.Weights[faultinject.PTEFlip] = 0
@@ -170,7 +174,7 @@ func runSection(model clock.CPUModel, cfg kernel.Config, base faultinject.Schedu
 	before := m.Mon.Snapshot()
 	k := kernel.New(m, cfg)
 
-	res := SectionResult{Name: sr.name, Seed: sched.Seed, Schedule: sched.String()}
+	res := SectionResult{Name: sr.Name, Seed: sched.Seed, Schedule: sched.String()}
 	fail := func(format string, args ...any) {
 		res.Failures = append(res.Failures, fmt.Sprintf(format, args...))
 	}
@@ -182,7 +186,7 @@ func runSection(model clock.CPUModel, cfg kernel.Config, base faultinject.Schedu
 			}
 		}()
 		inj.Arm()
-		sr.run(k)
+		sr.Run(k)
 	}()
 	inj.Disarm()
 	// Deliver stragglers whose corrupting access never reached another
@@ -252,27 +256,30 @@ func runSection(model clock.CPUModel, cfg kernel.Config, base faultinject.Schedu
 	return res
 }
 
-// sections builds the workload section list.
-func sections(workload string, iters int) ([]sectionRun, error) {
-	lm := func() []sectionRun {
-		return []sectionRun{
-			{name: "nullsys", run: func(k *kernel.Kernel) { lmbench.New(k).NullSyscall(iters) }},
-			{name: "ctxsw", run: func(k *kernel.Kernel) { lmbench.New(k).CtxSwitch(2, 0, maxInt(2, iters/2)) }},
-			{name: "pipelat", run: func(k *kernel.Kernel) { lmbench.New(k).PipeLatency(maxInt(2, iters/2)) }},
-			{name: "mmaplat", run: func(k *kernel.Kernel) { lmbench.New(k).MmapLatency(1024, maxInt(2, iters/10)) }},
-			{name: "pstart", run: func(k *kernel.Kernel) { lmbench.New(k).ProcStart(maxInt(2, iters/10)) }},
+// Sections builds the section list of a workload: "lmbench", "kbuild",
+// "stress", "escalate", or "all" (every section, in that order). iters
+// scales it: lmbench iterations, kbuild units x10, stress references
+// x100.
+func Sections(workload string, iters int) ([]Section, error) {
+	lm := func() []Section {
+		return []Section{
+			{Name: "nullsys", Run: func(k *kernel.Kernel) { lmbench.New(k).NullSyscall(iters) }},
+			{Name: "ctxsw", Run: func(k *kernel.Kernel) { lmbench.New(k).CtxSwitch(2, 0, max(2, iters/2)) }},
+			{Name: "pipelat", Run: func(k *kernel.Kernel) { lmbench.New(k).PipeLatency(max(2, iters/2)) }},
+			{Name: "mmaplat", Run: func(k *kernel.Kernel) { lmbench.New(k).MmapLatency(1024, max(2, iters/10)) }},
+			{Name: "pstart", Run: func(k *kernel.Kernel) { lmbench.New(k).ProcStart(max(2, iters/10)) }},
 		}
 	}
-	kb := func() []sectionRun {
+	kb := func() []Section {
 		kcfg := kbuild.Default()
-		kcfg.Units = maxInt(2, iters/10)
-		return []sectionRun{{name: "kbuild", run: func(k *kernel.Kernel) { kbuild.Run(k, kcfg) }}}
+		kcfg.Units = max(2, iters/10)
+		return []Section{{Name: "kbuild", Run: func(k *kernel.Kernel) { kbuild.Run(k, kcfg) }}}
 	}
-	st := func() []sectionRun {
+	st := func() []Section {
 		pages := 512
-		refs := maxInt(100, iters) * 100
-		gen := func(name string, mk func(base arch.EffectiveAddr) trace.Generator) sectionRun {
-			return sectionRun{name: name, run: func(k *kernel.Kernel) {
+		refs := max(100, iters) * 100
+		gen := func(name string, mk func(base arch.EffectiveAddr) trace.Generator) Section {
+			return Section{Name: name, Run: func(k *kernel.Kernel) {
 				img := k.LoadImage("stress", 2)
 				t := k.Spawn(img)
 				k.Switch(t)
@@ -283,7 +290,7 @@ func sections(workload string, iters int) ([]sectionRun, error) {
 				}
 			}}
 		}
-		return []sectionRun{
+		return []Section{
 			gen("sequential", func(b arch.EffectiveAddr) trace.Generator { return trace.NewSequential(b, pages) }),
 			gen("strided", func(b arch.EffectiveAddr) trace.Generator { return trace.NewStrided(b, pages, 17) }),
 			gen("workingset", func(b arch.EffectiveAddr) trace.Generator { return trace.NewWorkingSet(b, pages, 32, 90, 1) }),
@@ -291,8 +298,8 @@ func sections(workload string, iters int) ([]sectionRun, error) {
 			gen("zipfian", func(b arch.EffectiveAddr) trace.Generator { return trace.NewZipfian(b, pages, 1) }),
 		}
 	}
-	esc := func() []sectionRun {
-		return []sectionRun{{name: "escalate", escalate: true, run: escalateRun(iters)}}
+	esc := func() []Section {
+		return []Section{{Name: "escalate", Escalate: true, Run: escalateRun(iters)}}
 	}
 	switch workload {
 	case "lmbench":
@@ -304,7 +311,7 @@ func sections(workload string, iters int) ([]sectionRun, error) {
 	case "escalate":
 		return esc(), nil
 	case "all":
-		var all []sectionRun
+		var all []Section
 		all = append(all, lm()...)
 		all = append(all, kb()...)
 		all = append(all, st()...)
@@ -340,7 +347,7 @@ func escalateRun(iters int) func(k *kernel.Kernel) {
 				children = append(children, k.Fork())
 			}
 		}
-		rounds := maxInt(4, iters/4)
+		rounds := max(4, iters/4)
 		for i := 0; i < rounds; i++ {
 			replenish()
 			addr := k.SysMmap(4)
@@ -350,11 +357,4 @@ func escalateRun(iters int) func(k *kernel.Kernel) {
 		}
 		replenish()
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

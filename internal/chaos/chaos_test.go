@@ -10,7 +10,7 @@ import (
 	"mmutricks/internal/workpool"
 )
 
-// marshal renders a report exactly like cmd/mmuchaos does.
+// marshal renders a report exactly like `mmu chaos` does.
 func marshal(t *testing.T, rep *Report) []byte {
 	t.Helper()
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -1,49 +1,48 @@
-// Command htabviz visualizes hash-table bucket occupancy for a sweep of
-// VSID scatter constants — the tool-equivalent of the histogram the
-// paper's authors used to tune the constant until the hot spots
-// disappeared (§5.2).
-//
-// Usage:
-//
-//	htabviz -scatter 1,16,897 -procs 64
-//	htabviz -scatter 897 -histogram
-package main
+package cli
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 	"strings"
 
 	"mmutricks/internal/arch"
+	"mmutricks/internal/exitcode"
 	"mmutricks/internal/kernel"
 	"mmutricks/internal/ppc"
 	"mmutricks/internal/vsid"
 )
 
-func main() {
+// runHtabviz visualizes hash-table bucket occupancy for a sweep of
+// VSID scatter constants — the tool-equivalent of the histogram the
+// paper's authors used to tune the constant until the hot spots
+// disappeared (§5.2):
+//
+//	mmu htabviz -scatter 1,16,897 -procs 64
+//	mmu htabviz -scatter 897 -histogram
+func runHtabviz(args []string, stdout, stderr io.Writer) int {
+	f := newFlags("mmu htabviz", stderr)
 	var (
-		scatters  = flag.String("scatter", "1,2,16,256,2048,897", "comma-separated scatter constants to sweep")
-		procs     = flag.Int("procs", 64, "simulated processes")
-		kernelPTE = flag.Bool("kernel-ptes", false, "keep the kernel's 8192 linear-map PTEs in the table")
-		histogram = flag.Bool("histogram", false, "print the full per-bucket occupancy histogram for each constant")
+		scatters  = f.String("scatter", "1,2,16,256,2048,897", "comma-separated scatter constants to sweep")
+		procs     = f.Int("procs", 64, "simulated processes")
+		kernelPTE = f.Bool("kernel-ptes", false, "keep the kernel's 8192 linear-map PTEs in the table")
+		histogram = f.Bool("histogram", false, "print the full per-bucket occupancy histogram for each constant")
 	)
-	flag.Parse()
-
+	if code, ok := f.parse(args); !ok {
+		return code
+	}
 	var cs []uint32
-	for _, f := range strings.Split(*scatters, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 32)
+	for _, s := range strings.Split(*scatters, ",") {
+		v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 32)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "htabviz: bad scatter %q: %v\n", f, err)
-			os.Exit(1)
+			return f.fail(exitcode.Usage, fmt.Errorf("bad scatter %q: %v", s, err))
 		}
 		cs = append(cs, uint32(v))
 	}
 
 	pages := arch.DefaultHTABEntries / *procs
-	fmt.Printf("%d processes x %d pages each (one table capacity offered)\n\n", *procs, pages)
-	fmt.Printf("%-10s %-10s %-12s %-12s %s\n", "scatter", "retained", "occupancy", "max bucket", "empty buckets")
+	fmt.Fprintf(stdout, "%d processes x %d pages each (one table capacity offered)\n\n", *procs, pages)
+	fmt.Fprintf(stdout, "%-10s %-10s %-12s %-12s %s\n", "scatter", "retained", "occupancy", "max bucket", "empty buckets")
 	for _, c := range cs {
 		h := populate(c, *kernelPTE, *procs, pages)
 		hist := h.OccupancyHistogram()
@@ -55,16 +54,17 @@ func main() {
 			}
 		}
 		retained := survey(h, c, *procs, pages)
-		fmt.Printf("%-10d %-10s %-12s %-12s %d\n",
+		fmt.Fprintf(stdout, "%-10d %-10s %-12s %-12s %d\n",
 			c,
 			fmt.Sprintf("%.1f%%", 100*retained),
 			fmt.Sprintf("%.1f%%", 100*float64(h.Occupancy())/float64(h.Capacity())),
 			fmt.Sprintf("%d/8", maxOcc),
 			hist.Buckets[0])
 		if *histogram {
-			fmt.Printf("\noccupancy histogram (buckets holding N PTEs):\n%s\n", hist)
+			fmt.Fprintf(stdout, "\noccupancy histogram (buckets holding N PTEs):\n%s\n", hist)
 		}
 	}
+	return exitcode.OK
 }
 
 // populate fills a fresh table the way the §5.2 experiment does.

@@ -1,35 +1,10 @@
-// mmumodel model-checks the context-switch/MM state machine of
-// internal/kernel. Two modes:
-//
-// Exhaustive exploration (default): BFS over every reachable state of
-// the abstract N-CPU machine (internal/model), checking the
-// scheduling, mm-refcount, and VSID-generation invariants on each.
-// The result is deterministic at any -j; a violation prints as a
-// minimal replayable action script and exits 5.
-//
-// Refinement (-refine): seeded random walks at N=1, each step
-// replayed against a real booted kernel with the abstract states
-// compared after every step. A divergence is minimized and printed
-// the same way. Run with `-tags mmumutant` this must find the planted
-// UnuseMM bug — CI's mutation gate.
-//
-// Usage:
-//
-//	go run ./cmd/mmumodel [-cpus N] [-tasks N] [-mms N] [-gens N] [-j N]
-//	    [-mutate name] [-refine] [-walks N] [-steps N] [-seed N] [-o file.json]
-//
-// Exit status (the internal/exitcode contract): 0 clean, 5
-// violation/divergence found (an audit failure — the machine ran but
-// its invariants did not hold), 2 usage error, 1 internal error.
-package main
+package cli
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -37,10 +12,10 @@ import (
 	"mmutricks/internal/model"
 )
 
-// output is the -o JSON document. The "counterexample" key is the
-// machine-readable contract: CI greps for it to decide whether a
-// mutation run actually produced one.
-type output struct {
+// modelOutput is the model -o JSON document. The "counterexample" key
+// is the machine-readable contract: CI greps for it to decide whether
+// a mutation run actually produced one.
+type modelOutput struct {
 	Mode           string     `json:"mode"` // "explore" or "refine"
 	CPUs           int        `json:"cpus"`
 	Tasks          int        `json:"tasks"`
@@ -63,28 +38,44 @@ type counterex struct {
 	Script    string   `json:"script"`
 }
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("mmumodel", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// runModel model-checks the context-switch/MM state machine of
+// internal/kernel. Two modes:
+//
+// Exhaustive exploration (default): BFS over every reachable state of
+// the abstract N-CPU machine (internal/model), checking the
+// scheduling, mm-refcount, and VSID-generation invariants on each.
+// The result is deterministic at any -j; a violation prints as a
+// minimal replayable action script and exits 5.
+//
+// Refinement (-refine): seeded random walks at N=1, each step
+// replayed against a real booted kernel with the abstract states
+// compared after every step. A divergence is minimized and printed
+// the same way. Built with `-tags mmumutant` this must find the
+// planted UnuseMM bug — CI's mutation gate.
+//
+//	mmu model [-cpus N] [-tasks N] [-mms N] [-gens N] [-j N]
+//	    [-mutate name] [-refine] [-walks N] [-steps N] [-seed N] [-o file.json]
+//
+// Exit status (the internal/exitcode contract): 0 clean, 5
+// violation/divergence found (an audit failure — the machine ran but
+// its invariants did not hold), 2 usage error, 1 internal error.
+func runModel(args []string, stdout, stderr io.Writer) int {
+	f := newFlags("mmu model", stderr)
 	var (
-		cpus   = fs.Int("cpus", 1, "CPUs in the abstract machine")
-		tasks  = fs.Int("tasks", 2, "user tasks")
-		mms    = fs.Int("mms", 2, "user mm descriptors")
-		gens   = fs.Int("gens", 2, "VSID generations per mm (1 disables vsid_reassign)")
-		j      = fs.Int("j", runtime.NumCPU(), "exploration workers (result is identical at any -j)")
-		mutate = fs.String("mutate", "none", "plant a model-side bug: none, skip-unuse-put, skip-switch-drop")
-		refine = fs.Bool("refine", false, "replay seeded walks against the real kernel at N=1")
-		walks  = fs.Int("walks", 50, "refinement walks")
-		steps  = fs.Int("steps", 80, "max steps per walk")
-		seed   = fs.Uint64("seed", 1, "refinement base seed")
-		outX   = fs.String("o", "", "write a JSON summary to this file")
+		cpus   = f.Int("cpus", 1, "CPUs in the abstract machine")
+		tasks  = f.Int("tasks", 2, "user tasks")
+		mms    = f.Int("mms", 2, "user mm descriptors")
+		gens   = f.Int("gens", 2, "VSID generations per mm (1 disables vsid_reassign)")
+		j      = f.jobs()
+		mutate = f.String("mutate", "none", "plant a model-side bug: none, skip-unuse-put, skip-switch-drop")
+		refine = f.Bool("refine", false, "replay seeded walks against the real kernel at N=1")
+		walks  = f.Int("walks", 50, "refinement walks")
+		steps  = f.Int("steps", 80, "max steps per walk")
+		seed   = f.Uint64("seed", 1, "refinement base seed")
+		outX   = f.out("", "write a JSON summary to this file")
 	)
-	if err := fs.Parse(args); err != nil {
-		return exitcode.Usage
+	if code, ok := f.parse(args); !ok {
+		return code
 	}
 	mut, ok := model.MutantByName[*mutate]
 	if !ok {
@@ -93,11 +84,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(stderr, "mmumodel: unknown mutant %q (have %v)\n", *mutate, names)
-		return exitcode.Usage
+		return f.fail(exitcode.Usage, fmt.Errorf("unknown mutant %q (have %v)", *mutate, names))
 	}
 	p := model.Params{CPUs: *cpus, Tasks: *tasks, MMs: *mms, Gens: *gens}
-	out := output{CPUs: p.CPUs, Tasks: p.Tasks, MMs: p.MMs, Gens: p.Gens, Mutant: mut.String()}
+	out := modelOutput{CPUs: p.CPUs, Tasks: p.Tasks, MMs: p.MMs, Gens: p.Gens, Mutant: mut.String()}
 	start := time.Now()
 
 	var script string
@@ -107,8 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			// Refine only fails before the first walk, on parameter
 			// validation: a usage error, not a harness one.
-			fmt.Fprintf(stderr, "mmumodel: %v\n", err)
-			return exitcode.Usage
+			return f.fail(exitcode.Usage, err)
 		}
 		out.Walks, out.StepsExecuted, out.Seed = res.Walks, res.StepsExecuted, res.Seed
 		if v := res.Violation; v != nil {
@@ -121,8 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			// Explore only fails before the first state, on parameter
 			// validation: a usage error, not a harness one.
-			fmt.Fprintf(stderr, "mmumodel: %v\n", err)
-			return exitcode.Usage
+			return f.fail(exitcode.Usage, err)
 		}
 		out.States, out.Transitions, out.Depth = res.States, res.Transitions, res.Depth
 		if v := res.Violation; v != nil {
@@ -135,12 +123,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *outX != "" {
 		blob, err := json.MarshalIndent(&out, "", "  ")
 		if err != nil {
-			fmt.Fprintf(stderr, "mmumodel: %v\n", err)
-			return exitcode.Internal
+			return f.fail(exitcode.Internal, err)
 		}
 		if err := os.WriteFile(*outX, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "mmumodel: %v\n", err)
-			return exitcode.Internal
+			return f.fail(exitcode.Internal, err)
 		}
 	}
 
@@ -155,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "mmumodel: explore cpus=%d tasks=%d mms=%d gens=%d: %d states, %d transitions, depth %d, no violations (%.1fms)\n",
 			p.CPUs, p.Tasks, p.MMs, p.Gens, out.States, out.Transitions, out.Depth, out.ElapsedMS)
 	}
-	return 0
+	return exitcode.OK
 }
 
 func stepStrings(trace []model.Step) []string {

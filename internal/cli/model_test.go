@@ -1,4 +1,4 @@
-package main
+package cli
 
 import (
 	"bytes"
@@ -20,15 +20,16 @@ var update = flag.Bool("update", false, "rewrite the golden counterexample")
 // bug at the default 1/2/2/2 parameters. BFS order, the canonical
 // step enumeration, and the script grammar are all load-bearing for
 // reproducing recorded counterexamples, so any drift must be a
-// conscious `go test ./cmd/mmumodel -update` away, not an accident.
+// conscious `go test ./internal/cli -run Golden -update` away, not an
+// accident.
 func TestCounterexampleGolden(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-mutate", "skip-unuse-put", "-j", "3"}, &stdout, &stderr); code != exitcode.AuditFailure {
-		t.Fatalf("exit %d, want %d (violation); stderr: %s", code, exitcode.AuditFailure, stderr.String())
+	code, stdout, stderr := mmu("model", "-mutate", "skip-unuse-put", "-j", "3")
+	if code != exitcode.AuditFailure {
+		t.Fatalf("exit %d, want %d (violation); stderr: %s", code, exitcode.AuditFailure, stderr)
 	}
 	golden := filepath.Join("testdata", "counterexample.golden")
 	if *update {
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,8 +37,8 @@ func TestCounterexampleGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("counterexample drifted from golden:\n--- got ---\n%s--- want ---\n%s", stdout.Bytes(), want)
+	if stdout != string(want) {
+		t.Errorf("counterexample drifted from golden:\n--- got ---\n%s--- want ---\n%s", stdout, want)
 	}
 }
 
@@ -49,11 +50,11 @@ func TestGoldenAtAnyWorkerCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range []int{1, 2, runtime.NumCPU()} {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-mutate", "skip-unuse-put", "-j", strconv.Itoa(j)}, &stdout, &stderr); code != exitcode.AuditFailure {
-			t.Fatalf("-j %d: exit %d; stderr: %s", j, code, stderr.String())
+		code, stdout, stderr := mmu("model", "-mutate", "skip-unuse-put", "-j", strconv.Itoa(j))
+		if code != exitcode.AuditFailure {
+			t.Fatalf("-j %d: exit %d; stderr: %s", j, code, stderr)
 		}
-		if !bytes.Equal(stdout.Bytes(), want) {
+		if stdout != string(want) {
 			t.Errorf("-j %d: output differs from golden", j)
 		}
 	}
@@ -64,9 +65,8 @@ func TestGoldenAtAnyWorkerCount(t *testing.T) {
 // no counterexample key.
 func TestCleanExploreExitsZero(t *testing.T) {
 	tmp := filepath.Join(t.TempDir(), "model.json")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-cpus", "2", "-tasks", "3", "-mms", "2", "-o", tmp}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d; stderr: %s; stdout: %s", code, stderr.String(), stdout.String())
+	if code, stdout, stderr := mmu("model", "-cpus", "2", "-tasks", "3", "-mms", "2", "-o", tmp); code != exitcode.OK {
+		t.Fatalf("exit %d; stderr: %s; stdout: %s", code, stderr, stdout)
 	}
 	blob, err := os.ReadFile(tmp)
 	if err != nil {
@@ -88,8 +88,7 @@ func TestCleanExploreExitsZero(t *testing.T) {
 // mutation gate greps the JSON for "counterexample".
 func TestMutantJSONHasCounterexample(t *testing.T) {
 	tmp := filepath.Join(t.TempDir(), "model.json")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-mutate", "skip-unuse-put", "-o", tmp}, &stdout, &stderr); code != exitcode.AuditFailure {
+	if code, _, _ := mmu("model", "-mutate", "skip-unuse-put", "-o", tmp); code != exitcode.AuditFailure {
 		t.Fatalf("exit %d, want %d", code, exitcode.AuditFailure)
 	}
 	blob, err := os.ReadFile(tmp)
@@ -98,19 +97,5 @@ func TestMutantJSONHasCounterexample(t *testing.T) {
 	}
 	if !bytes.Contains(blob, []byte(`"counterexample"`)) {
 		t.Errorf("mutant summary lacks the counterexample key: %s", blob)
-	}
-}
-
-// TestBadFlagsExitTwo pins the usage-error exit code.
-func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-mutate", "nonsense"},
-		{"-cpus", "9"},
-		{"-refine", "-cpus", "2"},
-	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != exitcode.Usage {
-			t.Errorf("%v: exit %d, want %d", args, code, exitcode.Usage)
-		}
 	}
 }

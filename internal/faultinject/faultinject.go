@@ -1,5 +1,5 @@
 // Package faultinject is the seeded, deterministic fault-injection
-// layer behind the chaos harness (cmd/mmuchaos). It decides *when* a
+// layer behind the chaos harness (mmu chaos). It decides *when* a
 // hardware fault fires and *which kind*, while the owning layer applies
 // the corruption to its own state: the ppc package flips TLB/HTAB/BAT
 // state, the machine flips cache lines, and the kernel flips page-table

@@ -2,8 +2,8 @@
 
 package kernel
 
-// mutantSkipUnusePut — seeded refcount bug for the mmumodel mutation
-// gate (CI builds this tag and requires `mmumodel -refine` to produce
+// mutantSkipUnusePut — seeded refcount bug for the model mutation
+// gate (CI builds this tag and requires `mmu model -refine` to produce
 // a counterexample): UnuseMM takes the lazy-TLB existence reference
 // but never drops the kthread's user reference, leaking Users forever.
 const mutantSkipUnusePut = true

@@ -3,7 +3,7 @@
 // the in-machine ring buffer the hot paths emit into; tracerec runs
 // whole workloads with tracing enabled, snapshots the result into a
 // serializable Recording, and implements the dump/summarize/diff
-// analyses behind cmd/mmutrace.
+// analyses behind `mmu trace` and `mmu stat`.
 package tracerec
 
 import (

@@ -4,16 +4,13 @@ import (
 	"context"
 	"fmt"
 
-	"mmutricks/internal/arch"
+	"mmutricks/internal/chaos"
 	"mmutricks/internal/clock"
-	"mmutricks/internal/kbuild"
 	"mmutricks/internal/kernel"
-	"mmutricks/internal/lmbench"
 	"mmutricks/internal/machine"
 	"mmutricks/internal/mmtrace"
 	"mmutricks/internal/report"
 	"mmutricks/internal/telemetry"
-	"mmutricks/internal/trace"
 )
 
 // RecordOptions selects what to record.
@@ -57,51 +54,16 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 		opts.Iters = 100
 	}
 
-	type sectionRun struct {
-		name string
-		run  func(k *kernel.Kernel)
-	}
-	var runs []sectionRun
+	// The soak's escalate section exists to absorb the fault
+	// injector's page-table poison, and a recording arms no injector.
 	switch opts.Workload {
-	case "lmbench":
-		iters := opts.Iters
-		runs = []sectionRun{
-			{"nullsys", func(k *kernel.Kernel) { lmbench.New(k).NullSyscall(iters) }},
-			{"ctxsw", func(k *kernel.Kernel) { lmbench.New(k).CtxSwitch(2, 0, maxInt(2, iters/2)) }},
-			{"pipelat", func(k *kernel.Kernel) { lmbench.New(k).PipeLatency(maxInt(2, iters/2)) }},
-			{"mmaplat", func(k *kernel.Kernel) { lmbench.New(k).MmapLatency(1024, maxInt(2, iters/10)) }},
-			{"pstart", func(k *kernel.Kernel) { lmbench.New(k).ProcStart(maxInt(2, iters/10)) }},
-		}
-	case "kbuild":
-		kcfg := kbuild.Default()
-		kcfg.Units = maxInt(2, opts.Iters/10)
-		runs = []sectionRun{
-			{"kbuild", func(k *kernel.Kernel) { kbuild.Run(k, kcfg) }},
-		}
-	case "stress":
-		pages := 512
-		refs := maxInt(100, opts.Iters) * 100
-		gen := func(mk func(base arch.EffectiveAddr) trace.Generator) func(k *kernel.Kernel) {
-			return func(k *kernel.Kernel) {
-				img := k.LoadImage("stress", 2)
-				t := k.Spawn(img)
-				k.Switch(t)
-				base := k.SysMmap(pages)
-				g := mk(base)
-				for i := 0; i < refs; i++ {
-					k.UserRef(g.Next(), i%4 == 0)
-				}
-			}
-		}
-		runs = []sectionRun{
-			{"sequential", gen(func(b arch.EffectiveAddr) trace.Generator { return trace.NewSequential(b, pages) })},
-			{"strided", gen(func(b arch.EffectiveAddr) trace.Generator { return trace.NewStrided(b, pages, 17) })},
-			{"workingset", gen(func(b arch.EffectiveAddr) trace.Generator { return trace.NewWorkingSet(b, pages, 32, 90, 1) })},
-			{"pointer-chase", gen(func(b arch.EffectiveAddr) trace.Generator { return trace.NewPointerChase(b, pages, 1) })},
-			{"zipfian", gen(func(b arch.EffectiveAddr) trace.Generator { return trace.NewZipfian(b, pages, 1) })},
-		}
+	case "lmbench", "kbuild", "stress":
 	default:
 		return nil, fmt.Errorf("tracerec: unknown workload %q (want lmbench, kbuild, or stress)", opts.Workload)
+	}
+	runs, err := chaos.Sections(opts.Workload, opts.Iters)
+	if err != nil {
+		return nil, err
 	}
 
 	rec := &Recording{
@@ -134,12 +96,12 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 		}
 		before := m.Mon.Snapshot()
 		k := kernel.New(m, cfg)
-		runs[i].run(k)
+		runs[i].Run(k)
 		if err := k.CheckConsistency(); err != nil {
-			errs[i] = fmt.Errorf("tracerec: section %s: %w", runs[i].name, err)
+			errs[i] = fmt.Errorf("tracerec: section %s: %w", runs[i].Name, err)
 			return
 		}
-		rec.Sections[i] = SectionFrom(runs[i].name, m.Trc, m.Mon.Delta(before))
+		rec.Sections[i] = SectionFrom(runs[i].Name, m.Trc, m.Mon.Delta(before))
 		if opts.Telemetry {
 			rec.Sections[i].Telemetry = TelemetryFrom(m.Trc.Phases())
 		}
@@ -157,11 +119,4 @@ func capacityOf(c int) int {
 		return mmtrace.DefaultCapacity
 	}
 	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,21 +4,29 @@
 # noalloc, determinism zones, model↔kernel transition parity, and
 # phase-span balance), the inlining guards (cache paths, mmtrace
 # event and phase calls), the full test suite under the race detector, the
-# mmumodel gates (exhaustive exploration of the context-switch/MM state machine
-# plus a kernel refinement pass), and the CLI exit-code gates (quick
-# mmureport -all and an mmuchaos escalate soak, whose distinct exit
-# codes — 3 cycle-budget, 4 panic, 5 audit — propagate as this
-# script's own exit status instead of collapsing to 1). CI and `make
-# check` both run exactly this script. The test suite includes the
-# fault-injection and chaos-soak audits (internal/faultinject,
-# internal/chaos, internal/kernel machine-check tests), so passing this
-# gate also certifies the machine-check recovery identities.
+# mmu model gates (exhaustive exploration of the context-switch/MM state
+# machine plus a kernel refinement pass), and the CLI exit-code gates
+# (quick mmu report -all and an mmu chaos escalate soak, whose distinct
+# exit codes — 3 cycle-budget, 4 panic, 5 audit — propagate as this
+# script's own exit status). CI and `make check` both run exactly this
+# script. The test suite includes the fault-injection and chaos-soak
+# audits (internal/faultinject, internal/chaos, internal/kernel
+# machine-check tests), so passing this gate also certifies the
+# machine-check recovery identities.
 set -eu
 
 cd "$(dirname "$0")/.."
 
+# The gates below run the mmu binary itself: `go run` reports every
+# non-zero exit of the program as its own status 1, which would hide
+# the exit-code classes.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mmu="$tmp/mmu"
+
 echo '== go build ./...'
 go build ./...
+go build -o "$mmu" ./cmd/mmu
 
 echo '== go vet ./...'
 go vet ./...
@@ -150,32 +158,31 @@ go build -pgo=off -gcflags=-m ./internal/ppc ./internal/kernel ./internal/machin
 echo '== go test -race ./...'
 go test -race ./...
 
-echo '== mmumodel: exhaustive exploration (2 CPUs / 3 tasks / 2 mms)'
-go run ./cmd/mmumodel -cpus 2 -tasks 3 -mms 2 -gens 2
+echo '== mmu model: exhaustive exploration (2 CPUs / 3 tasks / 2 mms)'
+"$mmu" model -cpus 2 -tasks 3 -mms 2 -gens 2
 
-echo '== mmumodel: kernel refinement (seeded walks at N=1)'
-go run ./cmd/mmumodel -refine -tasks 3 -mms 2 -gens 3 -walks 25 -steps 60
+echo '== mmu model: kernel refinement (seeded walks at N=1)'
+"$mmu" model -refine -tasks 3 -mms 2 -gens 3 -walks 25 -steps 60
 
 # The CLI exit-code contract (internal/exitcode): a degraded registry
 # run or a failed chaos audit must surface as its own code — 3 for
 # cycle-budget, 4 for panic, 5 for audit failure — and this gate
-# propagates that code instead of collapsing every failure to 1, so
-# the caller (CI, a bisect script) can tell a hung experiment from a
-# crashed one without parsing logs.
-echo '== mmureport -all exit-code contract (quick registry)'
+# exits with that code, so the caller (CI, a bisect script) can tell a
+# hung experiment from a crashed one without parsing logs.
+echo '== mmu report -all exit-code contract (quick registry)'
 rc=0
-go run ./cmd/mmureport -all -quick >/dev/null || rc=$?
+"$mmu" report -all -quick >/dev/null || rc=$?
 if [ "$rc" -ne 0 ]; then
-	echo "check: mmureport -all exited $rc (3=cycle-budget, 4=panic, 1=other)" >&2
+	echo "check: mmu report -all exited $rc (3=cycle-budget, 4=panic, 1=other)" >&2
 	exit "$rc"
 fi
 
-echo '== mmuchaos exit-code contract (escalate soak)'
+echo '== mmu chaos exit-code contract (escalate soak)'
 rc=0
-go run ./cmd/mmuchaos -workload escalate -iters 60 \
+"$mmu" chaos -workload escalate -iters 60 \
 	-schedule 'seed=7 rate=20000ppm burst=1 mix=pte-flip:4,tlb-flip:1' >/dev/null || rc=$?
 if [ "$rc" -ne 0 ]; then
-	echo "check: mmuchaos exited $rc (5=audit failure, 1=harness error)" >&2
+	echo "check: mmu chaos exited $rc (5=audit failure, 2=bad options, 1=harness error)" >&2
 	exit "$rc"
 fi
 

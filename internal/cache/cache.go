@@ -458,31 +458,29 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 // scalar Access. Otherwise a stride that is a multiple of the line size
 // puts each reference on a line of its own (the dominant shape: the
 // 128-line page clear, user touches, I-fetch), and the whole run is one
-// line run: hitRun, then lineRun from the first miss. Any other stride
-// goes to the grouping of accessGroups.
+// line run: hitRun, then lineRun from the first miss. So is a uniform
+// run (no store, or all stores) whose stride divides the line (the
+// idle task's hash-table sweep): it touches every line from its first
+// to its last, each line ending dirty iff the run stores, so it is the
+// line run of step 1 over those lines. Any other run, which no caller
+// issues, is one Access per reference, as on the other geometries.
 //
 //mmutricks:noalloc
 func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
-	if c.ways != 4 {
-		// Both L1s are 4-way and the direct-mapped L2 takes only scalar
-		// Access, so only test geometries get here: one Access per
-		// reference, exact by construction.
-		for i := 0; i < n; i++ {
-			if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
-				if misses != nil {
-					misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
-				}
-				nmiss++
-				if castout {
-					ncast++
-				}
-			}
-		}
-		return nmiss, ncast
+	if n <= 0 {
+		return 0, 0
 	}
 	shift := c.lineShift
 	la := uint32(pa) >> shift
-	if n > 0 && uint32(pa+arch.PhysAddr((n-1)*stride))>>shift == la {
+	last := uint32(pa+arch.PhysAddr((n-1)*stride)) >> shift
+	var step uint32
+	var lines int
+	switch {
+	case c.ways != 4:
+		// Both L1s are 4-way and the direct-mapped L2 takes only scalar
+		// Access, so only test geometries get here.
+		return c.accessEach(pa, n, stride, class, st, misses)
+	case last == la:
 		// The run stays on one line: its first reference is a scalar
 		// Access that stores iff any reference does, and the rest hit.
 		dirty, _ := st.lanes().take(n)
@@ -497,20 +495,53 @@ func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 			return 1, 0
 		}
 		return 0, 0
+	case stride&(1<<shift-1) == 0:
+		step, lines = uint32(stride>>shift), n
+	case stride > 0 && stride&(stride-1) == 0 && (st&AllStores == NoStores || st&AllStores == AllStores):
+		// A power of two below the line size divides it, so no line
+		// between the first and the last is skipped.
+		step, lines = 1, int(last-la)+1
+	default:
+		return c.accessEach(pa, n, stride, class, st, misses)
 	}
 	c.stats.Accesses[class] += uint64(n)
-	if sl := st.lanes(); stride&(1<<shift-1) == 0 {
-		step := uint32(stride >> shift)
-		if rest := hitRun(c.sets, la, step, sl, n); rest > 0 {
-			nmiss = c.lineRun(la, step, n-rest, n, class, sl, misses)
-		}
-	} else {
-		nmiss = c.accessGroups(pa, n, stride, class, sl, misses)
+	sl := st.lanes()
+	if rest := hitRun(c.sets, la, step, sl, lines); rest > 0 {
+		nmiss = c.lineRun(la, step, lines-rest, lines, class, sl, misses)
 	}
 	if nmiss == 0 {
 		return 0, 0
 	}
+	if misses != nil && 0 < stride && stride < 1<<shift {
+		// lineRun recorded line k of the run; its first reference is
+		// the first i with off + i*stride ≥ k*line.
+		off := int(uint32(pa) & (1<<shift - 1))
+		for j := range misses[:nmiss] {
+			if k := int(misses[j].Index); k > 0 {
+				misses[j].Index = int32((k<<shift - off + stride - 1) / stride)
+			}
+		}
+	}
 	return nmiss, c.flushRun(class, nmiss)
+}
+
+// accessEach is a run as one Access per reference, exact by
+// construction. The misses are recorded in misses unless it is nil.
+//
+//mmutricks:noalloc
+func (c *Cache) accessEach(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
+	for i := 0; i < n; i++ {
+		if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
+			if misses != nil {
+				misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
+			}
+			nmiss++
+			if castout {
+				ncast++
+			}
+		}
+	}
+	return nmiss, ncast
 }
 
 // A line run alternates between two out-of-line kernels: hitRun
@@ -629,55 +660,6 @@ func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int, castouts 
 		want += f.step
 	}
 	return n, castouts
-}
-
-// accessGroups advances a 4-way run whose stride is not a multiple of
-// the line size by grouping its references by the line they land on
-// (the grouping scan is division-free; line-crossing groups are short).
-// The misses are recorded in misses unless it is nil.
-//
-//mmutricks:noalloc
-func (c *Cache) accessGroups(pa arch.PhysAddr, n, stride int, class Class, sl storeLanes, misses []MissRef) (nmiss int) {
-	shift := c.lineShift
-	for i := 0; i < n; {
-		a := pa + arch.PhysAddr(i*stride)
-		la := uint32(a) >> shift
-		k := 1
-		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>shift == la {
-			k++
-		}
-		var dirty uint8
-		dirty, sl = sl.take(k)
-		nmiss = c.group(la, i, dirty, class, misses, nmiss)
-		i += k
-	}
-	return nmiss
-}
-
-// group advances a group of a 4-way run's references that all land on
-// line la, reference i the first of them, the line ending dirty iff
-// dirty is 1. On a resident line the group is one recency update. On
-// any other line its first reference misses and fills and the rest hit
-// the fresh line, which the fill already made the most recent; the
-// victim is counted in c.hist and the miss recorded at misses[nmiss]
-// unless misses is nil. It returns the run's miss count so far.
-//
-//mmutricks:noalloc
-func (c *Cache) group(la uint32, i int, dirty uint8, class Class, misses []MissRef, nmiss int) int {
-	q := &c.sets[la&c.setMask]
-	want := la | lineKeyValid
-	if wi := probe4(q, want); wi >= 0 {
-		hit4(q, wi&3, dirty)
-		return nmiss
-	}
-	v, valid := fill4(q, want, class, dirty)
-	if valid {
-		c.hist[v&15]++
-	}
-	if misses != nil {
-		misses[nmiss] = MissRef{Index: int32(i), Castout: v&1 != 0}
-	}
-	return nmiss + 1
 }
 
 // flushRun adds a 4-way run's misses, fills and victim histogram to the
@@ -826,7 +808,7 @@ func probe4(q *[4]line, want uint32) int {
 // if d is 1, and the way becomes the most recent. hitRun calls it with
 // a constant way, one call per case of its probe, so that each inlined
 // copy addresses the line and the recency table at fixed offsets;
-// Access and group call it with probe4's way.
+// Access calls it with probe4's way.
 //
 //mmutricks:noalloc
 func hit4(q *[4]line, w int, d uint8) {

@@ -228,9 +228,11 @@ func sameAsModel(t *testing.T, c *Cache, m *lruModel) {
 }
 
 // oracleStrides mixes sub-line, line and multi-line strides, so runs
-// take every 4-way path: one line, line runs, and the grouping of every
-// other stride.
-var oracleStrides = []int{4, 8, 12, 20, 32, 64, 96, 256}
+// take every 4-way path: one line, line runs, uniform sub-line runs of
+// a stride that divides the line, and one Access per reference for
+// every other stride. An operation's stride is entry (b>>4)%9 of its store byte b:
+// 16, the last, is entry 8 alone.
+var oracleStrides = []int{4, 8, 12, 20, 32, 64, 96, 256, 16}
 
 // oracleGeoms are FuzzLRUOracle's caches: the 4-way L1 shape, the
 // direct-mapped L2 shape, and the 2- and 8-way test geometries, each
@@ -258,8 +260,8 @@ func FuzzLRUOracle(f *testing.F) {
 		1, 0x00, 0x00, 0x3f, 0, 0x4f, // aligned 64-line run, all stores
 		1, 0x01, 0x04, 0x1f, 1, 0x08, // unaligned run, user mix
 		2, 0x00, 0x40, 0x3f, 2, 0x78, // aligned count run, 256-byte stride
-		2, 0x03, 0x06, 0x30, 3, 0x25, // sub-line grouped count run
-		1, 0x02, 0x02, 0x2a, 5, 0x13, // sub-line grouped run
+		2, 0x03, 0x06, 0x30, 3, 0x25, // sub-line per-reference count run
+		1, 0x02, 0x02, 0x2a, 5, 0x13, // sub-line per-reference run
 		3, 0x00, 0x20, 0, 0, 0,
 		4, 0x05, 0x00, 0x07, 0, 0,
 		0, 0x00, 0x20, 0, 4, 1,
@@ -306,6 +308,14 @@ func FuzzLRUOracle(f *testing.F) {
 		3, 0x01, 0x40, 0, 0, 0,
 		2, 0x05, 0x44, 2, 5, 0x21, // unaligned counted run fills way 1 of set 2
 		0, 0x06, 0x40, 0, 6, 1, // and a scalar fill takes way 2
+	})
+	f.Add([]byte{
+		0, 0x00, 0x20, 0, 0, 1, // line 1 resident and dirty
+		1, 0x00, 0x00, 0x0f, 6, 0x10, // recorded PTE-stride load run over lines 0-3
+		2, 0x00, 0x4c, 0x1f, 6, 0x1f, // counted unaligned PTE-stride store run, lines 2-10
+		1, 0x01, 0x14, 0x0b, 2, 0x8f, // recorded unaligned half-line store run, lines 8-14
+		2, 0x00, 0x08, 0x3f, 0, 0x80, // counted unaligned half-line load run, 32 lines
+		1, 0x04, 0x04, 0x2f, 5, 0x10, // recorded unaligned PTE-stride load run evicts
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, g := range oracleGeoms {

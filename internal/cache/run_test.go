@@ -54,6 +54,10 @@ var runCases = []runCase{
 	{"mixed 8-way sub-line", 16 << 10, 8, 32, 0x10002, 3000, 20, 0x6},
 	{"descending line stride", 16 << 10, 4, 32, 0x40000, 600, -32, 0x8},
 	{"descending unaligned", 32 << 10, 4, 32, 0x40014, 600, -64, AllStores},
+	{"uniform PTE sweep", 32 << 10, 4, 32, 0x10000, 64, 8, NoStores},
+	{"uniform PTE stores unaligned", 16 << 10, 4, 32, 0x10014, 50, 8, AllStores},
+	{"uniform half-line unaligned", 16 << 10, 4, 32, 0x1001c, 9, 16, NoStores},
+	{"uniform half-line stores", 32 << 10, 4, 32, 0x10010, 700, 16, AllStores},
 }
 
 // warmTwins gives both caches the same warm, partly dirty contents, so
@@ -336,6 +340,13 @@ func FuzzAccessRunCountParity(f *testing.F) {
 	f.Add(uint8(4), uint32(0x10014), uint16(10), uint8(8), uint8(0x6), uint64(0x5))
 	f.Add(uint8(1), uint32(0x10018), uint16(6), uint8(16), uint8(0x9), uint64(0x2))
 	f.Add(uint8(4), uint32(0x1000c), uint16(11), uint8(8), uint8(0x4), uint64(0x3))
+	// Uniform sub-line runs of strides 8 and 16 (the byte is the stride
+	// less one) over three lines or more, which go through the line run
+	// kernels: aligned and not, loads and stores.
+	f.Add(uint8(4), uint32(0x10000), uint16(64), uint8(7), uint8(NoStores), uint64(0x5))
+	f.Add(uint8(1), uint32(0x10014), uint16(13), uint8(7), uint8(AllStores), uint64(0x2))
+	f.Add(uint8(1), uint32(0x10000), uint16(6), uint8(15), uint8(AllStores), uint64(0x6))
+	f.Add(uint8(4), uint32(0x1001c), uint16(9), uint8(15), uint8(NoStores), uint64(0x9))
 	f.Fuzz(func(t *testing.T, geom uint8, pa uint32, n uint16, stride, stores uint8, resident uint64) {
 		ways := []int{2, 4, 8}[geom%3]
 		size := 16 << 10 << (geom / 3 % 2)
@@ -480,15 +491,20 @@ func BenchmarkShortRun(b *testing.B) {
 // of 8-byte PTEs from slot 0 of a 64-byte PTEG, 2 PTEs (one line, a hit
 // in the first slots) and 8 (both lines, a full search), over the
 // seeded PTEGs of a 64 KB table, four times the cache, so about three
-// in four searches miss.
+// in four searches miss. ptes=64 is the idle task's zombie sweep, 8
+// PTEGs (16 lines) a run, which walks the table in order, so every
+// line misses.
 func BenchmarkAccessRunPTEG(b *testing.B) {
-	for _, ptes := range []int{2, 8} {
+	for _, ptes := range []int{2, 8, 64} {
 		b.Run(fmt.Sprintf("ptes=%d", ptes), func(b *testing.B) {
 			c := New("d", 16<<10, 4, 32)
 			rng := rand.New(rand.NewSource(1))
 			var pteg [1024]arch.PhysAddr
 			for i := range pteg {
 				pteg[i] = arch.PhysAddr(rng.Intn(1024)) << 6
+				if ptes == 64 {
+					pteg[i] = arch.PhysAddr(i*ptes*8) % (64 << 10)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -497,6 +513,9 @@ func BenchmarkAccessRunPTEG(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(c.Stats().MissRate(), "miss/ref")
+			if m := c.Stats().TotalMisses(); ptes == 64 && m != uint64(b.N*ptes/4) {
+				b.Fatalf("%d misses, want every one of the %d lines swept to miss", m, b.N*ptes/4)
+			}
 		})
 	}
 }

@@ -79,10 +79,12 @@ func TestExitCodes(t *testing.T) {
 		{"stat"},
 		{"stat", "record", "-cpu", "601/66"},
 		{"stat", "record", "-config", "fastest"},
+		{"stat", "record", "-workload", "nope"},
 		{"stat", "timeline"},
 		{"stat", "diff", "one.json"},
 		{"trace", "record", "-cpu", "601/66"},
 		{"trace", "record", "-config", "fastest"},
+		{"trace", "record", "-workload", "nope"},
 		{"trace", "summarize", "a.json", "b.json"},
 		{"model", "-mutate", "nonsense"},
 		{"model", "-cpus", "9"},

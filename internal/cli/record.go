@@ -167,6 +167,9 @@ func record(tool string, telemetry bool) func(args []string, stdout, stderr io.W
 		}
 		opts.Workload, opts.CPU, opts.Config, opts.Iters = *workload, *f.cpuName, *f.cfgName, *iters
 		rec, err := tracerec.Record(context.Background(), opts)
+		if errors.Is(err, tracerec.ErrUnknownWorkload) {
+			return f.fail(exitcode.Usage, err)
+		}
 		if err != nil {
 			return f.fail(exitcode.Internal, err)
 		}

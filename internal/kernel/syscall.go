@@ -162,7 +162,7 @@ func (k *Kernel) copyUserKernel(user arch.EffectiveAddr, frame arch.PFN, frameOf
 		if cnt > 1 {
 			k.replayHits(ea, false, cnt-1)
 		}
-		k.M.MemPairRun(pa, frame.Addr()+arch.PhysAddr(koff), cnt, line,
+		k.M.MemPairRun(pa, frame.Addr()+arch.PhysAddr(koff), cnt,
 			cache.ClassUser, cache.ClassKernelData, userWrite, toKernel)
 		done += cnt
 	}
@@ -510,7 +510,7 @@ func (k *Kernel) UserCopy(dst, src arch.EffectiveAddr, nbytes int) {
 		}
 		k.replayHits(s, false, cnt)
 		k.replayHits(d, false, cnt)
-		k.M.MemPairRun(spa+arch.PhysAddr(line), dpa+arch.PhysAddr(line), cnt, line,
+		k.M.MemPairRun(spa+arch.PhysAddr(line), dpa+arch.PhysAddr(line), cnt,
 			cache.ClassUser, cache.ClassUser, false, true)
 		done += cnt
 	}

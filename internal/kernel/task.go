@@ -331,7 +331,7 @@ func (k *Kernel) Fork() *Task {
 // line, through the kernel linear mapping.
 func (k *Kernel) copyPage(src, dst arch.PFN) {
 	line := k.M.LineSize()
-	k.M.MemPairRun(src.Addr(), dst.Addr(), arch.PageSize/line, line,
+	k.M.MemPairRun(src.Addr(), dst.Addr(), arch.PageSize/line,
 		cache.ClassKernelData, cache.ClassKernelData, false, true)
 	k.M.Led.Charge(clock.Cycles(arch.PageSize / line * 2))
 }

@@ -248,50 +248,71 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 	}
 }
 
-// MemPairRun performs n interleaved pairs of data accesses — the copy
-// loop's read-a / write-b pattern — with one cache step per reference
-// and hit charges coalesced between misses. The a and b streams may
-// conflict in the cache, so the interleaving is simulated faithfully.
+// MemPairRun performs n interleaved pairs of line-strided data
+// accesses — the copy loop's read-a / write-b pattern, reference i of
+// each stream on the line after reference i-1's. The a and b streams
+// may conflict in the cache, so the interleaving is simulated
+// faithfully.
 //
 //mmutricks:noalloc
-func (m *Machine) MemPairRun(aPA, bPA arch.PhysAddr, n, stride int, aClass, bClass cache.Class, aWrite, bWrite bool) {
+func (m *Machine) MemPairRun(aPA, bPA arch.PhysAddr, n int, aClass, bClass cache.Class, aWrite, bWrite bool) {
+	line := m.Model.LineSize
 	if m.Inj != nil || m.cacheLocked {
 		for i := 0; i < n; i++ {
-			m.MemAccess(aPA+arch.PhysAddr(i*stride), aClass, false, aWrite)
-			m.MemAccess(bPA+arch.PhysAddr(i*stride), bClass, false, bWrite)
+			m.MemAccess(aPA+arch.PhysAddr(i*line), aClass, false, aWrite)
+			m.MemAccess(bPA+arch.PhysAddr(i*line), bClass, false, bWrite)
 		}
 		return
 	}
 	if !m.Trc.Enabled() && m.L2 == nil {
-		// No emit points and closed-form fill costs: step the cache per
-		// reference (the streams may conflict) but coalesce the whole
-		// pair run into one charge.
+		// No emit points and closed-form fill costs: the pair run is at
+		// most four line runs per chunk of k <= sets pairs, and one
+		// charge. Sets are independent and a chunk's streams each
+		// touch distinct sets, so only a set both streams touch needs
+		// its order kept. With d in [1, sets] b's set less a's, modulo
+		// sets, b's line j shares a set with a's line j+d, which the
+		// loop reaches after it, or with a's line j+d-sets, which it
+		// reaches first. a's first d lines, b's first k-d, then the
+		// rest of a and the rest of b keep both orders (DESIGN.md §10).
+		sets := m.DCache.Sets()
+		d := int(uint32(bPA)/uint32(line)-uint32(aPA)/uint32(line)) & (sets - 1)
+		if d == 0 {
+			d = sets
+		}
 		nmc := 0
-		for i := 0; i < n; i++ {
-			if hit, co := m.DCache.Access(aPA+arch.PhysAddr(i*stride), aClass, aWrite); !hit {
-				nmc++
-				if co {
-					nmc++
-				}
-			}
-			if hit, co := m.DCache.Access(bPA+arch.PhysAddr(i*stride), bClass, bWrite); !hit {
-				nmc++
-				if co {
-					nmc++
-				}
-			}
+		for done := 0; done < n; {
+			k := min(n-done, sets)
+			ha, hb := min(d, k), max(k-d, 0)
+			a, b := aPA+arch.PhysAddr(done*line), bPA+arch.PhysAddr(done*line)
+			nmc += m.pairLeg(a, 0, ha, aClass, aWrite) + m.pairLeg(b, 0, hb, bClass, bWrite) +
+				m.pairLeg(a, ha, k, aClass, aWrite) + m.pairLeg(b, hb, k, bClass, bWrite)
+			done += k
 		}
 		m.Led.Charge(clock.Cycles(2*n) + clock.Cycles(nmc*m.Model.MemLatency))
 		return
 	}
 	var pend clock.Cycles
 	for i := 0; i < n; i++ {
-		pend = m.memStep(aPA+arch.PhysAddr(i*stride), aClass, aWrite, pend)
-		pend = m.memStep(bPA+arch.PhysAddr(i*stride), bClass, bWrite, pend)
+		pend = m.memStep(aPA+arch.PhysAddr(i*line), aClass, aWrite, pend)
+		pend = m.memStep(bPA+arch.PhysAddr(i*line), bClass, bWrite, pend)
 	}
 	if pend > 0 {
 		m.Led.Charge(pend)
 	}
+}
+
+// pairLeg runs lines [from, to) of one stream of a pair run, from line
+// pa, through the count-only cache path and returns the fills it
+// charges: its misses plus its castouts.
+//
+//mmutricks:noalloc
+func (m *Machine) pairLeg(pa arch.PhysAddr, from, to int, class cache.Class, write bool) int {
+	if from >= to {
+		return 0
+	}
+	line := m.Model.LineSize
+	nmiss, ncast := m.DCache.AccessRunCount(pa+arch.PhysAddr(from*line), to-from, line, class, write)
+	return nmiss + ncast
 }
 
 // memStep is one cached data reference with the hit charge deferred

@@ -239,24 +239,34 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 	if zombie == nil {
 		return start, 0
 	}
+	// Groups with nothing to reclaim — the overwhelmingly common case
+	// in steady state — are a pure read sweep. A stretch of them is
+	// contiguous in memory up to the wrap at group 0, so it goes out as
+	// one run of touches: the clean groups from group run on are
+	// pending until a group with a zombie (which keeps the scalar loop:
+	// its read/write interleaving must be preserved), the wrap, or the
+	// end of the sweep.
+	run, clean := start%h.groups, 0
 	for i := 0; i < n; i++ {
 		g := (start + i) % h.groups
+		if g == 0 {
+			h.touchRun(bus, run, 0, clean*arch.PTEGSize, false)
+			run, clean = 0, 0
+		}
 		b := h.bucket(g)
-		// Groups with nothing to reclaim — the overwhelmingly common
-		// case in steady state — are a pure read sweep, so the eight
-		// touches collapse into one run. A group with a zombie keeps the
-		// scalar loop: its read/write interleaving must be preserved.
-		clean := true
+		hasZombie := false
 		for s := range b {
 			if b[s].Valid && zombie(b[s].VSID) {
-				clean = false
+				hasZombie = true
 				break
 			}
 		}
-		if clean {
-			h.touchRun(bus, g, 0, arch.PTEGSize, false)
+		if !hasZombie {
+			clean++
 			continue
 		}
+		h.touchRun(bus, run, 0, clean*arch.PTEGSize, false)
+		run, clean = g+1, 0
 		for s := range b {
 			h.touch(bus, g, s, false)
 			e := &b[s]
@@ -267,6 +277,7 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 			}
 		}
 	}
+	h.touchRun(bus, run, 0, clean*arch.PTEGSize, false)
 	return (start + n) % h.groups, reclaimed
 }
 

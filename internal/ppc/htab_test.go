@@ -1,6 +1,7 @@
 package ppc
 
 import (
+	"slices"
 	"testing"
 
 	"mmutricks/internal/arch"
@@ -359,5 +360,144 @@ func BenchmarkHTABSearch(b *testing.B) {
 				h.Search(o.vpns[i&1023], &bus)
 			}
 		})
+	}
+}
+
+// sweepRef is one reference a bus saw: a PTE address and whether it was
+// the write-back of a reclaimed PTE.
+type sweepRef struct {
+	pa    arch.PhysAddr
+	write bool
+}
+
+// sweepRun is one batched call a bus saw: its first address and its
+// reference count.
+type sweepRun struct {
+	pa arch.PhysAddr
+	n  int
+}
+
+// recordingBus records every reference in order, a run's expanded, and
+// every run as issued.
+type recordingBus struct {
+	refs []sweepRef
+	runs []sweepRun
+}
+
+//mmutricks:noalloc
+func (b *recordingBus) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, write bool) {
+	b.refs = append(b.refs, sweepRef{pa, write}) //mmutricks:noalloc-ok a test bus keeps every reference
+}
+
+func (b *recordingBus) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool) {
+	b.runs = append(b.runs, sweepRun{pa, n})
+	for i := 0; i < n; i++ {
+		b.refs = append(b.refs, sweepRef{pa + arch.PhysAddr(i*stride), write})
+	}
+}
+
+// TestReclaimScanRuns holds the idle sweep's batching to the per-group
+// order it stands for, each group's eight reads with a write after
+// every zombie's: a stretch of clean groups goes out as one run, cut
+// before a group holding a zombie (which keeps its scalar
+// interleaving) and at the wrap to group 0.
+func TestReclaimScanRuns(t *testing.T) {
+	const groups = 16
+	live, dead := arch.VSID(1), arch.VSID(2)
+	isZombie := func(v arch.VSID) bool { return v == dead }
+	cases := []struct {
+		name     string
+		zombies  []int // the groups holding zombie PTEs
+		start, n int
+		runs     [][2]int // the first group and group count of each run
+	}{
+		{"clean stretch", nil, 2, 5, [][2]int{{2, 5}}},
+		{"zombie in the middle", []int{5}, 3, 5, [][2]int{{3, 2}, {6, 2}}},
+		{"wrap at group 0", nil, 13, 6, [][2]int{{13, 3}, {0, 3}}},
+		{"zombies at the wrap", []int{15, 1}, 14, 5, [][2]int{{14, 1}, {0, 1}, {2, 1}}},
+		{"zombie first and last", []int{4, 8}, 4, 5, [][2]int{{5, 3}}},
+		{"whole table twice", nil, 0, 2 * groups, [][2]int{{0, groups}, {0, groups}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHTAB(groups, 0x200000)
+			for g := 0; g < groups; g++ {
+				for s := 0; s < arch.PTEGSize; s += 3 {
+					h.place(g, s, arch.VPNOf(live, arch.EffectiveAddr(g*arch.PTEGSize+s)<<arch.PageShift), 1, false, false)
+				}
+			}
+			for _, g := range tc.zombies {
+				for _, s := range []int{1, 5} {
+					h.place(g, s, arch.VPNOf(dead, arch.EffectiveAddr(g*arch.PTEGSize+s)<<arch.PageShift), 1, false, false)
+				}
+			}
+			var want []sweepRef
+			wantReclaimed := 0
+			for i := 0; i < tc.n; i++ {
+				g := (tc.start + i) % groups
+				for s := 0; s < arch.PTEGSize; s++ {
+					want = append(want, sweepRef{h.EntryAddr(g, s), false})
+					if e := h.ReadSlot(g, s); e.Valid && isZombie(e.VSID) && i < groups {
+						want = append(want, sweepRef{h.EntryAddr(g, s), true})
+						wantReclaimed++
+					}
+				}
+			}
+			var wantRuns []sweepRun
+			for _, r := range tc.runs {
+				wantRuns = append(wantRuns, sweepRun{h.EntryAddr(r[0], 0), r[1] * arch.PTEGSize})
+			}
+
+			var bus recordingBus
+			next, reclaimed := h.ReclaimScan(tc.start, tc.n, &bus, isZombie)
+			if next != (tc.start+tc.n)%groups || reclaimed != wantReclaimed {
+				t.Fatalf("next %d, reclaimed %d; want %d, %d", next, reclaimed, (tc.start+tc.n)%groups, wantReclaimed)
+			}
+			if !slices.Equal(bus.refs, want) {
+				t.Fatalf("references diverge from the per-group order:\ngot  %v\nwant %v", bus.refs, want)
+			}
+			if !slices.Equal(bus.runs, wantRuns) {
+				t.Fatalf("runs %v, want %v", bus.runs, wantRuns)
+			}
+		})
+	}
+}
+
+// cacheBus is a bus straight over one cache, without the machine's
+// charges.
+type cacheBus struct{ c *cache.Cache }
+
+//mmutricks:noalloc
+func (b cacheBus) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, write bool) {
+	b.c.Access(pa, class, write)
+}
+
+func (b cacheBus) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool) {
+	b.c.AccessRunCount(pa, n, stride, class, write)
+}
+
+// BenchmarkReclaimScan is one idle poll's zombie sweep in the steady
+// state, where it finds nothing to reclaim: 8 groups of a table filled
+// to about a third, 8 times the size of the 604's 32 KB D-cache
+// behind it, swept in order, so every line misses.
+func BenchmarkReclaimScan(b *testing.B) {
+	h := newTestHTAB()
+	for g := 0; g < h.Groups(); g++ {
+		for s := 0; s < arch.PTEGSize; s += 3 {
+			h.place(g, s, arch.VPNOf(1, arch.EffectiveAddr(g*arch.PTEGSize+s)<<arch.PageShift), 1, false, false)
+		}
+	}
+	bus := cacheBus{cache.New("D", 32<<10, 4, 32)}
+	isZombie := func(v arch.VSID) bool { return v == 2 }
+	const sweep = 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	next := 0
+	for i := 0; i < b.N; i++ {
+		next, _ = h.ReclaimScan(next, sweep, bus, isZombie)
+	}
+	b.StopTimer()
+	if got, want := bus.c.Stats().TotalMisses(), uint64(b.N*sweep*arch.PTEGSize*arch.PTEBytes/32); got != want {
+		b.Fatalf("%d misses, want every one of the %d lines swept to miss", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package tracerec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,8 +130,8 @@ func TestDumpFormats(t *testing.T) {
 }
 
 func TestRecordRejectsBadOptions(t *testing.T) {
-	if _, err := Record(context.Background(), RecordOptions{Workload: "nope", CPU: "604/185", Config: "optimized"}); err == nil {
-		t.Fatal("unknown workload accepted")
+	if _, err := Record(context.Background(), RecordOptions{Workload: "nope", CPU: "604/185", Config: "optimized"}); !errors.Is(err, ErrUnknownWorkload) {
+		t.Fatalf("unknown workload: error %v, want one wrapping ErrUnknownWorkload", err)
 	}
 	if _, err := Record(context.Background(), RecordOptions{Workload: "lmbench", CPU: "bogus", Config: "optimized"}); err == nil {
 		t.Fatal("unknown cpu accepted")

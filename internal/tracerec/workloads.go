@@ -2,6 +2,7 @@ package tracerec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"mmutricks/internal/chaos"
@@ -37,6 +38,11 @@ type RecordOptions struct {
 	SampleCapacity int
 }
 
+// ErrUnknownWorkload is wrapped by the error Record returns for a
+// workload it does not know, a mistake in its options rather than a
+// failed run.
+var ErrUnknownWorkload = errors.New("unknown workload")
+
 // Record runs the selected workload with tracing enabled and returns
 // the capture. Sections run under report.RowSet, so -j (set via
 // report.SetParallelism) parallelizes across sections while the
@@ -59,7 +65,7 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 	switch opts.Workload {
 	case "lmbench", "kbuild", "stress":
 	default:
-		return nil, fmt.Errorf("tracerec: unknown workload %q (want lmbench, kbuild, or stress)", opts.Workload)
+		return nil, fmt.Errorf("tracerec: %w %q (want lmbench, kbuild, or stress)", ErrUnknownWorkload, opts.Workload)
 	}
 	runs, err := chaos.Sections(opts.Workload, opts.Iters)
 	if err != nil {

@@ -16,11 +16,11 @@ test:
 	go test ./...
 
 # lint runs mmulint (tools/analyzers): the cyclecost, invariantcheck,
-# and registry disciplines, plus the whole-program proofs — transitive
-# noalloc over the call graph, determinism of byte-identical-output
-# packages, model↔kernel transition parity, and phase-span balance.
-# check runs this too; lint alone is the fast iteration loop while
-# annotating.
+# and registry disciplines, plus the whole-program proofs — determinism
+# of byte-identical-output packages, model↔kernel transition parity,
+# and phase-span balance. check runs this too; lint alone is the fast
+# iteration loop while annotating. The hot path's allocation proof is
+# a test: go test ./tools/hotpath.
 lint:
 	go run ./cmd/mmulint ./...
 

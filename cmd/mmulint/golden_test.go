@@ -14,16 +14,15 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current diagnostics")
 
-// TestGolden pins mmulint's rendered diagnostics — messages, file:line
-// ordering, and the vet-style format — against a golden file, over a
-// fixture tree holding one violation per whole-program proof pass.
+// TestGolden pins mmulint's rendered diagnostics — message, position
+// and the vet-style format — against a golden file, over a fixture
+// holding one determinism violation.
 func TestGolden(t *testing.T) {
-	prog, err := load.Load(load.Config{FakeRoot: "testdata/src", Tests: true},
-		"proofs/kern", "report")
+	prog, err := load.Load(load.Config{FakeRoot: "testdata/src", Tests: true}, "report")
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	diags, err := driver.Run(prog, suite.Default)
+	diags, err := driver.Run(prog, suite.Analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

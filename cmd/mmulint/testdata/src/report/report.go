@@ -1,6 +1,6 @@
-// Package report is the other half of the golden fixture: it shares
-// its base name with the real byte-identical report package, so the
-// determinism pass treats it as a zone.
+// Package report is the golden fixture: it shares its base name with
+// the real byte-identical report package, so the determinism pass
+// treats it as a zone.
 package report
 
 func Keys(m map[string]int) []string {

@@ -65,20 +65,14 @@ type PFN uint32
 
 // SegIndex returns which of the 16 segment registers the effective
 // address selects (its 4 high-order bits).
-//
-//mmutricks:noalloc
 func (ea EffectiveAddr) SegIndex() int { return int(ea >> SegmentShift) }
 
 // PageIndex returns the 16-bit page index within the segment.
-//
-//mmutricks:noalloc
 func (ea EffectiveAddr) PageIndex() uint32 {
 	return uint32(ea>>PageShift) & ((1 << PageIndexBits) - 1)
 }
 
 // Offset returns the 12-bit byte offset within the page.
-//
-//mmutricks:noalloc
 func (ea EffectiveAddr) Offset() uint32 { return uint32(ea) & PageMask }
 
 // PageBase returns the effective address with the byte offset cleared.
@@ -90,8 +84,6 @@ func (ea EffectiveAddr) PageNumber() uint32 { return uint32(ea >> PageShift) }
 
 // IsKernel reports whether the address falls in the kernel's reserved
 // region (0xC0000000 and up).
-//
-//mmutricks:noalloc
 func (ea EffectiveAddr) IsKernel() bool { return ea >= KernelBase }
 
 // String formats the address in the conventional hex form.
@@ -107,8 +99,6 @@ func (pa PhysAddr) Frame() PFN { return PFN(pa >> PageShift) }
 func (pa PhysAddr) Offset() uint32 { return uint32(pa) & PageMask }
 
 // Addr returns the physical base address of the frame.
-//
-//mmutricks:noalloc
 func (f PFN) Addr() PhysAddr { return PhysAddr(f) << PageShift }
 
 // Virtual builds the 52-bit virtual address from a VSID and the page
@@ -121,20 +111,14 @@ func Virtual(v VSID, ea EffectiveAddr) VirtAddr {
 
 // VPNOf builds the virtual page number used as the TLB and hash-table
 // key: VSID concatenated with the page index.
-//
-//mmutricks:noalloc
 func VPNOf(v VSID, ea EffectiveAddr) VPN {
 	return VPN(uint64(v&VSIDMask)<<PageIndexBits | uint64(ea.PageIndex()))
 }
 
 // VSID extracts the segment identifier from a virtual page number.
-//
-//mmutricks:noalloc
 func (v VPN) VSID() VSID { return VSID(uint64(v)>>PageIndexBits) & VSIDMask }
 
 // PageIndex extracts the 16-bit page index from a virtual page number.
-//
-//mmutricks:noalloc
 func (v VPN) PageIndex() uint32 { return uint32(v) & ((1 << PageIndexBits) - 1) }
 
 // VSID extracts the segment identifier from a virtual address.

@@ -33,15 +33,11 @@ type PTE struct {
 }
 
 // Matches reports whether the entry translates the given virtual page.
-//
-//mmutricks:noalloc
 func (p *PTE) Matches(vpn VPN) bool {
 	return p.Valid && p.VSID == vpn.VSID() && p.API == vpn.PageIndex()
 }
 
 // VPN reconstructs the virtual page number the entry translates.
-//
-//mmutricks:noalloc
 func (p *PTE) VPN() VPN { return VPN(uint64(p.VSID)<<PageIndexBits | uint64(p.API)) }
 
 // String renders the entry for debugging and the htabviz tool.
@@ -75,8 +71,6 @@ const (
 // virtual page, per the PowerPC architecture: the low-order 19 bits of
 // the VSID XORed with the 16-bit page index, folded onto the table size.
 // groups must be a power of two.
-//
-//mmutricks:noalloc
 func HashPrimary(vpn VPN, groups int) int {
 	h := (uint32(vpn.VSID()) & 0x7FFFF) ^ vpn.PageIndex()
 	return int(h) & (groups - 1)
@@ -84,8 +78,6 @@ func HashPrimary(vpn VPN, groups int) int {
 
 // HashSecondary computes the secondary (overflow) bucket index, the
 // ones-complement of the primary hash folded onto the table size.
-//
-//mmutricks:noalloc
 func HashSecondary(vpn VPN, groups int) int {
 	return (^HashPrimary(vpn, groups)) & (groups - 1)
 }

@@ -205,13 +205,9 @@ func New(name string, size, ways, lineSize int) *Cache {
 func (c *Cache) Name() string { return c.name }
 
 // Sets returns the number of sets.
-//
-//mmutricks:noalloc
 func (c *Cache) Sets() int { return len(c.lines) / c.ways }
 
 // setLines returns the ways of one set as a subslice of the flat array.
-//
-//mmutricks:noalloc
 func (c *Cache) setLines(set int) []line {
 	base := set * c.ways
 	return c.lines[base : base+c.ways]
@@ -227,8 +223,6 @@ func (c *Cache) LineSize() int { return 1 << c.lineShift }
 func (c *Cache) Stats() *Stats { return &c.stats }
 
 // index splits a physical address into set index and tag.
-//
-//mmutricks:noalloc
 func (c *Cache) index(pa arch.PhysAddr) (set int, tag uint32) {
 	lineAddr := uint32(pa) >> c.lineShift
 	return int(lineAddr & c.setMask), lineAddr
@@ -242,7 +236,6 @@ func (c *Cache) index(pa arch.PhysAddr) (set int, tag uint32) {
 // pollution matrix.
 //
 //mmutricks:free hit/miss/castout are returned; the machine layer charges them
-//mmutricks:noalloc
 func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout bool) {
 	c.stats.Accesses[class]++
 	set, tag := c.index(pa)
@@ -265,8 +258,6 @@ func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout 
 // accessOther is Access's probe and fill on the geometries other than
 // 4-way: the direct-mapped L2 and test caches. Keeping it out of Access
 // keeps the 4-way path's register pressure down.
-//
-//mmutricks:noalloc
 func (c *Cache) accessOther(set int, tag uint32, class Class, write bool) (hit, castout bool) {
 	want := tag | lineKeyValid
 	lines := c.setLines(set)
@@ -285,7 +276,6 @@ func (c *Cache) accessOther(set int, tag uint32, class Class, write bool) (hit, 
 // never fills, exactly like a WIMG I=1 access on the real part.
 //
 //mmutricks:free the caller charges the uncached memory latency
-//mmutricks:noalloc
 func (c *Cache) AccessInhibited(class Class) {
 	c.stats.Inhibited[class]++
 }
@@ -295,7 +285,6 @@ func (c *Cache) AccessInhibited(class Class) {
 // make room. It returns whether the access hit.
 //
 //mmutricks:free hit/miss is returned; the machine layer charges it
-//mmutricks:noalloc
 func (c *Cache) AccessNoAlloc(pa arch.PhysAddr, class Class, write bool) (hit bool) {
 	c.stats.Accesses[class]++
 	set, tag := c.index(pa)
@@ -353,8 +342,6 @@ const (
 
 // StoresOf returns the uniform mask of a load (false) or store (true)
 // run.
-//
-//mmutricks:noalloc
 func StoresOf(write bool) Stores {
 	if write {
 		return AllStores
@@ -363,13 +350,9 @@ func StoresOf(write bool) Stores {
 }
 
 // At reports whether reference i of the run stores.
-//
-//mmutricks:noalloc
 func (s Stores) At(i int) bool { return s>>(i&3)&1 != 0 }
 
 // From returns the mask of the run's tail starting at reference i.
-//
-//mmutricks:noalloc
 func (s Stores) From(i int) Stores {
 	s &= AllStores
 	r := uint(i & 3)
@@ -382,22 +365,17 @@ func (s Stores) From(i int) Stores {
 // references.
 type storeLanes uint64
 
-//mmutricks:noalloc
 func (s Stores) lanes() storeLanes {
 	return storeLanes(uint64(s&AllStores) * 0x1111111111111111)
 }
 
 // skip advances the lanes past the next k references.
-//
-//mmutricks:noalloc
 func (l storeLanes) skip(k int) storeLanes {
 	return storeLanes(bits.RotateLeft64(uint64(l), -k))
 }
 
 // take consumes the next k ≥ 1 references, which all land on one line:
 // the line ends dirty iff any of them stores.
-//
-//mmutricks:noalloc
 func (l storeLanes) take(k int) (dirty uint8, rest storeLanes) {
 	if uint64(l)&(1<<min(k, 4)-1) != 0 {
 		dirty = 1
@@ -425,7 +403,6 @@ type MissRef struct {
 // the run can touch.
 //
 //mmutricks:free misses are returned; the machine layer charges the fills
-//mmutricks:noalloc
 func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
 	nmiss, _ = c.accessRun(pa, n, stride, class, st, misses)
 	return nmiss
@@ -434,7 +411,6 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 // AccessRunCount is AccessRunCountMask for a pure load or store run.
 //
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
-//mmutricks:noalloc
 func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
 	return c.accessRun(pa, n, stride, class, StoresOf(write), nil)
 }
@@ -447,7 +423,6 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 // fell, and the run needs no chunking to bound a scratch buffer.
 //
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
-//mmutricks:noalloc
 func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
 	return c.accessRun(pa, n, stride, class, st, nil)
 }
@@ -464,8 +439,6 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 // to its last, each line ending dirty iff the run stores, so it is the
 // line run of step 1 over those lines. Any other run, which no caller
 // issues, is one Access per reference, as on the other geometries.
-//
-//mmutricks:noalloc
 func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
 	if n <= 0 {
 		return 0, 0
@@ -527,8 +500,6 @@ func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 
 // accessEach is a run as one Access per reference, exact by
 // construction. The misses are recorded in misses unless it is nil.
-//
-//mmutricks:noalloc
 func (c *Cache) accessEach(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
 	for i := 0; i < n; i++ {
 		if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
@@ -566,8 +537,6 @@ func (c *Cache) accessEach(pa arch.PhysAddr, n, stride int, class Class, st Stor
 // their own, line address la onward by step lines, reference k storing
 // iff lane k of sl is set, from reference i, which hitRun found
 // missing. The misses are recorded in misses unless it is nil.
-//
-//mmutricks:noalloc
 func (c *Cache) lineRun(la, step uint32, i, n int, class Class, sl storeLanes, misses []MissRef) (nmiss int) {
 	f := fillState{sets: c.sets, step: step, class: class, hist: &c.hist}
 	for i < n {
@@ -599,7 +568,6 @@ func (c *Cache) lineRun(la, step uint32, i, n int, class Class, sl storeLanes, m
 // hit, and returns how many are left from the first missing one on.
 //
 //go:noinline
-//mmutricks:noalloc
 func hitRun(sets [][4]line, la, step uint32, sl storeLanes, n int) (rest int) {
 	// want+step is the next reference's key: line addresses stay below
 	// bit 31, so the valid bit never takes a carry.
@@ -642,7 +610,6 @@ type fillState struct {
 // last cast out a dirty victim.
 //
 //go:noinline
-//mmutricks:noalloc
 func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int, castouts uint64) {
 	want := la | lineKeyValid
 	for ; n > 0; n-- {
@@ -665,8 +632,6 @@ func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int, castouts 
 // flushRun adds a 4-way run's misses, fills and victim histogram to the
 // statistics, clears the histogram, and returns the run's castout
 // count.
-//
-//mmutricks:noalloc
 func (c *Cache) flushRun(class Class, nmiss int) (ncast int) {
 	if nmiss == 0 {
 		return 0
@@ -689,7 +654,6 @@ func (c *Cache) flushRun(class Class, nmiss int) (ncast int) {
 // buffer must hold n entries).
 //
 //mmutricks:free misses are returned; the machine layer charges the uncached latency
-//mmutricks:noalloc
 func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
 	c.stats.Accesses[class] += uint64(n)
 	sl := st.lanes()
@@ -732,7 +696,6 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, s
 // victims were cast out in total.
 //
 //mmutricks:free castouts are returned; machine.ZeroLineRun charges them
-//mmutricks:noalloc
 func (c *Cache) ZeroLineRun(pa arch.PhysAddr, nlines int, class Class) (castouts int) {
 	for i := 0; i < nlines; i++ {
 		if c.ZeroLine(pa+arch.PhysAddr(i<<c.lineShift), class) {
@@ -745,7 +708,6 @@ func (c *Cache) ZeroLineRun(pa arch.PhysAddr, nlines int, class Class) (castouts
 // AccessInhibitedN counts n cache-inhibited accesses in one step.
 //
 //mmutricks:free the caller charges the uncached memory latency
-//mmutricks:noalloc
 func (c *Cache) AccessInhibitedN(class Class, n int) {
 	c.stats.Inhibited[class] += uint64(n)
 }
@@ -788,8 +750,6 @@ func (c *Cache) Touch(pa arch.PhysAddr, class Class) {
 }
 
 // probe4 returns the way of the 4-way set q holding want, or -1.
-//
-//mmutricks:noalloc
 func probe4(q *[4]line, want uint32) int {
 	switch want {
 	case q[0].key:
@@ -809,8 +769,6 @@ func probe4(q *[4]line, want uint32) int {
 // a constant way, one call per case of its probe, so that each inlined
 // copy addresses the line and the recency table at fixed offsets;
 // Access calls it with probe4's way.
-//
-//mmutricks:noalloc
 func hit4(q *[4]line, w int, d uint8) {
 	q[w].dirty |= d
 	q[0].ord = touchTab[q[0].ord][w]
@@ -821,8 +779,6 @@ func hit4(q *[4]line, w int, d uint8) {
 // recent. It returns the victim's class<<1|dirty and whether the victim
 // was resident. An invalid way's class and dirty are 0, so victim&1 is
 // the castout either way.
-//
-//mmutricks:noalloc
 func fill4(q *[4]line, want uint32, class Class, dirty uint8) (victim uint8, valid bool) {
 	o := q[0].ord
 	vi := o & 3
@@ -835,8 +791,6 @@ func fill4(q *[4]line, want uint32, class Class, dirty uint8) (victim uint8, val
 
 // evicted counts one fill's victim, as fill4 returned it, against the
 // filling class.
-//
-//mmutricks:noalloc
 func (c *Cache) evicted(victim uint8, valid bool, class Class) {
 	if valid {
 		c.stats.EvictedBy[victim>>1][class]++
@@ -845,8 +799,6 @@ func (c *Cache) evicted(victim uint8, valid bool, class Class) {
 }
 
 // dirtyOf is a line's dirty byte after an access that stores or not.
-//
-//mmutricks:noalloc
 func dirtyOf(write bool) uint8 {
 	if write {
 		return 1
@@ -857,8 +809,6 @@ func dirtyOf(write bool) uint8 {
 // install is the fill of the one-line paths outside Access (ZeroLine,
 // Prefetch, Touch): fill4 on a 4-way cache, fill on any other. It
 // reports whether the victim was dirty.
-//
-//mmutricks:noalloc
 func (c *Cache) install(set int, tag uint32, class Class, write bool) (castout bool) {
 	if c.ways != 4 {
 		return c.fill(set, tag, class, write)
@@ -874,8 +824,6 @@ func (c *Cache) install(set int, tag uint32, class Class, write bool) (castout b
 // dirty (requiring a writeback). It serves the geometries other than
 // 4-way (the direct-mapped L2 and test caches); every 4-way path fills
 // through fill4.
-//
-//mmutricks:noalloc
 func (c *Cache) fill(set int, tag uint32, class Class, write bool) (castout bool) {
 	c.stats.Fills[class]++
 	lines := c.setLines(set)
@@ -908,8 +856,6 @@ func (c *Cache) fill(set int, tag uint32, class Class, write bool) (castout bool
 // caches) keep their lists in c.lists.
 
 // list returns set's recency list.
-//
-//mmutricks:noalloc
 func (c *Cache) list(set int) uint32 {
 	if c.lists == nil {
 		return uint32(c.lines[set*4].ord)
@@ -918,8 +864,6 @@ func (c *Cache) list(set int) uint32 {
 }
 
 // setList replaces set's recency list.
-//
-//mmutricks:noalloc
 func (c *Cache) setList(set int, l uint32) {
 	if c.lists == nil {
 		c.lines[set*4].ord = uint8(l)
@@ -929,8 +873,6 @@ func (c *Cache) setList(set int, l uint32) {
 }
 
 // touch makes way the most recently used of set.
-//
-//mmutricks:noalloc
 func (c *Cache) touch(set, way int) {
 	if c.lists == nil {
 		o := &c.lines[set*4].ord
@@ -942,8 +884,6 @@ func (c *Cache) touch(set, way int) {
 
 // promote returns the list l of k ways, b bits per rank, with way w
 // moved to the top rank and the ranks above it shifted down one.
-//
-//mmutricks:noalloc
 func promote(l uint32, w, k int, b uint) uint32 {
 	m := uint32(1)<<b - 1
 	r := uint(0)
@@ -966,8 +906,6 @@ var touchTab = func() (t [256][4]uint8) {
 // sink returns set's list with way w, just invalidated, moved down to
 // its place among the invalid ways: above those with a lower index,
 // below every other way.
-//
-//mmutricks:noalloc
 func (c *Cache) sink(set, w int) uint32 {
 	b, top := c.rankBits, c.rankBits*uint(c.ways-1)
 	rest := promote(c.list(set), w, c.ways, b) & (1<<top - 1)
@@ -1021,7 +959,6 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // machine-check report, and the repair is InvalidateLine.
 //
 //mmutricks:free a hardware parity flip costs the running program nothing
-//mmutricks:noalloc
 func (c *Cache) CorruptCleanLine(rnd uint64, avoid arch.PhysAddr) (victim arch.PhysAddr, ok bool) {
 	avoidKey := (uint32(avoid) >> c.lineShift) | lineKeyValid
 	start := uint32(rnd) & c.setMask
@@ -1041,7 +978,6 @@ func (c *Cache) CorruptCleanLine(rnd uint64, avoid arch.PhysAddr) (victim arch.P
 // whether the line was still there.
 //
 //mmutricks:free the caller (the machine-check handler) charges the repair
-//mmutricks:noalloc
 func (c *Cache) InvalidateLine(pa arch.PhysAddr) bool {
 	set, tag := c.index(pa)
 	lines := c.setLines(set)

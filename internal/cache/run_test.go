@@ -374,8 +374,8 @@ func FuzzAccessRunCountParity(f *testing.F) {
 }
 
 // The batch paths must stay allocation-free: they run inside the
-// noalloc-proved simulation core, and a hidden allocation would also
-// wreck the throughput the batching exists for.
+// simulation core the hot path proof covers, and a hidden allocation
+// would also wreck the throughput the batching exists for.
 func TestAccessRunZeroAllocs(t *testing.T) {
 	c := New("d", 32<<10, 4, 32)
 	var missBuf [256]MissRef

@@ -226,12 +226,10 @@ func (l *Ledger) trip() {
 }
 
 // Charge adds n cycles to the ledger. Negative charges are rejected.
-//
-//mmutricks:noalloc
 func (l *Ledger) Charge(n Cycles) {
 	l.cycles += n
 	if l.budget != 0 && l.cycles > l.budget {
-		l.trip() //mmutricks:noalloc-ok watchdog: panics once, never returns to the hot path
+		l.trip()
 	}
 	l.pending += n
 	if l.pending >= meterBatch {
@@ -241,8 +239,6 @@ func (l *Ledger) Charge(n Cycles) {
 }
 
 // Now returns the cycle count so far.
-//
-//mmutricks:noalloc
 func (l *Ledger) Now() Cycles { return l.cycles }
 
 // MHz returns the clock rate the ledger converts at.

@@ -14,8 +14,8 @@
 //     gated on a nil Injector, and an attached-but-disarmed Injector
 //     adds no cycles, no counters, and no PRNG draws;
 //   - the armed path allocates nothing (fixed arrays, splitmix64
-//     PRNG) and is annotated //mmutricks:noalloc so mmulint proves it
-//     over every caller in the translation path;
+//     PRNG), which the hot path proof (tools/hotpath) checks in the
+//     code compiled for every caller in the translation path;
 //   - everything is a pure function of the Schedule seed and the
 //     simulated instruction stream, so a chaos run is byte-identical
 //     for a given seed at any harness parallelism.
@@ -219,8 +219,6 @@ func (j *Injector) Armed() bool { return j != nil && j.armed }
 // Suspend pauses fault firing (nestable); the kernel suspends the
 // injector inside fault handlers and the machine-check handler so
 // corruption cannot land mid-repair. Nil-safe.
-//
-//mmutricks:noalloc
 func (j *Injector) Suspend() {
 	if j != nil {
 		j.suspend++
@@ -228,8 +226,6 @@ func (j *Injector) Suspend() {
 }
 
 // Resume undoes one Suspend. Nil-safe.
-//
-//mmutricks:noalloc
 func (j *Injector) Resume() {
 	if j != nil {
 		j.suspend--
@@ -238,8 +234,6 @@ func (j *Injector) Resume() {
 
 // Rand advances the splitmix64 PRNG and returns the next draw. The
 // owning layers use it to pick victims deterministically.
-//
-//mmutricks:noalloc
 func (j *Injector) Rand() uint64 {
 	j.state += 0x9E3779B97F4A7C15
 	z := j.state
@@ -251,8 +245,6 @@ func (j *Injector) Rand() uint64 {
 // Fire decides whether faults fire at this poll of the given site,
 // returning how many to inject now (0 almost always; Schedule.Burst
 // when the rate trigger fires). One branch when disarmed or suspended.
-//
-//mmutricks:noalloc
 func (j *Injector) Fire(site Site) int {
 	if !j.armed || j.suspend > 0 || j.sched.RatePPM == 0 {
 		return 0
@@ -270,8 +262,6 @@ func (j *Injector) Fire(site Site) int {
 // PickKind draws a fault kind for the site, weighted by the schedule's
 // mix restricted to the kinds the site owns. ok is false when the mix
 // gives the site nothing to inject.
-//
-//mmutricks:noalloc
 func (j *Injector) PickKind(site Site) (Kind, bool) {
 	var total uint64
 	for k := Kind(0); k < NumKinds; k++ {
@@ -299,14 +289,10 @@ func (j *Injector) PickKind(site Site) (Kind, bool) {
 // QueueFull reports whether another Pending can be queued. Sites must
 // check it BEFORE corrupting state, so a fault is never applied
 // without its error report (that would be undetectable corruption).
-//
-//mmutricks:noalloc
 func (j *Injector) QueueFull() bool { return j.npend == MaxPending }
 
 // Push queues a machine-check report. Callers must have checked
 // QueueFull.
-//
-//mmutricks:noalloc
 func (j *Injector) Push(p Pending) {
 	if j.npend == MaxPending {
 		panic("faultinject: pending queue overflow")
@@ -316,20 +302,14 @@ func (j *Injector) Push(p Pending) {
 }
 
 // NoteApplied records that a fault of kind k landed in machine state.
-//
-//mmutricks:noalloc
 func (j *Injector) NoteApplied(k Kind) { j.applied[k]++ }
 
 // NoteSkipped records that a fired fault found no eligible victim (or
 // no queue space) and was dropped without touching state.
-//
-//mmutricks:noalloc
 func (j *Injector) NoteSkipped(k Kind) { j.skipped[k]++ }
 
 // HasMC reports whether a machine check is pending. Nil-safe, one
 // branch when there is no injector.
-//
-//mmutricks:noalloc
 func (j *Injector) HasMC() bool { return j != nil && j.npend > 0 }
 
 // TakeMC removes and returns the next pending machine check. Real

@@ -52,16 +52,12 @@ type xlatRec struct {
 }
 
 // pageOf returns the page-aligned base of ea.
-//
-//mmutricks:noalloc
 func pageOf(ea arch.EffectiveAddr) arch.EffectiveAddr {
 	return ea &^ arch.EffectiveAddr(arch.PageSize-1)
 }
 
 // xrec returns the fastpath record for the given task and access side
 // (the kernel's own records when t is nil).
-//
-//mmutricks:noalloc
 func (k *Kernel) xrec(t *Task, instr bool) *xlatRec {
 	side := 0
 	if instr {
@@ -79,8 +75,6 @@ func (k *Kernel) xrec(t *Task, instr bool) *xlatRec {
 // TLB lookup at the remembered way); everything else — generation
 // mismatch, page mismatch, stale way, attached injector — falls back
 // to the full walk.
-//
-//mmutricks:noalloc
 func (k *Kernel) translate(t *Task, ea arch.EffectiveAddr, instr bool) (arch.PhysAddr, bool) {
 	mmu := k.M.MMU
 	if k.M.Inj == nil {
@@ -101,7 +95,7 @@ func (k *Kernel) translate(t *Task, ea arch.EffectiveAddr, instr bool) (arch.Phy
 			}
 		}
 	}
-	return k.translateSlow(t, ea, instr) //mmutricks:noalloc-ok the slow path runs the allocating fault handlers by design
+	return k.translateSlow(t, ea, instr)
 }
 
 // note refreshes the last-translation record after a successful full
@@ -128,8 +122,6 @@ func (k *Kernel) note(t *Task, ea arch.EffectiveAddr, instr bool, r ppc.Result) 
 // reference of the streak just resolved, and cache traffic mutates no
 // translation state. It mirrors the hardware priority — BAT compare
 // first, then the TLB way.
-//
-//mmutricks:noalloc
 func (k *Kernel) replayHits(ea arch.EffectiveAddr, instr bool, n int) {
 	mmu := k.M.MMU
 	bats := &mmu.DBAT
@@ -150,8 +142,6 @@ func (k *Kernel) replayHits(ea arch.EffectiveAddr, instr bool, n int) {
 // dataResident reports whether a data translation for ea is currently
 // resident (BAT-covered or held in the DTLB) — i.e. whether a repeat
 // reference is a guaranteed hit.
-//
-//mmutricks:noalloc
 func (k *Kernel) dataResident(ea arch.EffectiveAddr) bool {
 	mmu := k.M.MMU
 	if _, _, ok := mmu.DBAT.Lookup(ea); ok {
@@ -167,8 +157,6 @@ func (k *Kernel) dataResident(ea arch.EffectiveAddr) bool {
 // references, with the store mask rotated to each streak's starting
 // reference. Fault injection and pending COW/RO write checks force
 // the scalar loop — those paths must observe every reference.
-//
-//mmutricks:noalloc
 func (k *Kernel) AccessRun(t *Task, r Run) {
 	if r.Count <= 0 {
 		return
@@ -176,7 +164,7 @@ func (k *Kernel) AccessRun(t *Task, r Run) {
 	if k.M.Inj != nil ||
 		(r.Stores&cache.AllStores != 0 && t != nil && !r.EA.IsKernel() && (len(t.cowPages) > 0 || len(t.roPages) > 0)) {
 		for i := 0; i < r.Count; i++ {
-			k.access(t, r.EA+arch.EffectiveAddr(i*r.Stride), r.Instr, r.Class, r.Stores.At(i)) //mmutricks:noalloc-ok scalar fallback runs the allocating fault/COW paths by design
+			k.access(t, r.EA+arch.EffectiveAddr(i*r.Stride), r.Instr, r.Class, r.Stores.At(i))
 		}
 		return
 	}

@@ -168,7 +168,7 @@ func TestAccessRunAcrossContextSwitch(t *testing.T) {
 
 // Once a page is resident the whole batched pipeline — fastpath
 // translation, hit replay, batch cache simulation — must run without
-// allocating: it executes under the noalloc proof and inside every
+// allocating: it executes under the hot path proof and inside every
 // harness inner loop.
 func TestAccessRunZeroAllocsWhenResident(t *testing.T) {
 	k, task := bootTask(t, clock.PPC604At185(), Unoptimized())

@@ -129,13 +129,11 @@ func (s *pfnSet) add(pfn arch.PFN) {
 	}
 }
 
-//mmutricks:noalloc
 func (s *pfnSet) has(pfn arch.PFN) bool {
 	w := int(pfn >> 6)
 	return w < len(s.bits) && s.bits[w]&(1<<(pfn&63)) != 0
 }
 
-//mmutricks:noalloc
 func (s *pfnSet) remove(pfn arch.PFN) {
 	w := int(pfn >> 6)
 	if w >= len(s.bits) {
@@ -165,10 +163,8 @@ func (s *pfnSet) clear() { s.bits = nil; s.n = 0 }
 
 func (t *Task) ownFrame(pfn arch.PFN) { t.owned.add(pfn) }
 
-//mmutricks:noalloc
 func (t *Task) owns(pfn arch.PFN) bool { return t.owned.has(pfn) }
 
-//mmutricks:noalloc
 func (t *Task) disownFrame(pfn arch.PFN) { t.owned.remove(pfn) }
 
 func (t *Task) markCOW(pn uint32) {

@@ -103,8 +103,6 @@ func NewWithOptions(model clock.CPUModel, opts Options) *Machine {
 // traffic). Inhibited accesses bypass the cache and pay the full memory
 // latency; misses that evict a dirty line pay the castout writeback on
 // top of the fill.
-//
-//mmutricks:noalloc
 func (m *Machine) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, write bool) {
 	if m.Inj != nil {
 		m.injectMem(pa)
@@ -137,8 +135,6 @@ func (m *Machine) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, writ
 // fillCost returns the cycles to service an L1 miss: through the L2
 // when present, straight to memory otherwise. Dirty castouts add a
 // writeback (absorbed by the L2 when there is one).
-//
-//mmutricks:noalloc
 func (m *Machine) fillCost(pa arch.PhysAddr, class cache.Class, castout bool) int {
 	if m.L2 == nil {
 		c := m.Model.MemLatency
@@ -160,8 +156,6 @@ func (m *Machine) fillCost(pa arch.PhysAddr, class cache.Class, castout bool) in
 
 // injectMem is the SiteMemAccess injection point: cache-line parity
 // faults and spurious machine-check delivery.
-//
-//mmutricks:noalloc
 func (m *Machine) injectMem(pa arch.PhysAddr) {
 	n := m.Inj.Fire(faultinject.SiteMemAccess)
 	for i := 0; i < n; i++ {
@@ -226,8 +220,6 @@ func (m *Machine) ZeroLine(pa arch.PhysAddr, class cache.Class) {
 
 // Fetch performs one physical instruction-side access (one cache line's
 // worth of instructions) through the I-cache.
-//
-//mmutricks:noalloc
 func (m *Machine) Fetch(pa arch.PhysAddr, class cache.Class, inhibited bool) {
 	if inhibited {
 		m.ICache.AccessInhibited(class)

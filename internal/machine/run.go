@@ -34,8 +34,6 @@ const runMissCap = 256
 
 // runChunk returns how many references of a run can be simulated in
 // one cache.AccessRun call without overflowing the miss scratch.
-//
-//mmutricks:noalloc
 func (m *Machine) runChunk(n, stride int, locked bool) int {
 	max := runMissCap
 	if !locked {
@@ -50,8 +48,6 @@ func (m *Machine) runChunk(n, stride int, locked bool) int {
 }
 
 // MemAccessRun is MemAccessRunMask for a pure load or store run.
-//
-//mmutricks:noalloc
 func (m *Machine) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool) {
 	m.MemAccessRunMask(pa, n, stride, class, inhibited, cache.StoresOf(write))
 }
@@ -59,8 +55,6 @@ func (m *Machine) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Clas
 // MemAccessRunMask performs n equally-strided data accesses (pa,
 // pa+stride, ...) on behalf of one traffic class, reference i storing
 // iff st.At(i) — the batched equivalent of n MemAccess calls.
-//
-//mmutricks:noalloc
 func (m *Machine) MemAccessRunMask(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited bool, st cache.Stores) {
 	if n <= 0 {
 		return
@@ -108,8 +102,6 @@ func (m *Machine) MemAccessRunMask(pa arch.PhysAddr, n, stride int, class cache.
 }
 
 // cachedRun simulates one chunk through the allocating D-cache.
-//
-//mmutricks:noalloc
 func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, st cache.Stores) {
 	nmiss := m.DCache.AccessRun(pa, n, stride, class, st, m.missBuf[:])
 	if !m.Trc.Enabled() {
@@ -156,8 +148,6 @@ func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, 
 // lockedRun simulates one chunk under the cache lock: hits behave
 // normally, misses read memory without allocating (and without
 // touching the L2, matching the scalar locked path).
-//
-//mmutricks:noalloc
 func (m *Machine) lockedRun(pa arch.PhysAddr, n, stride int, class cache.Class, st cache.Stores) {
 	nmiss := m.DCache.AccessNoAllocRun(pa, n, stride, class, st, m.missBuf[:])
 	lat := clock.Cycles(m.Model.MemLatency)
@@ -184,8 +174,6 @@ func (m *Machine) lockedRun(pa arch.PhysAddr, n, stride int, class cache.Class, 
 // batched equivalent of n Fetch calls (hits cost nothing; fills charge
 // the fill cost without the 1-cycle access, and castouts are absorbed
 // as on the scalar fetch path).
-//
-//mmutricks:noalloc
 func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited bool) {
 	if n <= 0 {
 		return
@@ -253,8 +241,6 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 // each stream on the line after reference i-1's. The a and b streams
 // may conflict in the cache, so the interleaving is simulated
 // faithfully.
-//
-//mmutricks:noalloc
 func (m *Machine) MemPairRun(aPA, bPA arch.PhysAddr, n int, aClass, bClass cache.Class, aWrite, bWrite bool) {
 	line := m.Model.LineSize
 	if m.Inj != nil || m.cacheLocked {
@@ -304,8 +290,6 @@ func (m *Machine) MemPairRun(aPA, bPA arch.PhysAddr, n int, aClass, bClass cache
 // pairLeg runs lines [from, to) of one stream of a pair run, from line
 // pa, through the count-only cache path and returns the fills it
 // charges: its misses plus its castouts.
-//
-//mmutricks:noalloc
 func (m *Machine) pairLeg(pa arch.PhysAddr, from, to int, class cache.Class, write bool) int {
 	if from >= to {
 		return 0
@@ -318,8 +302,6 @@ func (m *Machine) pairLeg(pa arch.PhysAddr, from, to int, class cache.Class, wri
 // memStep is one cached data reference with the hit charge deferred
 // into pend; a miss flushes pend, then charges and emits at the exact
 // scalar point.
-//
-//mmutricks:noalloc
 func (m *Machine) memStep(pa arch.PhysAddr, class cache.Class, write bool, pend clock.Cycles) clock.Cycles {
 	hit, castout := m.DCache.Access(pa, class, write)
 	if hit {
@@ -337,8 +319,6 @@ func (m *Machine) memStep(pa arch.PhysAddr, class cache.Class, write bool, pend 
 // ZeroLineRun executes n consecutive dcbz line-establishes. The scalar
 // path emits no trace events, so the per-line charges coalesce into
 // one.
-//
-//mmutricks:noalloc
 func (m *Machine) ZeroLineRun(pa arch.PhysAddr, nlines int, class cache.Class) {
 	castouts := m.DCache.ZeroLineRun(pa, nlines, class)
 	m.Led.Charge(clock.Cycles(nlines + castouts*m.Model.MemLatency))

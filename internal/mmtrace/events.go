@@ -22,8 +22,6 @@ import (
 // push the two-counter calls past the inliner's budget.
 
 // TLBMiss: a translation missed the TLB. Bumps TLBMisses.
-//
-//mmutricks:noalloc
 func (t *Tracer) TLBMiss(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.TLBMisses++
 	if t.enabled {
@@ -32,8 +30,6 @@ func (t *Tracer) TLBMiss(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles)
 }
 
 // TLBInsert: a translation was loaded into a TLB.
-//
-//mmutricks:noalloc
 func (t *Tracer) TLBInsert(vs arch.VSID, ea arch.EffectiveAddr) {
 	if t.enabled {
 		t.record(KindTLBInsert, vs, ea, 0, 0)
@@ -41,8 +37,6 @@ func (t *Tracer) TLBInsert(vs arch.VSID, ea arch.EffectiveAddr) {
 }
 
 // TLBEvict: a TLB insert displaced a valid entry.
-//
-//mmutricks:noalloc
 func (t *Tracer) TLBEvict(vs arch.VSID, ea arch.EffectiveAddr) {
 	if t.enabled {
 		t.record(KindTLBEvict, vs, ea, 0, 0)
@@ -51,8 +45,6 @@ func (t *Tracer) TLBEvict(vs arch.VSID, ea arch.EffectiveAddr) {
 
 // HTABHitPrimary: a hash-table search hit in the primary bucket.
 // Bumps HTABHits and HTABPrimaryHits.
-//
-//mmutricks:noalloc
 func (t *Tracer) HTABHitPrimary(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.HTABHits++
 	t.mon.HTABPrimaryHits++
@@ -63,8 +55,6 @@ func (t *Tracer) HTABHitPrimary(vs arch.VSID, ea arch.EffectiveAddr, cost clock.
 
 // HTABHitSecondary: a hash-table search hit in the secondary bucket.
 // Bumps HTABHits.
-//
-//mmutricks:noalloc
 func (t *Tracer) HTABHitSecondary(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.HTABHits++
 	if t.enabled {
@@ -74,8 +64,6 @@ func (t *Tracer) HTABHitSecondary(vs arch.VSID, ea arch.EffectiveAddr, cost cloc
 
 // HTABMiss: the 603's software hash search matched neither bucket.
 // Bumps HTABMisses.
-//
-//mmutricks:noalloc
 func (t *Tracer) HTABMiss(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.HTABMisses++
 	if t.enabled {
@@ -86,8 +74,6 @@ func (t *Tracer) HTABMiss(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles
 // HashMissRaised: the 604's hardware search matched neither bucket
 // and raised the hash-miss interrupt. Bumps HTABMisses and
 // HashMissFaults; the handler's HashMissHandled event follows.
-//
-//mmutricks:noalloc
 func (t *Tracer) HashMissRaised(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.HTABMisses++
 	t.mon.HashMissFaults++
@@ -99,8 +85,6 @@ func (t *Tracer) HashMissRaised(vs arch.VSID, ea arch.EffectiveAddr, cost clock.
 // HashMissHandled: the 604 hash-miss handler finished. Its counter
 // moved at the raise (HashMissRaised), so the hashmiss-fault
 // reconciliation row checks that every raised miss was handled.
-//
-//mmutricks:noalloc
 func (t *Tracer) HashMissHandled(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	if t.enabled {
 		t.record(KindHashMissFault, vs, ea, cost, 0)
@@ -109,8 +93,6 @@ func (t *Tracer) HashMissHandled(vs arch.VSID, ea arch.EffectiveAddr, cost clock
 
 // SoftReload: the 603 software TLB reload finished. Bumps
 // SoftwareReloads.
-//
-//mmutricks:noalloc
 func (t *Tracer) SoftReload(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.SoftwareReloads++
 	if t.enabled {
@@ -120,8 +102,6 @@ func (t *Tracer) SoftReload(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycl
 
 // HTABInsertFree: a PTE went into a free hash-table slot. Bumps
 // HTABInserts and HTABFreeSlot.
-//
-//mmutricks:noalloc
 func (t *Tracer) HTABInsertFree(vs arch.VSID, cost clock.Cycles) {
 	t.mon.HTABInserts++
 	t.mon.HTABFreeSlot++
@@ -132,8 +112,6 @@ func (t *Tracer) HTABInsertFree(vs arch.VSID, cost clock.Cycles) {
 
 // HTABEvictLive: a PTE displaced a live one. Bumps HTABInserts and
 // HTABEvictsValid.
-//
-//mmutricks:noalloc
 func (t *Tracer) HTABEvictLive(vs arch.VSID, cost clock.Cycles) {
 	t.mon.HTABInserts++
 	t.mon.HTABEvictsValid++
@@ -144,8 +122,6 @@ func (t *Tracer) HTABEvictLive(vs arch.VSID, cost clock.Cycles) {
 
 // HTABEvictZombie: a PTE displaced a zombie. Bumps HTABInserts and
 // HTABEvictsZombie.
-//
-//mmutricks:noalloc
 func (t *Tracer) HTABEvictZombie(vs arch.VSID, cost clock.Cycles) {
 	t.mon.HTABInserts++
 	t.mon.HTABEvictsZombie++
@@ -156,8 +132,6 @@ func (t *Tracer) HTABEvictZombie(vs arch.VSID, cost clock.Cycles) {
 
 // OnDemandScan: an insert swept the whole table for zombies. Bumps
 // OnDemandScans, and ZombiesReclaimed by reclaimed.
-//
-//mmutricks:noalloc
 func (t *Tracer) OnDemandScan(vs arch.VSID, cost clock.Cycles, reclaimed uint32) {
 	t.mon.OnDemandScans++
 	t.mon.ZombiesReclaimed += uint64(reclaimed)
@@ -168,8 +142,6 @@ func (t *Tracer) OnDemandScan(vs arch.VSID, cost clock.Cycles, reclaimed uint32)
 
 // MinorFault: a page fault resolved without allocating. Bumps
 // MinorFaults.
-//
-//mmutricks:noalloc
 func (t *Tracer) MinorFault(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.MinorFaults++
 	if t.enabled {
@@ -179,8 +151,6 @@ func (t *Tracer) MinorFault(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycl
 
 // COWBreak: a store to a copy-on-write page was given its own page
 // (a minor fault); it ends span s. Bumps MinorFaults.
-//
-//mmutricks:noalloc
 func (t *Tracer) COWBreak(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
 	t.mon.MinorFaults++
 	t.end(s, KindMinorFault, vs, ea, 0)
@@ -188,8 +158,6 @@ func (t *Tracer) COWBreak(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
 
 // MajorFault: a page fault allocated (or swapped in) a page. Bumps
 // MajorFaults.
-//
-//mmutricks:noalloc
 func (t *Tracer) MajorFault(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.MajorFaults++
 	if t.enabled {
@@ -198,8 +166,6 @@ func (t *Tracer) MajorFault(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycl
 }
 
 // FlushPage: one page's translation was flushed. Bumps FlushPage.
-//
-//mmutricks:noalloc
 func (t *Tracer) FlushPage(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles) {
 	t.mon.FlushPage++
 	if t.enabled {
@@ -209,8 +175,6 @@ func (t *Tracer) FlushPage(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycle
 
 // FlushRange: a range of pages was flushed page by page. Bumps
 // FlushRange.
-//
-//mmutricks:noalloc
 func (t *Tracer) FlushRange(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles, pages uint32) {
 	t.mon.FlushRange++
 	if t.enabled {
@@ -220,8 +184,6 @@ func (t *Tracer) FlushRange(vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycl
 
 // FlushCutoff: a range flush of pages pages crossed the §7 cutoff and
 // became a context flush (which counts itself).
-//
-//mmutricks:noalloc
 func (t *Tracer) FlushCutoff(vs arch.VSID, ea arch.EffectiveAddr, pages uint32) {
 	if t.enabled {
 		t.record(KindFlushCutoff, vs, ea, 0, pages)
@@ -230,8 +192,6 @@ func (t *Tracer) FlushCutoff(vs arch.VSID, ea arch.EffectiveAddr, pages uint32) 
 
 // FlushContext: every translation of task pid was flushed. Bumps
 // FlushContext.
-//
-//mmutricks:noalloc
 func (t *Tracer) FlushContext(vs arch.VSID, cost clock.Cycles, pid uint32) {
 	t.mon.FlushContext++
 	if t.enabled {
@@ -240,8 +200,6 @@ func (t *Tracer) FlushContext(vs arch.VSID, cost clock.Cycles, pid uint32) {
 }
 
 // VSIDReassign: a task received context ctx's VSIDs.
-//
-//mmutricks:noalloc
 func (t *Tracer) VSIDReassign(vs arch.VSID, ctx uint32) {
 	if t.enabled {
 		t.record(KindVSIDReassign, vs, 0, 0, ctx)
@@ -250,8 +208,6 @@ func (t *Tracer) VSIDReassign(vs arch.VSID, ctx uint32) {
 
 // CtxSwitch: a context switch to task pid finished; it ends span s
 // (see Span). Bumps CtxSwitches.
-//
-//mmutricks:noalloc
 func (t *Tracer) CtxSwitch(s Span, vs *arch.VSID, pid uint32) {
 	t.mon.CtxSwitches++
 	t.end(s, KindCtxSwitch, vs, 0, pid)
@@ -259,8 +215,6 @@ func (t *Tracer) CtxSwitch(s Span, vs *arch.VSID, pid uint32) {
 
 // IdleReclaim: an idle-task sweep invalidated reclaimed zombie PTEs.
 // Bumps ZombiesReclaimed by reclaimed.
-//
-//mmutricks:noalloc
 func (t *Tracer) IdleReclaim(cost clock.Cycles, reclaimed uint32) {
 	t.mon.ZombiesReclaimed += uint64(reclaimed)
 	if t.enabled {
@@ -270,8 +224,6 @@ func (t *Tracer) IdleReclaim(cost clock.Cycles, reclaimed uint32) {
 
 // PageZero: the idle task cleared the frame at pa. Bumps
 // IdlePagesCleared.
-//
-//mmutricks:noalloc
 func (t *Tracer) PageZero(pa arch.PhysAddr, cost clock.Cycles) {
 	t.mon.IdlePagesCleared++
 	if t.enabled {
@@ -281,8 +233,6 @@ func (t *Tracer) PageZero(pa arch.PhysAddr, cost clock.Cycles) {
 
 // SwapOut: a page went to the swap device; it ends span s. Bumps
 // SwapOuts.
-//
-//mmutricks:noalloc
 func (t *Tracer) SwapOut(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
 	t.mon.SwapOuts++
 	t.end(s, KindSwapOut, vs, ea, 0)
@@ -290,8 +240,6 @@ func (t *Tracer) SwapOut(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
 
 // SwapIn: a page came back from the swap device; it ends span s.
 // Bumps SwapIns.
-//
-//mmutricks:noalloc
 func (t *Tracer) SwapIn(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
 	t.mon.SwapIns++
 	t.end(s, KindSwapIn, vs, ea, 0)
@@ -299,8 +247,6 @@ func (t *Tracer) SwapIn(s Span, vs *arch.VSID, ea arch.EffectiveAddr) {
 
 // CacheFill: an access to pa paid a fill from memory (or went around
 // the cache); class is the cache traffic class.
-//
-//mmutricks:noalloc
 func (t *Tracer) CacheFill(pa arch.PhysAddr, cost clock.Cycles, class uint32) {
 	if t.enabled {
 		t.record(KindCacheFill, 0, arch.EffectiveAddr(pa), cost, class)
@@ -310,8 +256,6 @@ func (t *Tracer) CacheFill(pa arch.PhysAddr, cost clock.Cycles, class uint32) {
 // MachineCheck: a machine check reporting pa with the given
 // faultinject cause was taken. Bumps MachineChecks; exactly one
 // outcome call follows.
-//
-//mmutricks:noalloc
 func (t *Tracer) MachineCheck(pa arch.PhysAddr, cost clock.Cycles, cause uint32) {
 	t.mon.MachineChecks++
 	if t.enabled {
@@ -321,8 +265,6 @@ func (t *Tracer) MachineCheck(pa arch.PhysAddr, cost clock.Cycles, cause uint32)
 
 // MCRepairTLB: the handler invalidated a poisoned TLB entry. Bumps
 // MCRepairsTLB.
-//
-//mmutricks:noalloc
 func (t *Tracer) MCRepairTLB(vs arch.VSID, cost clock.Cycles) {
 	t.mon.MCRepairsTLB++
 	if t.enabled {
@@ -332,8 +274,6 @@ func (t *Tracer) MCRepairTLB(vs arch.VSID, cost clock.Cycles) {
 
 // MCRepairHTAB: the handler invalidated the poisoned hash-table slot
 // at pa. Bumps MCRepairsHTAB.
-//
-//mmutricks:noalloc
 func (t *Tracer) MCRepairHTAB(vs arch.VSID, pa arch.PhysAddr, cost clock.Cycles) {
 	t.mon.MCRepairsHTAB++
 	if t.enabled {
@@ -342,8 +282,6 @@ func (t *Tracer) MCRepairHTAB(vs arch.VSID, pa arch.PhysAddr, cost clock.Cycles)
 }
 
 // MCRepairBAT: the handler reprogrammed the BATs. Bumps MCRepairsBAT.
-//
-//mmutricks:noalloc
 func (t *Tracer) MCRepairBAT(pa arch.PhysAddr, cost clock.Cycles) {
 	t.mon.MCRepairsBAT++
 	if t.enabled {
@@ -353,8 +291,6 @@ func (t *Tracer) MCRepairBAT(pa arch.PhysAddr, cost clock.Cycles) {
 
 // MCRepairCache: the handler invalidated the poisoned cache line at
 // pa. Bumps MCRepairsCache.
-//
-//mmutricks:noalloc
 func (t *Tracer) MCRepairCache(pa arch.PhysAddr, cost clock.Cycles) {
 	t.mon.MCRepairsCache++
 	if t.enabled {
@@ -364,8 +300,6 @@ func (t *Tracer) MCRepairCache(pa arch.PhysAddr, cost clock.Cycles) {
 
 // MCEscalate: unrepairable poison at ea killed task pid. Bumps
 // MCEscalations.
-//
-//mmutricks:noalloc
 func (t *Tracer) MCEscalate(ea arch.EffectiveAddr, cost clock.Cycles, pid uint32) {
 	t.mon.MCEscalations++
 	if t.enabled {
@@ -375,8 +309,6 @@ func (t *Tracer) MCEscalate(ea arch.EffectiveAddr, cost clock.Cycles, pid uint32
 
 // MCSpurious: a machine check reporting pa found nothing wrong. Bumps
 // MCSpurious.
-//
-//mmutricks:noalloc
 func (t *Tracer) MCSpurious(pa arch.PhysAddr, cost clock.Cycles) {
 	t.mon.MCSpurious++
 	if t.enabled {
@@ -398,21 +330,15 @@ func (t *Tracer) MCSpurious(pa arch.PhysAddr, cost clock.Cycles) {
 type Span struct{ start clock.Cycles }
 
 // Enter enters phase ph and returns its token.
-//
-//mmutricks:noalloc
 func (t *Tracer) Enter(ph telemetry.Phase) Span { return Span{t.ph.Enter(ph)} }
 
 // Exit leaves the phase s entered.
-//
-//mmutricks:noalloc
 func (t *Tracer) Exit(s Span) { t.ph.Exit() }
 
 // end is the shared tail of the span-ending event calls: record the
 // event, costed from the span's start, then leave the phase. vs is
 // read here, at the end, because the operation may have given the
 // task fresh VSIDs (an exit run from a machine check).
-//
-//mmutricks:noalloc
 func (t *Tracer) end(s Span, kind Kind, vs *arch.VSID, ea arch.EffectiveAddr, aux uint32) {
 	if t.enabled {
 		t.record(kind, *vs, ea, t.led.Now()-s.start, aux)
@@ -424,8 +350,6 @@ func (t *Tracer) end(s Span, kind Kind, vs *arch.VSID, ea arch.EffectiveAddr, au
 // Syscalls. Like every entering call, it enters the phase before it
 // bumps the counter, so a sample taken on entry holds the counter as it
 // was before the call.
-//
-//mmutricks:noalloc
 func (t *Tracer) Syscall() Span {
 	s := Span{t.ph.Enter(telemetry.PhaseSyscall)}
 	t.mon.Syscalls++
@@ -433,8 +357,6 @@ func (t *Tracer) Syscall() Span {
 }
 
 // IdleWait enters the idle phase for one I/O wait. Bumps IdleWaits.
-//
-//mmutricks:noalloc
 func (t *Tracer) IdleWait() Span {
 	s := Span{t.ph.Enter(telemetry.PhaseIdle)}
 	t.mon.IdleWaits++
@@ -443,8 +365,6 @@ func (t *Tracer) IdleWait() Span {
 
 // IdleScan enters the idle-reclaim phase for one zombie sweep. Bumps
 // IdleScans.
-//
-//mmutricks:noalloc
 func (t *Tracer) IdleScan() Span {
 	s := Span{t.ph.Enter(telemetry.PhaseIdleReclaim)}
 	t.mon.IdleScans++
@@ -453,8 +373,6 @@ func (t *Tracer) IdleScan() Span {
 
 // KthreadMMSwitch enters the ctx-switch phase for a kernel thread's
 // address-space adoption or release. Bumps KthreadMMSwitches.
-//
-//mmutricks:noalloc
 func (t *Tracer) KthreadMMSwitch() Span {
 	s := Span{t.ph.Enter(telemetry.PhaseCtxSwitch)}
 	t.mon.KthreadMMSwitches++

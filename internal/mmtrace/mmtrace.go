@@ -19,9 +19,9 @@
 //   - a disabled call costs its counter bumps plus one (inlined)
 //     branch;
 //   - the record path allocates nothing — events land in a
-//     pre-allocated ring, histograms in fixed arrays — and is
-//     annotated //mmutricks:noalloc, so mmulint proves the property
-//     statically over every caller in the translation path;
+//     pre-allocated ring, histograms in fixed arrays — and the hot
+//     path proof (tools/hotpath) checks the property in the code
+//     compiled for every caller in the translation path;
 //   - when the ring wraps, the oldest events are overwritten (the
 //     ring always holds the most recent Capacity events) but the
 //     histograms and per-task totals keep counting, so aggregate
@@ -235,8 +235,6 @@ type Hist struct {
 }
 
 // bucketOf maps a cost to its log2 bucket.
-//
-//mmutricks:noalloc
 func bucketOf(c clock.Cycles) int {
 	b := bits.Len64(uint64(c))
 	if b >= HistBuckets {
@@ -327,13 +325,9 @@ func NewTracer(led *clock.Ledger, mon *hwmon.Counters, capacity int) *Tracer {
 
 // Phases returns the machine's phase ledger. Profilers and the
 // recording drivers enable it and read its totals.
-//
-//mmutricks:noalloc
 func (t *Tracer) Phases() *telemetry.Phases { return t.ph }
 
 // Counters returns the counter file the typed event calls bump.
-//
-//mmutricks:noalloc
 func (t *Tracer) Counters() *hwmon.Counters { return t.mon }
 
 // Enable starts recording. The hwmon.Counters snapshot for the
@@ -349,8 +343,6 @@ func (t *Tracer) Enable() {
 func (t *Tracer) Disable() { t.enabled = false }
 
 // Enabled reports whether the tracer is recording.
-//
-//mmutricks:noalloc
 func (t *Tracer) Enabled() bool { return t.enabled }
 
 // Reset discards everything recorded (the enabled flag and current
@@ -367,8 +359,6 @@ func (t *Tracer) Reset() {
 // SetTask names the task subsequent events are attributed to, and the
 // task and address space subsequent cycles are; the kernel calls it on
 // every context switch.
-//
-//mmutricks:noalloc
 func (t *Tracer) SetTask(pid, mm uint32) {
 	t.curTask = pid
 	t.ph.SetTask(pid, mm)
@@ -377,8 +367,6 @@ func (t *Tracer) SetTask(pid, mm uint32) {
 // record is the enabled slow path every typed event call (events.go)
 // takes when tracing is on: histogram, per-task attribution, ring
 // store. No allocation on any branch.
-//
-//mmutricks:noalloc
 func (t *Tracer) record(kind Kind, vs arch.VSID, ea arch.EffectiveAddr, cost clock.Cycles, aux uint32) {
 	h := &t.hists[kind]
 	h.Count++

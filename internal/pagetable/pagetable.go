@@ -79,10 +79,8 @@ func New(mem *phys.Memory) (*Table, error) {
 	return &Table{mem: mem, pgdFrame: pgd}, nil
 }
 
-//mmutricks:noalloc
 func dirIndex(ea arch.EffectiveAddr) int { return int(ea >> DirShift) }
 
-//mmutricks:noalloc
 func pteIndex(ea arch.EffectiveAddr) int {
 	return int(ea>>arch.PageShift) & (EntriesPerPage - 1)
 }
@@ -115,8 +113,6 @@ func (t *Table) Map(ea arch.EffectiveAddr, rpn arch.PFN, inhibited bool) error {
 
 // Lookup finds the translation for the page containing ea. It is two
 // array indexings and performs no allocation.
-//
-//mmutricks:noalloc
 func (t *Table) Lookup(ea arch.EffectiveAddr) (Entry, bool) {
 	p := t.pages[dirIndex(ea)]
 	if p == nil {
@@ -153,8 +149,6 @@ func (t *Table) Unmap(ea arch.EffectiveAddr) (Entry, bool) {
 // WalkAddrs returns the physical addresses a hardware-free walk of the
 // tree touches for ea: the PGD entry and the PTE entry. ok is false if
 // no PTE page covers ea (the walk stops after one load).
-//
-//mmutricks:noalloc
 func (t *Table) WalkAddrs(ea arch.EffectiveAddr) (pgdAddr, pteAddr arch.PhysAddr, ok bool) {
 	di := dirIndex(ea)
 	pgdAddr = t.pgdFrame.Addr() + arch.PhysAddr(di*EntryBytes)
@@ -170,8 +164,6 @@ func (t *Table) WalkAddrs(ea arch.EffectiveAddr) (pgdAddr, pteAddr arch.PhysAddr
 // physical addresses the walk touches — WalkAddrs and Lookup fused so
 // the reload handlers pay a single descent. pteAddr is zero when no
 // PTE page covers ea; ok reports a present translation.
-//
-//mmutricks:noalloc
 func (t *Table) Walk(ea arch.EffectiveAddr) (e Entry, pgdAddr, pteAddr arch.PhysAddr, ok bool) {
 	di := dirIndex(ea)
 	pgdAddr = t.pgdFrame.Addr() + arch.PhysAddr(di*EntryBytes)

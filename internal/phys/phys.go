@@ -75,8 +75,6 @@ type frameList []frameLink
 type frameLink struct{ up, down arch.PFN }
 
 // top returns the list's top frame; ok is false when it is empty.
-//
-//mmutricks:noalloc
 func (l frameList) top() (f arch.PFN, ok bool) {
 	s := len(l) - 1
 	if f = l[s].down; int(f) == s {
@@ -95,8 +93,6 @@ func (l frameList) push(f arch.PFN) {
 }
 
 // unlink removes a frame from anywhere in the list.
-//
-//mmutricks:noalloc
 func (l frameList) unlink(f arch.PFN) {
 	up, down := l[f].up, l[f].down
 	l[up].down = down
@@ -184,8 +180,6 @@ func (m *Memory) Stats() *Stats { return &m.stats }
 // memory is exhausted. The frame is NOT taken from the cleared list and
 // is not guaranteed zeroed; kernel code that needs a zeroed page uses
 // GetFreePage.
-//
-//mmutricks:noalloc
 func (m *Memory) AllocFrame() (pfn arch.PFN, ok bool) {
 	if pfn, ok = m.free.top(); ok {
 		m.take(pfn, m.onList[pfn])
@@ -196,8 +190,6 @@ func (m *Memory) AllocFrame() (pfn arch.PFN, ok bool) {
 // take marks a free frame allocated, unlinking it from the free stack
 // and, unless it is banked on the cleared list, from the candidates.
 // A banked frame keeps its onList flag and its cleared-list entry.
-//
-//mmutricks:noalloc
 func (m *Memory) take(pfn arch.PFN, banked bool) {
 	m.free.unlink(pfn)
 	if !banked {
@@ -235,8 +227,6 @@ func (m *Memory) InUse(pfn arch.PFN) bool {
 // nothing; the frame stays free, and stays the candidate, until
 // PushCleared banks it or an allocation takes it. Returns false when
 // nothing is free or everything free is already on the cleared list.
-//
-//mmutricks:noalloc
 func (m *Memory) PopClearedCandidate() (arch.PFN, bool) {
 	return m.cand.top()
 }
@@ -268,8 +258,6 @@ func (m *Memory) ClearedLen() int { return len(m.cleared) }
 // frame, leaving its entry behind, and once FreeFrame returns that
 // frame the entry still hands it out here as pre-cleared although it
 // was never cleared again (TestStaleClearedEntryHandedOut pins this).
-//
-//mmutricks:noalloc
 func (m *Memory) GetFreePage() (pfn arch.PFN, cleared, ok bool) {
 	for len(m.cleared) > 0 {
 		pfn = m.cleared[len(m.cleared)-1]

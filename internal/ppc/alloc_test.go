@@ -31,7 +31,6 @@ func TestTLBLookupZeroAllocs(t *testing.T) {
 // allocation behaviour is isolated.
 type nopBus struct{}
 
-//mmutricks:noalloc
 func (nopBus) MemAccess(arch.PhysAddr, cache.Class, bool, bool) {}
 
 func TestTranslateTLBHitZeroAllocs(t *testing.T) {

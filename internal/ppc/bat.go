@@ -28,15 +28,11 @@ type BATEntry struct {
 }
 
 // Covers reports whether the entry translates ea.
-//
-//mmutricks:noalloc
 func (b *BATEntry) Covers(ea arch.EffectiveAddr) bool {
 	return b.Valid && uint32(ea)&^(b.Len-1) == uint32(b.Base)
 }
 
 // Translate maps ea within the block. Caller must check Covers first.
-//
-//mmutricks:noalloc
 func (b *BATEntry) Translate(ea arch.EffectiveAddr) arch.PhysAddr {
 	return b.Phys + arch.PhysAddr(uint32(ea)&(b.Len-1))
 }
@@ -102,8 +98,6 @@ func (a *BATArray) Clear() {
 // Lookup finds the entry covering ea, if any. On real hardware the BAT
 // compare runs in parallel with the segment lookup and wins ties, so a
 // BAT hit costs no extra cycles.
-//
-//mmutricks:noalloc
 func (a *BATArray) Lookup(ea arch.EffectiveAddr) (pa arch.PhysAddr, inhibited, ok bool) {
 	if a.segs&(1<<ea.SegIndex()) == 0 {
 		return 0, false, false

@@ -23,8 +23,6 @@ type Bus interface {
 	// class, charging cycles. Inhibited accesses bypass the cache;
 	// writes dirty their line (copy-back caches pay a castout when a
 	// dirty victim is evicted).
-	//
-	//mmutricks:noalloc
 	MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, write bool)
 }
 

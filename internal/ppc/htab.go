@@ -52,8 +52,6 @@ func NewHTAB(groups int, base arch.PhysAddr) *HTAB {
 
 // bucket returns group g's eight PTEs, capped so no append or reslice
 // can reach the next group.
-//
-//mmutricks:noalloc
 func (h *HTAB) bucket(g int) []arch.PTE {
 	i := g * arch.PTEGSize
 	return h.ptes[i : i+arch.PTEGSize : i+arch.PTEGSize]
@@ -70,13 +68,10 @@ func (h *HTAB) SetInhibited(v bool) { h.inhibited = v }
 
 // EntryAddr returns the physical address of a PTE, so accesses to it
 // can be charged through the cache.
-//
-//mmutricks:noalloc
 func (h *HTAB) EntryAddr(group, slot int) arch.PhysAddr {
 	return h.base + arch.PhysAddr((group*arch.PTEGSize+slot)*arch.PTEBytes)
 }
 
-//mmutricks:noalloc
 func (h *HTAB) touch(bus Bus, group, slot int, write bool) {
 	if bus != nil {
 		bus.MemAccess(h.EntryAddr(group, slot), cache.ClassHashTable, h.inhibited, write)
@@ -94,14 +89,12 @@ type runBus interface {
 // PTE compares interleaved with touches in the scalar loops are free
 // struct reads with no bus side effects, so hoisting the touches into
 // one run leaves the bus operation sequence unchanged.
-//
-//mmutricks:noalloc
 func (h *HTAB) touchRun(bus Bus, group, slot, n int, write bool) {
 	if bus == nil || n <= 0 {
 		return
 	}
 	if rb, ok := bus.(runBus); ok {
-		rb.MemAccessRun(h.EntryAddr(group, slot), n, arch.PTEBytes, cache.ClassHashTable, h.inhibited, write) //mmutricks:noalloc-ok interface batch entry proven at its machine.Machine implementation
+		rb.MemAccessRun(h.EntryAddr(group, slot), n, arch.PTEBytes, cache.ClassHashTable, h.inhibited, write)
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -116,8 +109,6 @@ func (h *HTAB) touchRun(bus Bus, group, slot, n int, write bool) {
 // first (compares are free), then the touches up to and including it
 // are issued as one run — the same addresses in the same order as the
 // scalar touch-then-compare loop.
-//
-//mmutricks:noalloc
 func (h *HTAB) Search(vpn arch.VPN, bus Bus) (pte *arch.PTE, primary bool, accesses int) {
 	pg := arch.HashPrimary(vpn, h.groups)
 	pb := h.bucket(pg)

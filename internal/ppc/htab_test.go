@@ -15,7 +15,6 @@ type countingBus struct {
 	last      arch.PhysAddr
 }
 
-//mmutricks:noalloc
 func (b *countingBus) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, write bool) {
 	b.n++
 	if inhibited {
@@ -320,7 +319,6 @@ func TestNewHTABAllocs(t *testing.T) {
 // machine.Machine offers, so a search's touches cost one call per run.
 type runCountingBus struct{ countingBus }
 
-//mmutricks:noalloc
 func (b *runCountingBus) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool) {
 	b.n += n
 }
@@ -384,9 +382,8 @@ type recordingBus struct {
 	runs []sweepRun
 }
 
-//mmutricks:noalloc
 func (b *recordingBus) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, write bool) {
-	b.refs = append(b.refs, sweepRef{pa, write}) //mmutricks:noalloc-ok a test bus keeps every reference
+	b.refs = append(b.refs, sweepRef{pa, write})
 }
 
 func (b *recordingBus) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool) {
@@ -467,7 +464,6 @@ func TestReclaimScanRuns(t *testing.T) {
 // charges.
 type cacheBus struct{ c *cache.Cache }
 
-//mmutricks:noalloc
 func (b cacheBus) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, write bool) {
 	b.c.Access(pa, class, write)
 }

@@ -6,8 +6,9 @@ package ppc
 // hazards arise (a parity flip in a TLB frame number, an ECC flip in
 // hash-table memory, a zombie PTE coming back valid, a BAT register
 // losing a physical-base bit). Everything is reachable from the
-// annotated Translate hot path, so it is all //mmutricks:noalloc, and
-// the whole layer is behind one nil check in Translate.
+// Translate hot path, so the hot path proof (tools/hotpath) checks it
+// allocates nothing, and the whole layer is behind one nil check in
+// Translate.
 
 import (
 	"mmutricks/internal/arch"
@@ -19,8 +20,6 @@ func (m *MMU) SetInjector(inj *faultinject.Injector) { m.inj = inj }
 
 // injectTranslate is the SiteTranslate injection point, polled once
 // per translation.
-//
-//mmutricks:noalloc
 func (m *MMU) injectTranslate(ea arch.EffectiveAddr, instr bool) {
 	n := m.inj.Fire(faultinject.SiteTranslate)
 	for i := 0; i < n; i++ {
@@ -39,8 +38,6 @@ func (m *MMU) injectTranslate(ea arch.EffectiveAddr, instr bool) {
 // repaired by then. Faults that find no eligible victim, or no queue
 // space for their error report, are Skipped — corruption is never
 // applied unreported.
-//
-//mmutricks:noalloc
 func (m *MMU) applyFault(kind faultinject.Kind, ea arch.EffectiveAddr, instr bool) {
 	inj := m.inj
 	vpn := m.VPNFor(ea)
@@ -131,8 +128,6 @@ func (m *MMU) applyFault(kind faultinject.Kind, ea arch.EffectiveAddr, instr boo
 // entry — a TLB parity fault. The scan starts at a seeded set and
 // skips avoid's set, so the translation in flight is never the victim.
 // It returns the poisoned entry's virtual page.
-//
-//mmutricks:noalloc
 func (t *TLB) CorruptEntry(rnd uint64, avoid arch.VPN) (victim arch.VPN, ok bool) {
 	start := uint32(rnd) & t.setMask
 	avoidSet := avoid.PageIndex() & t.setMask
@@ -155,8 +150,6 @@ func (t *TLB) CorruptEntry(rnd uint64, avoid arch.VPN) (victim arch.VPN, ok bool
 // the stale-translation hazard lazy flushing narrows but cannot
 // remove. Benign by construction: the next access refaults and
 // reloads.
-//
-//mmutricks:noalloc
 func (t *TLB) SpuriousInvalidate(rnd uint64) (victim arch.VPN, ok bool) {
 	start := uint32(rnd) & t.setMask
 	for i := 0; i <= int(t.setMask); i++ {
@@ -175,8 +168,6 @@ func (t *TLB) SpuriousInvalidate(rnd uint64) (victim arch.VPN, ok bool) {
 // Peek reports the frame a valid entry currently translates vpn to,
 // without touching recency state or counters — for the machine-check
 // handler and tests.
-//
-//mmutricks:noalloc
 func (t *TLB) Peek(vpn arch.VPN) (arch.PFN, bool) {
 	if s, way := t.find(vpn); way >= 0 {
 		return s[way].rpn, true
@@ -188,8 +179,6 @@ func (t *TLB) Peek(vpn arch.VPN) (arch.PFN, bool) {
 // — an ECC fault in hash-table memory. The scan skips both buckets an
 // insert or search for avoid would use. It returns the slot and the
 // poisoned entry's virtual page.
-//
-//mmutricks:noalloc
 func (h *HTAB) CorruptPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim arch.VPN, ok bool) {
 	pg := arch.HashPrimary(avoid, h.groups)
 	sg := arch.HashSecondary(avoid, h.groups)
@@ -213,8 +202,6 @@ func (h *HTAB) CorruptPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim a
 // ResurrectPTE re-validates a stale, previously-used invalid slot with
 // a flipped frame — the zombie-PTE hazard forced to happen. Never-used
 // (all-zero) slots are not eligible.
-//
-//mmutricks:noalloc
 func (h *HTAB) ResurrectPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim arch.VPN, ok bool) {
 	pg := arch.HashPrimary(avoid, h.groups)
 	sg := arch.HashSecondary(avoid, h.groups)
@@ -266,8 +253,6 @@ func (h *HTAB) InvalidateSlot(group, slot int, bus Bus) {
 // register — a BAT parity fault. It writes the array directly,
 // bypassing Set's alignment validation exactly the way a hardware flip
 // would.
-//
-//mmutricks:noalloc
 func (a *BATArray) CorruptPhys(rnd uint64) (idx int, ok bool) {
 	start := int(rnd % NumBATs)
 	for i := 0; i < NumBATs; i++ {

@@ -72,13 +72,9 @@ func NewMMU(model clock.CPUModel, htab *HTAB, led *clock.Ledger, bus Bus, trc *m
 
 // Gen returns the current translation generation. Any cached
 // translation minted under an older generation must be revalidated.
-//
-//mmutricks:noalloc
 func (m *MMU) Gen() uint64 { return m.gen }
 
 // TLBFor returns the lookaside buffer serving the given access side.
-//
-//mmutricks:noalloc
 func (m *MMU) TLBFor(instr bool) *TLB {
 	if instr {
 		return m.ITLB
@@ -125,8 +121,6 @@ func (m *MMU) Segment(i int) arch.VSID { return m.segs[i] }
 
 // VPNFor computes the virtual page number the current segment registers
 // assign to ea.
-//
-//mmutricks:noalloc
 func (m *MMU) VPNFor(ea arch.EffectiveAddr) arch.VPN {
 	return arch.VPNOf(m.segs[ea.SegIndex()], ea)
 }
@@ -162,8 +156,6 @@ const perPTECost = 7
 // to the ledger. instr selects the instruction-side BATs. A BAT hit and
 // a TLB hit are free (the compares happen in the pipeline); misses cost
 // what the paper measured.
-//
-//mmutricks:noalloc
 func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	if m.inj != nil {
 		m.injectTranslate(ea, instr)
@@ -211,7 +203,7 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 		m.trc.TLBInsert(vpn.VSID(), ea)
 		// The walk ran in hardware, under whatever phase the faulting
 		// access belongs to; an exact transfer moves its cycles to
-		// tlb-miss without a span (no defer on the noalloc path).
+		// tlb-miss without a span (no defer on the hot path).
 		m.trc.Phases().Attribute(telemetry.PhaseTLBMiss, walkCost)
 		return Result{PA: pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), Hit: Hit{Inhibited: pte.CacheInhibited, Way: way}}
 	}
@@ -233,8 +225,6 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 // (the translation generation is unchanged since a Translate computed
 // it). A hit has Translate's side effects (the hit count, the way
 // becoming MRU); a miss has none.
-//
-//mmutricks:noalloc
 func (m *MMU) TLBHit(ea arch.EffectiveAddr, vpn arch.VPN, instr bool) (Result, bool) {
 	e, way := m.TLBFor(instr).lookup(vpn)
 	if e == nil {

@@ -24,8 +24,6 @@ type TLBEntry struct {
 
 // vpn returns the virtual page the entry translates (meaningful only
 // while the entry is valid).
-//
-//mmutricks:noalloc
 func (e *TLBEntry) vpn() arch.VPN { return arch.VPN(e.key &^ tlbValid) }
 
 // tlbSet is one 2-way set.
@@ -66,8 +64,6 @@ func (t *TLB) Entries() int { return len(t.sets) * len(tlbSet{}) }
 
 // bumpGen advances the owning MMU's translation generation (no-op for
 // a TLB constructed standalone in tests).
-//
-//mmutricks:noalloc
 func (t *TLB) bumpGen() {
 	if t.gen != nil {
 		*t.gen++
@@ -76,8 +72,6 @@ func (t *TLB) bumpGen() {
 
 // find returns vpn's set and the way holding a valid translation for
 // it (-1 when none does). Pure probe: no recency side effects.
-//
-//mmutricks:noalloc
 func (t *TLB) find(vpn arch.VPN) (s *tlbSet, way int8) {
 	s = &t.sets[vpn.PageIndex()&t.setMask]
 	key := uint64(vpn) | tlbValid
@@ -92,8 +86,6 @@ func (t *TLB) find(vpn arch.VPN) (s *tlbSet, way int8) {
 
 // lookup is a hitting Lookup that also reports the way: on a hit the
 // way becomes its set's MRU; a miss has no side effects.
-//
-//mmutricks:noalloc
 func (t *TLB) lookup(vpn arch.VPN) (e *TLBEntry, way int8) {
 	s, way := t.find(vpn)
 	if way < 0 {
@@ -104,8 +96,6 @@ func (t *TLB) lookup(vpn arch.VPN) (e *TLBEntry, way int8) {
 }
 
 // Lookup searches for a translation of vpn.
-//
-//mmutricks:noalloc
 func (t *TLB) Lookup(vpn arch.VPN) (rpn arch.PFN, inhibited, ok bool) {
 	if e, _ := t.lookup(vpn); e != nil {
 		return e.rpn, e.inhibited, true
@@ -118,8 +108,6 @@ func (t *TLB) Lookup(vpn arch.VPN) (rpn arch.PFN, inhibited, ok bool) {
 // (§5.1's 33%-of-slots measurement) can be read off the TLB. It reports
 // whether a valid entry for a different page was displaced, so the
 // tracer can see TLB pressure.
-//
-//mmutricks:noalloc
 func (t *TLB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (evictedValid bool) {
 	_, evictedValid = t.insert(vpn, rpn, inhibited, kernel)
 	return evictedValid
@@ -128,8 +116,6 @@ func (t *TLB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (evicte
 // insert is Insert that also reports the way filled. The way reused
 // for the same VPN, else the first invalid way, else the way that is
 // not MRU; the filled way becomes MRU.
-//
-//mmutricks:noalloc
 func (t *TLB) insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (way int8, evictedValid bool) {
 	s, way := t.find(vpn)
 	switch {
@@ -154,8 +140,6 @@ func (t *TLB) insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (way in
 // WayOf reports which way of vpn's set currently holds a valid
 // translation for it. Pure probe: no recency or statistics side
 // effects — fastpaths use it to remember where a hit lives.
-//
-//mmutricks:noalloc
 func (t *TLB) WayOf(vpn arch.VPN) (way int8, ok bool) {
 	if _, way = t.find(vpn); way < 0 {
 		return 0, false
@@ -169,8 +153,6 @@ func (t *TLB) WayOf(vpn arch.VPN) (way int8, ok bool) {
 // remembered — nothing is touched and the caller must fall back to the
 // full Lookup. Any number of consecutive hits leave the same state as
 // one, so a batch of hits replays as a single LookupWay.
-//
-//mmutricks:noalloc
 func (t *TLB) LookupWay(vpn arch.VPN, way int8) (rpn arch.PFN, inhibited, ok bool) {
 	if uint8(way) >= uint8(len(tlbSet{})) {
 		return 0, false, false
@@ -185,8 +167,6 @@ func (t *TLB) LookupWay(vpn arch.VPN, way int8) (rpn arch.PFN, inhibited, ok boo
 }
 
 // invalidate clears one entry, keeping way 0's MRU byte.
-//
-//mmutricks:noalloc
 func (s *tlbSet) invalidate(way int8) {
 	s[way] = TLBEntry{mru: s[way].mru}
 }

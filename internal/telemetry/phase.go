@@ -27,9 +27,9 @@
 //   - a disabled ledger costs one (inlined) branch per probe;
 //   - the enabled paths allocate nothing — the stack, the phase
 //     totals, the per-task/per-mm attribution tables and the sample
-//     ring are all fixed-size, pre-allocated memory — and are
-//     annotated //mmutricks:noalloc so the proof holds over the
-//     traced Translate chain;
+//     ring are all fixed-size, pre-allocated memory — and the hot
+//     path proof (tools/hotpath) checks them in the compiled traced
+//     Translate chain;
 //   - the ledger never charges simulated cycles itself, so an enabled
 //     run is cycle- and counter-identical to a disabled one.
 package telemetry
@@ -277,13 +277,9 @@ func (p *Phases) Restart() {
 }
 
 // Enabled reports whether the ledger is attributing.
-//
-//mmutricks:noalloc
 func (p *Phases) Enabled() bool { return p.enabled }
 
 // current is the innermost phase (PhaseUser with an empty stack).
-//
-//mmutricks:noalloc
 func (p *Phases) current() Phase {
 	if p.depth == 0 {
 		return PhaseUser
@@ -293,8 +289,6 @@ func (p *Phases) current() Phase {
 
 // accrue charges the cycles since the last mark to the current phase
 // (and the current task/mm rows), then gives the sampler its shot.
-//
-//mmutricks:noalloc
 func (p *Phases) accrue() {
 	now := p.led.Now()
 	d := now - p.mark
@@ -312,8 +306,6 @@ func (p *Phases) accrue() {
 // when attribution points are sparse enough that several boundaries
 // elapsed. Determinism: everything here is a function of the simulated
 // charge sequence alone.
-//
-//mmutricks:noalloc
 func (p *Phases) sample(now clock.Cycles) {
 	boundary := p.next
 	p.next += p.interval * ((now-p.next)/p.interval + 1)
@@ -339,13 +331,11 @@ func (p *Phases) sample(now clock.Cycles) {
 // at. Callers outside this package go through the machine's tracer
 // (mmtrace's Enter and the typed entering calls), whose token the
 // phasebalance analyzer pins to a deferred exit.
-//
-//mmutricks:noalloc
 func (p *Phases) Enter(ph Phase) clock.Cycles {
 	if p.enabled {
 		p.accrue()
 		if p.depth == MaxDepth {
-			p.tripDepth(ph) //mmutricks:noalloc-ok stack-overflow watchdog: panics once, never returns to the hot path
+			p.tripDepth(ph)
 		}
 		p.stack[p.depth] = ph
 		p.depth++
@@ -356,15 +346,13 @@ func (p *Phases) Enter(ph Phase) clock.Cycles {
 
 // Exit pops the innermost phase. Exits arriving with an empty stack
 // (possible only by breaking the span discipline) panic.
-//
-//mmutricks:noalloc
 func (p *Phases) Exit() {
 	if !p.enabled {
 		return
 	}
 	p.accrue()
 	if p.depth == 0 {
-		p.tripEmpty() //mmutricks:noalloc-ok unbalanced-exit watchdog: panics once, never returns to the hot path
+		p.tripEmpty()
 	}
 	p.depth--
 }
@@ -376,8 +364,6 @@ func (p *Phases) Exit() {
 // attributes the charge — with no phase transition possible in
 // between, the n cycles are guaranteed to still sit in the current
 // phase, so the transfer is exact and self-balancing (no Exit).
-//
-//mmutricks:noalloc
 func (p *Phases) Attribute(ph Phase, n clock.Cycles) {
 	if !p.enabled {
 		return
@@ -385,7 +371,7 @@ func (p *Phases) Attribute(ph Phase, n clock.Cycles) {
 	p.accrue()
 	cur := p.current()
 	if p.cycles[cur] < n {
-		p.tripTransfer(cur, ph, n) //mmutricks:noalloc-ok transfer-underflow watchdog: panics once, never returns to the hot path
+		p.tripTransfer(cur, ph, n)
 	}
 	p.cycles[cur] -= n
 	p.cycles[ph] += n
@@ -395,8 +381,6 @@ func (p *Phases) Attribute(ph Phase, n clock.Cycles) {
 // SetTask names the task and address space subsequent cycles are
 // attributed to; the kernel calls it (through the tracer's SetTask)
 // on every context switch.
-//
-//mmutricks:noalloc
 func (p *Phases) SetTask(pid, mm uint32) {
 	if !p.enabled {
 		return

@@ -24,8 +24,7 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// Pass holds everything an analyzer may inspect about one package, plus
-// the module-wide indexes the drivers precompute.
+// Pass holds everything an analyzer may inspect about one package.
 type Pass struct {
 	Analyzer *Analyzer
 
@@ -34,34 +33,8 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	// Module is the module-wide function index: it resolves a
-	// types.Func (from any package type-checked this run, not just the
-	// one under analysis) to its declaration so analyzers can read
-	// annotations and bodies across package boundaries.
-	Module ModuleIndex
-
 	// report receives diagnostics.
 	report func(Diagnostic)
-}
-
-// ModuleIndex resolves function objects to syntax across every module
-// package loaded in this run.
-type ModuleIndex interface {
-	// FuncDecl returns the declaration of fn, or nil when fn was not
-	// declared in a loaded module package (stdlib, interface methods).
-	FuncDecl(fn *types.Func) *ast.FuncDecl
-	// FuncSource returns the declaration of fn together with the file
-	// that contains it and the type info of its package, so analyzers
-	// can body-check functions across package boundaries (the file
-	// carries the line waivers, the info the types). All three are nil
-	// when fn was not declared in a loaded module package.
-	FuncSource(fn *types.Func) (*ast.FuncDecl, *ast.File, *types.Info)
-	// InterfaceMethodDoc returns the doc comment group of fn when fn is
-	// an interface method declared in a loaded module package.
-	InterfaceMethodDoc(fn *types.Func) *ast.CommentGroup
-	// InterfaceMethods enumerates every interface method declared in
-	// the loaded module packages with its doc comment.
-	InterfaceMethods() map[*types.Func]*ast.CommentGroup
 }
 
 // Diagnostic is one finding.
@@ -80,6 +53,38 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // NewPass builds a Pass; drivers (mmulint, analysistest) use it.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, mod ModuleIndex, report func(Diagnostic)) *Pass {
-	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, Module: mod, report: report}
+func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
+	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, report: report}
+}
+
+// LineStart returns a position on the given line of file for reporting.
+func LineStart(fset *token.FileSet, file *ast.File, line int) token.Pos {
+	tf := fset.File(file.Pos())
+	if tf == nil || line < 1 || line > tf.LineCount() {
+		return file.Pos()
+	}
+	return tf.LineStart(line)
+}
+
+// CalleeFunc resolves the static callee of a call expression against
+// info, or nil for dynamic calls.
+func CalleeFunc(info *types.Info, fun ast.Expr) *types.Func {
+	switch fun := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				return fn
+			}
+			return nil
+		}
+		// Qualified package function: pkg.F.
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
 }

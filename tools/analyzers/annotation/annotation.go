@@ -1,14 +1,6 @@
 // Package annotation parses the //mmutricks:* directive grammar the
 // mmulint analyzers enforce. The grammar (also documented in DESIGN.md):
 //
-//	//mmutricks:noalloc
-//	    On a function or interface-method declaration: the function is
-//	    part of a statically-verified allocation-free hot path. The
-//	    noalloc analyzer checks its body and requires every static
-//	    callee inside the module to carry the same annotation. On an
-//	    interface method it is a contract: every module implementation
-//	    must be annotated (and is therefore checked).
-//
 //	//mmutricks:free <reason>
 //	    On a function declaration: the function deliberately performs
 //	    modeled-memory work without charging the cycle ledger — the
@@ -19,11 +11,6 @@
 //	    On a test or experiment function: the function mutates kernel
 //	    translation state but intentionally skips CheckConsistency.
 //	    Waives the invariantcheck analyzer. The reason is mandatory.
-//
-//	//mmutricks:noalloc-ok <reason>  (trailing, same line)
-//	    Statement-level waiver inside a noalloc function for a
-//	    construct the analyzer would flag (e.g. a cold panic path).
-//	    The reason is mandatory.
 //
 //	//mmutricks:nondet-ok <reason>  (trailing, same line)
 //	    Statement-level waiver inside a determinism-zone package for a
@@ -57,7 +44,6 @@ import (
 
 // Set is the parsed annotations of one declaration.
 type Set struct {
-	Noalloc bool
 	// Free is set when //mmutricks:free is present; FreeReason carries
 	// its justification (empty = malformed, analyzers reject it).
 	Free       bool
@@ -87,12 +73,6 @@ func ParseDoc(doc *ast.CommentGroup) Set {
 		verb, rest, _ := strings.Cut(text, " ")
 		rest = strings.TrimSpace(rest)
 		switch verb {
-		case "noalloc":
-			if rest != "" {
-				s.Malformed = append(s.Malformed, c.Text+" (noalloc takes no argument)")
-				continue
-			}
-			s.Noalloc = true
 		case "free":
 			if rest == "" {
 				s.Malformed = append(s.Malformed, c.Text+" (free requires a reason)")
@@ -105,7 +85,7 @@ func ParseDoc(doc *ast.CommentGroup) Set {
 				continue
 			}
 			s.Nocheck, s.NocheckReason = true, rest
-		case "noalloc-ok", "nondet-ok", "phasebalance-ok":
+		case "nondet-ok", "phasebalance-ok":
 			s.Malformed = append(s.Malformed, c.Text+" ("+verb+" is a line waiver, not a declaration annotation)")
 		default:
 			s.Malformed = append(s.Malformed, c.Text+" (unknown directive)")
@@ -122,14 +102,7 @@ func OfFunc(decl *ast.FuncDecl) Set {
 	return ParseDoc(decl.Doc)
 }
 
-// LineWaivers scans a file for trailing //mmutricks:noalloc-ok comments
-// and returns the set of waived line numbers (with their reasons).
-// Waivers without a reason are returned in malformed, keyed by line.
-func LineWaivers(fset *token.FileSet, f *ast.File) (waived map[int]string, malformed map[int]string) {
-	return Waivers(fset, f, "noalloc-ok")
-}
-
-// Waivers is the generalized line-waiver scan: it collects trailing
+// Waivers is the line-waiver scan: it collects trailing
 // //mmutricks:<verb> comments (verb is one of the *-ok waiver verbs)
 // and returns the waived line numbers with their reasons. Waivers
 // without a reason are returned in malformed, keyed by line.
@@ -142,8 +115,8 @@ func Waivers(fset *token.FileSet, f *ast.File, verb string) (waived map[int]stri
 			if !ok {
 				continue
 			}
-			// Reject prefix-overlap matches (verb "noalloc" must not
-			// claim a "noalloc-ok" comment).
+			// Reject prefix-overlap matches ("nondet-ok" must not
+			// claim a "nondet-okay" comment).
 			if text != "" && text[0] != ' ' && text[0] != '\t' {
 				continue
 			}

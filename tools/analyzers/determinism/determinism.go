@@ -32,7 +32,6 @@ import (
 
 	"mmutricks/tools/analyzers/analysis"
 	"mmutricks/tools/analyzers/annotation"
-	"mmutricks/tools/analyzers/noalloc"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -69,7 +68,7 @@ func run(pass *analysis.Pass) error {
 		}
 		waived, badWaivers := annotation.Waivers(pass.Fset, file, "nondet-ok")
 		for line := range badWaivers {
-			pass.Reportf(noalloc.LineStart(pass.Fset, file, line), "mmutricks:nondet-ok waiver requires a reason")
+			pass.Reportf(analysis.LineStart(pass.Fset, file, line), "mmutricks:nondet-ok waiver requires a reason")
 		}
 		c := &checker{pass: pass, waived: waived}
 		for _, decl := range file.Decls {
@@ -119,7 +118,7 @@ func (c *checker) typeUnder(e ast.Expr) types.Type {
 }
 
 func (c *checker) call(n *ast.CallExpr) {
-	fn := noalloc.CalleeFunc(c.pass.Info, n.Fun)
+	fn := analysis.CalleeFunc(c.pass.Info, n.Fun)
 	if fn != nil && fn.Pkg() != nil {
 		switch pkg := fn.Pkg().Path(); {
 		case pkg == "time" && (fn.Name() == "Now" || fn.Name() == "Since"):

@@ -31,7 +31,7 @@ func Run(prog *load.Program, analyzers []*analysis.Analyzer) ([]Diag, error) {
 					Message:  d.Message,
 				})
 			}
-			pass := analysis.NewPass(a, prog.Fset, pkg.Files, pkg.Types, pkg.Info, prog, report)
+			pass := analysis.NewPass(a, prog.Fset, pkg.Files, pkg.Types, pkg.Info, report)
 			if err := a.Run(pass); err != nil {
 				return nil, err
 			}
@@ -53,13 +53,5 @@ func Run(prog *load.Program, analyzers []*analysis.Analyzer) ([]Diag, error) {
 		}
 		return a.Message < b.Message
 	})
-	// The module index spans base and test-augmented variants of the
-	// same package, which can produce byte-identical findings twice.
-	out := diags[:0]
-	for i, d := range diags {
-		if i == 0 || diags[i-1] != d {
-			out = append(out, d)
-		}
-	}
-	return out, nil
+	return diags, nil
 }

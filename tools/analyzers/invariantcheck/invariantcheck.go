@@ -150,7 +150,7 @@ func (a *analyzer) summarize(fn *types.Func, inProgress map[*types.Func]bool) *s
 		if !ok {
 			return true
 		}
-		callee := a.callee(call)
+		callee := analysis.CalleeFunc(a.pass.Info, call.Fun)
 		if callee == nil {
 			return true
 		}
@@ -169,26 +169,6 @@ func (a *analyzer) summarize(fn *types.Func, inProgress map[*types.Func]bool) *s
 	})
 	a.sums[fn] = s
 	return s
-}
-
-func (a *analyzer) callee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := a.pass.Info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := a.pass.Info.Selections[fun]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		if fn, ok := a.pass.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }
 
 // onKernel reports whether fn is a method on a type named Kernel in a

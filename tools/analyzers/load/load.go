@@ -50,44 +50,12 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Program is the result of one Load: the requested packages plus the
-// module-wide syntax index accumulated while type-checking them.
+// Program is the result of one Load: the requested packages.
 type Program struct {
 	Fset *token.FileSet
 	// Packages are the requested packages in deterministic order.
 	Packages []*Package
-
-	funcDecls map[*types.Func]*ast.FuncDecl
-	funcSrcs  map[*types.Func]funcSource
-	ifaceDocs map[*types.Func]*ast.CommentGroup
 }
-
-// funcSource locates one function declaration in its file and package.
-type funcSource struct {
-	file *ast.File
-	info *types.Info
-}
-
-// FuncDecl implements analysis.ModuleIndex.
-func (p *Program) FuncDecl(fn *types.Func) *ast.FuncDecl { return p.funcDecls[fn] }
-
-// FuncSource implements analysis.ModuleIndex: the declaration of fn
-// plus the enclosing file and the package type info, for cross-package
-// body checks.
-func (p *Program) FuncSource(fn *types.Func) (*ast.FuncDecl, *ast.File, *types.Info) {
-	decl := p.funcDecls[fn]
-	if decl == nil {
-		return nil, nil, nil
-	}
-	src := p.funcSrcs[fn]
-	return decl, src.file, src.info
-}
-
-// InterfaceMethodDoc implements analysis.ModuleIndex.
-func (p *Program) InterfaceMethodDoc(fn *types.Func) *ast.CommentGroup { return p.ifaceDocs[fn] }
-
-// InterfaceMethods implements analysis.ModuleIndex.
-func (p *Program) InterfaceMethods() map[*types.Func]*ast.CommentGroup { return p.ifaceDocs }
 
 // loader carries the shared state of one Load.
 type loader struct {
@@ -140,12 +108,7 @@ func Load(cfg Config, patterns ...string) (*Program, error) {
 	sort.Strings(paths)
 	paths = dedup(paths)
 
-	prog := &Program{
-		Fset:      l.fset,
-		funcDecls: map[*types.Func]*ast.FuncDecl{},
-		funcSrcs:  map[*types.Func]funcSource{},
-		ifaceDocs: map[*types.Func]*ast.CommentGroup{},
-	}
+	prog := &Program{Fset: l.fset}
 	for _, path := range paths {
 		pkg, xtest, err := l.loadRequested(path)
 		if err != nil {
@@ -155,9 +118,6 @@ func Load(cfg Config, patterns ...string) (*Program, error) {
 		if xtest != nil {
 			prog.Packages = append(prog.Packages, xtest)
 		}
-	}
-	for _, pkg := range l.pkgs {
-		indexPackage(prog, pkg)
 	}
 	return prog, nil
 }
@@ -420,29 +380,4 @@ func (s *selfImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*
 		return s.self.Types, nil
 	}
 	return s.l.ImportFrom(path, srcDir, mode)
-}
-
-// indexPackage records every function declaration and annotated
-// interface method of pkg into the program-wide index.
-func indexPackage(prog *Program, pkg *Package) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if fn, ok := pkg.Info.Defs[n.Name].(*types.Func); ok {
-					prog.funcDecls[fn] = n
-					prog.funcSrcs[fn] = funcSource{file: f, info: pkg.Info}
-				}
-			case *ast.InterfaceType:
-				for _, field := range n.Methods.List {
-					for _, name := range field.Names {
-						if fn, ok := pkg.Info.Defs[name].(*types.Func); ok {
-							prog.ifaceDocs[fn] = field.Doc
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
 }

@@ -33,7 +33,6 @@ import (
 
 	"mmutricks/tools/analyzers/analysis"
 	"mmutricks/tools/analyzers/annotation"
-	"mmutricks/tools/analyzers/noalloc"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -54,7 +53,7 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		waived, malformed := annotation.Waivers(pass.Fset, file, "phasebalance-ok")
 		for line := range malformed {
-			pass.Reportf(noalloc.LineStart(pass.Fset, file, line), "mmutricks:phasebalance-ok waiver requires a reason")
+			pass.Reportf(analysis.LineStart(pass.Fset, file, line), "mmutricks:phasebalance-ok waiver requires a reason")
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
@@ -160,7 +159,7 @@ func checkBody(pass *analysis.Pass, ftype *ast.FuncType, body *ast.BlockStmt, wa
 				dropped[call] = true
 			}
 		case *ast.CallExpr:
-			if fn := noalloc.CalleeFunc(info, n.Fun); fn != nil && exiting(fn) && len(n.Args) > 0 {
+			if fn := analysis.CalleeFunc(info, n.Fun); fn != nil && exiting(fn) && len(n.Args) > 0 {
 				sink(n.Args[0])
 			}
 		case *ast.ReturnStmt:
@@ -193,7 +192,7 @@ func checkBody(pass *analysis.Pass, ftype *ast.FuncType, body *ast.BlockStmt, wa
 		if _, w := waived[pass.Fset.Position(call.Pos()).Line]; w {
 			return
 		}
-		fn := noalloc.CalleeFunc(info, call.Fun)
+		fn := analysis.CalleeFunc(info, call.Fun)
 		name := "call"
 		if fn != nil {
 			name = fn.Name()

@@ -1,20 +1,13 @@
 // Package suite is the single registry of the repo's analyzers and the
 // command-line driver behind cmd/mmulint. Adding an analyzer is a
-// one-line registration in the set it belongs to; mmulint picks it
-// up, and -list prints it.
+// one-line registration in Analyzers; mmulint picks it up, and -list
+// prints it.
 //
-// The sets:
-//
-//   - Default: every pass mmulint runs with no -run flag. The
-//     structural hygiene checks — cycle-accounting completeness,
-//     invariant checking in state-mutating tests, experiment-
-//     registration hygiene — and the whole-program proofs: transitive
-//     noalloc over the call graph, determinism of byte-identical
-//     output packages, model↔kernel transition parity, and telemetry
-//     phase-span balance.
-//   - Extra: registered and selectable via -run, but not run by
-//     default. The single-function noalloc pass lives here:
-//     noalloctrans subsumes it, and running both would double-report.
+// Analyzers holds the structural hygiene checks — cycle-accounting
+// completeness, invariant checking in state-mutating tests,
+// experiment-registration hygiene — and the whole-program proofs:
+// determinism of byte-identical output packages, model↔kernel
+// transition parity, and telemetry phase-span balance.
 package suite
 
 import (
@@ -30,65 +23,41 @@ import (
 	"mmutricks/tools/analyzers/driver"
 	"mmutricks/tools/analyzers/invariantcheck"
 	"mmutricks/tools/analyzers/load"
-	"mmutricks/tools/analyzers/noalloc"
-	"mmutricks/tools/analyzers/noalloctrans"
 	"mmutricks/tools/analyzers/phasebalance"
 	"mmutricks/tools/analyzers/registry"
 	"mmutricks/tools/analyzers/transitions"
 )
 
-// Default is the set mmulint runs when no -run flag is given.
-var Default = []*analysis.Analyzer{
+// Analyzers is every analyzer mmulint runs; -run selects a subset.
+var Analyzers = []*analysis.Analyzer{
 	cyclecost.Analyzer,
 	invariantcheck.Analyzer,
 	registry.Analyzer,
-	noalloctrans.Analyzer,
 	determinism.Analyzer,
 	transitions.Analyzer,
 	phasebalance.Analyzer,
 }
 
-// Extra holds analyzers outside the default set, still selectable via
-// -run.
-var Extra = []*analysis.Analyzer{
-	noalloc.Analyzer,
-}
-
-// All returns every registered analyzer, the default set first.
-func All() []*analysis.Analyzer {
-	return append(append([]*analysis.Analyzer(nil), Default...), Extra...)
-}
-
 // Main is mmulint's driver: parse flags, load packages, run the
-// default analyzers (or the -run selection from the full registry),
-// print vet-style diagnostics, and exit 1 on a non-empty report or 2 on
-// load errors.
+// analyzers (or the -run selection), print vet-style diagnostics, and
+// exit 1 on a non-empty report or 2 on load errors.
 func Main() {
-	list := flag.Bool("list", false, "list all registered analyzers and exit")
+	list := flag.Bool("list", false, "list the analyzers and exit")
 	tests := flag.Bool("tests", true, "analyze _test.go files too")
-	run := flag.String("run", "", "comma-separated analyzer names to run instead of the default set")
+	run := flag.String("run", "", "comma-separated analyzer names to run instead of all of them")
 	flag.Parse()
 
 	if *list {
-		inSet := map[string]bool{}
-		for _, a := range Default {
-			inSet[a.Name] = true
+		for _, a := range Analyzers {
+			fmt.Printf("%-15s %s\n", a.Name, firstLine(a.Doc))
 		}
-		for _, a := range All() {
-			mark := " "
-			if inSet[a.Name] {
-				mark = "*"
-			}
-			fmt.Printf("%s %-15s %s\n", mark, a.Name, firstLine(a.Doc))
-		}
-		fmt.Print("\n* = in the default set\n")
 		return
 	}
 
-	analyzers := Default
+	analyzers := Analyzers
 	if *run != "" {
 		byName := map[string]*analysis.Analyzer{}
-		for _, a := range All() {
+		for _, a := range Analyzers {
 			byName[a.Name] = a
 		}
 		analyzers = nil

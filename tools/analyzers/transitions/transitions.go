@@ -41,7 +41,6 @@ import (
 
 	"mmutricks/tools/analyzers/analysis"
 	"mmutricks/tools/analyzers/annotation"
-	"mmutricks/tools/analyzers/noalloc"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -190,7 +189,7 @@ func checkKernel(pass *analysis.Pass) {
 		}
 		waived, malformed := annotation.Waivers(pass.Fset, file, "transitions-ok")
 		for line := range malformed {
-			pass.Reportf(noalloc.LineStart(pass.Fset, file, line), "mmutricks:transitions-ok waiver requires a reason")
+			pass.Reportf(analysis.LineStart(pass.Fset, file, line), "mmutricks:transitions-ok waiver requires a reason")
 		}
 		for line := range waived {
 			waivedLines[line] = true
@@ -223,7 +222,7 @@ func checkKernel(pass *analysis.Pass) {
 							info.mutates = true
 						}
 					}
-					if callee := noalloc.CalleeFunc(pass.Info, n.Fun); callee != nil && callee.Pkg() == pass.Pkg {
+					if callee := analysis.CalleeFunc(pass.Info, n.Fun); callee != nil && callee.Pkg() == pass.Pkg {
 						info.callees = append(info.callees, callee)
 					}
 				}

@@ -1,6 +1,6 @@
 // Package cli is the mmu command: one dispatcher over the subcommands
 // that drive the simulator — report, ablate, lmbench, kcompile, chaos,
-// stat, trace, model and htabviz.
+// trace, model and htabviz.
 //
 // Every subcommand is a func(args, stdout, stderr) that returns its
 // internal/exitcode status instead of exiting, so deferred cleanup
@@ -40,8 +40,7 @@ var commands = []command{
 	{"lmbench", "the LmBench-style microbenchmarks on one machine and kernel", runLmbench},
 	{"kcompile", "the kernel-compile macrobenchmark (§4)", runKcompile},
 	{"chaos", "soak the kernel under deterministic fault injection", runChaos},
-	{"stat", "record and analyze cycle-exact phase telemetry", runStat},
-	{"trace", "record and analyze MMU event traces", runTrace},
+	{"trace", "record a workload's events and phases and explain them", runTrace},
 	{"model", "model-check the context-switch/MM state machine", runModel},
 	{"htabviz", "hash-table bucket occupancy vs VSID scatter constant (§5.2)", runHtabviz},
 }
@@ -205,7 +204,10 @@ func (f *flagSet) startProfiles() error {
 	stopProfiles = func() {
 		stopProfiles = func() {}
 		if memPath != "" {
-			if err := writeHeapProfile(memPath); err != nil {
+			if err := createFile(memPath, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			}); err != nil {
 				fmt.Fprintf(f.stderr, "%s: %v\n", f.Name(), err)
 			}
 		}
@@ -214,13 +216,13 @@ func (f *flagSet) startProfiles() error {
 	return nil
 }
 
-func writeHeapProfile(path string) error {
+// createFile creates path and fills it with write.
+func createFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

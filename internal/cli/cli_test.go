@@ -77,15 +77,14 @@ func TestExitCodes(t *testing.T) {
 		{"chaos", "-workload", "none"},
 		{"chaos", "-schedule", "rate=lots"},
 		{"stat"},
-		{"stat", "record", "-cpu", "601/66"},
-		{"stat", "record", "-config", "fastest"},
-		{"stat", "record", "-workload", "nope"},
-		{"stat", "timeline"},
-		{"stat", "diff", "one.json"},
+		{"trace"},
 		{"trace", "record", "-cpu", "601/66"},
 		{"trace", "record", "-config", "fastest"},
 		{"trace", "record", "-workload", "nope"},
+		{"trace", "record", "-interval", "often"},
 		{"trace", "summarize", "a.json", "b.json"},
+		{"trace", "timeline"},
+		{"trace", "diff", "one.json"},
 		{"model", "-mutate", "nonsense"},
 		{"model", "-cpus", "9"},
 		{"model", "-refine", "-cpus", "2"},
@@ -97,8 +96,7 @@ func TestExitCodes(t *testing.T) {
 			cases = append(cases, []string{c.name, "-no-such-flag"})
 		}
 	}
-	for _, sub := range []string{"stat record", "stat timeline", "stat phases", "stat diff",
-		"trace record", "trace dump", "trace summarize", "trace diff"} {
+	for _, sub := range []string{"trace record", "trace summarize", "trace timeline", "trace diff", "trace dump"} {
 		cases = append(cases, append(strings.Fields(sub), "-no-such-flag"))
 	}
 	for _, args := range cases {
@@ -110,6 +108,55 @@ func TestExitCodes(t *testing.T) {
 	code, _, stderr := mmu("panic")
 	if code != exitcode.Panic || !strings.Contains(stderr, "mmu: FAILED(panic): boom") {
 		t.Errorf("mmu panic: exit %d, want %d; stderr: %s", code, exitcode.Panic, stderr)
+	}
+}
+
+// TestTraceRoundTrip records a short run and drives every view of the
+// recording in process, then checks that a recording stripped of its
+// phase-ledger capture is refused with the command that makes one.
+func TestTraceRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	rec, prof := filepath.Join(dir, "trace.json"), filepath.Join(dir, "phases.pb.gz")
+	if code, _, stderr := mmu("trace", "record", "-iters", "2", "-o", rec); code != exitcode.OK {
+		t.Fatalf("trace record: exit %d; stderr: %s", code, stderr)
+	}
+	for _, args := range [][]string{
+		{"summarize", "-pprof", prof, rec},
+		{"timeline", rec},
+		{"diff", rec, rec},
+		{"dump", rec},
+		{"dump", "-format", "chrome", rec},
+	} {
+		if code, stdout, stderr := mmu(append([]string{"trace"}, args...)...); code != exitcode.OK || stdout == "" {
+			t.Errorf("trace %v: exit %d, %d bytes out; stderr: %s", args, code, len(stdout), stderr)
+		}
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Errorf("%s: not written (%v)", prof, err)
+	}
+
+	data, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range doc["sections"].([]any) {
+		delete(s.(map[string]any), "telemetry")
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	stripped := filepath.Join(dir, "stripped.json")
+	if err := os.WriteFile(stripped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := mmu("trace", "summarize", stripped)
+	if code != exitcode.Internal || !strings.Contains(stderr, "mmu trace record") {
+		t.Errorf("summarize of a recording without telemetry: exit %d, want %d naming mmu trace record; stderr: %s",
+			code, exitcode.Internal, stderr)
 	}
 }
 

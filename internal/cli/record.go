@@ -10,7 +10,6 @@ import (
 
 	"mmutricks/internal/chaos"
 	"mmutricks/internal/exitcode"
-	"mmutricks/internal/telemetry"
 	"mmutricks/internal/tracerec"
 )
 
@@ -85,112 +84,78 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 	return exitcode.OK
 }
 
-// runStat records and analyzes cycle-exact phase telemetry:
+// runTrace records a workload and explains the recording:
 //
-//	mmu stat record -workload kbuild -cpu 604/185 -config optimized -o stat.json
-//	mmu stat timeline stat.json
-//	mmu stat phases stat.json
-//	mmu stat phases -pprof phases.pb.gz stat.json   (open with go tool pprof)
-//	mmu stat diff before.json after.json
-//
-// record runs a workload on a freshly booted simulated machine with
-// the phase ledger and interval sampler enabled (tracing stays on too,
-// so the file is also a valid trace recording) and saves the capture.
-// timeline prints the per-interval view — dominant phase, share, fault
-// pressure per sample. phases prints the end-of-run phase profile with
-// derived rates, attribution, and cost percentiles; with -pprof it also
-// writes the aggregate profile in pprof format. diff compares two
-// recordings phase by phase. Every view is a pure function of the
-// recording bytes: the same file renders identically at any -j.
-func runStat(args []string, stdout, stderr io.Writer) int {
-	return dispatch("mmu stat", []command{
-		{"record", "record a workload with the phase ledger and sampler on", record("mmu stat", true)},
-		{"timeline", "per-interval dominant phase and fault pressure", view("mmu stat timeline", 1, func(w io.Writer, recs []*tracerec.Recording) {
-			tracerec.StatTimeline(w, recs[0])
-		})},
-		{"phases", "end-of-run phase profile", statPhases},
-		{"diff", "compare two recordings phase by phase", view("mmu stat diff", 2, func(w io.Writer, recs []*tracerec.Recording) {
-			tracerec.StatDiff(w, recs[0], recs[1])
-		})},
-	}, args, stdout, stderr)
-}
-
-// runTrace records and analyzes MMU event traces:
-//
-//	mmu trace record -workload lmbench -cpu 604/185 -config optimized -o trace.json
-//	mmu trace dump -format jsonl trace.json
-//	mmu trace dump -format chrome trace.json > trace.chrome.json   (load in Perfetto)
+//	mmu trace record -workload kbuild -cpu 604/185 -config optimized -o trace.json
 //	mmu trace summarize trace.json
+//	mmu trace summarize -pprof phases.pb.gz trace.json   (open with go tool pprof)
+//	mmu trace timeline trace.json
 //	mmu trace diff before.json after.json
+//	mmu trace dump -format chrome trace.json > trace.chrome.json   (load in Perfetto)
 //
 // record runs a workload (lmbench, kbuild, or the synthetic stress
 // generators) on a freshly booted simulated machine with the mmtrace
-// ring buffer enabled and saves the capture. summarize prints
-// per-event-class cycle histograms, reconciles the trace totals
-// against the hwmon counter deltas (exit status 5 on mismatch), and
-// reports hottest pages and TLB-miss inter-arrival times.
+// event ring, the phase ledger and its interval sampler on, and saves
+// the capture. summarize prints per-event-class cycle histograms,
+// reconciles the trace totals against the hwmon counter deltas (exit
+// status 5 on mismatch), reports hottest pages and TLB-miss
+// inter-arrival times, then each section's phase profile with derived
+// rates and attribution; with -pprof it also writes the aggregate
+// phase profile in pprof format. timeline prints the per-interval
+// view: dominant phase, share, fault pressure per sample. diff compares
+// two recordings event class by class, then phase by phase. dump
+// prints the events as JSON lines or a Chrome trace. Every view is a
+// pure function of the recording bytes: the same file renders
+// identically at any -j.
 func runTrace(args []string, stdout, stderr io.Writer) int {
 	return dispatch("mmu trace", []command{
-		{"record", "record a workload with the event ring on", record("mmu trace", false)},
-		{"dump", "print the events as JSON lines or a Chrome trace", traceDump},
-		{"summarize", "cycle histograms, counter reconciliation, hot pages", traceSummarize},
-		{"diff", "compare two recordings event class by class", view("mmu trace diff", 2, func(w io.Writer, recs []*tracerec.Recording) {
+		{"record", "record a workload with the event ring and phase ledger on", traceRecord},
+		{"summarize", "cycle histograms, counter reconciliation, hot pages, phase profile", traceSummarize},
+		{"timeline", "per-interval dominant phase and fault pressure", view("mmu trace timeline", 1, func(w io.Writer, recs []*tracerec.Recording) {
+			tracerec.Timeline(w, recs[0])
+		})},
+		{"diff", "compare two recordings event class by class and phase by phase", view("mmu trace diff", 2, func(w io.Writer, recs []*tracerec.Recording) {
 			tracerec.Diff(w, recs[0], recs[1])
 		})},
+		{"dump", "print the events as JSON lines or a Chrome trace", traceDump},
 	}, args, stdout, stderr)
 }
 
-// record returns the record subcommand of tool: "mmu stat" records
-// with telemetry on, "mmu trace" without.
-func record(tool string, telemetry bool) func(args []string, stdout, stderr io.Writer) int {
-	return func(args []string, stdout, stderr io.Writer) int {
-		f := newFlags(tool+" record", stderr)
-		f.cpu("604/185")
-		f.config()
-		f.jobs()
-		opts := tracerec.RecordOptions{Telemetry: telemetry}
-		var (
-			workload = f.String("workload", "lmbench", "workload: lmbench, kbuild, stress")
-			iters    = f.iters()
-			out      *string
-		)
-		if telemetry {
-			f.IntVar(&opts.SampleInterval, "interval", 0, "sampler period in simulated cycles (0 = default)")
-			f.IntVar(&opts.SampleCapacity, "samples", 0, "sample-ring capacity (0 = default)")
-			out = f.out("stat.json", "output file")
-		} else {
-			f.IntVar(&opts.Capacity, "capacity", 0, "trace ring capacity in events (0 = default)")
-			out = f.out("trace.json", "output file")
-		}
-		if code, ok := f.parse(args); !ok {
-			return code
-		}
-		opts.Workload, opts.CPU, opts.Config, opts.Iters = *workload, *f.cpuName, *f.cfgName, *iters
-		rec, err := tracerec.Record(context.Background(), opts)
-		if errors.Is(err, tracerec.ErrUnknownWorkload) {
-			return f.fail(exitcode.Usage, err)
-		}
-		if err != nil {
-			return f.fail(exitcode.Internal, err)
-		}
-		if err := rec.Save(*out); err != nil {
-			return f.fail(exitcode.Internal, err)
-		}
-		what, n, dropped := "events", uint64(0), uint64(0)
-		if telemetry {
-			what = "samples"
-		}
-		for _, s := range rec.Sections {
-			if !telemetry {
-				n, dropped = n+s.Emitted, dropped+s.Dropped
-			} else if s.Telemetry != nil {
-				n, dropped = n+uint64(len(s.Telemetry.Samples)), dropped+s.Telemetry.Dropped
-			}
-		}
-		fmt.Fprintf(stdout, "recorded %s: %d sections, %d %s (%d dropped by the ring) -> %s\n",
-			*workload, len(rec.Sections), n, what, dropped, *out)
-		return exitcode.OK
+func traceRecord(args []string, stdout, stderr io.Writer) int {
+	f := newFlags("mmu trace record", stderr)
+	f.cpu("604/185")
+	f.config()
+	f.jobs()
+	var opts tracerec.RecordOptions
+	var (
+		workload = f.String("workload", "lmbench", "workload: lmbench, kbuild, stress")
+		iters    = f.iters()
+		out      = f.out("trace.json", "output file")
+	)
+	f.IntVar(&opts.Capacity, "capacity", 0, "trace ring capacity in events (0 = default)")
+	f.IntVar(&opts.SampleInterval, "interval", 0, "sampler period in simulated cycles (0 = default)")
+	if code, ok := f.parse(args); !ok {
+		return code
 	}
+	opts.Workload, opts.CPU, opts.Config, opts.Iters = *workload, *f.cpuName, *f.cfgName, *iters
+	rec, err := tracerec.Record(context.Background(), opts)
+	if errors.Is(err, tracerec.ErrUnknownWorkload) {
+		return f.fail(exitcode.Usage, err)
+	}
+	if err != nil {
+		return f.fail(exitcode.Internal, err)
+	}
+	if err := rec.Save(*out); err != nil {
+		return f.fail(exitcode.Internal, err)
+	}
+	var events, eventsDropped, samples, samplesDropped uint64
+	for _, s := range rec.Sections {
+		events, eventsDropped = events+s.Emitted, eventsDropped+s.Dropped
+		samples, samplesDropped = samples+uint64(len(s.Telemetry.Samples)), samplesDropped+s.Telemetry.Dropped
+	}
+	fmt.Fprintf(stdout, "recorded %s: %d sections, %d events (%d dropped by the ring), %d samples (%d dropped) -> %s\n",
+		*workload, len(rec.Sections), events, eventsDropped, samples, samplesDropped, *out)
+	return exitcode.OK
 }
 
 // view returns a subcommand of name that takes no flags of its own,
@@ -225,47 +190,6 @@ func (f *flagSet) load(args []string, n int) (recs []*tracerec.Recording, code i
 	return recs, exitcode.OK, true
 }
 
-func statPhases(args []string, stdout, stderr io.Writer) int {
-	f := newFlags("mmu stat phases", stderr)
-	pprofOut := f.String("pprof", "", "also write the aggregate phase profile in pprof format to this file")
-	recs, code, ok := f.load(args, 1)
-	if !ok {
-		return code
-	}
-	rec := recs[0]
-	tracerec.StatPhases(stdout, rec)
-	if *pprofOut == "" {
-		return exitcode.OK
-	}
-	if !rec.HasTelemetry() {
-		return f.fail(exitcode.Internal, errors.New("recording has no telemetry — re-record with mmu stat record"))
-	}
-	// Aggregate phase cycles across sections; the name vector of the
-	// first section names the indices.
-	names := rec.Sections[0].Telemetry.PhaseNames
-	cycles := make([]uint64, len(names))
-	for _, s := range rec.Sections {
-		for i, c := range s.Telemetry.PhaseCycles {
-			if i < len(cycles) {
-				cycles[i] += c
-			}
-		}
-	}
-	out, err := os.Create(*pprofOut)
-	if err != nil {
-		return f.fail(exitcode.Internal, err)
-	}
-	if err := telemetry.WriteProfileData(out, names, cycles, rec.Meta.MHz); err != nil {
-		out.Close()
-		return f.fail(exitcode.Internal, err)
-	}
-	if err := out.Close(); err != nil {
-		return f.fail(exitcode.Internal, err)
-	}
-	fmt.Fprintf(stdout, "wrote pprof profile -> %s\n", *pprofOut)
-	return exitcode.OK
-}
-
 func traceDump(args []string, stdout, stderr io.Writer) int {
 	f := newFlags("mmu trace dump", stderr)
 	format := f.String("format", "jsonl", "output format: jsonl, chrome")
@@ -291,11 +215,19 @@ func traceDump(args []string, stdout, stderr io.Writer) int {
 func traceSummarize(args []string, stdout, stderr io.Writer) int {
 	f := newFlags("mmu trace summarize", stderr)
 	topN := f.Int("top", 10, "how many hottest pages to list")
+	pprofOut := f.String("pprof", "", "also write the aggregate phase profile in pprof format to this file")
 	recs, code, ok := f.load(args, 1)
 	if !ok {
 		return code
 	}
-	if mismatches := tracerec.Summarize(stdout, recs[0], *topN); mismatches > 0 {
+	mismatches := tracerec.Summarize(stdout, recs[0], *topN)
+	if *pprofOut != "" {
+		if err := createFile(*pprofOut, recs[0].WriteProfile); err != nil {
+			return f.fail(exitcode.Internal, err)
+		}
+		fmt.Fprintf(stdout, "wrote pprof profile -> %s\n", *pprofOut)
+	}
+	if mismatches > 0 {
 		// A failed trace↔counter reconciliation is an audit failure, not
 		// a harness error: the run completed but its books don't balance.
 		return f.fail(exitcode.AuditFailure, fmt.Errorf("%d reconciliation mismatches", mismatches))

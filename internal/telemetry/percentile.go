@@ -23,8 +23,7 @@ func Log2BucketUpper(i int) uint64 {
 // each q in qs it finds the bucket containing the ceil(q * total)-th
 // smallest value and reports that bucket's inclusive upper bound — a
 // deliberate overestimate of at most 2x, which is the histogram's
-// resolution; the shared convention keeps mmutrace's and mmustat's
-// p50/p99/p999 columns comparable. An empty histogram yields zeros.
+// resolution. An empty histogram yields zeros.
 func Percentiles(buckets []uint64, qs ...float64) []uint64 {
 	out := make([]uint64, len(qs))
 	var total uint64

@@ -254,16 +254,6 @@ func (p *Phases) Enable(opt Options) {
 	}
 }
 
-// Disable stops attribution; the collected data stays readable. Spans
-// entered while enabled unwind as no-ops (Exit checks the flag), so
-// disabling mid-span is safe.
-func (p *Phases) Disable() {
-	if p.enabled {
-		p.accrue()
-	}
-	p.enabled = false
-}
-
 // Restart discards collected data and restarts attribution at the
 // current ledger reading with unchanged options. The machine's warm
 // reboot calls it next to the counter reset, so phase-entry counts and

@@ -320,12 +320,21 @@ func TestWriteProfileIsValidGzipWithPhaseNames(t *testing.T) {
 	p, led, _ := newEnabled(t, Options{})
 	led.Charge(100)
 	span(p, PhaseFlush)
-
-	var buf bytes.Buffer
-	if err := p.WriteProfile(&buf); err != nil {
-		t.Fatal(err)
+	p.Sync()
+	cycles := make([]uint64, NumPhases)
+	for _, ph := range AllPhases {
+		cycles[ph] = uint64(p.Cycles(ph))
 	}
-	gz, err := gzip.NewReader(&buf)
+	render := func() []byte {
+		var buf bytes.Buffer
+		if err := WriteProfileData(&buf, PhaseNames(), cycles, led.MHz()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	data := render()
+	gz, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("not gzip: %v", err)
 	}
@@ -339,16 +348,7 @@ func TestWriteProfileIsValidGzipWithPhaseNames(t *testing.T) {
 		}
 	}
 	// Determinism: a second render is byte-identical.
-	var buf2 bytes.Buffer
-	if err := p.WriteProfile(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		// buf was consumed by the reader; re-render to compare.
-		var buf3 bytes.Buffer
-		_ = p.WriteProfile(&buf3)
-		if !bytes.Equal(buf2.Bytes(), buf3.Bytes()) {
-			t.Error("profile bytes differ between renders")
-		}
+	if !bytes.Equal(data, render()) {
+		t.Error("profile bytes differ between renders")
 	}
 }

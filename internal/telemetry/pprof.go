@@ -5,30 +5,18 @@ import (
 	"io"
 )
 
-// WriteProfile renders the phase cycle totals as a gzipped
+// WriteProfileData renders per-phase cycle totals as a gzipped
 // pprof-format profile (`go tool pprof` opens it directly): one
-// synthetic function per phase, one flat sample per phase weighted by
-// its attributed cycles. The profile is a deterministic function of
-// the simulation — no timestamps, no host state — so recordings at
-// any -j produce identical bytes.
+// synthetic function and one flat sample per phase, weighted by its
+// cycles. names and cycles are parallel; mhz scales duration_nanos,
+// and 0 omits it. The profile is a deterministic
+// function of its arguments (no timestamps, no host state), so
+// recordings made at any -j render identical bytes.
 //
 // The encoder is a hand-rolled subset of the profile.proto wire format
 // (varints and length-delimited fields only), which keeps the module
 // dependency-free: the stdlib has no protobuf support and the repo
 // takes no external modules.
-func (p *Phases) WriteProfile(w io.Writer) error {
-	p.Sync()
-	cycles := make([]uint64, NumPhases)
-	for _, ph := range AllPhases {
-		cycles[ph] = uint64(p.cycles[ph])
-	}
-	return WriteProfileData(w, PhaseNames(), cycles, p.led.MHz())
-}
-
-// WriteProfileData is the encoder behind WriteProfile, decoupled from a
-// live ledger so serialized recordings (a name vector plus per-phase
-// cycle totals) can render the same profile. mhz scales duration_nanos;
-// 0 omits it.
 func WriteProfileData(w io.Writer, names []string, cycles []uint64, mhz int) error {
 	// String table; index 0 must be "".
 	strs := []string{""}

@@ -100,28 +100,27 @@ func (r *Recording) WriteChromeTrace(w io.Writer) error {
 		// Telemetry samples become counter tracks: per-interval phase
 		// cycle deltas (a stacked where-did-the-time-go chart) and the
 		// fault rate, on the same timebase as the event spans.
-		if td := s.Telemetry; td != nil {
-			prev := make([]uint64, len(td.PhaseNames))
-			var prevMinor, prevMajor uint64
-			for _, smp := range td.Samples {
-				phases := map[string]any{}
-				for i, name := range td.PhaseNames {
-					var c uint64
-					if i < len(smp.Phases) {
-						c = smp.Phases[i]
-					}
-					phases[name] = c - prev[i]
-					prev[i] = c
+		td := s.Telemetry
+		prev := make([]uint64, len(td.PhaseNames))
+		var prevMinor, prevMajor uint64
+		for _, smp := range td.Samples {
+			phases := map[string]any{}
+			for i, name := range td.PhaseNames {
+				var c uint64
+				if i < len(smp.Phases) {
+					c = smp.Phases[i]
 				}
-				minor := counterAt(td, smp, "MinorFaults")
-				major := counterAt(td, smp, "MajorFaults")
-				out.TraceEvents = append(out.TraceEvents,
-					chromeCounter{Name: "phase cycles", Ph: "C", Ts: us(smp.Cycle), Pid: pid, Args: phases},
-					chromeCounter{Name: "faults", Ph: "C", Ts: us(smp.Cycle), Pid: pid, Args: map[string]any{
-						"minor": minor - prevMinor, "major": major - prevMajor,
-					}})
-				prevMinor, prevMajor = minor, major
+				phases[name] = c - prev[i]
+				prev[i] = c
 			}
+			minor := counterAt(td, smp, "MinorFaults")
+			major := counterAt(td, smp, "MajorFaults")
+			out.TraceEvents = append(out.TraceEvents,
+				chromeCounter{Name: "phase cycles", Ph: "C", Ts: us(smp.Cycle), Pid: pid, Args: phases},
+				chromeCounter{Name: "faults", Ph: "C", Ts: us(smp.Cycle), Pid: pid, Args: map[string]any{
+					"minor": minor - prevMinor, "major": major - prevMajor,
+				}})
+			prevMinor, prevMajor = minor, major
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -2,6 +2,7 @@ package tracerec
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -46,7 +47,7 @@ func TestSampledCountersMatchRing(t *testing.T) {
 	for _, cpu := range []string{"604/185", "603/133"} {
 		rec, err := Record(context.Background(), RecordOptions{
 			Workload: "kbuild", CPU: cpu, Config: "optimized", Iters: 20,
-			Capacity: 1 << 18, Telemetry: true, SampleInterval: 1 << 14, SampleCapacity: 4096,
+			Capacity: 1 << 18, SampleInterval: 1 << 14,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +65,7 @@ func TestSampledCountersMatchRing(t *testing.T) {
 			times[e.Kind] = append(times[e.Kind], e.Time)
 		}
 		for name, kind := range counterKind {
-			idx := counterIndex(td.CounterNames, name)
+			idx := slices.Index(td.CounterNames, name)
 			if idx < 0 {
 				t.Fatalf("no counter %s in the recording", name)
 			}

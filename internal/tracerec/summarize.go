@@ -26,9 +26,9 @@ var addressedKinds = map[string]bool{
 // Summarize writes the human-readable analysis of a recording:
 // per-event-class cycle-cost histograms, the reconciliation of trace
 // totals against the hwmon counters, per-task attribution, the top-N
-// hottest pages, and TLB-miss inter-arrival times. It returns how many
-// reconciliation rows mismatched (0 = the trace accounts for every
-// counted event).
+// hottest pages, TLB-miss inter-arrival times, and then each section's
+// phase profile. It returns how many reconciliation rows mismatched
+// (0 = the trace accounts for every counted event).
 func Summarize(w io.Writer, r *Recording, topN int) int {
 	fmt.Fprintf(w, "mmutrace summary: workload=%s cpu=%s config=%s capacity=%d\n",
 		r.Meta.Workload, r.Meta.CPU, r.Meta.Config, r.Meta.Capacity)
@@ -44,7 +44,7 @@ func Summarize(w io.Writer, r *Recording, topN int) int {
 		fmt.Fprintf(w, "%-20s %10s %14s %10s %8s %8s %8s\n",
 			"event class", "count", "cycles", "mean", "p50<=", "p99<=", "p999<=")
 		for _, name := range s.sortedHistNames() {
-			h := s.hist(name)
+			h := s.Hists[name]
 			ps := telemetry.Percentiles(h.Buckets[:], 0.50, 0.99, 0.999)
 			fmt.Fprintf(w, "%-20s %10d %14d %10.1f %8d %8d %8d\n",
 				name, h.Count, h.CostTotal, h.Mean(), ps[0], ps[1], ps[2])
@@ -80,6 +80,9 @@ func Summarize(w io.Writer, r *Recording, topN int) int {
 
 	writeHotPages(w, r, topN)
 	writeInterArrival(w, r)
+	for si := range r.Sections {
+		writePhases(w, &r.Sections[si])
+	}
 	return mismatches
 }
 
@@ -193,8 +196,9 @@ func writeInterArrival(w io.Writer, r *Recording) {
 	writeBuckets(w, &h)
 }
 
-// Diff compares two recordings class by class: aggregate event counts
-// and cycle totals across all sections, with the change between them.
+// Diff compares two recordings class by class, then phase by phase:
+// aggregate event counts and cycle totals, then phase cycles and entry
+// counts, across all sections, with the change between them.
 func Diff(w io.Writer, a, b *Recording) {
 	fmt.Fprintf(w, "mmutrace diff: A=%s/%s/%s  B=%s/%s/%s\n",
 		a.Meta.Workload, a.Meta.CPU, a.Meta.Config,
@@ -226,4 +230,6 @@ func Diff(w io.Writer, a, b *Recording) {
 			name, va.Count, vb.Count, int64(vb.Count)-int64(va.Count),
 			va.CostTotal, vb.CostTotal)
 	}
+	fmt.Fprintln(w)
+	writePhaseDiff(w, a, b)
 }

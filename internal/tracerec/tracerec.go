@@ -1,9 +1,10 @@
-// Package tracerec records, serializes, and analyzes mmtrace event
-// streams. It sits above the simulation packages: internal/mmtrace is
-// the in-machine ring buffer the hot paths emit into; tracerec runs
-// whole workloads with tracing enabled, snapshots the result into a
-// serializable Recording, and implements the dump/summarize/diff
-// analyses behind `mmu trace` and `mmu stat`.
+// Package tracerec records, serializes, and analyzes what one run of
+// the simulated kernel did. It sits above the simulation packages:
+// internal/mmtrace is the in-machine event ring the hot paths emit
+// into, with the phase ledger of internal/telemetry beside it; tracerec
+// runs whole workloads with both enabled, snapshots the result into a
+// serializable Recording, and implements the summarize, timeline, diff
+// and dump views behind `mmu trace`.
 package tracerec
 
 import (
@@ -66,10 +67,9 @@ type Section struct {
 	Tasks []mmtrace.TaskStat `json:"tasks,omitempty"`
 	// Events is the ring contents, oldest first.
 	Events []Ev `json:"events"`
-	// Telemetry holds the phase-ledger capture when the recording was
-	// made with telemetry enabled (mmustat record); nil otherwise, and
-	// omitted from the JSON so plain mmutrace recordings are unchanged.
-	Telemetry *TelemetryData `json:"telemetry,omitempty"`
+	// Telemetry holds the phase-ledger capture. Load rejects a
+	// section without one, so every view may read it.
+	Telemetry *TelemetryData `json:"telemetry"`
 }
 
 // TelemetryData is one section's serialized phase-ledger capture:
@@ -221,7 +221,9 @@ func (r *Recording) Save(path string) error {
 	return f.Close()
 }
 
-// Load reads a recording back.
+// Load reads a recording back. It rejects a file another tool wrote
+// and one with a section that lacks the phase-ledger capture (recorded
+// before every recording carried it).
 func Load(path string) (*Recording, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -235,12 +237,14 @@ func Load(path string) (*Recording, error) {
 		return nil, fmt.Errorf("tracerec: %s: not an mmutrace v%d recording (tool %q version %d)",
 			path, FormatVersion, r.Meta.Tool, r.Meta.Version)
 	}
+	for _, s := range r.Sections {
+		if s.Telemetry == nil {
+			return nil, fmt.Errorf("tracerec: %s: section %s has no phase telemetry; re-record it with mmu trace record",
+				path, s.Name)
+		}
+	}
 	return &r, nil
 }
-
-// hist retrieves a section's histogram for a kind name (zero when the
-// class never fired).
-func (s *Section) hist(name string) mmtrace.Hist { return s.Hists[name] }
 
 // HistArray rebuilds the dense per-kind array mmtrace.Reconcile wants.
 func (s *Section) HistArray() *[mmtrace.NumKinds]mmtrace.Hist {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mmutricks/internal/report"
+	"mmutricks/internal/telemetry"
 )
 
 func record(t *testing.T, opts RecordOptions) *Recording {
@@ -30,23 +31,54 @@ func serialize(t *testing.T, rec *Recording) []byte {
 	return buf.Bytes()
 }
 
-// Two identical runs must produce byte-identical recordings at any -j:
-// the PR 1 determinism guarantee extended to the tracing subsystem.
-func TestRecordDeterministicAcrossParallelism(t *testing.T) {
-	opts := RecordOptions{Workload: "lmbench", CPU: "604/185", Config: "optimized", Iters: 10}
-
-	report.SetParallelism(1)
-	serial := serialize(t, record(t, opts))
-	report.SetParallelism(4)
-	defer report.SetParallelism(1)
-	parallel := serialize(t, record(t, opts))
-	parallel2 := serialize(t, record(t, opts))
-
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("recording differs between -j 1 and -j 4")
+// renderAll runs every view over a recording and returns the
+// concatenated output, the byte string the determinism test compares.
+func renderAll(t *testing.T, rec *Recording) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	Summarize(&buf, rec, 10)
+	Timeline(&buf, rec)
+	Diff(&buf, rec, rec)
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(parallel, parallel2) {
-		t.Fatal("two identical -j 4 recordings differ")
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteProfile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Identical runs must produce byte-identical recordings, and every
+// view of them byte-identical output, at any -j, on both the lmbench
+// suite and the kernel compile.
+func TestRecordDeterministicAcrossParallelism(t *testing.T) {
+	defer report.SetParallelism(1)
+	for _, wl := range []string{"lmbench", "kbuild"} {
+		opts := RecordOptions{Workload: wl, CPU: "604/185", Config: "optimized", Iters: 20, SampleInterval: 1 << 16}
+
+		report.SetParallelism(1)
+		recSerial := record(t, opts)
+		serial := serialize(t, recSerial)
+		serialOut := renderAll(t, recSerial)
+
+		report.SetParallelism(8)
+		recPar := record(t, opts)
+		parallel2 := serialize(t, record(t, opts))
+		report.SetParallelism(1)
+		parallel := serialize(t, recPar)
+
+		if !bytes.Equal(serial, parallel) {
+			t.Fatalf("%s: recording differs between -j 1 and -j 8", wl)
+		}
+		if !bytes.Equal(parallel, parallel2) {
+			t.Fatalf("%s: two identical -j 8 recordings differ", wl)
+		}
+		if !bytes.Equal(serialOut, renderAll(t, recPar)) {
+			t.Fatalf("%s: views differ between -j 1 and -j 8", wl)
+		}
 	}
 }
 
@@ -103,6 +135,19 @@ func TestLoadRejectsForeignFiles(t *testing.T) {
 	}
 }
 
+// A recording whose sections lack the phase-ledger capture is refused
+// at the boundary, with the command that makes a complete one.
+func TestLoadRejectsRecordingWithoutTelemetry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := writeFile(path, `{"meta":{"tool":"mmutrace","version":1},"sections":[{"name":"nullsys"}]}`); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(path)
+	if err == nil || !strings.Contains(err.Error(), "mmu trace record") {
+		t.Fatalf("Load error %v, want one naming mmu trace record", err)
+	}
+}
+
 func TestDumpFormats(t *testing.T) {
 	rec := record(t, RecordOptions{Workload: "lmbench", CPU: "604/185", Config: "optimized", Iters: 5})
 
@@ -150,6 +195,15 @@ func TestDiffRunsAndMentionsEveryActiveKind(t *testing.T) {
 	for name := range a.Sections[0].Hists {
 		if !strings.Contains(out, name) {
 			t.Errorf("diff output missing active kind %q", name)
+		}
+	}
+	_, phases, ok := strings.Cut(out, "enters B\n")
+	if !ok {
+		t.Fatal("diff output missing the phase table")
+	}
+	for _, name := range telemetry.PhaseNames() {
+		if !strings.Contains("\n"+phases, "\n"+name+" ") {
+			t.Errorf("diff output missing phase row %q", name)
 		}
 	}
 }

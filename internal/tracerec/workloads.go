@@ -27,15 +27,9 @@ type RecordOptions struct {
 	Iters int
 	// Capacity overrides the trace ring size (0 = default).
 	Capacity int
-	// Telemetry enables the phase ledger and interval sampler for each
-	// section (the mmustat recording mode).
-	Telemetry bool
-	// SampleInterval is the sampler period in simulated cycles
-	// (0 = telemetry.DefaultSampleInterval); SampleCapacity is the
-	// sample-ring size (0 = telemetry.DefaultSampleCapacity). Both are
-	// ignored unless Telemetry is set.
+	// SampleInterval is the phase sampler's period in simulated cycles
+	// (0 = telemetry.DefaultSampleInterval).
 	SampleInterval int
-	SampleCapacity int
 }
 
 // ErrUnknownWorkload is wrapped by the error Record returns for a
@@ -43,8 +37,9 @@ type RecordOptions struct {
 // failed run.
 var ErrUnknownWorkload = errors.New("unknown workload")
 
-// Record runs the selected workload with tracing enabled and returns
-// the capture. Sections run under report.RowSet, so -j (set via
+// Record runs the selected workload with the event ring, the phase
+// ledger and its interval sampler enabled and returns the capture.
+// Sections run under report.RowSet, so -j (set via
 // report.SetParallelism) parallelizes across sections while the
 // result, assembled by index, stays byte-identical at any -j.
 func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
@@ -58,6 +53,10 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 	}
 	if opts.Iters <= 0 {
 		opts.Iters = 100
+	}
+	interval := clock.Cycles(opts.SampleInterval)
+	if interval == 0 {
+		interval = telemetry.DefaultSampleInterval
 	}
 
 	// The soak's escalate section exists to absorb the fault
@@ -93,13 +92,7 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 		// window, so the histograms (and the phase-entry identities)
 		// reconcile.
 		m.Trc.Enable()
-		if opts.Telemetry {
-			iv := clock.Cycles(opts.SampleInterval)
-			if iv == 0 {
-				iv = telemetry.DefaultSampleInterval
-			}
-			m.Trc.Phases().Enable(telemetry.Options{SampleInterval: iv, SampleCapacity: opts.SampleCapacity})
-		}
+		m.Trc.Phases().Enable(telemetry.Options{SampleInterval: interval})
 		before := m.Mon.Snapshot()
 		k := kernel.New(m, cfg)
 		runs[i].Run(k)
@@ -108,9 +101,7 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 			return
 		}
 		rec.Sections[i] = SectionFrom(runs[i].Name, m.Trc, m.Mon.Delta(before))
-		if opts.Telemetry {
-			rec.Sections[i].Telemetry = TelemetryFrom(m.Trc.Phases())
-		}
+		rec.Sections[i].Telemetry = TelemetryFrom(m.Trc.Phases())
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -537,23 +537,6 @@ func BenchmarkIdleCacheLock(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationL2Cache(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		l2   int
-	}{{"no-l2", 0}, {"l2-512k", 512 * 1024}} {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			model := clock.PPC604At133() // the PowerMac 9500 shipped with L2
-			model.L2Size = c.l2
-			model.L2Latency = 9
-			s := lmbench.New(kernel.New(machine.New(model), kernel.Optimized()))
-			r := s.FileReread(256, b.N/2+1)
-			b.ReportMetric(r.MBps, "sim-MB/s")
-		})
-	}
-}
-
 func BenchmarkLatSig(b *testing.B) {
 	for _, cfgName := range []string{"unoptimized", "optimized"} {
 		cfgName := cfgName

@@ -14,7 +14,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"mmutricks/internal/arch"
 )
@@ -77,10 +76,9 @@ type line struct {
 	key   uint32 // tag | lineKeyValid when resident; 0 when invalid
 	class uint8
 	dirty uint8
-	// ord is meaningful in way 0 of a 4-way set only: the set's
-	// recency list (see list), kept in the host cache line the probe
-	// loads anyway. Fills and invalidations write the other fields one
-	// by one so that way 0's ord survives.
+	// ord, in way 0 only, is the set's recency list (see promote), kept
+	// in the host cache line the probe loads anyway. Fills and
+	// invalidations write the other fields one by one to preserve it.
 	ord uint8
 	_   uint8
 }
@@ -138,47 +136,39 @@ func (s *Stats) PollutionBy(c Class) uint64 {
 	return t
 }
 
-// Cache is one set-associative L1 cache (instruction or data). Lines
-// are stored flat (set-major): one bounds-checked slice index reaches
-// any set, with no per-set pointer chase on the hot path.
+// Ways is the associativity of every cache: the 603's and 604's L1s
+// are both 4-way (16 KB and 32 KB per side), so 4-way is the only
+// geometry built.
+const Ways = 4
+
+// Cache is one 4-way set-associative L1 cache (instruction or data).
+// One bounds-checked slice index reaches any set, with no per-set
+// pointer chase on the hot path.
 type Cache struct {
-	name  string
-	lines []line
-	// sets views lines as [4]line groups when the cache is 4-way (nil
-	// otherwise), for the run kernels: one bounds check reaches a set.
-	sets [][4]line
-	// lists holds each set's recency list when the cache is not 4-way
-	// (nil otherwise: a 4-way set keeps its list in way 0's ord).
-	lists     []uint32
-	ways      int
-	rankBits  uint // bits per rank in a recency list
+	name      string
+	sets      [][4]line
 	lineShift uint
 	setMask   uint32
 	stats     Stats
-	// hist is a 4-way run's victim histogram (see flushRun), zero
-	// between runs.
+	// hist is a run's victim histogram (see flushRun), zero between
+	// runs.
 	hist [16]uint64
 }
 
-// maxWays bounds the associativity so a recency list of 3-bit ranks
-// fits in a uint32.
-const maxWays = 8
-
-// New builds a cache of the given total size, associativity (at most
-// 8 ways) and line size. Size must be ways*lineSize*2^k for some k.
+// New builds a cache of the given total size, associativity and line
+// size. ways must be 4 and size 4*lineSize*2^k for some k.
 //
 //mmutricks:free construction happens outside any measured window
 func New(name string, size, ways, lineSize int) *Cache {
-	if size <= 0 || ways <= 0 || lineSize <= 0 {
+	if size <= 0 || lineSize <= 0 {
 		panic("cache: non-positive geometry")
 	}
-	if ways > maxWays {
-		panic(fmt.Sprintf("cache %s: %d ways exceeds the maximum of %d", name, ways, maxWays))
+	if ways != Ways {
+		panic(fmt.Sprintf("cache %s: %d ways (the cache is %d-way)", name, ways, Ways))
 	}
-	nlines := size / lineSize
-	nsets := nlines / ways
-	if nsets*ways*lineSize != size || nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: invalid geometry size=%d ways=%d line=%d", name, size, ways, lineSize))
+	nsets := size / lineSize / Ways
+	if nsets*Ways*lineSize != size || nsets&(nsets-1) != 0 {
+		panic(fmt.Sprintf("cache %s: invalid geometry size=%d line=%d", name, size, lineSize))
 	}
 	shift := uint(0)
 	for 1<<shift < lineSize {
@@ -186,16 +176,9 @@ func New(name string, size, ways, lineSize int) *Cache {
 	}
 	c := &Cache{
 		name:      name,
-		lines:     make([]line, nlines),
-		ways:      ways,
-		rankBits:  uint(bits.Len(uint(ways - 1))),
+		sets:      make([][4]line, nsets),
 		lineShift: shift,
 		setMask:   uint32(nsets - 1),
-	}
-	if ways == 4 {
-		c.sets = unsafe.Slice((*[4]line)(unsafe.Pointer(&c.lines[0])), nsets)
-	} else {
-		c.lists = make([]uint32, nsets)
 	}
 	c.InvalidateAll()
 	return c
@@ -205,16 +188,7 @@ func New(name string, size, ways, lineSize int) *Cache {
 func (c *Cache) Name() string { return c.name }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.lines) / c.ways }
-
-// setLines returns the ways of one set as a subslice of the flat array.
-func (c *Cache) setLines(set int) []line {
-	base := set * c.ways
-	return c.lines[base : base+c.ways]
-}
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
+func (c *Cache) Sets() int { return len(c.sets) }
 
 // LineSize returns the line size in bytes.
 func (c *Cache) LineSize() int { return 1 << c.lineShift }
@@ -239,9 +213,6 @@ func (c *Cache) index(pa arch.PhysAddr) (set int, tag uint32) {
 func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout bool) {
 	c.stats.Accesses[class]++
 	set, tag := c.index(pa)
-	if c.ways != 4 {
-		return c.accessOther(set, tag, class, write)
-	}
 	want := tag | lineKeyValid
 	q := &c.sets[set]
 	if wi := probe4(q, want); wi >= 0 {
@@ -253,23 +224,6 @@ func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout 
 	v, valid := fill4(q, want, class, dirtyOf(write))
 	c.evicted(v, valid, class)
 	return false, v&1 != 0
-}
-
-// accessOther is Access's probe and fill on the geometries other than
-// 4-way: the direct-mapped L2 and test caches. Keeping it out of Access
-// keeps the 4-way path's register pressure down.
-func (c *Cache) accessOther(set int, tag uint32, class Class, write bool) (hit, castout bool) {
-	want := tag | lineKeyValid
-	lines := c.setLines(set)
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i].dirty |= dirtyOf(write)
-			c.touch(set, i)
-			return true, false
-		}
-	}
-	c.stats.Misses[class]++
-	return false, c.fill(set, tag, class, write)
 }
 
 // AccessInhibited performs a cache-inhibited access: it never hits and
@@ -288,16 +242,10 @@ func (c *Cache) AccessInhibited(class Class) {
 func (c *Cache) AccessNoAlloc(pa arch.PhysAddr, class Class, write bool) (hit bool) {
 	c.stats.Accesses[class]++
 	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
-	for i := range lines {
-		if lines[i].key == want {
-			if write {
-				lines[i].dirty = 1
-			}
-			c.touch(set, i)
-			return true
-		}
+	q := &c.sets[set]
+	if w := probe4(q, tag|lineKeyValid); w >= 0 {
+		hit4(q, w&3, dirtyOf(write))
+		return true
 	}
 	c.stats.Misses[class]++
 	return false
@@ -313,14 +261,10 @@ func (c *Cache) AccessNoAlloc(pa arch.PhysAddr, class Class, write bool) (hit bo
 func (c *Cache) ZeroLine(pa arch.PhysAddr, class Class) (castout bool) {
 	c.stats.Accesses[class]++
 	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i].dirty = 1
-			c.touch(set, i)
-			return false
-		}
+	q := &c.sets[set]
+	if w := probe4(q, tag|lineKeyValid); w >= 0 {
+		hit4(q, w&3, 1)
+		return false
 	}
 	// Counts as an access but not a (latency-bearing) miss: the fill
 	// needs no memory read.
@@ -418,9 +362,8 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 // AccessRunCountMask is AccessRun without the per-miss records: cache
 // state and statistics advance identically, but only the miss and
 // castout counts come back. The machine layer uses it when the tracer
-// is off and there is no L2 — the per-miss fill costs are then
-// closed-form, so nothing downstream needs to know where the misses
-// fell, and the run needs no chunking to bound a scratch buffer.
+// is off: fill costs are then closed-form, so nothing needs to know
+// where the misses fell, and the run needs no scratch-buffer chunks.
 //
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
@@ -428,7 +371,7 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 }
 
 // accessRun is AccessRun and AccessRunCountMask: misses == nil counts
-// the misses without recording them. A 4-way run that stays on one line
+// the misses without recording them. A run that stays on one line
 // (a one-line fetch, a hash-table probe of one or two PTEs) is one
 // scalar Access. Otherwise a stride that is a multiple of the line size
 // puts each reference on a line of its own (the dominant shape: the
@@ -438,7 +381,7 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 // idle task's hash-table sweep): it touches every line from its first
 // to its last, each line ending dirty iff the run stores, so it is the
 // line run of step 1 over those lines. Any other run, which no caller
-// issues, is one Access per reference, as on the other geometries.
+// issues, is one Access per reference (accessEach).
 func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
 	if n <= 0 {
 		return 0, 0
@@ -449,10 +392,6 @@ func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 	var step uint32
 	var lines int
 	switch {
-	case c.ways != 4:
-		// Both L1s are 4-way and the direct-mapped L2 takes only scalar
-		// Access, so only test geometries get here.
-		return c.accessEach(pa, n, stride, class, st, misses)
 	case last == la:
 		// The run stays on one line: its first reference is a scalar
 		// Access that stores iff any reference does, and the rest hit.
@@ -533,7 +472,7 @@ func (c *Cache) accessEach(pa arch.PhysAddr, n, stride int, class Class, st Stor
 // counter updates are the hottest stores in the simulator, and most
 // runs (short kernel-text fetches) miss nowhere and flush nothing.
 
-// lineRun finishes a 4-way run whose references each land on a line of
+// lineRun finishes a run whose references each land on a line of
 // their own, line address la onward by step lines, reference k storing
 // iff lane k of sl is set, from reference i, which hitRun found
 // missing. The misses are recorded in misses unless it is nil.
@@ -629,7 +568,7 @@ func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int, castouts 
 	return n, castouts
 }
 
-// flushRun adds a 4-way run's misses, fills and victim histogram to the
+// flushRun adds a run's misses, fills and victim histogram to the
 // statistics, clears the histogram, and returns the run's castout
 // count.
 func (c *Cache) flushRun(class Class, nmiss int) (ncast int) {
@@ -666,19 +605,9 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, s
 		}
 		var dirty uint8
 		dirty, sl = sl.take(k)
-		set := int(la & c.setMask)
-		lines := c.setLines(set)
-		want := la | lineKeyValid
-		way := -1
-		for w := range lines {
-			if lines[w].key == want {
-				way = w
-				break
-			}
-		}
-		if way >= 0 {
-			lines[way].dirty |= dirty
-			c.touch(set, way)
+		q := &c.sets[la&c.setMask]
+		if w := probe4(q, la|lineKeyValid); w >= 0 {
+			hit4(q, w&3, dirty)
 		} else {
 			c.stats.Misses[class] += uint64(k)
 			for j := 0; j < k; j++ {
@@ -720,13 +649,10 @@ func (c *Cache) AccessInhibitedN(class Class, n int) {
 //mmutricks:free prefetch latency overlaps; machine.Prefetch charges the issue cost
 func (c *Cache) Prefetch(pa arch.PhysAddr, class Class) (filled bool) {
 	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
-	for i := range lines {
-		if lines[i].key == want {
-			c.touch(set, i)
-			return false
-		}
+	q := &c.sets[set]
+	if w := probe4(q, tag|lineKeyValid); w >= 0 {
+		hit4(q, w&3, 0)
+		return false
 	}
 	c.install(set, tag, class, false)
 	return true
@@ -738,13 +664,10 @@ func (c *Cache) Prefetch(pa arch.PhysAddr, class Class) (filled bool) {
 //mmutricks:free deliberately uncounted warm-up, outside the measured window
 func (c *Cache) Touch(pa arch.PhysAddr, class Class) {
 	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
-	for i := range lines {
-		if lines[i].key == want {
-			c.touch(set, i)
-			return
-		}
+	q := &c.sets[set]
+	if w := probe4(q, tag|lineKeyValid); w >= 0 {
+		hit4(q, w&3, 0)
+		return
 	}
 	c.install(set, tag, class, false)
 }
@@ -807,97 +730,42 @@ func dirtyOf(write bool) uint8 {
 }
 
 // install is the fill of the one-line paths outside Access (ZeroLine,
-// Prefetch, Touch): fill4 on a 4-way cache, fill on any other. It
-// reports whether the victim was dirty.
+// Prefetch, Touch). It reports whether the victim was dirty.
 func (c *Cache) install(set int, tag uint32, class Class, write bool) (castout bool) {
-	if c.ways != 4 {
-		return c.fill(set, tag, class, write)
-	}
 	c.stats.Fills[class]++
 	v, valid := fill4(&c.sets[set], tag|lineKeyValid, class, dirtyOf(write))
 	c.evicted(v, valid, class)
 	return v&1 != 0
 }
 
-// fill installs a line as the set's most recently used, replacing the
-// way at rank 0 of its recency list. It reports whether the victim was
-// dirty (requiring a writeback). It serves the geometries other than
-// 4-way (the direct-mapped L2 and test caches); every 4-way path fills
-// through fill4.
-func (c *Cache) fill(set int, tag uint32, class Class, write bool) (castout bool) {
-	c.stats.Fills[class]++
-	lines := c.setLines(set)
-	l := c.list(set)
-	vi := int(l & (1<<c.rankBits - 1))
-	v := &lines[vi]
-	if v.key&lineKeyValid != 0 {
-		c.stats.EvictedBy[v.class][class]++
-		castout = v.dirty != 0
-		if castout {
-			c.stats.Castouts[v.class]++
-		}
-	}
-	v.key, v.class, v.dirty = tag|lineKeyValid, uint8(class), dirtyOf(write)
-	c.setList(set, l>>c.rankBits|uint32(vi)<<(c.rankBits*uint(c.ways-1)))
-	return castout
-}
+// Recency. Each set keeps a recency list in way 0's ord, one byte of
+// four 2-bit ranks, so it shares the host cache line the probe has just
+// loaded: rank r names the way that is r-th least recently used, rank 0
+// in the low bits. Invalid ways sit at the lowest ranks in ascending
+// way order, so rank 0 is the replacement rule in one field: the first
+// invalid way, or, in a full set, the least recently used one. A fill
+// shifts rank 0 out and its way in at the top (fill4); a hit moves its
+// way to the top (hit4, one touchTab lookup); an invalidation sinks its
+// way among the invalid ones (sink).
 
-// Recency. Each set keeps a recency list: rank r names the way that is
-// r-th least recently used, c.rankBits bits per rank, rank 0 in the low
-// bits. Invalid ways sit at the lowest ranks in ascending way order, so
-// rank 0 is the replacement rule in one field: the first invalid way,
-// or, in a full set, the least recently used one. A fill shifts rank 0
-// out and its way in at the top; a hit moves its way to the top; an
-// invalidation sinks its way among the invalid ones.
-//
-// A 4-way set's list is one byte of four 2-bit ranks in way 0's ord, so
-// it shares the host cache line the probe has just loaded, and a hit is
-// one touchTab lookup. Other geometries (the direct-mapped L2, test
-// caches) keep their lists in c.lists.
+// emptyOrd is an empty set's recency list: ways 0 to 3 from rank 0 up.
+const emptyOrd = 3<<6 | 2<<4 | 1<<2
 
-// list returns set's recency list.
-func (c *Cache) list(set int) uint32 {
-	if c.lists == nil {
-		return uint32(c.lines[set*4].ord)
-	}
-	return c.lists[set]
-}
-
-// setList replaces set's recency list.
-func (c *Cache) setList(set int, l uint32) {
-	if c.lists == nil {
-		c.lines[set*4].ord = uint8(l)
-		return
-	}
-	c.lists[set] = l
-}
-
-// touch makes way the most recently used of set.
-func (c *Cache) touch(set, way int) {
-	if c.lists == nil {
-		o := &c.lines[set*4].ord
-		*o = touchTab[*o][way&3]
-		return
-	}
-	c.lists[set] = promote(c.lists[set], way, c.ways, c.rankBits)
-}
-
-// promote returns the list l of k ways, b bits per rank, with way w
-// moved to the top rank and the ranks above it shifted down one.
-func promote(l uint32, w, k int, b uint) uint32 {
-	m := uint32(1)<<b - 1
+// promote returns the recency list l with way w moved to the top rank
+// and the ranks above it shifted down one.
+func promote(l uint8, w int) uint8 {
 	r := uint(0)
-	for r < uint(k-1) && l>>(r*b)&m != uint32(w) {
+	for r < 3 && int(l>>(2*r)&3) != w {
 		r++
 	}
-	return l&(1<<(r*b)-1) | l>>((r+1)*b)<<(r*b) | uint32(w)<<(uint(k-1)*b)
+	return l&(1<<(2*r)-1) | l>>(2*(r+1))<<(2*r) | uint8(w)<<6
 }
 
-// touchTab[o][w] is promote(o, w, 4, 2): a 4-way hit's list update.
+// touchTab[o][w] is promote(o, w): a hit's list update.
 var touchTab = func() (t [256][4]uint8) {
 	for o := range t {
 		for w := range t[o] {
-			t[o][w] = uint8(promote(uint32(o), w, 4, 2))
+			t[o][w] = promote(uint8(o), w)
 		}
 	}
 	return t
@@ -906,43 +774,30 @@ var touchTab = func() (t [256][4]uint8) {
 // sink returns set's list with way w, just invalidated, moved down to
 // its place among the invalid ways: above those with a lower index,
 // below every other way.
-func (c *Cache) sink(set, w int) uint32 {
-	b, top := c.rankBits, c.rankBits*uint(c.ways-1)
-	rest := promote(c.list(set), w, c.ways, b) & (1<<top - 1)
+func (c *Cache) sink(set, w int) uint8 {
+	q := &c.sets[set]
+	rest := promote(q[0].ord, w) & (1<<6 - 1)
 	p := uint(0)
-	for _, l := range c.setLines(set)[:w] {
+	for _, l := range q[:w] {
 		if l.key&lineKeyValid == 0 {
 			p++
 		}
 	}
-	return rest&(1<<(p*b)-1) | uint32(w)<<(p*b) | rest>>(p*b)<<((p+1)*b)
+	return rest&(1<<(2*p)-1) | uint8(w)<<(2*p) | rest>>(2*p)<<(2*p+2)
 }
 
 // Contains reports whether the line holding pa is currently resident.
 func (c *Cache) Contains(pa arch.PhysAddr) bool {
 	set, tag := c.index(pa)
-	want := tag | lineKeyValid
-	for _, l := range c.setLines(set) {
-		if l.key == want {
-			return true
-		}
-	}
-	return false
+	return probe4(&c.sets[set], tag|lineKeyValid) >= 0
 }
 
 // InvalidateAll empties the cache (used at machine reset).
 //
 //mmutricks:free machine reset happens outside any measured window
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	var id uint32
-	for w := 0; w < c.ways; w++ {
-		id |= uint32(w) << (uint(w) * c.rankBits)
-	}
-	for set := 0; set < c.Sets(); set++ {
-		c.setList(set, id)
+	for i := range c.sets {
+		c.sets[i] = [4]line{{ord: emptyOrd}}
 	}
 }
 
@@ -962,11 +817,11 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) CorruptCleanLine(rnd uint64, avoid arch.PhysAddr) (victim arch.PhysAddr, ok bool) {
 	avoidKey := (uint32(avoid) >> c.lineShift) | lineKeyValid
 	start := uint32(rnd) & c.setMask
-	for i := 0; i < c.Sets(); i++ {
-		set := c.setLines(int((start + uint32(i)) & c.setMask))
-		for j := range set {
-			if set[j].key&lineKeyValid != 0 && set[j].dirty == 0 && set[j].key != avoidKey {
-				return arch.PhysAddr(set[j].key&^lineKeyValid) << c.lineShift, true
+	for i := range c.sets {
+		q := &c.sets[(start+uint32(i))&c.setMask]
+		for _, l := range q {
+			if l.key&lineKeyValid != 0 && l.dirty == 0 && l.key != avoidKey {
+				return arch.PhysAddr(l.key&^lineKeyValid) << c.lineShift, true
 			}
 		}
 	}
@@ -980,25 +835,25 @@ func (c *Cache) CorruptCleanLine(rnd uint64, avoid arch.PhysAddr) (victim arch.P
 //mmutricks:free the caller (the machine-check handler) charges the repair
 func (c *Cache) InvalidateLine(pa arch.PhysAddr) bool {
 	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i].key, lines[i].class, lines[i].dirty = 0, 0, 0
-			c.setList(set, c.sink(set, i))
-			return true
-		}
+	q := &c.sets[set]
+	w := probe4(q, tag|lineKeyValid)
+	if w < 0 {
+		return false
 	}
-	return false
+	q[w&3].key, q[w&3].class, q[w&3].dirty = 0, 0, 0
+	q[0].ord = c.sink(set, w&3)
+	return true
 }
 
 // Residency counts resident lines per class — a snapshot of who owns
 // the cache, used by the §9 analysis.
 func (c *Cache) Residency() map[Class]int {
 	m := make(map[Class]int)
-	for i := range c.lines {
-		if c.lines[i].key&lineKeyValid != 0 {
-			m[Class(c.lines[i].class)]++
+	for i := range c.sets {
+		for _, l := range c.sets[i] {
+			if l.key&lineKeyValid != 0 {
+				m[Class(l.class)]++
+			}
 		}
 	}
 	return m
@@ -1007,9 +862,11 @@ func (c *Cache) Residency() map[Class]int {
 // DirtyLines counts resident dirty lines — pending writebacks.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].key&lineKeyValid != 0 && c.lines[i].dirty != 0 {
-			n++
+	for i := range c.sets {
+		for _, l := range c.sets[i] {
+			if l.key&lineKeyValid != 0 && l.dirty != 0 {
+				n++
+			}
 		}
 	}
 	return n

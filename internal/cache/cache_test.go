@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -20,24 +22,28 @@ func mk(t *testing.T) *Cache {
 
 func TestGeometry(t *testing.T) {
 	c := mk(t)
-	if c.Sets() != 128 || c.Ways() != 4 || c.LineSize() != 32 {
-		t.Fatalf("geometry: sets=%d ways=%d line=%d", c.Sets(), c.Ways(), c.LineSize())
+	if c.Sets() != 128 || c.LineSize() != 32 {
+		t.Fatalf("geometry: sets=%d line=%d", c.Sets(), c.LineSize())
 	}
 	if c.Name() != "D" {
 		t.Fatalf("name = %q", c.Name())
 	}
 }
 
+// TestBadGeometryPanics: an inconsistent geometry panics, and so do the
+// last three rows, consistent 1-, 2- and 8-way geometries, with a
+// message naming the 4-way cache, the only geometry built.
 func TestBadGeometryPanics(t *testing.T) {
-	for _, g := range [][3]int{{0, 4, 32}, {16384, 0, 32}, {16384, 4, 0}, {16384, 3, 32}, {100, 4, 32}} {
-		func() {
+	for _, g := range [][3]int{{0, 4, 32}, {16384, 0, 32}, {16384, 4, 0}, {16384, 3, 32}, {100, 4, 32}, {2048, 1, 32}, {4096, 2, 32}, {16384, 8, 32}} {
+		t.Run(fmt.Sprintf("size=%d/ways=%d/line=%d", g[0], g[1], g[2]), func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%v) should panic", g)
+				r := recover()
+				if msg, _ := r.(string); r == nil || g[1] != Ways && !strings.Contains(msg, "4-way") {
+					t.Errorf("New(%v) panicked with %v; want a panic, naming the 4-way cache when ways is not 4", g, r)
 				}
 			}()
 			New("x", g[0], g[1], g[2])
-		}()
+		})
 	}
 }
 
@@ -174,7 +180,7 @@ func TestMissRate(t *testing.T) {
 }
 
 func TestSameLineAlwaysHitsAfterFill(t *testing.T) {
-	c := New("q", 4096, 2, 32)
+	c := New("q", 4096, 4, 32)
 	f := func(pa arch.PhysAddr, off uint8) bool {
 		acc(c, pa, ClassUser)
 		// Any address on the same line must now hit.
@@ -187,7 +193,7 @@ func TestSameLineAlwaysHitsAfterFill(t *testing.T) {
 }
 
 func TestResidencyNeverExceedsCapacity(t *testing.T) {
-	c := New("q", 4096, 2, 32) // 128 lines
+	c := New("q", 4096, 4, 32) // 128 lines
 	f := func(addrs []uint32) bool {
 		for _, a := range addrs {
 			acc(c, arch.PhysAddr(a), ClassUser)

@@ -11,7 +11,7 @@ import (
 func FuzzAccessSequence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 128})
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		c := New("fz", 4096, 2, 32) // 128 lines
+		c := New("fz", 4096, 4, 32) // 128 lines
 		dirty := 0
 		for i := 0; i+4 < len(stream); i += 5 {
 			pa := uint32(stream[i])<<16 | uint32(stream[i+1])<<8 | uint32(stream[i+2])

@@ -11,19 +11,19 @@ import (
 // rankList decodes set's recency list: the way at each rank, least
 // recently used first.
 func rankList(c *Cache, set int) []int {
-	l, m := c.list(set), uint32(1)<<c.rankBits-1
-	r := make([]int, c.ways)
+	l := c.sets[set][0].ord
+	r := make([]int, Ways)
 	for i := range r {
-		r[i] = int(l >> (uint(i) * c.rankBits) & m)
+		r[i] = int(l >> (2 * i) & 3)
 	}
 	return r
 }
 
 // encodeRanks is rankList's inverse.
-func encodeRanks(c *Cache, r []int) uint32 {
-	var l uint32
+func encodeRanks(r []int) uint8 {
+	var l uint8
 	for i, w := range r {
-		l |= uint32(w) << (uint(i) * c.rankBits)
+		l |= uint8(w) << (2 * i)
 	}
 	return l
 }
@@ -41,92 +41,91 @@ func permutations(ws []int, f func([]int)) {
 	}
 }
 
-// TestRecencyExhaustive puts a one-set cache of each geometry into every
-// state the recency invariant allows — every validity mask, and every
+// TestRecencyExhaustive puts a one-set cache into every state the
+// recency invariant allows — every validity mask, and every
 // recency order of the valid ways above the invalid ones in ascending
 // way order — and holds a fill, a hit on each valid way and an
 // invalidation of each valid way to a naive least-recent-first list:
 // the fill replaces the first invalid way, else the least recent one,
 // and every operation leaves the list the naive list predicts.
 func TestRecencyExhaustive(t *testing.T) {
-	for _, ways := range []int{1, 2, 4, 8} {
-		c := New("x", ways*32, ways, 32)
-		pa := func(w int) arch.PhysAddr { return arch.PhysAddr(w+1) << 5 }
-		var states int
-		for valid := 0; valid < 1<<ways; valid++ {
-			var invalid, resident []int
-			for w := 0; w < ways; w++ {
-				if valid>>w&1 != 0 {
-					resident = append(resident, w)
-				} else {
-					invalid = append(invalid, w)
+	c := New("x", Ways*32, Ways, 32)
+	q := &c.sets[0]
+	pa := func(w int) arch.PhysAddr { return arch.PhysAddr(w+1) << 5 }
+	var states int
+	for valid := 0; valid < 1<<Ways; valid++ {
+		var invalid, resident []int
+		for w := 0; w < Ways; w++ {
+			if valid>>w&1 != 0 {
+				resident = append(resident, w)
+			} else {
+				invalid = append(invalid, w)
+			}
+		}
+		permutations(resident, func(perm []int) {
+			states++
+			naive := append(append([]int(nil), invalid...), perm...)
+			load := func() {
+				for w := range q {
+					q[w].key, q[w].class, q[w].dirty = 0, 0, 0
+					if valid>>w&1 != 0 {
+						q[w].key = uint32(pa(w))>>5 | lineKeyValid
+						q[w].class, q[w].dirty = uint8(w%int(numClasses)), uint8(w&1)
+					}
+				}
+				q[0].ord = encodeRanks(naive)
+			}
+			expect := func(op string, w int, want []int) {
+				t.Helper()
+				if got := q[0].ord; got != encodeRanks(want) {
+					t.Fatalf("valid %b, ranks %v: after the %s on way %d, ranks %v, want %v",
+						valid, naive, op, w, rankList(c, 0), want)
 				}
 			}
-			permutations(resident, func(perm []int) {
-				states++
-				naive := append(append([]int(nil), invalid...), perm...)
-				load := func() {
-					for w := range c.lines {
-						c.lines[w].key, c.lines[w].class, c.lines[w].dirty = 0, 0, 0
-						if valid>>w&1 != 0 {
-							c.lines[w].key = uint32(pa(w))>>5 | lineKeyValid
-							c.lines[w].class, c.lines[w].dirty = uint8(w%int(numClasses)), uint8(w&1)
-						}
-					}
-					c.setList(0, encodeRanks(c, naive))
+			toTop := func(w int) []int {
+				r := slices.DeleteFunc(slices.Clone(naive), func(x int) bool { return x == w })
+				return append(r, w)
+			}
+
+			load()
+			victim := -1
+			for w := 0; w < Ways && victim < 0; w++ {
+				if valid>>w&1 == 0 {
+					victim = w
 				}
-				expect := func(op string, w int, want []int) {
-					t.Helper()
-					if got := c.list(0); got != encodeRanks(c, want) {
-						t.Fatalf("%d-way, valid %b, ranks %v: after the %s on way %d, ranks %v, want %v",
-							ways, valid, naive, op, w, rankList(c, 0), want)
-					}
+			}
+			if victim < 0 {
+				victim = perm[0]
+			}
+			if hit, castout := c.Access(0x4000, ClassUser, false); hit || castout != (valid>>victim&1 != 0 && victim&1 != 0) {
+				t.Fatalf("valid %b, ranks %v: fill = (hit %v, castout %v), victim way %d", valid, naive, hit, castout, victim)
+			}
+			if q[victim].key != 0x4000>>5|lineKeyValid {
+				t.Fatalf("valid %b, ranks %v: fill missed way %d", valid, naive, victim)
+			}
+			expect("fill", victim, toTop(victim))
+
+			for _, w := range perm {
+				load()
+				if hit, _ := c.Access(pa(w), ClassUser, false); !hit {
+					t.Fatalf("valid %b: way %d does not hit", valid, w)
 				}
-				toTop := func(w int) []int {
-					r := slices.DeleteFunc(slices.Clone(naive), func(x int) bool { return x == w })
-					return append(r, w)
-				}
+				expect("hit", w, toTop(w))
 
 				load()
-				victim := -1
-				for w := 0; w < ways && victim < 0; w++ {
-					if valid>>w&1 == 0 {
-						victim = w
-					}
+				if !c.InvalidateLine(pa(w)) {
+					t.Fatalf("valid %b: way %d not invalidated", valid, w)
 				}
-				if victim < 0 {
-					victim = perm[0]
-				}
-				if hit, castout := c.Access(0x4000, ClassUser, false); hit || castout != (valid>>victim&1 != 0 && victim&1 != 0) {
-					t.Fatalf("%d-way, valid %b, ranks %v: fill = (hit %v, castout %v), victim way %d", ways, valid, naive, hit, castout, victim)
-				}
-				if c.lines[victim].key != 0x4000>>5|lineKeyValid {
-					t.Fatalf("%d-way, valid %b, ranks %v: fill missed way %d", ways, valid, naive, victim)
-				}
-				expect("fill", victim, toTop(victim))
-
-				for _, w := range perm {
-					load()
-					if hit, _ := c.Access(pa(w), ClassUser, false); !hit {
-						t.Fatalf("%d-way, valid %b: way %d does not hit", ways, valid, w)
-					}
-					expect("hit", w, toTop(w))
-
-					load()
-					if !c.InvalidateLine(pa(w)) {
-						t.Fatalf("%d-way, valid %b: way %d not invalidated", ways, valid, w)
-					}
-					inv := append(slices.Clone(invalid), w)
-					slices.Sort(inv)
-					rest := slices.DeleteFunc(slices.Clone(perm), func(x int) bool { return x == w })
-					expect("invalidation", w, append(inv, rest...))
-				}
-			})
-		}
-		// Σ over validity masks of (valid ways)!: 2, 5, 65, 109601.
-		if want := map[int]int{1: 2, 2: 5, 4: 65, 8: 109601}[ways]; states != want {
-			t.Fatalf("%d-way: %d states, want %d", ways, states, want)
-		}
+				inv := append(slices.Clone(invalid), w)
+				slices.Sort(inv)
+				rest := slices.DeleteFunc(slices.Clone(perm), func(x int) bool { return x == w })
+				expect("invalidation", w, append(inv, rest...))
+			}
+		})
+	}
+	// Σ over validity masks of (valid ways)!.
+	if states != 65 {
+		t.Fatalf("%d states, want 65", states)
 	}
 }
 
@@ -207,9 +206,9 @@ func sameAsModel(t *testing.T, c *Cache, m *lruModel) {
 		t.Fatalf("stats diverge:\ncache %+v\nmodel %+v", *c.Stats(), m.stats)
 	}
 	for s := range m.sets {
-		lines, ranks := c.setLines(s), rankList(c, s)
+		lines, ranks := &c.sets[s], rankList(c, s)
 		want := m.sets[s]
-		ninv := c.ways - len(want)
+		ninv := Ways - len(want)
 		for i, w := range ranks {
 			l := lines[w]
 			if i < ninv {
@@ -218,7 +217,7 @@ func sameAsModel(t *testing.T, c *Cache, m *lruModel) {
 				}
 				continue
 			}
-			x := want[c.ways-1-i]
+			x := want[Ways-1-i]
 			if l.key != x.tag|lineKeyValid || Class(l.class) != x.class || (l.dirty != 0) != x.dirty {
 				t.Fatalf("set %d ranks %v, rank %d (way %d): cache has key %#x class %v dirty %d, model %+v",
 					s, ranks, i, w, l.key, Class(l.class), l.dirty, x)
@@ -234,12 +233,13 @@ func sameAsModel(t *testing.T, c *Cache, m *lruModel) {
 // 16, the last, is entry 8 alone.
 var oracleStrides = []int{4, 8, 12, 20, 32, 64, 96, 256, 16}
 
-// oracleGeoms are FuzzLRUOracle's caches: the 4-way L1 shape, the
-// direct-mapped L2 shape, and the 2- and 8-way test geometries, each
-// holding half or a quarter of the 2 KB working set.
-var oracleGeoms = []struct{ ways, sets int }{{4, 8}, {1, 16}, {2, 8}, {8, 4}}
+// oracleGeoms are FuzzLRUOracle's caches: 4-way, of 8, 4, 2 and 1
+// sets, holding a half, a quarter, an eighth and a sixteenth of the
+// 2 KB working set. The one-set cache has no index bits: every line
+// competes for the same four ways.
+var oracleGeoms = []struct{ ways, sets int }{{4, 8}, {4, 4}, {4, 2}, {4, 1}}
 
-// FuzzLRUOracle drives small caches of every geometry in oracleGeoms
+// FuzzLRUOracle drives small caches of every size in oracleGeoms
 // with one stream of random Access, AccessRun, AccessRunCountMask,
 // InvalidateLine and CorruptCleanLine operations, six bytes each, and
 // checks every result and the whole cache state after every operation
@@ -319,7 +319,7 @@ func FuzzLRUOracle(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, g := range oracleGeoms {
-			t.Run(fmt.Sprintf("%d-way", g.ways), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%d-way-%d-sets", g.ways, g.sets), func(t *testing.T) {
 				c := New("lru", g.sets*g.ways<<oracleLineShift, g.ways, 1<<oracleLineShift)
 				runOracle(t, c, newLRUModel(g.ways, g.sets), ops)
 			})

@@ -12,7 +12,7 @@ import (
 
 // AccessRunCount is the harness's hottest function: it must agree with
 // the scalar Access loop on every statistic and every line of cache
-// state, for any alignment, stride, geometry, and store mask.
+// state, for any alignment, stride, cache size, and store mask.
 // scalarCount is the ground truth.
 func scalarCount(c *Cache, pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
 	for i := 0; i < n; i++ {
@@ -28,43 +28,43 @@ func scalarCount(c *Cache, pa arch.PhysAddr, n, stride int, class Class, st Stor
 }
 
 type runCase struct {
-	name             string
-	size, ways, line int
-	pa               arch.PhysAddr
-	n, stride        int
-	st               Stores
+	name       string
+	size, line int
+	pa         arch.PhysAddr
+	n, stride  int
+	st         Stores
 }
 
 var runCases = []runCase{
-	{"aligned line stride", 16 << 10, 4, 32, 0x10000, 4096, 32, NoStores},
-	{"aligned write stream", 16 << 10, 4, 32, 0x10000, 4096, 32, AllStores},
-	{"aligned wide stride", 32 << 10, 4, 32, 0x8000, 1024, 128, AllStores},
-	{"unaligned base", 16 << 10, 4, 32, 0x10004, 2048, 32, NoStores},
-	{"sub-line stride", 16 << 10, 4, 32, 0x10000, 5000, 8, AllStores},
-	{"sub-line unaligned", 32 << 10, 4, 32, 0x10006, 3000, 12, NoStores},
-	{"single reference", 16 << 10, 4, 32, 0x2000, 1, 4, AllStores},
-	{"2-way geometry", 16 << 10, 2, 32, 0x10000, 2048, 32, AllStores},
-	{"8-way geometry", 16 << 10, 8, 32, 0x10000, 2048, 32, NoStores},
-	{"mixed aligned", 16 << 10, 4, 32, 0x10000, 4099, 32, 0x8},
-	{"mixed unaligned", 16 << 10, 4, 32, 0x10006, 2050, 32, 0x2},
-	{"mixed sub-line", 16 << 10, 4, 32, 0x10000, 5001, 8, 0x8},
-	{"mixed sub-line unaligned", 32 << 10, 4, 32, 0x10006, 3001, 12, 0x5},
-	{"mixed word stride", 16 << 10, 4, 32, 0x10004, 4000, 4, 0x1},
-	{"mixed 2-way", 16 << 10, 2, 32, 0x10000, 2049, 32, 0x8},
-	{"mixed 8-way sub-line", 16 << 10, 8, 32, 0x10002, 3000, 20, 0x6},
-	{"descending line stride", 16 << 10, 4, 32, 0x40000, 600, -32, 0x8},
-	{"descending unaligned", 32 << 10, 4, 32, 0x40014, 600, -64, AllStores},
-	{"uniform PTE sweep", 32 << 10, 4, 32, 0x10000, 64, 8, NoStores},
-	{"uniform PTE stores unaligned", 16 << 10, 4, 32, 0x10014, 50, 8, AllStores},
-	{"uniform half-line unaligned", 16 << 10, 4, 32, 0x1001c, 9, 16, NoStores},
-	{"uniform half-line stores", 32 << 10, 4, 32, 0x10010, 700, 16, AllStores},
+	{"aligned line stride", 16 << 10, 32, 0x10000, 4096, 32, NoStores},
+	{"aligned write stream", 16 << 10, 32, 0x10000, 4096, 32, AllStores},
+	{"aligned wide stride", 32 << 10, 32, 0x8000, 1024, 128, AllStores},
+	{"unaligned base", 16 << 10, 32, 0x10004, 2048, 32, NoStores},
+	{"sub-line stride", 16 << 10, 32, 0x10000, 5000, 8, AllStores},
+	{"sub-line unaligned", 32 << 10, 32, 0x10006, 3000, 12, NoStores},
+	{"single reference", 16 << 10, 32, 0x2000, 1, 4, AllStores},
+	{"half-span write stream", 16 << 10, 32, 0x10000, 2048, 32, AllStores},
+	{"half-span line stride", 16 << 10, 32, 0x10000, 2048, 32, NoStores},
+	{"mixed aligned", 16 << 10, 32, 0x10000, 4099, 32, 0x8},
+	{"mixed unaligned", 16 << 10, 32, 0x10006, 2050, 32, 0x2},
+	{"mixed sub-line", 16 << 10, 32, 0x10000, 5001, 8, 0x8},
+	{"mixed sub-line unaligned", 32 << 10, 32, 0x10006, 3001, 12, 0x5},
+	{"mixed word stride", 16 << 10, 32, 0x10004, 4000, 4, 0x1},
+	{"mixed half-span", 16 << 10, 32, 0x10000, 2049, 32, 0x8},
+	{"mixed odd sub-line", 16 << 10, 32, 0x10002, 3000, 20, 0x6},
+	{"descending line stride", 16 << 10, 32, 0x40000, 600, -32, 0x8},
+	{"descending unaligned", 32 << 10, 32, 0x40014, 600, -64, AllStores},
+	{"uniform PTE sweep", 32 << 10, 32, 0x10000, 64, 8, NoStores},
+	{"uniform PTE stores unaligned", 16 << 10, 32, 0x10014, 50, 8, AllStores},
+	{"uniform half-line unaligned", 16 << 10, 32, 0x1001c, 9, 16, NoStores},
+	{"uniform half-line stores", 32 << 10, 32, 0x10010, 700, 16, AllStores},
 }
 
 // warmTwins gives both caches the same warm, partly dirty contents, so
 // eviction and castout paths run.
 func warmTwins(tc runCase) (run, scalar *Cache) {
-	run = New("run", tc.size, tc.ways, tc.line)
-	scalar = New("scalar", tc.size, tc.ways, tc.line)
+	run = New("run", tc.size, Ways, tc.line)
+	scalar = New("scalar", tc.size, Ways, tc.line)
 	for _, c := range []*Cache{run, scalar} {
 		for i := 0; i < 4096; i++ {
 			c.Access(arch.PhysAddr(i*tc.line), ClassKernelData, i%3 == 0)
@@ -80,14 +80,12 @@ func sameState(t *testing.T, cr, cs *Cache) {
 	if *cr.Stats() != *cs.Stats() {
 		t.Fatalf("stats diverge:\nrun    %+v\nscalar %+v", *cr.Stats(), *cs.Stats())
 	}
-	for s := 0; s < cr.Sets(); s++ {
-		if cr.list(s) != cs.list(s) {
+	for s := range cr.sets {
+		if cr.sets[s][0].ord != cs.sets[s][0].ord {
 			t.Fatalf("set %d recency diverges: run %v, scalar %v", s, rankList(cr, s), rankList(cs, s))
 		}
-	}
-	for i := range cr.lines {
-		if cr.lines[i] != cs.lines[i] {
-			t.Fatalf("line %d diverges: run %+v, scalar %+v", i, cr.lines[i], cs.lines[i])
+		if cr.sets[s] != cs.sets[s] {
+			t.Fatalf("set %d diverges: run %+v, scalar %+v", s, cr.sets[s], cs.sets[s])
 		}
 	}
 }
@@ -131,7 +129,7 @@ func TestAccessRunCountMatchesScalar(t *testing.T) {
 	}
 }
 
-// AccessRun and AccessNoAllocRun (the tracer/L2 and locked routes) must
+// AccessRun and AccessNoAllocRun (the traced and locked routes) must
 // record each miss at the reference the scalar loop misses on.
 func TestAccessRunMissesMatchScalar(t *testing.T) {
 	for _, tc := range runCases {
@@ -185,7 +183,7 @@ func runLines(pa arch.PhysAddr, n, stride, line int) []arch.PhysAddr {
 // from a region no run below touches, so that a run's fills evict clean
 // and dirty victims.
 func fillAway(c *Cache) {
-	for i := 0; i < 2*len(c.lines); i++ {
+	for i := 0; i < 2*Ways*len(c.sets); i++ {
 		c.Access(0x400000+arch.PhysAddr(i)<<c.lineShift, Class(i%int(numClasses)), i%2 == 1)
 	}
 }
@@ -261,7 +259,7 @@ func TestRunKernelHandOff(t *testing.T) {
 					}
 					warm := res.mask(len(lines))
 					for _, c := range []*Cache{cr, cs} {
-						copy(c.lines, base.lines)
+						copy(c.sets, base.sets)
 						makeResident(c, lines, warm)
 						c.ResetStats()
 					}
@@ -294,7 +292,7 @@ func TestRunKernelHandOff(t *testing.T) {
 					if rm != len(want) || rc != sc {
 						t.Fatalf("%s: run (%d misses, %d castouts), scalar (%d, %d)", name(), rm, rc, len(want), sc)
 					}
-					if *cr.Stats() != *cs.Stats() || !slices.Equal(cr.lines, cs.lines) {
+					if *cr.Stats() != *cs.Stats() || !slices.Equal(cr.sets, cs.sets) {
 						t.Fatalf("%s: cache state diverges from the scalar loop", name())
 					}
 				}
@@ -318,10 +316,10 @@ func TestStoresRotation(t *testing.T) {
 	}
 }
 
-// FuzzAccessRunCountParity drives random batched runs over random
-// geometries and store masks, checking that batched counts never
-// deviate from the scalar loop and the final cache state is
-// bit-identical. A nonzero resident starts both caches full
+// FuzzAccessRunCountParity drives random batched runs over the 603's
+// and the 604's L1 sizes (geom/3 even or odd) and random store masks,
+// checking that batched counts never deviate from the scalar loop and
+// the final cache state is bit-identical. A nonzero resident starts both caches full
 // (fillAway), with the run's j-th line resident for each bit j set.
 func FuzzAccessRunCountParity(f *testing.F) {
 	f.Add(uint8(0), uint32(0x10000), uint16(512), uint8(32), uint8(AllStores), uint64(0))
@@ -348,12 +346,11 @@ func FuzzAccessRunCountParity(f *testing.F) {
 	f.Add(uint8(1), uint32(0x10000), uint16(6), uint8(15), uint8(AllStores), uint64(0x6))
 	f.Add(uint8(4), uint32(0x1001c), uint16(9), uint8(15), uint8(NoStores), uint64(0x9))
 	f.Fuzz(func(t *testing.T, geom uint8, pa uint32, n uint16, stride, stores uint8, resident uint64) {
-		ways := []int{2, 4, 8}[geom%3]
 		size := 16 << 10 << (geom / 3 % 2)
 		step := int(stride)%256 + 1
 		st := Stores(stores)
-		cr := New("run", size, ways, 32)
-		cs := New("scalar", size, ways, 32)
+		cr := New("run", size, Ways, 32)
+		cs := New("scalar", size, Ways, 32)
 		if resident != 0 {
 			lines := runLines(arch.PhysAddr(pa), min(int(n), 64*32), step, 32)
 			for _, c := range []*Cache{cr, cs} {

@@ -82,6 +82,9 @@ func TestExitCodes(t *testing.T) {
 		{"trace", "record", "-config", "fastest"},
 		{"trace", "record", "-workload", "nope"},
 		{"trace", "record", "-interval", "often"},
+		{"trace", "record", "-interval", "-1"},
+		{"trace", "record", "-capacity", "-1"},
+		{"trace", "dump", "-format", "xml", "missing.json"},
 		{"trace", "summarize", "a.json", "b.json"},
 		{"trace", "timeline"},
 		{"trace", "diff", "one.json"},

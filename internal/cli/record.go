@@ -137,6 +137,9 @@ func traceRecord(args []string, stdout, stderr io.Writer) int {
 	if code, ok := f.parse(args); !ok {
 		return code
 	}
+	if opts.Capacity < 0 || opts.SampleInterval < 0 {
+		return f.fail(exitcode.Usage, fmt.Errorf("-capacity %d, -interval %d: neither may be negative", opts.Capacity, opts.SampleInterval))
+	}
 	opts.Workload, opts.CPU, opts.Config, opts.Iters = *workload, *f.cpuName, *f.cfgName, *iters
 	rec, err := tracerec.Record(context.Background(), opts)
 	if errors.Is(err, tracerec.ErrUnknownWorkload) {
@@ -192,21 +195,25 @@ func (f *flagSet) load(args []string, n int) (recs []*tracerec.Recording, code i
 
 func traceDump(args []string, stdout, stderr io.Writer) int {
 	f := newFlags("mmu trace dump", stderr)
-	format := f.String("format", "jsonl", "output format: jsonl, chrome")
+	// The format is checked as the flag is parsed, before the recording
+	// is read, so a bad -format is a usage error whatever the file.
+	write := (*tracerec.Recording).WriteJSONL
+	f.Func("format", "output format: jsonl (the default) or chrome", func(s string) error {
+		switch s {
+		case "jsonl":
+			write = (*tracerec.Recording).WriteJSONL
+		case "chrome":
+			write = (*tracerec.Recording).WriteChromeTrace
+		default:
+			return fmt.Errorf("unknown dump format %q (want jsonl or chrome)", s)
+		}
+		return nil
+	})
 	recs, code, ok := f.load(args, 1)
 	if !ok {
 		return code
 	}
-	var err error
-	switch *format {
-	case "jsonl":
-		err = recs[0].WriteJSONL(stdout)
-	case "chrome":
-		err = recs[0].WriteChromeTrace(stdout)
-	default:
-		return f.fail(exitcode.Usage, fmt.Errorf("unknown dump format %q (want jsonl or chrome)", *format))
-	}
-	if err != nil {
+	if err := write(recs[0], stdout); err != nil {
 		return f.fail(exitcode.Internal, err)
 	}
 	return exitcode.OK

@@ -44,19 +44,16 @@ type CPUModel struct {
 	MHz int
 
 	// TLBEntries is the total TLB capacity: 128 on the 603, 256 on
-	// the 604 (§5.1).
+	// the 604 (§5.1). The TLB is 2-way on both (ppc.NewTLB).
 	TLBEntries int
-	// TLBWays is the set associativity of the TLB (2-way on both).
-	TLBWays int
 	// SplitTLB models the real parts' separate instruction/data TLBs
 	// (each of TLBEntries/2 entries) instead of the default unified
 	// model the paper's entry counts suggest. An ablation toggle.
 	SplitTLB bool
 
-	// L1Size and L1Ways describe each of the split I/D caches:
-	// 16 KB 4-way on the 603, 32 KB 4-way on the 604.
+	// L1Size is the size of each of the split I/D caches: 16 KB on
+	// the 603, 32 KB on the 604, both 4-way (cache.Ways).
 	L1Size int
-	L1Ways int
 	// LineSize is the cache line size in bytes (32 on both).
 	LineSize int
 
@@ -64,13 +61,6 @@ type CPUModel struct {
 	// memory. The paper notes the 604/200 machine had "significantly
 	// faster main memory and a better board design".
 	MemLatency int
-
-	// L2Size and L2Latency describe an optional unified board-level L2
-	// cache (the PowerMac 9500 shipped with 512 KB). Zero size means
-	// none — the default, which is what the cost constants were
-	// calibrated without; enable it for ablations.
-	L2Size    int
-	L2Latency int
 
 	// MissHandlerEntry is the fixed cost to invoke and return from the
 	// software TLB-miss handler: 32 cycles on the 603 (§5).
@@ -90,8 +80,7 @@ type CPUModel struct {
 func model603(name string, mhz, memLat int) CPUModel {
 	return CPUModel{
 		Name: name, Kind: CPU603, MHz: mhz,
-		TLBEntries: 128, TLBWays: 2,
-		L1Size: 16 * 1024, L1Ways: 4, LineSize: 32,
+		TLBEntries: 128, L1Size: 16 * 1024, LineSize: 32,
 		MemLatency:       memLat,
 		MissHandlerEntry: 32,
 		// The 603 never walks the table in hardware, but the software
@@ -105,8 +94,7 @@ func model603(name string, mhz, memLat int) CPUModel {
 func model604(name string, mhz, memLat int) CPUModel {
 	return CPUModel{
 		Name: name, Kind: CPU604, MHz: mhz,
-		TLBEntries: 256, TLBWays: 2,
-		L1Size: 32 * 1024, L1Ways: 4, LineSize: 32,
+		TLBEntries: 256, L1Size: 32 * 1024, LineSize: 32,
 		MemLatency:        memLat,
 		MissHandlerEntry:  32,
 		HWWalkCycles:      120,

@@ -75,9 +75,6 @@ func bootTouchTwin(t *testing.T, r touchRoute) (*Kernel, arch.EffectiveAddr) {
 }
 
 func TestUserTouchMatchesScalarOnEveryRoute(t *testing.T) {
-	withL2 := clock.PPC604At185()
-	withL2.L2Size = 512 * 1024
-	withL2.L2Latency = 9
 	cowCfg := Optimized()
 	cowCfg.UseHTAB = true
 	cowCfg.COWFork = true
@@ -88,7 +85,6 @@ func TestUserTouchMatchesScalarOnEveryRoute(t *testing.T) {
 		{name: "count/603", model: clock.PPC603At180(), cfg: Unoptimized()},
 		{name: "tracer", model: clock.PPC604At185(), cfg: Optimized(),
 			setup: func(k *Kernel) arch.EffectiveAddr { k.M.Trc.Enable(); return UserDataBase }},
-		{name: "l2", model: withL2, cfg: Optimized()},
 		{name: "cache lock", model: clock.PPC603At180(), cfg: Optimized(),
 			setup: func(k *Kernel) arch.EffectiveAddr {
 				// Clean resident lines, so the locked run's stores hit and

@@ -25,11 +25,8 @@ type Machine struct {
 	Mon    *hwmon.Counters
 	ICache *cache.Cache
 	DCache *cache.Cache
-	// L2 is the optional unified board cache (nil when the model has
-	// none).
-	L2  *cache.Cache
-	Mem *phys.Memory
-	MMU *ppc.MMU
+	Mem    *phys.Memory
+	MMU    *ppc.MMU
 	// Trc is the machine's one instrumentation point: its typed calls
 	// bump Mon's counters whether or not it records events, and it owns
 	// the phase ledger (Trc.Phases(): cycle attribution and interval
@@ -81,12 +78,9 @@ func NewWithOptions(model clock.CPUModel, opts Options) *Machine {
 		Model:  model,
 		Led:    clock.NewLedger(model.MHz),
 		Mon:    &hwmon.Counters{},
-		ICache: cache.New("I", model.L1Size, model.L1Ways, model.LineSize),
-		DCache: cache.New("D", model.L1Size, model.L1Ways, model.LineSize),
+		ICache: cache.New("I", model.L1Size, cache.Ways, model.LineSize),
+		DCache: cache.New("D", model.L1Size, cache.Ways, model.LineSize),
 		Mem:    phys.NewWithHTAB(phys.DefaultRAM, 2<<20, groups),
-	}
-	if model.L2Size > 0 {
-		m.L2 = cache.New("L2", model.L2Size, 1, model.LineSize)
 	}
 	m.Trc = mmtrace.NewTracer(m.Led, m.Mon, opts.TraceCapacity)
 	htab := ppc.NewHTAB(groups, m.Mem.Layout().HTABBase)
@@ -127,29 +121,17 @@ func (m *Machine) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, writ
 		m.Led.Charge(1)
 		return
 	}
-	fill := clock.Cycles(1 + m.fillCost(pa, class, castout))
+	fill := clock.Cycles(1 + m.fillCost(castout))
 	m.Led.Charge(fill)
 	m.Trc.CacheFill(pa, fill, uint32(class))
 }
 
-// fillCost returns the cycles to service an L1 miss: through the L2
-// when present, straight to memory otherwise. Dirty castouts add a
-// writeback (absorbed by the L2 when there is one).
-func (m *Machine) fillCost(pa arch.PhysAddr, class cache.Class, castout bool) int {
-	if m.L2 == nil {
-		c := m.Model.MemLatency
-		if castout {
-			c += m.Model.MemLatency
-		}
-		return c
-	}
-	l2hit, _ := m.L2.Access(pa, class, false)
-	if l2hit {
-		return m.Model.L2Latency
-	}
-	c := m.Model.L2Latency + m.Model.MemLatency
+// fillCost returns the cycles to service an L1 miss from memory: a
+// line read, plus a writeback when the victim was dirty.
+func (m *Machine) fillCost(castout bool) int {
+	c := m.Model.MemLatency
 	if castout {
-		c += m.Model.L2Latency // the victim lands in the L2
+		c += m.Model.MemLatency
 	}
 	return c
 }
@@ -233,7 +215,7 @@ func (m *Machine) Fetch(pa arch.PhysAddr, class cache.Class, inhibited bool) {
 		// charge; no extra cycles.
 		return
 	}
-	fill := clock.Cycles(m.fillCost(pa, class, false))
+	fill := clock.Cycles(m.Model.MemLatency)
 	m.Led.Charge(fill)
 	m.Trc.Phases().Attribute(telemetry.PhaseFetch, fill)
 	m.Trc.CacheFill(pa, fill, uint32(class))
@@ -247,10 +229,6 @@ func (m *Machine) LineSize() int { return m.Model.LineSize }
 func (m *Machine) Reset() {
 	m.ICache.InvalidateAll()
 	m.DCache.InvalidateAll()
-	if m.L2 != nil {
-		m.L2.InvalidateAll()
-		m.L2.ResetStats()
-	}
 	m.ICache.ResetStats()
 	m.DCache.ResetStats()
 	m.MMU.InvalidateTLBs()

@@ -88,45 +88,12 @@ func TestCastoutCost(t *testing.T) {
 	lat := clock.Cycles(m.Model.MemLatency)
 	stride := arch.PhysAddr(m.DCache.Sets() * m.DCache.LineSize())
 	// Dirty a full set.
-	for i := 0; i < m.DCache.Ways(); i++ {
+	for i := 0; i < cache.Ways; i++ {
 		m.MemAccess(0x100000+arch.PhysAddr(i)*stride, cache.ClassUser, false, true)
 	}
 	c0 := m.Led.Now()
-	m.MemAccess(0x100000+arch.PhysAddr(m.DCache.Ways())*stride, cache.ClassUser, false, false)
+	m.MemAccess(0x100000+cache.Ways*stride, cache.ClassUser, false, false)
 	if got := m.Led.Now() - c0; got != 1+2*lat {
 		t.Fatalf("miss-with-castout cost = %d, want %d", got, 1+2*lat)
-	}
-}
-
-func TestL2Cache(t *testing.T) {
-	model := clock.PPC604At185()
-	model.L2Size = 512 * 1024
-	model.L2Latency = 9
-	m := New(model)
-	if m.L2 == nil {
-		t.Fatal("L2 not built")
-	}
-	lat := clock.Cycles(model.MemLatency)
-	l2 := clock.Cycles(model.L2Latency)
-
-	// First touch: L1 miss, L2 miss -> 1 + L2 + mem.
-	c0 := m.Led.Now()
-	m.MemAccess(0x300000, cache.ClassUser, false, false)
-	if got := m.Led.Now() - c0; got != 1+l2+lat {
-		t.Fatalf("cold miss = %d, want %d", got, 1+l2+lat)
-	}
-	// Evict from L1 by storming its sets; the line stays in L2.
-	stride := arch.PhysAddr(m.DCache.Sets() * m.DCache.LineSize())
-	for i := 1; i <= m.DCache.Ways(); i++ {
-		m.MemAccess(0x300000+arch.PhysAddr(i)*stride, cache.ClassUser, false, false)
-	}
-	c0 = m.Led.Now()
-	m.MemAccess(0x300000, cache.ClassUser, false, false) // L1 miss, L2 hit
-	if got := m.Led.Now() - c0; got != 1+l2 {
-		t.Fatalf("L2 hit = %d, want %d", got, 1+l2)
-	}
-	// No-L2 machines are unaffected.
-	if New(clock.PPC604At185()).L2 != nil {
-		t.Fatal("default model grew an L2")
 	}
 }

@@ -13,8 +13,6 @@ package machine
 //     ledger's cycle count is exact (not sampled), so the cumulative
 //     cycles at every emit point — the only places time is read —
 //     are unchanged;
-//   - the L2 is consulted per miss, in reference order, exactly as the
-//     scalar path would;
 //   - trace events are emitted per miss at the same cumulative-cycle
 //     instants with the same payloads;
 //   - an attached fault injector forces the scalar loop (injection
@@ -81,9 +79,9 @@ func (m *Machine) MemAccessRunMask(pa arch.PhysAddr, n, stride int, class cache.
 		}
 		return
 	}
-	if !m.cacheLocked && !m.Trc.Enabled() && m.L2 == nil {
-		// Tracer off, no L2: fill costs are closed-form, so the run
-		// needs neither per-miss records nor chunking.
+	if !m.cacheLocked && !m.Trc.Enabled() {
+		// Tracer off: fill costs are closed-form, so the run needs
+		// neither per-miss records nor chunking.
 		nmiss, ncast := m.DCache.AccessRunCountMask(pa, n, stride, class, st)
 		m.Led.Charge(clock.Cycles(n) + clock.Cycles((nmiss+ncast)*m.Model.MemLatency))
 		return
@@ -101,32 +99,10 @@ func (m *Machine) MemAccessRunMask(pa arch.PhysAddr, n, stride int, class cache.
 	}
 }
 
-// cachedRun simulates one chunk through the allocating D-cache.
+// cachedRun simulates one traced chunk through the allocating D-cache,
+// charging and emitting each fill at its scalar point.
 func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, st cache.Stores) {
 	nmiss := m.DCache.AccessRun(pa, n, stride, class, st, m.missBuf[:])
-	if !m.Trc.Enabled() {
-		// No emit points inside the chunk, so the per-reference charges
-		// coalesce; the L2 is still consulted per miss in order.
-		if m.L2 == nil {
-			// Without an L2 the fill cost is closed-form: MemLatency
-			// per miss, doubled when the victim writes back.
-			ncast := 0
-			for i := 0; i < nmiss; i++ {
-				if m.missBuf[i].Castout {
-					ncast++
-				}
-			}
-			m.Led.Charge(clock.Cycles(n) + clock.Cycles((nmiss+ncast)*m.Model.MemLatency))
-			return
-		}
-		total := clock.Cycles(n)
-		for i := 0; i < nmiss; i++ {
-			mr := m.missBuf[i]
-			total += clock.Cycles(m.fillCost(pa+arch.PhysAddr(int(mr.Index)*stride), class, mr.Castout))
-		}
-		m.Led.Charge(total)
-		return
-	}
 	done := 0
 	for i := 0; i < nmiss; i++ {
 		mr := m.missBuf[i]
@@ -135,7 +111,7 @@ func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, 
 			m.Led.Charge(clock.Cycles(hits))
 		}
 		a := pa + arch.PhysAddr(idx*stride)
-		fill := clock.Cycles(1 + m.fillCost(a, class, mr.Castout))
+		fill := clock.Cycles(1 + m.fillCost(mr.Castout))
 		m.Led.Charge(fill)
 		m.Trc.CacheFill(a, fill, uint32(class))
 		done = idx + 1
@@ -146,8 +122,8 @@ func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, 
 }
 
 // lockedRun simulates one chunk under the cache lock: hits behave
-// normally, misses read memory without allocating (and without
-// touching the L2, matching the scalar locked path).
+// normally, misses read memory without allocating, matching the scalar
+// locked path.
 func (m *Machine) lockedRun(pa arch.PhysAddr, n, stride int, class cache.Class, st cache.Stores) {
 	nmiss := m.DCache.AccessNoAllocRun(pa, n, stride, class, st, m.missBuf[:])
 	lat := clock.Cycles(m.Model.MemLatency)
@@ -193,7 +169,7 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 		}
 		return
 	}
-	if !m.Trc.Enabled() && m.L2 == nil {
+	if !m.Trc.Enabled() {
 		// Fetch misses never cast out a charge (absorbed as on the
 		// scalar fetch path), so only the miss count matters.
 		nmiss, _ := m.ICache.AccessRunCountMask(pa, n, stride, class, cache.NoStores)
@@ -207,29 +183,11 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 	for n > 0 {
 		chunk := m.runChunk(n, stride, false)
 		nmiss := m.ICache.AccessRun(pa, chunk, stride, class, cache.NoStores, m.missBuf[:])
-		if !m.Trc.Enabled() {
-			var total clock.Cycles
-			if m.L2 == nil {
-				// Fetch misses never cast out, so every fill costs
-				// exactly MemLatency without an L2.
-				total = clock.Cycles(nmiss * m.Model.MemLatency)
-			} else {
-				for i := 0; i < nmiss; i++ {
-					total += clock.Cycles(m.fillCost(pa+arch.PhysAddr(int(m.missBuf[i].Index)*stride), class, false))
-				}
-			}
-			if total > 0 {
-				m.Led.Charge(total)
-				m.Trc.Phases().Attribute(telemetry.PhaseFetch, total)
-			}
-		} else {
-			for i := 0; i < nmiss; i++ {
-				a := pa + arch.PhysAddr(int(m.missBuf[i].Index)*stride)
-				fill := clock.Cycles(m.fillCost(a, class, false))
-				m.Led.Charge(fill)
-				m.Trc.Phases().Attribute(telemetry.PhaseFetch, fill)
-				m.Trc.CacheFill(a, fill, uint32(class))
-			}
+		fill := clock.Cycles(m.Model.MemLatency)
+		for i := 0; i < nmiss; i++ {
+			m.Led.Charge(fill)
+			m.Trc.Phases().Attribute(telemetry.PhaseFetch, fill)
+			m.Trc.CacheFill(pa+arch.PhysAddr(int(m.missBuf[i].Index)*stride), fill, uint32(class))
 		}
 		pa += arch.PhysAddr(chunk * stride)
 		n -= chunk
@@ -250,7 +208,7 @@ func (m *Machine) MemPairRun(aPA, bPA arch.PhysAddr, n int, aClass, bClass cache
 		}
 		return
 	}
-	if !m.Trc.Enabled() && m.L2 == nil {
+	if !m.Trc.Enabled() {
 		// No emit points and closed-form fill costs: the pair run is at
 		// most four line runs per chunk of k <= sets pairs, and one
 		// charge. Sets are independent and a chunk's streams each
@@ -310,7 +268,7 @@ func (m *Machine) memStep(pa arch.PhysAddr, class cache.Class, write bool, pend 
 	if pend > 0 {
 		m.Led.Charge(pend)
 	}
-	fill := clock.Cycles(1 + m.fillCost(pa, class, castout))
+	fill := clock.Cycles(1 + m.fillCost(castout))
 	m.Led.Charge(fill)
 	m.Trc.CacheFill(pa, fill, uint32(class))
 	return 0

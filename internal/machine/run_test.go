@@ -14,33 +14,25 @@ import (
 
 // runObs is everything a run can change on the machine.
 type runObs struct {
-	Cycles        clock.Cycles
-	DStats, L2    cache.Stats
-	Dirty, L2Dirt int
-	Events        []mmtrace.Event
+	Cycles clock.Cycles
+	DStats cache.Stats
+	Dirty  int
+	Events []mmtrace.Event
 }
 
 func observe(m *Machine) runObs {
-	o := runObs{
+	return runObs{
 		Cycles: m.Led.Now(),
 		DStats: *m.DCache.Stats(),
 		Dirty:  m.DCache.DirtyLines(),
 		Events: m.Trc.Events(),
 	}
-	if m.L2 != nil {
-		o.L2 = *m.L2.Stats()
-		o.L2Dirt = m.L2.DirtyLines()
-	}
-	return o
 }
 
 // MemAccessRunMask must equal the scalar MemAccess loop on every route,
 // including runs long enough to split into several miss-scratch chunks
 // (the mask's phase must carry across chunk boundaries).
 func TestMemAccessRunMaskMatchesScalar(t *testing.T) {
-	withL2 := clock.PPC604At185()
-	withL2.L2Size = 512 * 1024
-	withL2.L2Latency = 9
 	routes := []struct {
 		name      string
 		model     clock.CPUModel
@@ -49,7 +41,6 @@ func TestMemAccessRunMaskMatchesScalar(t *testing.T) {
 	}{
 		{name: "count", model: clock.PPC604At185()},
 		{name: "tracer", model: clock.PPC604At185(), setup: func(m *Machine) { m.Trc.Enable() }},
-		{name: "l2", model: withL2},
 		{name: "cache lock", model: clock.PPC603At180(), setup: func(m *Machine) { m.SetCacheLock(true) }},
 		{name: "cache lock traced", model: clock.PPC603At180(), setup: func(m *Machine) {
 			m.SetCacheLock(true)
@@ -119,7 +110,7 @@ func pairTwins(model clock.CPUModel, aPA, bPA arch.PhysAddr, n int) (run, ref *M
 	run, ref = New(model), New(model)
 	line := model.LineSize
 	for _, m := range []*Machine{run, ref} {
-		for i := 0; i < 2*m.DCache.Sets()*m.DCache.Ways(); i++ {
+		for i := 0; i < 2*m.DCache.Sets()*cache.Ways; i++ {
 			m.DCache.Access(arch.PhysAddr(0x400000+i*line), cache.Class(i%5), i%2 == 0)
 		}
 		for i := 0; i < n; i += 3 {
@@ -163,7 +154,7 @@ func checkPairRun(t *testing.T, model clock.CPUModel, aPA, bPA arch.PhysAddr, n 
 func TestMemPairRunMatchesInterleaved(t *testing.T) {
 	for _, model := range []clock.CPUModel{clock.PPC603At180(), clock.PPC604At185()} {
 		line := model.LineSize
-		sets := model.L1Size / model.L1Ways / line
+		sets := model.L1Size / cache.Ways / line
 		span := arch.PhysAddr(sets * line) // one way: a set distance of 0
 		cases := []struct {
 			name       string

@@ -57,10 +57,10 @@ func NewMMU(model clock.CPUModel, htab *HTAB, led *clock.Ledger, bus Bus, trc *m
 		trc:   trc,
 	}
 	if model.SplitTLB {
-		m.TLB = NewTLB(model.TLBEntries/2, model.TLBWays)
-		m.ITLB = NewTLB(model.TLBEntries/2, model.TLBWays)
+		m.TLB = NewTLB(model.TLBEntries/2, len(tlbSet{}))
+		m.ITLB = NewTLB(model.TLBEntries/2, len(tlbSet{}))
 	} else {
-		m.TLB = NewTLB(model.TLBEntries, model.TLBWays)
+		m.TLB = NewTLB(model.TLBEntries, len(tlbSet{}))
 		m.ITLB = m.TLB
 	}
 	m.TLB.gen = &m.gen

@@ -327,51 +327,30 @@ func (l storeLanes) take(k int) (dirty uint8, rest storeLanes) {
 	return dirty, l.skip(k)
 }
 
-// MissRef records one missing reference within a run: the index of the
-// reference in the run and whether its fill cast out a dirty victim.
-type MissRef struct {
-	Index   int32
-	Castout bool
-}
-
-// AccessRun performs n equally-strided accesses (pa, pa+stride, ...)
-// on behalf of class, reference i storing iff st.At(i), exactly as n
-// scalar Access calls would: same counters, same final recency/dirty
-// state, same eviction attribution. Consecutive references landing on
-// one line collapse into a single recency update (repeated hits on the
-// most recent way leave the list unchanged), and the line ends dirty
-// iff any of them stores.
-// Missing references are recorded in misses, in reference order, so the
-// machine layer can charge fills and emit trace events at the right
-// points; the caller's buffer must hold one entry per distinct line
-// the run can touch.
-//
-//mmutricks:free misses are returned; the machine layer charges the fills
-func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
-	nmiss, _ = c.accessRun(pa, n, stride, class, st, misses)
-	return nmiss
-}
-
 // AccessRunCount is AccessRunCountMask for a pure load or store run.
 //
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
-	return c.accessRun(pa, n, stride, class, StoresOf(write), nil)
+	return c.accessRun(pa, n, stride, class, StoresOf(write))
 }
 
-// AccessRunCountMask is AccessRun without the per-miss records: cache
-// state and statistics advance identically, but only the miss and
-// castout counts come back. The machine layer uses it when the tracer
-// is off: fill costs are then closed-form, so nothing needs to know
-// where the misses fell, and the run needs no scratch-buffer chunks.
+// AccessRunCountMask performs n equally-strided accesses (pa,
+// pa+stride, ...) on behalf of class, reference i storing iff st.At(i),
+// exactly as n scalar Access calls would: same counters, same final
+// recency/dirty state, same eviction attribution. Consecutive
+// references landing on one line collapse into a single recency update
+// (repeated hits on the most recent way leave the list unchanged), and
+// the line ends dirty iff any of them stores. Only the miss and
+// castout counts come back: the machine layer charges fills in closed
+// form, and a traced run, which must emit each fill where it falls,
+// takes the scalar loop instead.
 //
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
-	return c.accessRun(pa, n, stride, class, st, nil)
+	return c.accessRun(pa, n, stride, class, st)
 }
 
-// accessRun is AccessRun and AccessRunCountMask: misses == nil counts
-// the misses without recording them. A run that stays on one line
+// accessRun is AccessRunCountMask. A run that stays on one line
 // (a one-line fetch, a hash-table probe of one or two PTEs) is one
 // scalar Access. Otherwise a stride that is a multiple of the line size
 // puts each reference on a line of its own (the dominant shape: the
@@ -382,7 +361,7 @@ func (c *Cache) AccessRunCountMask(pa arch.PhysAddr, n, stride int, class Class,
 // to its last, each line ending dirty iff the run stores, so it is the
 // line run of step 1 over those lines. Any other run, which no caller
 // issues, is one Access per reference (accessEach).
-func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
+func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
 	if n <= 0 {
 		return 0, 0
 	}
@@ -398,9 +377,6 @@ func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 		dirty, _ := st.lanes().take(n)
 		c.stats.Accesses[class] += uint64(n - 1)
 		if hit, castout := c.Access(pa, class, dirty != 0); !hit {
-			if misses != nil {
-				misses[0] = MissRef{Castout: castout}
-			}
 			if castout {
 				return 1, 1
 			}
@@ -414,37 +390,21 @@ func (c *Cache) accessRun(pa arch.PhysAddr, n, stride int, class Class, st Store
 		// between the first and the last is skipped.
 		step, lines = 1, int(last-la)+1
 	default:
-		return c.accessEach(pa, n, stride, class, st, misses)
+		return c.accessEach(pa, n, stride, class, st)
 	}
 	c.stats.Accesses[class] += uint64(n)
 	sl := st.lanes()
 	if rest := hitRun(c.sets, la, step, sl, lines); rest > 0 {
-		nmiss = c.lineRun(la, step, lines-rest, lines, class, sl, misses)
-	}
-	if nmiss == 0 {
-		return 0, 0
-	}
-	if misses != nil && 0 < stride && stride < 1<<shift {
-		// lineRun recorded line k of the run; its first reference is
-		// the first i with off + i*stride ≥ k*line.
-		off := int(uint32(pa) & (1<<shift - 1))
-		for j := range misses[:nmiss] {
-			if k := int(misses[j].Index); k > 0 {
-				misses[j].Index = int32((k<<shift - off + stride - 1) / stride)
-			}
-		}
+		nmiss = c.lineRun(la, step, lines-rest, lines, class, sl)
 	}
 	return nmiss, c.flushRun(class, nmiss)
 }
 
 // accessEach is a run as one Access per reference, exact by
-// construction. The misses are recorded in misses unless it is nil.
-func (c *Cache) accessEach(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss, ncast int) {
+// construction.
+func (c *Cache) accessEach(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss, ncast int) {
 	for i := 0; i < n; i++ {
 		if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
-			if misses != nil {
-				misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
-			}
 			nmiss++
 			if castout {
 				ncast++
@@ -460,9 +420,9 @@ func (c *Cache) accessEach(pa arch.PhysAddr, n, stride int, class Class, st Stor
 // stored and reloaded its loop-carried ones (the line address, the
 // store lanes, the miss count, the slice bounds) on every reference.
 // Each kernel's loop carries only the next line's key, the store lanes
-// (rotated by one each reference) and the count left, plus for fillRun
-// the castout bits; the sets, the step and, for fillRun, the class and
-// the victim histogram are read-only. The kernels are not inlined, so
+// (rotated by one each reference) and the count left; the sets, the
+// step and, for fillRun, the class and the victim histogram are
+// read-only. The kernels are not inlined, so
 // no caller's values add to their pressure; hit4 inlines into hitRun,
 // and probe4 and fill4 into fillRun.
 //
@@ -475,25 +435,12 @@ func (c *Cache) accessEach(pa arch.PhysAddr, n, stride int, class Class, st Stor
 // lineRun finishes a run whose references each land on a line of
 // their own, line address la onward by step lines, reference k storing
 // iff lane k of sl is set, from reference i, which hitRun found
-// missing. The misses are recorded in misses unless it is nil.
-func (c *Cache) lineRun(la, step uint32, i, n int, class Class, sl storeLanes, misses []MissRef) (nmiss int) {
+// missing.
+func (c *Cache) lineRun(la, step uint32, i, n int, class Class, sl storeLanes) (nmiss int) {
 	f := fillState{sets: c.sets, step: step, class: class, hist: &c.hist}
 	for i < n {
-		left := n - i
-		if misses != nil {
-			// The castout bits of one fillRun call cover 64 misses.
-			left = min(left, 64)
-		}
-		rest, castouts := fillRun(&f, la+uint32(i)*step, sl.skip(i), left)
-		j := i + left - rest
-		if misses != nil {
-			for k := i; k < j; k++ {
-				misses[nmiss] = MissRef{Index: int32(k), Castout: castouts>>(j-1-k)&1 != 0}
-				nmiss++
-			}
-		} else {
-			nmiss += j - i
-		}
+		j := n - fillRun(&f, la+uint32(i)*step, sl.skip(i), n-i)
+		nmiss += j - i
 		if j == n {
 			break
 		}
@@ -545,11 +492,10 @@ type fillState struct {
 // fillRun is hitRun's counterpart: it fills the n references of a line
 // run on behalf of f.class while they miss, counting each resident
 // victim in f.hist, and returns how many are left from the first
-// hitting one on. Bit k of castouts is set iff the k-th miss from the
-// last cast out a dirty victim.
+// hitting one on.
 //
 //go:noinline
-func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int, castouts uint64) {
+func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int) {
 	want := la | lineKeyValid
 	for ; n > 0; n-- {
 		q := &f.sets[want&uint32(len(f.sets)-1)]
@@ -562,10 +508,9 @@ func fillRun(f *fillState, la uint32, sl storeLanes, n int) (rest int, castouts 
 		if valid {
 			f.hist[v&15]++
 		}
-		castouts = castouts<<1 | uint64(v&1)
 		want += f.step
 	}
-	return n, castouts
+	return n
 }
 
 // flushRun adds a run's misses, fills and victim histogram to the
@@ -587,13 +532,12 @@ func (c *Cache) flushRun(class Class, nmiss int) (ncast int) {
 	return ncast
 }
 
-// AccessNoAllocRun is AccessRun under a locked cache (§10.1): hits
-// behave normally, but misses do not allocate, so every reference on a
-// non-resident line misses and is recorded individually (the caller's
-// buffer must hold n entries).
+// AccessNoAllocRun is AccessRunCountMask under a locked cache (§10.1):
+// hits behave normally, but misses do not allocate, so every reference
+// on a non-resident line misses. It returns the miss count.
 //
-//mmutricks:free misses are returned; the machine layer charges the uncached latency
-func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, st Stores, misses []MissRef) (nmiss int) {
+//mmutricks:free the miss count is returned; the machine layer charges the uncached latency
+func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, st Stores) (nmiss int) {
 	c.stats.Accesses[class] += uint64(n)
 	sl := st.lanes()
 	for i := 0; i < n; {
@@ -610,10 +554,7 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, s
 			hit4(q, w&3, dirty)
 		} else {
 			c.stats.Misses[class] += uint64(k)
-			for j := 0; j < k; j++ {
-				misses[nmiss] = MissRef{Index: int32(i + j)}
-				nmiss++
-			}
+			nmiss += k
 		}
 		i += k
 	}

@@ -240,7 +240,7 @@ var oracleStrides = []int{4, 8, 12, 20, 32, 64, 96, 256, 16}
 var oracleGeoms = []struct{ ways, sets int }{{4, 8}, {4, 4}, {4, 2}, {4, 1}}
 
 // FuzzLRUOracle drives small caches of every size in oracleGeoms
-// with one stream of random Access, AccessRun, AccessRunCountMask,
+// with one stream of random Access, AccessRunCountMask (ops 1 and 2),
 // InvalidateLine and CorruptCleanLine operations, six bytes each, and
 // checks every result and the whole cache state after every operation
 // against lruModel.
@@ -281,19 +281,19 @@ func FuzzLRUOracle(f *testing.F) {
 		0, 0x03, 0x00, 0, 0, 0,
 		2, 0x01, 0x00, 1, 0, 0x70, // aligned count run hits reorder the set
 		0, 0x04, 0x00, 0, 1, 1, // ... and choose this fill's victim
-		1, 0x03, 0x00, 1, 0, 0x7f, // aligned recorded run, store hits
+		1, 0x03, 0x00, 1, 0, 0x7f, // aligned run, store hits
 		0, 0x05, 0x00, 0, 2, 0,
 	})
 	f.Add([]byte{
 		2, 0x00, 0x00, 7, 0, 0x4a, // lines 0-7: user loads, odd lines stored
 		2, 0x01, 0x00, 7, 2, 0x40, // lines 8-15: kernel-data loads
 		2, 0x02, 0x00, 7, 3, 0x40, // lines 16-23: page-table loads
-		1, 0x03, 0x00, 7, 4, 0x4f, // lines 24-31: recorded all-store run fills the 4-way sets
+		1, 0x03, 0x00, 7, 4, 0x4f, // lines 24-31: all-store run fills the 4-way sets
 		3, 0x01, 0x20, 0, 0, 0, // invalidate line 9 (way 1 of set 1)
 		3, 0x00, 0x60, 0, 0, 0, // invalidate line 3 (way 0 of set 3)
-		1, 0x00, 0x00, 0x0f, 5, 0x4f, // recorded all-store run: clean hits, dirty hits, two invalid-way fills
+		1, 0x00, 0x00, 0x0f, 5, 0x4f, // all-store run: clean hits, dirty hits, two invalid-way fills
 		2, 0x04, 0x00, 0x0f, 6, 0x4f, // counted all-store run: clean page-table and dirty hash-table victims
-		1, 0x06, 0x00, 0x0f, 1, 0x4f, // recorded all-store run: dirty user and kernel-data victims
+		1, 0x06, 0x00, 0x0f, 1, 0x4f, // all-store run: dirty user and kernel-data victims
 		2, 0x00, 0x00, 0x3f, 0, 0x5f, // counted all-store run, two-line stride, hits and misses
 	})
 	f.Add([]byte{
@@ -302,7 +302,7 @@ func FuzzLRUOracle(f *testing.F) {
 		0, 0x02, 0x00, 0, 2, 0,
 		3, 0x01, 0x00, 0, 0, 0, // invalidate way 1: the first invalid way is 1, not 0
 		0, 0x03, 0x00, 0, 3, 1, // scalar Access fills way 1
-		1, 0x04, 0x04, 7, 4, 0x05, // unaligned recorded run fills way 3 of set 0
+		1, 0x04, 0x04, 7, 4, 0x05, // unaligned run fills way 3 of set 0
 		0, 0x00, 0x40, 0, 0, 0, // set 2: ways 0 and 1, then way 1 invalid
 		0, 0x01, 0x40, 0, 1, 0,
 		3, 0x01, 0x40, 0, 0, 0,
@@ -311,11 +311,11 @@ func FuzzLRUOracle(f *testing.F) {
 	})
 	f.Add([]byte{
 		0, 0x00, 0x20, 0, 0, 1, // line 1 resident and dirty
-		1, 0x00, 0x00, 0x0f, 6, 0x10, // recorded PTE-stride load run over lines 0-3
+		1, 0x00, 0x00, 0x0f, 6, 0x10, // PTE-stride load run over lines 0-3
 		2, 0x00, 0x4c, 0x1f, 6, 0x1f, // counted unaligned PTE-stride store run, lines 2-10
-		1, 0x01, 0x14, 0x0b, 2, 0x8f, // recorded unaligned half-line store run, lines 8-14
+		1, 0x01, 0x14, 0x0b, 2, 0x8f, // unaligned half-line store run, lines 8-14
 		2, 0x00, 0x08, 0x3f, 0, 0x80, // counted unaligned half-line load run, 32 lines
-		1, 0x04, 0x04, 0x2f, 5, 0x10, // recorded unaligned PTE-stride load run evicts
+		1, 0x04, 0x04, 0x2f, 5, 0x10, // unaligned PTE-stride load run evicts
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, g := range oracleGeoms {
@@ -329,7 +329,6 @@ func FuzzLRUOracle(f *testing.F) {
 
 // runOracle applies FuzzLRUOracle's operation stream to c and m.
 func runOracle(t *testing.T, c *Cache, m *lruModel, ops []byte) {
-	misses := make([]MissRef, 64)
 	for ; len(ops) >= 6; ops = ops[6:] {
 		op, b := ops[0], ops[1:6]
 		pa := arch.PhysAddr(uint32(b[0])<<8|uint32(b[1])) & 0x7ff
@@ -344,23 +343,7 @@ func runOracle(t *testing.T, c *Cache, m *lruModel, ops []byte) {
 			if hit != wantHit || castout != wantCastout {
 				t.Fatalf("Access(%v): (hit %v, castout %v), model (%v, %v)", pa, hit, castout, wantHit, wantCastout)
 			}
-		case 1:
-			got := misses[:c.AccessRun(pa, n, stride, class, st, misses)]
-			var want []MissRef
-			for i := 0; i < n; i++ {
-				if hit, castout := m.access(pa+arch.PhysAddr(i*stride), class, st.At(i)); !hit {
-					want = append(want, MissRef{Index: int32(i), Castout: castout})
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("AccessRun(%v, %d, %d): %d misses, model %d", pa, n, stride, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("AccessRun(%v, %d, %d): miss %d is %+v, model %+v", pa, n, stride, i, got[i], want[i])
-				}
-			}
-		case 2:
+		case 1, 2:
 			nmiss, ncast := c.AccessRunCountMask(pa, n, stride, class, st)
 			var wantMiss, wantCast int
 			for i := 0; i < n; i++ {

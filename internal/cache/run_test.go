@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -129,36 +128,22 @@ func TestAccessRunCountMatchesScalar(t *testing.T) {
 	}
 }
 
-// AccessRun and AccessNoAllocRun (the traced and locked routes) must
-// record each miss at the reference the scalar loop misses on.
+// AccessNoAllocRun (the locked route) must miss on the references the
+// scalar AccessNoAlloc loop misses on, and leave the same statistics
+// and lines.
 func TestAccessRunMissesMatchScalar(t *testing.T) {
 	for _, tc := range runCases {
 		t.Run(tc.name, func(t *testing.T) {
-			misses := make([]MissRef, tc.n)
-			var want []MissRef
-
 			cr, cs := warmTwins(tc)
-			got := misses[:cr.AccessRun(tc.pa, tc.n, tc.stride, ClassUser, tc.st, misses)]
-			for i := 0; i < tc.n; i++ {
-				if hit, castout := cs.Access(tc.pa+arch.PhysAddr(i*tc.stride), ClassUser, tc.st.At(i)); !hit {
-					want = append(want, MissRef{Index: int32(i), Castout: castout})
-				}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("AccessRun misses diverge: run %d, scalar %d", len(got), len(want))
-			}
-			sameState(t, cr, cs)
-
-			cr, cs = warmTwins(tc)
-			got = misses[:cr.AccessNoAllocRun(tc.pa, tc.n, tc.stride, ClassUser, tc.st, misses)]
-			want = want[:0]
+			got := cr.AccessNoAllocRun(tc.pa, tc.n, tc.stride, ClassUser, tc.st)
+			want := 0
 			for i := 0; i < tc.n; i++ {
 				if !cs.AccessNoAlloc(tc.pa+arch.PhysAddr(i*tc.stride), ClassUser, tc.st.At(i)) {
-					want = append(want, MissRef{Index: int32(i)})
+					want++
 				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("AccessNoAllocRun misses diverge: run %d, scalar %d", len(got), len(want))
+			if got != want {
+				t.Fatalf("AccessNoAllocRun misses diverge: run %d, scalar %d", got, want)
 			}
 			sameState(t, cr, cs)
 		})
@@ -219,9 +204,9 @@ var residencies = []struct {
 // runs under every store mask at every start phase, and sub-line runs
 // of strides 8 and 16 from every offset in a line with every head and
 // tail size, each over residencies that switch between hit and miss at
-// every line, at the first line only and at the last line only. Both
-// the counting and the recording entry points must match the scalar
-// loop's lines, statistics, miss and castout counts, and misses.
+// every line, at the first line only and at the last line only. The
+// run must match the scalar loop's lines, statistics, and miss and
+// castout counts.
 func TestRunKernelHandOff(t *testing.T) {
 	type shape struct {
 		pa        arch.PhysAddr
@@ -253,48 +238,22 @@ func TestRunKernelHandOff(t *testing.T) {
 		for _, sh := range shapes {
 			lines := runLines(sh.pa, sh.n, sh.stride, 32)
 			for _, res := range residencies {
-				for _, record := range []bool{false, true} {
-					name := func() string {
-						return fmt.Sprintf("%dK pa=%#x n=%d stride=%d stores=%#x %s record=%v", size>>10, sh.pa, sh.n, sh.stride, sh.st, res.name, record)
-					}
-					warm := res.mask(len(lines))
-					for _, c := range []*Cache{cr, cs} {
-						copy(c.sets, base.sets)
-						makeResident(c, lines, warm)
-						c.ResetStats()
-					}
-
-					var want []MissRef
-					sc := 0
-					for i := 0; i < sh.n; i++ {
-						if hit, castout := cs.Access(sh.pa+arch.PhysAddr(i*sh.stride), ClassUser, sh.st.At(i)); !hit {
-							want = append(want, MissRef{Index: int32(i), Castout: castout})
-							if castout {
-								sc++
-							}
-						}
-					}
-					var rm, rc int
-					if record {
-						buf := make([]MissRef, len(lines))
-						rm = cr.AccessRun(sh.pa, sh.n, sh.stride, ClassUser, sh.st, buf)
-						if got := buf[:rm]; !slices.Equal(got, want) {
-							t.Fatalf("%s: misses %v, scalar %v", name(), got, want)
-						}
-						for _, m := range buf[:rm] {
-							if m.Castout {
-								rc++
-							}
-						}
-					} else {
-						rm, rc = cr.AccessRunCountMask(sh.pa, sh.n, sh.stride, ClassUser, sh.st)
-					}
-					if rm != len(want) || rc != sc {
-						t.Fatalf("%s: run (%d misses, %d castouts), scalar (%d, %d)", name(), rm, rc, len(want), sc)
-					}
-					if *cr.Stats() != *cs.Stats() || !slices.Equal(cr.sets, cs.sets) {
-						t.Fatalf("%s: cache state diverges from the scalar loop", name())
-					}
+				name := func() string {
+					return fmt.Sprintf("%dK pa=%#x n=%d stride=%d stores=%#x %s", size>>10, sh.pa, sh.n, sh.stride, sh.st, res.name)
+				}
+				warm := res.mask(len(lines))
+				for _, c := range []*Cache{cr, cs} {
+					copy(c.sets, base.sets)
+					makeResident(c, lines, warm)
+					c.ResetStats()
+				}
+				sm, sc := scalarCount(cs, sh.pa, sh.n, sh.stride, ClassUser, sh.st)
+				rm, rc := cr.AccessRunCountMask(sh.pa, sh.n, sh.stride, ClassUser, sh.st)
+				if rm != sm || rc != sc {
+					t.Fatalf("%s: run (%d misses, %d castouts), scalar (%d, %d)", name(), rm, rc, sm, sc)
+				}
+				if *cr.Stats() != *cs.Stats() || !slices.Equal(cr.sets, cs.sets) {
+					t.Fatalf("%s: cache state diverges from the scalar loop", name())
 				}
 			}
 		}
@@ -375,11 +334,10 @@ func FuzzAccessRunCountParity(f *testing.F) {
 // would also wreck the throughput the batching exists for.
 func TestAccessRunZeroAllocs(t *testing.T) {
 	c := New("d", 32<<10, 4, 32)
-	var missBuf [256]MissRef
 	var pa arch.PhysAddr
 	if n := testing.AllocsPerRun(200, func() {
-		c.AccessRun(pa, 128, 32, ClassUser, AllStores, missBuf[:])
-		c.AccessRun(pa+2048, 64, 32, ClassUser, 0x8, missBuf[:])
+		c.AccessNoAllocRun(pa, 128, 32, ClassUser, AllStores)
+		c.AccessNoAllocRun(pa+2048, 64, 32, ClassUser, 0x8)
 		c.AccessRunCount(pa, 128, 32, ClassUser, true)
 		c.AccessRunCount(pa+4, 100, 12, ClassUser, false)
 		c.AccessRunCountMask(pa+8, 128, 32, ClassUser, 0x8)

@@ -102,6 +102,15 @@ type flagSet struct {
 	model                  clock.CPUModel
 	cfg                    kernel.Config
 	workers                *int // declared by jobs
+	// counts are the scale flags declared by count, which parse
+	// requires to be at least 1.
+	counts []countFlag
+}
+
+// countFlag is a scale flag's name and value.
+type countFlag struct {
+	name string
+	v    *int
 }
 
 // newFlags starts the flags of the subcommand name ("mmu report").
@@ -128,9 +137,17 @@ func (f *flagSet) config() {
 	f.cfgName = f.String("config", "optimized", "kernel config: unoptimized, optimized, optimized+htab")
 }
 
-// iters declares -iters, the workload scale.
+// iters declares -iters, the workload scale; parse requires it to be
+// at least 1.
 func (f *flagSet) iters() *int {
-	return f.Int("iters", 100, "workload scale (iterations per latency benchmark)")
+	return f.count("iters", 100, "workload scale (iterations per latency benchmark)")
+}
+
+// count declares an int flag that parse requires to be at least 1.
+func (f *flagSet) count(name string, def int, usage string) *int {
+	v := f.Int(name, def, usage)
+	f.counts = append(f.counts, countFlag{name, v})
+	return v
 }
 
 // jobs declares -j; parse sizes the simulator's worker pool with it.
@@ -153,6 +170,11 @@ func (f *flagSet) parse(args []string) (code int, ok bool) {
 			return exitcode.OK, false
 		}
 		return exitcode.Usage, false
+	}
+	for _, c := range f.counts {
+		if *c.v < 1 {
+			return f.fail(exitcode.Usage, fmt.Errorf("-%s %d: must be at least 1", c.name, *c.v)), false
+		}
 	}
 	if f.cpuName != nil {
 		if f.model, ok = clock.ModelByName(*f.cpuName); !ok {

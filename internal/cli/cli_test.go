@@ -69,10 +69,17 @@ func TestExitCodes(t *testing.T) {
 		{"report", "-experiment", "no-such-experiment"},
 		{"lmbench", "-cpu", "601/66"},
 		{"lmbench", "-config", "fastest"},
+		{"lmbench", "-iters", "0"},
+		{"lmbench", "-iters", "-3"},
 		{"kcompile", "-cpu", "601/66"},
 		{"kcompile", "-config", "fastest"},
+		{"kcompile", "-units", "0"},
+		{"kcompile", "-units", "-2"},
 		{"ablate", "-cpu", "601/66"},
+		{"ablate", "-units", "0"},
+		{"ablate", "-units", "-2"},
 		{"chaos", "-cpu", "601/66"},
+		{"chaos", "-iters", "0"},
 		{"chaos", "-config", "fastest"},
 		{"chaos", "-workload", "none"},
 		{"chaos", "-schedule", "rate=lots"},
@@ -84,6 +91,7 @@ func TestExitCodes(t *testing.T) {
 		{"trace", "record", "-interval", "often"},
 		{"trace", "record", "-interval", "-1"},
 		{"trace", "record", "-capacity", "-1"},
+		{"trace", "record", "-iters", "0"},
 		{"trace", "dump", "-format", "xml", "missing.json"},
 		{"trace", "summarize", "a.json", "b.json"},
 		{"trace", "timeline"},

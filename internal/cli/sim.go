@@ -103,7 +103,7 @@ func runKcompile(args []string, stdout, stderr io.Writer) int {
 	f.cpu("604/185")
 	f.config()
 	var (
-		units    = f.Int("units", 24, "compilation units")
+		units    = f.count("units", 24, "compilation units")
 		work     = f.Int("work-pages", 160, "compiler working set (pages)")
 		strays   = f.Int("strays", 0, "stray TLB-pressure references per compile step")
 		counters = f.Bool("counters", false, "dump performance-monitor counters after the run")
@@ -157,7 +157,7 @@ func runAblate(args []string, stdout, stderr io.Writer) int {
 	f.cpu("603/180")
 	f.jobs()
 	var (
-		units  = f.Int("units", 4, "compile units per measured run (14 runs total)")
+		units  = f.count("units", 4, "compile units per measured run (14 runs total)")
 		strays = f.Int("strays", 6, "TLB-pressure references per compile step")
 	)
 	if code, ok := f.parse(args); !ok {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"mmutricks/internal/arch"
+	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
 	"mmutricks/internal/faultinject"
 	"mmutricks/internal/machine"
@@ -74,6 +76,100 @@ func TestTelemetryNeutrality(t *testing.T) {
 	}
 	if offMon != onMon {
 		t.Errorf("telemetry changed the counters:\noff:\n%s\non:\n%s", offMon, onMon)
+	}
+}
+
+// copyWorkload is mixedWorkload with copies added: a pipe round trip
+// and a user copy whose two streams sit at different line offsets in
+// their pages, so they share cache sets and the pair run's leg order
+// matters, and, after mixedWorkload's fork, a store to every page of
+// the buffer, which breaks copy-on-write under COWFork while the child
+// still shares the frames. It returns the bytes written to the pipe.
+func copyWorkload(k *Kernel) (piped int) {
+	buf := k.SysMmap(8)
+	k.UserRefRun(buf, 8, arch.PageSize, true)
+	p := k.SysPipe()
+	for i := 0; i < 4; i++ {
+		piped += k.SysPipeWrite(p, buf+arch.EffectiveAddr(i*0x340), 3000)
+		k.SysPipeRead(p, buf+4*arch.PageSize+arch.EffectiveAddr(i*0x1a0), 3000)
+	}
+	k.UserCopy(buf+2*arch.PageSize+0x200, buf+0x40, 6000)
+	mixedWorkload(k)
+	k.UserRefRun(buf, 8, arch.PageSize, true)
+	return piped
+}
+
+// TestTracerNeutrality proves an enabled tracer changes nothing
+// observable: with events recorded, every run takes the scalar loop,
+// and the cycles, every hardware counter, and both caches' statistics
+// and dirty lines equal the untraced run's, whose runs batch. The
+// untraced run must reach the batched fetch run, the pair run and the
+// locked-cache route, each checked through the traffic only it
+// carries there.
+func TestTracerNeutrality(t *testing.T) {
+	locked := Optimized()
+	locked.IdleCacheLock = true
+	locked.COWFork = true
+	locked.IdleClear = IdleClearCached // cached idle clears run under the lock
+	type obs struct {
+		now            clock.Cycles
+		mon            string
+		istats, dstats cache.Stats
+		idirty, ddirty int
+	}
+	for _, tc := range []struct {
+		model clock.CPUModel
+		cfg   Config
+	}{
+		{clock.PPC604At185(), Optimized()},
+		{clock.PPC603At180(), locked},
+	} {
+		run := func(traced bool) obs {
+			k, _ := bootTask(t, tc.model, tc.cfg)
+			if traced {
+				k.M.Trc.Enable()
+			}
+			piped := copyWorkload(k)
+			if !traced {
+				// No injector is attached, so every kernel-text
+				// fetch is a FetchRun, and a pipe write from a cached
+				// user page is a MemPairRun.
+				if k.M.ICache.Stats().Accesses[cache.ClassKernelText] == 0 {
+					t.Errorf("%s: no kernel-text fetch: FetchRun untested", tc.model.Name)
+				}
+				if piped == 0 {
+					t.Errorf("%s: nothing piped: MemPairRun untested", tc.model.Name)
+				}
+				if tc.cfg.IdleCacheLock && k.M.DCache.Stats().Accesses[cache.ClassIdle] == 0 {
+					t.Errorf("%s: no cached idle clear: the locked route untested", tc.model.Name)
+				}
+			} else if len(k.M.Trc.Events()) == 0 {
+				t.Errorf("%s: the tracer recorded nothing", tc.model.Name)
+			}
+			return obs{
+				now:    k.M.Led.Now(),
+				mon:    k.M.Mon.String(),
+				istats: *k.M.ICache.Stats(),
+				dstats: *k.M.DCache.Stats(),
+				idirty: k.M.ICache.DirtyLines(),
+				ddirty: k.M.DCache.DirtyLines(),
+			}
+		}
+		off, on := run(false), run(true)
+		if off.now != on.now {
+			t.Errorf("%s: the tracer changed the clock: %d cycles off, %d on", tc.model.Name, off.now, on.now)
+		}
+		if off.mon != on.mon {
+			t.Errorf("%s: the tracer changed the counters:\noff:\n%s\non:\n%s", tc.model.Name, off.mon, on.mon)
+		}
+		if off.istats != on.istats || off.dstats != on.dstats {
+			t.Errorf("%s: the tracer changed the cache statistics:\noff I %+v\non  I %+v\noff D %+v\non  D %+v",
+				tc.model.Name, off.istats, on.istats, off.dstats, on.dstats)
+		}
+		if off.idirty != on.idirty || off.ddirty != on.ddirty {
+			t.Errorf("%s: the tracer changed the dirty lines: I %d off, %d on; D %d off, %d on",
+				tc.model.Name, off.idirty, on.idirty, off.ddirty, on.ddirty)
+		}
 	}
 }
 

@@ -43,10 +43,6 @@ type Machine struct {
 	// cacheLocked makes data misses bypass allocation (§10.1's
 	// locked-cache idle task). Toggled by the kernel around idle work.
 	cacheLocked bool
-
-	// missBuf is the preallocated scratch the run paths hand to
-	// cache.AccessRun, so batch simulation stays allocation-free.
-	missBuf [runMissCap]cache.MissRef
 }
 
 // Options tunes non-default machine construction.

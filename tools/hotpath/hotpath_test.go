@@ -155,7 +155,9 @@ func compile(t *testing.T, pgo, pkg string) *Listing {
 // state in registers. A helper grown past the inliner's budget turns
 // every simulated reference into a call, and a kernel inlined into a
 // caller spills its loop state to the stack; either gives back most of
-// the run path's speed with no other test failing.
+// the run path's speed with no other test failing. So does a kernel
+// whose own state outgrows the registers: no instruction of either may
+// address the stack.
 //
 // The tracer's typed calls count, trace and attribute the simulator's
 // work whether or not tracing is on. A call grown past the budget, or a
@@ -196,8 +198,15 @@ func inlining(l *Listing) (problems []string) {
 		marked := slices.ContainsFunc(l.Diags, func(d string) bool {
 			return strings.HasSuffix(d, ": cannot inline "+k+": marked go:noinline")
 		})
-		if l.Funcs[in+"cache."+k] == nil || !marked {
+		f := l.Funcs[in+"cache."+k]
+		if f == nil || !marked {
 			bad("the run kernel cache.%s is missing or not marked go:noinline", k)
+			continue
+		}
+		for _, i := range f.Insts {
+			if strings.Contains(i.Arg, "(SP)") {
+				bad("the run kernel cache.%s addresses the stack at %s: %s %s", k, i.Pos, i.Op, i.Arg)
+			}
 		}
 	}
 	for _, pkg := range []string{"ppc", "kernel", "machine"} {

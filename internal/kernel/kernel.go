@@ -66,15 +66,6 @@ type Kernel struct {
 	// accesses it performs do not themselves poll the fault injector or
 	// try to deliver nested machine checks.
 	inMC bool
-
-	// kxlat holds the last-translation fastpath records (data, instr)
-	// for accesses issued in pure kernel context (t == nil); per-task
-	// records live on the Task.
-	kxlat [2]xlatRec
-
-	// retryHits counts the 603 reloads whose retry ran as one TLB hit
-	// instead of a full Translate (translateSlow).
-	retryHits uint64
 }
 
 // kernelTextBytes and kernelDataBytes size the kernel image regions.
@@ -197,36 +188,18 @@ func (k *Kernel) access(t *Task, ea arch.EffectiveAddr, instr bool, class cache.
 	}
 }
 
-// translateSlow resolves ea through the full MMU walk, running the
-// software fault paths until the translation succeeds, and refreshes
-// the last-translation record for the fastpath in translate (run.go).
-//
-// A 603 reload ends by inserting the missing translation, so when no
-// injector is attached and the translation generation did not move
-// during the handler (no BAT written, no segment loaded, no TLB
-// invalidated), the retry would miss the BATs again, compute the same
-// VPN and hit the entry just inserted: it runs as that one TLB hit.
-// The 604's retry is a real second hardware walk and stays a full
-// Translate.
-func (k *Kernel) translateSlow(t *Task, ea arch.EffectiveAddr, instr bool) (arch.PhysAddr, bool) {
-	mmu := k.M.MMU
-	r := mmu.Translate(ea, instr)
+// translate resolves ea through the full MMU walk, running the
+// software fault paths and retrying the walk until the translation
+// succeeds.
+func (k *Kernel) translate(t *Task, ea arch.EffectiveAddr, instr bool) (arch.PhysAddr, bool) {
+	r := k.M.MMU.Translate(ea, instr)
 	for tries := 1; r.Fault != ppc.FaultNone; tries++ {
-		gen := mmu.Gen()
 		k.handleFault(t, ea, r, instr)
 		if tries > 8 {
 			panic(fmt.Sprintf("kernel: access %v not making progress", ea))
 		}
-		if r.Fault == ppc.FaultTLBMiss && k.M.Inj == nil && mmu.Gen() == gen {
-			if hit, ok := mmu.TLBHit(ea, r.VPN, instr); ok {
-				k.retryHits++
-				r = hit
-				break
-			}
-		}
-		r = mmu.Translate(ea, instr)
+		r = k.M.MMU.Translate(ea, instr)
 	}
-	k.note(t, ea, instr, r)
 	return r.PA, r.Inhibited
 }
 

@@ -3,20 +3,20 @@ package kernel
 // The batched reference pipeline. Long kernel and user loops touch
 // memory in equally-strided streaks that stay on one page for dozens
 // of references; the scalar path pays a full MMU translation for every
-// one of them. A Run resolves the translation once per page streak,
-// replays the per-reference translation side effects (hit counters,
-// the TLB way becoming MRU) in closed form, and hands the streak to the
-// machine's batch cache simulation. Anything that can deviate from
-// the straight-line pattern — fault injection, COW/RO write checks —
-// forces the scalar loop, so counters, trace emits, and cycle charges
-// stay reference-for-reference identical to scalar execution. A run's
-// loads and stores may mix: its store mask (cache.Stores) says which
-// references store.
+// one of them. A Run translates once per page streak, through the same
+// MMU walk a scalar reference takes (the TLB and hash table are the
+// only translation caches), replays the per-reference translation side
+// effects (hit counters, the TLB way becoming MRU) in closed form, and
+// hands the streak to the machine's batch cache simulation. Anything
+// that can deviate from the straight-line pattern — fault injection,
+// COW/RO write checks — forces the scalar loop, so counters, trace
+// emits, and cycle charges stay reference-for-reference identical to
+// scalar execution. A run's loads and stores may mix: its store mask
+// (cache.Stores) says which references store.
 
 import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
-	"mmutricks/internal/ppc"
 )
 
 // Run describes a batch of references sharing class and width: Count
@@ -30,91 +30,6 @@ type Run struct {
 	Class  cache.Class
 	Stores cache.Stores
 	Instr  bool
-}
-
-// xlatRec is one remembered translation: the per-task (and per-side)
-// last-translation fastpath consulted before the full MMU walk. It is
-// valid only while the MMU's translation generation still equals gen —
-// the generation advances on every TLB invalidation, BAT register
-// change, and segment load (which covers context switches, VSID
-// reassignment, and machine-check repair), so a stale record can never
-// produce a hit. TLB-sourced records additionally revalidate the
-// remembered way on use, which covers silent eviction by TLB inserts.
-type xlatRec struct {
-	gen  uint64
-	page arch.EffectiveAddr // EA of the page the record translates
-	// paPage is the physical page base (BAT records only; BAT blocks
-	// are page-linear, so pa = paPage + page offset).
-	paPage    arch.PhysAddr
-	way       int8 // TLB way holding the translation (TLB records)
-	viaBAT    bool
-	inhibited bool
-}
-
-// pageOf returns the page-aligned base of ea.
-func pageOf(ea arch.EffectiveAddr) arch.EffectiveAddr {
-	return ea &^ arch.EffectiveAddr(arch.PageSize-1)
-}
-
-// xrec returns the fastpath record for the given task and access side
-// (the kernel's own records when t is nil).
-func (k *Kernel) xrec(t *Task, instr bool) *xlatRec {
-	side := 0
-	if instr {
-		side = 1
-	}
-	if t != nil {
-		return &t.xlat[side]
-	}
-	return &k.kxlat[side]
-}
-
-// translate resolves ea, consulting the last-translation record before
-// the full MMU walk. A record hit performs exactly the counter and TLB
-// side effects of the scalar walk it replaces (BATHits++, or a hitting
-// TLB lookup at the remembered way); everything else — generation
-// mismatch, page mismatch, stale way, attached injector — falls back
-// to the full walk.
-func (k *Kernel) translate(t *Task, ea arch.EffectiveAddr, instr bool) (arch.PhysAddr, bool) {
-	mmu := k.M.MMU
-	if k.M.Inj == nil {
-		rec := k.xrec(t, instr)
-		if rec.gen == mmu.Gen() && rec.page == pageOf(ea) {
-			if rec.viaBAT {
-				k.M.Mon.BATHits++
-				return rec.paPage + arch.PhysAddr(ea.Offset()), rec.inhibited
-			}
-			// The generation proves no BAT was programmed over this
-			// page since the record was minted (the scalar walk would
-			// still fall through the BAT compare) and the segment is
-			// unchanged, so the VPN is the same.
-			vpn := mmu.VPNFor(ea)
-			if rpn, inh, ok := mmu.TLBFor(instr).LookupWay(vpn, rec.way); ok {
-				k.M.Mon.TLBHits++
-				return rpn.Addr() + arch.PhysAddr(ea.Offset()), inh
-			}
-		}
-	}
-	return k.translateSlow(t, ea, instr)
-}
-
-// note refreshes the last-translation record after a successful full
-// walk. With an injector attached the fastpath is disabled, so there
-// is nothing to remember.
-func (k *Kernel) note(t *Task, ea arch.EffectiveAddr, instr bool, r ppc.Result) {
-	if k.M.Inj != nil {
-		return
-	}
-	rec := k.xrec(t, instr)
-	if r.ViaBAT {
-		*rec = xlatRec{
-			gen: k.M.MMU.Gen(), page: pageOf(ea),
-			paPage: r.PA - arch.PhysAddr(ea.Offset()),
-			viaBAT: true, inhibited: r.Inhibited,
-		}
-		return
-	}
-	*rec = xlatRec{gen: k.M.MMU.Gen(), page: pageOf(ea), way: r.Way, inhibited: r.Inhibited}
 }
 
 // replayHits performs the translation side effects of n further
@@ -147,7 +62,7 @@ func (k *Kernel) dataResident(ea arch.EffectiveAddr) bool {
 	if _, _, ok := mmu.DBAT.Lookup(ea); ok {
 		return true
 	}
-	_, ok := mmu.TLB.WayOf(mmu.VPNFor(ea))
+	_, ok := mmu.TLB.Peek(mmu.VPNFor(ea))
 	return ok
 }
 

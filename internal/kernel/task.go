@@ -92,9 +92,6 @@ type Task struct {
 	nextMmap arch.EffectiveAddr
 	// image is the program currently executed (nil before Exec).
 	image *Image
-	// xlat holds the task's last-translation fastpath records (data,
-	// instr); see run.go for the generation protocol.
-	xlat [2]xlatRec
 }
 
 // slotOff returns the task struct's offset in kernel data.

@@ -45,15 +45,6 @@ type BATArray struct {
 	// address in a segment no block touches misses after one bit test
 	// (no BAT maps user space).
 	segs uint16
-	// gen, when wired by the owning MMU, is bumped whenever a register
-	// changes so last-translation fastpaths notice remapped blocks.
-	gen *uint64
-}
-
-func (a *BATArray) bumpGen() {
-	if a.gen != nil {
-		*a.gen++
-	}
 }
 
 // Set programs BAT register i. It validates the architected alignment
@@ -73,7 +64,6 @@ func (a *BATArray) Set(i int, e BATEntry) error {
 			return fmt.Errorf("ppc: BAT phys %v not aligned to length %#x", e.Phys, e.Len)
 		}
 	}
-	a.bumpGen()
 	a.entries[i] = e
 	a.segs = 0
 	for j := range a.entries {
@@ -90,7 +80,6 @@ func (a *BATArray) Get(i int) BATEntry { return a.entries[i] }
 
 // Clear invalidates all four registers.
 func (a *BATArray) Clear() {
-	a.bumpGen()
 	a.entries = [NumBATs]BATEntry{}
 	a.segs = 0
 }

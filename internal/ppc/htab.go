@@ -28,6 +28,8 @@ const (
 // bus access there so the table's cache behaviour is simulated, not
 // assumed.
 type HTAB struct {
+	// groups is a power of two (NewHTAB checks), so group indexes wrap
+	// with a mask.
 	groups int
 	// ptes holds the whole table flat, group-major, as the hardware
 	// lays it out: group g is ptes[g*PTEGSize:][:PTEGSize] (see bucket).
@@ -237,9 +239,9 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 	// pending until a group with a zombie (which keeps the scalar loop:
 	// its read/write interleaving must be preserved), the wrap, or the
 	// end of the sweep.
-	run, clean := start%h.groups, 0
+	run, clean := start&(h.groups-1), 0
 	for i := 0; i < n; i++ {
-		g := (start + i) % h.groups
+		g := (start + i) & (h.groups - 1)
 		if g == 0 {
 			h.touchRun(bus, run, 0, clean*arch.PTEGSize, false)
 			run, clean = 0, 0
@@ -269,7 +271,7 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 		}
 	}
 	h.touchRun(bus, run, 0, clean*arch.PTEGSize, false)
-	return (start + n) % h.groups, reclaimed
+	return (start + n) & (h.groups - 1), reclaimed
 }
 
 // ForEachValid calls fn for every valid PTE in the table, in bucket

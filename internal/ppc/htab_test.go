@@ -219,6 +219,58 @@ func TestHTABReclaimScan(t *testing.T) {
 	}
 }
 
+// The fault injector's PTE scans start at the group the random word
+// selects, wrap past the last group, and skip both buckets of the page
+// being translated. With one eligible group, every start must find it,
+// whatever the word's high bits, and leave the avoided buckets alone.
+func TestInjectedPTEScanWraps(t *testing.T) {
+	const groups = 16
+	avoid := arch.VPNOf(3, 0x5000)
+	pg, sg := arch.HashPrimary(avoid, groups), arch.HashSecondary(avoid, groups)
+	target := (max(pg, sg) + 3) % groups
+	if target == pg || target == sg {
+		t.Fatalf("target group %d is one of the avoided buckets %d, %d", target, pg, sg)
+	}
+	victim := arch.VPNOf(7, arch.EffectiveAddr(target)<<arch.PageShift)
+	scans := []struct {
+		name  string
+		valid bool // whether the planted entries are valid (corrupt) or stale (resurrect)
+		scan  func(h *HTAB, rnd uint64) (int, int, arch.VPN, bool)
+	}{
+		{"CorruptPTE", true, func(h *HTAB, rnd uint64) (int, int, arch.VPN, bool) { return h.CorruptPTE(rnd, avoid) }},
+		{"ResurrectPTE", false, func(h *HTAB, rnd uint64) (int, int, arch.VPN, bool) { return h.ResurrectPTE(rnd, avoid) }},
+	}
+	for _, sc := range scans {
+		for start := 0; start < groups; start++ {
+			h := NewHTAB(groups, 0x200000)
+			for _, g := range []int{pg, sg} {
+				h.place(g, 0, arch.VPNOf(9, arch.EffectiveAddr(g)<<arch.PageShift), 0x40, false, false)
+				h.bucket(g)[0].Valid = sc.valid
+			}
+			h.place(target, 2, victim, 0x40, false, false)
+			h.bucket(target)[2].Valid = sc.valid
+			g, s, vpn, ok := sc.scan(h, 1<<40|uint64(start))
+			if !ok || g != target || s != 2 || vpn != victim {
+				t.Fatalf("%s from group %d: group %d slot %d vpn %v ok %v; want group %d slot 2 vpn %v",
+					sc.name, start, g, s, vpn, ok, target, victim)
+			}
+			if e := h.ReadSlot(target, 2); !e.Valid || e.RPN != 0x41 {
+				t.Fatalf("%s from group %d: planted entry is %+v, want a valid one with frame 0x41", sc.name, start, e)
+			}
+			for _, g := range []int{pg, sg} {
+				if e := h.ReadSlot(g, 0); e.Valid != sc.valid || e.RPN != 0x40 {
+					t.Fatalf("%s from group %d: avoided bucket %d changed to %+v", sc.name, start, g, e)
+				}
+			}
+		}
+		// A table with nothing eligible (never-used slots only, for
+		// ResurrectPTE) yields nothing.
+		if _, _, _, ok := sc.scan(NewHTAB(groups, 0x200000), 5); ok {
+			t.Fatalf("%s found an entry in an empty table", sc.name)
+		}
+	}
+}
+
 func TestHTABOccupancyHistogram(t *testing.T) {
 	h := newTestHTAB()
 	vpn := arch.VPNOf(1, 0x1000)

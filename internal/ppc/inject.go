@@ -182,9 +182,9 @@ func (t *TLB) Peek(vpn arch.VPN) (arch.PFN, bool) {
 func (h *HTAB) CorruptPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim arch.VPN, ok bool) {
 	pg := arch.HashPrimary(avoid, h.groups)
 	sg := arch.HashSecondary(avoid, h.groups)
-	start := int(rnd % uint64(h.groups))
+	start := int(rnd & uint64(h.groups-1))
 	for i := 0; i < h.groups; i++ {
-		g := (start + i) % h.groups
+		g := (start + i) & (h.groups - 1)
 		if g == pg || g == sg {
 			continue
 		}
@@ -205,9 +205,9 @@ func (h *HTAB) CorruptPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim a
 func (h *HTAB) ResurrectPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim arch.VPN, ok bool) {
 	pg := arch.HashPrimary(avoid, h.groups)
 	sg := arch.HashSecondary(avoid, h.groups)
-	start := int(rnd % uint64(h.groups))
+	start := int(rnd & uint64(h.groups-1))
 	for i := 0; i < h.groups; i++ {
-		g := (start + i) % h.groups
+		g := (start + i) & (h.groups - 1)
 		if g == pg || g == sg {
 			continue
 		}

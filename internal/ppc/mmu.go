@@ -36,13 +36,6 @@ type MMU struct {
 	inj *faultinject.Injector
 
 	segs [arch.NumSegments]arch.VSID
-
-	// gen is the translation generation: bumped on every event that can
-	// invalidate a previously returned translation (TLB invalidation,
-	// BAT register change, segment register load). Fastpaths that cache
-	// a translation remember the generation it was minted under and
-	// treat a mismatch as "revalidate from scratch".
-	gen uint64
 }
 
 // NewMMU builds an MMU for the given CPU model. Its counters are the
@@ -63,16 +56,8 @@ func NewMMU(model clock.CPUModel, htab *HTAB, led *clock.Ledger, bus Bus, trc *m
 		m.TLB = NewTLB(model.TLBEntries, len(tlbSet{}))
 		m.ITLB = m.TLB
 	}
-	m.TLB.gen = &m.gen
-	m.ITLB.gen = &m.gen
-	m.IBAT.gen = &m.gen
-	m.DBAT.gen = &m.gen
 	return m
 }
-
-// Gen returns the current translation generation. Any cached
-// translation minted under an older generation must be revalidated.
-func (m *MMU) Gen() uint64 { return m.gen }
 
 // TLBFor returns the lookaside buffer serving the given access side.
 func (m *MMU) TLBFor(instr bool) *TLB {
@@ -109,10 +94,8 @@ func (m *MMU) KernelTLBEntries() int {
 }
 
 // SetSegment loads segment register i with a VSID (the kernel does this
-// on context switch). Loading a segment register remaps every address
-// in that segment, so it advances the translation generation.
+// on context switch).
 func (m *MMU) SetSegment(i int, v arch.VSID) {
-	m.gen++
 	m.segs[i] = v & arch.VSIDMask
 }
 
@@ -125,25 +108,15 @@ func (m *MMU) VPNFor(ea arch.EffectiveAddr) arch.VPN {
 	return arch.VPNOf(m.segs[ea.SegIndex()], ea)
 }
 
-// Result is the outcome of one translation. It has four top-level
-// fields so the compiler keeps it in registers (a larger struct is
-// copied through the stack on every Translate); the facts about a
-// successful translation share the embedded Hit.
+// Result is the outcome of one translation. It has four fields so the
+// compiler keeps it in registers (a larger struct is copied through the
+// stack on every Translate).
 type Result struct {
-	PA arch.PhysAddr
-	Hit
-	Fault Fault
+	PA        arch.PhysAddr
+	Inhibited bool
+	Fault     Fault
 	// VPN is the virtual page that faulted (valid when Fault != FaultNone).
 	VPN arch.VPN
-}
-
-// Hit describes how a successful translation was satisfied.
-type Hit struct {
-	Inhibited bool
-	// ViaBAT reports the translation was satisfied by a BAT register.
-	ViaBAT bool
-	// Way is the TLB way holding the translation (TLB-sourced results).
-	Way int8
 }
 
 // perPTECost is the fixed pipeline cost of examining one PTE during the
@@ -166,11 +139,12 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	}
 	if pa, inh, ok := bats.Lookup(ea); ok {
 		m.mon.BATHits++
-		return Result{PA: pa, Hit: Hit{Inhibited: inh, ViaBAT: true}}
+		return Result{PA: pa, Inhibited: inh}
 	}
 	vpn := m.VPNFor(ea)
-	if r, ok := m.TLBHit(ea, vpn, instr); ok {
-		return r
+	if rpn, inh, ok := m.TLBFor(instr).Lookup(vpn); ok {
+		m.mon.TLBHits++
+		return Result{PA: rpn.Addr() + arch.PhysAddr(ea.Offset()), Inhibited: inh}
 	}
 
 	if m.Model.Kind == clock.CPU603 {
@@ -196,8 +170,7 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 		}
 		m.trc.TLBMiss(vpn.VSID(), ea, walkCost)
 		pte.R = true
-		way, evicted := m.TLBFor(instr).insert(vpn, pte.RPN, pte.CacheInhibited, ea.IsKernel())
-		if evicted {
+		if m.TLBFor(instr).Insert(vpn, pte.RPN, pte.CacheInhibited, ea.IsKernel()) {
 			m.trc.TLBEvict(vpn.VSID(), ea)
 		}
 		m.trc.TLBInsert(vpn.VSID(), ea)
@@ -205,7 +178,7 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 		// access belongs to; an exact transfer moves its cycles to
 		// tlb-miss without a span (no defer on the hot path).
 		m.trc.Phases().Attribute(telemetry.PhaseTLBMiss, walkCost)
-		return Result{PA: pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), Hit: Hit{Inhibited: pte.CacheInhibited, Way: way}}
+		return Result{PA: pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), Inhibited: pte.CacheInhibited}
 	}
 	// Neither bucket matched: hash-table miss interrupt (>= 91 cycles
 	// just to invoke the handler, §5).
@@ -218,20 +191,6 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 	// the hit path above; the software handler's span covers the rest.
 	m.trc.Phases().Attribute(telemetry.PhaseTLBMiss, m.led.Now()-walkStart)
 	return Result{Fault: FaultHashMiss, VPN: vpn}
-}
-
-// TLBHit is Translate's TLB stage alone, for a caller that already
-// knows ea misses the BATs and that vpn is ea's current virtual page
-// (the translation generation is unchanged since a Translate computed
-// it). A hit has Translate's side effects (the hit count, the way
-// becoming MRU); a miss has none.
-func (m *MMU) TLBHit(ea arch.EffectiveAddr, vpn arch.VPN, instr bool) (Result, bool) {
-	e, way := m.TLBFor(instr).lookup(vpn)
-	if e == nil {
-		return Result{}, false
-	}
-	m.mon.TLBHits++
-	return Result{PA: e.rpn.Addr() + arch.PhysAddr(ea.Offset()), Hit: Hit{Inhibited: e.inhibited, Way: way}}, true
 }
 
 // Probe translates without charging cycles or counters — for

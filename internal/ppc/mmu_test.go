@@ -24,18 +24,18 @@ func TestTranslateViaBAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := m.Translate(0xC0001234, false)
-	if r.Fault != FaultNone || !r.ViaBAT || r.PA != 0x00001234 {
+	if r.Fault != FaultNone || r.PA != 0x00001234 {
 		t.Fatalf("BAT translate: %+v", r)
 	}
-	if mon.BATHits != 1 || mon.TLBMisses != 0 {
+	if mon.BATHits != 1 || mon.TLBHits != 0 || mon.TLBMisses != 0 {
 		t.Fatalf("counters: %+v", mon)
 	}
 	if led.Now() != 0 {
 		t.Fatal("BAT hit should cost no cycles")
 	}
 	// Instruction-side lookup must use the IBATs, which are clear.
-	r = m.Translate(0xC0001234, true)
-	if r.ViaBAT {
+	m.Translate(0xC0001234, true)
+	if mon.BATHits != 1 {
 		t.Fatal("instruction fetch hit a data BAT")
 	}
 }
@@ -171,5 +171,67 @@ func TestKernelTLBEntriesTagged(t *testing.T) {
 	}
 	if m.TLB.KernelEntries() != 1 {
 		t.Fatal("kernel translation not tagged in TLB")
+	}
+}
+
+// The TLBs and the BATs are the only translation caches, so every
+// operation that invalidates or remaps a translation must change what
+// the next Translate returns for an address it covered. The table lists
+// those operations; each starts from a translation Translate has just
+// returned and must not return it again.
+func TestInvalidationDropsTranslation(t *testing.T) {
+	const ea = arch.EffectiveAddr(0x00001234)
+	vpn := arch.VPNOf(1, ea)
+	bat := BATEntry{Valid: true, Base: 0, Len: 4 << 20, Phys: 0x00800000}
+	setBAT := func(a *BATArray) {
+		if err := a.Set(0, bat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name  string
+		sides []bool                 // instr values whose translation must change
+		bat   func(m *MMU) *BATArray // a BAT to map ea before the operation
+		op    func(m *MMU)
+	}{
+		{"TLB.InvalidateVPN", []bool{false}, nil, func(m *MMU) { m.TLB.InvalidateVPN(vpn) }},
+		{"TLB.InvalidateAll", []bool{false}, nil, func(m *MMU) { m.TLB.InvalidateAll() }},
+		{"ITLB.InvalidateVPN", []bool{true}, nil, func(m *MMU) { m.ITLB.InvalidateVPN(vpn) }},
+		{"ITLB.InvalidateAll", []bool{true}, nil, func(m *MMU) { m.ITLB.InvalidateAll() }},
+		{"MMU.InvalidateVPNAll", []bool{false, true}, nil, func(m *MMU) { m.InvalidateVPNAll(vpn) }},
+		{"MMU.InvalidateTLBs", []bool{false, true}, nil, func(m *MMU) { m.InvalidateTLBs() }},
+		{"MMU.SetSegment", []bool{false, true}, nil, func(m *MMU) { m.SetSegment(ea.SegIndex(), 42) }},
+		{"DBAT.Set", []bool{false}, nil, func(m *MMU) { setBAT(&m.DBAT) }},
+		{"IBAT.Set", []bool{true}, nil, func(m *MMU) { setBAT(&m.IBAT) }},
+		{"DBAT.Clear", []bool{false}, func(m *MMU) *BATArray { return &m.DBAT }, func(m *MMU) { m.DBAT.Clear() }},
+		{"IBAT.Clear", []bool{true}, func(m *MMU) *BATArray { return &m.IBAT }, func(m *MMU) { m.IBAT.Clear() }},
+	}
+	split := clock.PPC603At180()
+	split.SplitTLB = true
+	for _, model := range []clock.CPUModel{clock.PPC603At180(), clock.PPC604At185(), split} {
+		for _, tc := range cases {
+			m, _, _, _ := newTestMMU(model)
+			m.SetSegment(ea.SegIndex(), vpn.VSID())
+			m.TLB.Insert(vpn, 0x55, false, false)
+			m.ITLB.Insert(vpn, 0x55, false, false)
+			if tc.bat != nil {
+				setBAT(tc.bat(m))
+			}
+			old := make(map[bool]arch.PhysAddr)
+			for _, instr := range tc.sides {
+				r := m.Translate(ea, instr)
+				if r.Fault != FaultNone {
+					t.Fatalf("%s: %s: translation before the operation faulted: %+v", model.Name, tc.name, r)
+				}
+				old[instr] = r.PA
+			}
+			tc.op(m)
+			for _, instr := range tc.sides {
+				if r := m.Translate(ea, instr); r.Fault == FaultNone && r.PA == old[instr] {
+					t.Errorf("%s (split %v): %s left the instr=%v translation of %v in place (%v)",
+						model.Name, model.SplitTLB, tc.name, instr, ea, r.PA)
+				}
+			}
+		}
 	}
 }

@@ -40,10 +40,6 @@ type tlbSet [2]TLBEntry
 type TLB struct {
 	sets    []tlbSet
 	setMask uint32
-	// gen, when wired by the owning MMU, is bumped on every
-	// invalidation so last-translation fastpaths can prove their
-	// remembered entry was never flushed.
-	gen *uint64
 }
 
 // NewTLB builds a TLB with the given total entry count and
@@ -62,14 +58,6 @@ func NewTLB(entries, ways int) *TLB {
 // Entries returns the total capacity.
 func (t *TLB) Entries() int { return len(t.sets) * len(tlbSet{}) }
 
-// bumpGen advances the owning MMU's translation generation (no-op for
-// a TLB constructed standalone in tests).
-func (t *TLB) bumpGen() {
-	if t.gen != nil {
-		*t.gen++
-	}
-}
-
 // find returns vpn's set and the way holding a valid translation for
 // it (-1 when none does). Pure probe: no recency side effects.
 func (t *TLB) find(vpn arch.VPN) (s *tlbSet, way int8) {
@@ -84,39 +72,25 @@ func (t *TLB) find(vpn arch.VPN) (s *tlbSet, way int8) {
 	return s, -1
 }
 
-// lookup is a hitting Lookup that also reports the way: on a hit the
-// way becomes its set's MRU; a miss has no side effects.
-func (t *TLB) lookup(vpn arch.VPN) (e *TLBEntry, way int8) {
+// Lookup searches for a translation of vpn. On a hit the way becomes
+// its set's MRU; a miss has no side effects.
+func (t *TLB) Lookup(vpn arch.VPN) (rpn arch.PFN, inhibited, ok bool) {
 	s, way := t.find(vpn)
 	if way < 0 {
-		return nil, way
+		return 0, false, false
 	}
 	s[0].mru = uint8(way)
-	return &s[way], way
-}
-
-// Lookup searches for a translation of vpn.
-func (t *TLB) Lookup(vpn arch.VPN) (rpn arch.PFN, inhibited, ok bool) {
-	if e, _ := t.lookup(vpn); e != nil {
-		return e.rpn, e.inhibited, true
-	}
-	return 0, false, false
+	return s[way].rpn, s[way].inhibited, true
 }
 
 // Insert installs a translation, evicting the set's LRU entry if full.
 // kernel tags entries translating kernel addresses so the OS footprint
 // (§5.1's 33%-of-slots measurement) can be read off the TLB. It reports
 // whether a valid entry for a different page was displaced, so the
-// tracer can see TLB pressure.
+// tracer can see TLB pressure. It fills the way already holding vpn,
+// else the first invalid way, else the way that is not MRU, and makes
+// that way MRU.
 func (t *TLB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (evictedValid bool) {
-	_, evictedValid = t.insert(vpn, rpn, inhibited, kernel)
-	return evictedValid
-}
-
-// insert is Insert that also reports the way filled. The way reused
-// for the same VPN, else the first invalid way, else the way that is
-// not MRU; the filled way becomes MRU.
-func (t *TLB) insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (way int8, evictedValid bool) {
 	s, way := t.find(vpn)
 	switch {
 	case way >= 0:
@@ -134,36 +108,7 @@ func (t *TLB) insert(vpn arch.VPN, rpn arch.PFN, inhibited, kernel bool) (way in
 	e := &s[way]
 	e.key, e.rpn, e.inhibited, e.kernel = uint64(vpn)|tlbValid, rpn, inhibited, kernel
 	s[0].mru = uint8(way)
-	return way, evictedValid
-}
-
-// WayOf reports which way of vpn's set currently holds a valid
-// translation for it. Pure probe: no recency or statistics side
-// effects — fastpaths use it to remember where a hit lives.
-func (t *TLB) WayOf(vpn arch.VPN) (way int8, ok bool) {
-	if _, way = t.find(vpn); way < 0 {
-		return 0, false
-	}
-	return way, true
-}
-
-// LookupWay replays one Lookup hit at a remembered way. On success the
-// side effects are exactly those of a hitting Lookup (the way becomes
-// MRU); on a stale way — entry invalidated or replaced since it was
-// remembered — nothing is touched and the caller must fall back to the
-// full Lookup. Any number of consecutive hits leave the same state as
-// one, so a batch of hits replays as a single LookupWay.
-func (t *TLB) LookupWay(vpn arch.VPN, way int8) (rpn arch.PFN, inhibited, ok bool) {
-	if uint8(way) >= uint8(len(tlbSet{})) {
-		return 0, false, false
-	}
-	s := &t.sets[vpn.PageIndex()&t.setMask]
-	e := &s[way]
-	if e.key != uint64(vpn)|tlbValid {
-		return 0, false, false
-	}
-	s[0].mru = uint8(way)
-	return e.rpn, e.inhibited, true
+	return evictedValid
 }
 
 // invalidate clears one entry, keeping way 0's MRU byte.
@@ -173,7 +118,6 @@ func (s *tlbSet) invalidate(way int8) {
 
 // InvalidateVPN removes a single translation (the tlbie instruction).
 func (t *TLB) InvalidateVPN(vpn arch.VPN) {
-	t.bumpGen()
 	if s, way := t.find(vpn); way >= 0 {
 		s.invalidate(way)
 	}
@@ -181,7 +125,6 @@ func (t *TLB) InvalidateVPN(vpn arch.VPN) {
 
 // InvalidateAll flushes the whole TLB (the tlbia instruction).
 func (t *TLB) InvalidateAll() {
-	t.bumpGen()
 	for i := range t.sets {
 		t.sets[i].invalidate(0)
 		t.sets[i].invalidate(1)

@@ -80,30 +80,6 @@ install:
 	return evictedValid
 }
 
-func (t *refTLB) WayOf(vpn arch.VPN) (way int8, ok bool) {
-	set := t.set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			return int8(i), true
-		}
-	}
-	return 0, false
-}
-
-func (t *refTLB) LookupWay(vpn arch.VPN, way int8) (rpn arch.PFN, inhibited, ok bool) {
-	set := t.set(vpn)
-	if int(way) >= len(set) {
-		return 0, false, false
-	}
-	e := &set[way]
-	if !e.valid || e.vpn != vpn {
-		return 0, false, false
-	}
-	t.seq++
-	e.lru = t.seq
-	return e.rpn, e.inhibited, true
-}
-
 func (t *refTLB) InvalidateVPN(vpn arch.VPN) {
 	set := t.set(vpn)
 	for i := range set {
@@ -249,8 +225,8 @@ func FuzzTLBOracle(f *testing.F) {
 		1, 0x01, 0x02, // kernel-tagged entries in set 1
 		1, 0x11, 0x12,
 		2, 0x11, 0x13, // same-VPN reinsert updates in place
-		3, 0x01, 1, // LookupWay at the right way
-		3, 0x11, 0, // ... and at a stale one
+		3, 0x01, 1, // a hit
+		3, 0x11, 0, // ... and another
 		8, 0x01, 0x05, // corrupt an entry outside set 1
 		9, 0x00, 0x02, // spurious invalidation
 		1, 0x21, 0x00,
@@ -275,7 +251,7 @@ func FuzzTLBOracle(f *testing.F) {
 			op, vpn, arg := ops[0], oracleVPN(ops[1]), ops[2]
 			step := fmt.Sprintf("step %d (op %d, vpn %v, arg %#x)", i, op%10, vpn, arg)
 			switch op % 10 {
-			case 0:
+			case 0, 3:
 				r1, i1, ok1 := tlb.Lookup(vpn)
 				r2, i2, ok2 := ref.Lookup(vpn)
 				if r1 != r2 || i1 != i2 || ok1 != ok2 {
@@ -290,23 +266,7 @@ func FuzzTLBOracle(f *testing.F) {
 					t.Fatalf("%s: Insert evicted %v, reference %v", step, g, w)
 				}
 				last = vpn
-			case 3:
-				way, _ := ref.WayOf(vpn)
-				if arg&1 == 0 {
-					way = (way + 1 + int8(arg>>1&1)) % 3 // a stale or out-of-range way
-				}
-				r1, i1, ok1 := tlb.LookupWay(vpn, way)
-				r2, i2, ok2 := ref.LookupWay(vpn, way)
-				if r1 != r2 || i1 != i2 || ok1 != ok2 {
-					t.Fatalf("%s: LookupWay(%d) (%v %v %v), reference (%v %v %v)", step, way, r1, i1, ok1, r2, i2, ok2)
-				}
-			case 4:
-				w1, ok1 := tlb.WayOf(vpn)
-				w2, ok2 := ref.WayOf(vpn)
-				if w1 != w2 || ok1 != ok2 {
-					t.Fatalf("%s: WayOf (%d %v), reference (%d %v)", step, w1, ok1, w2, ok2)
-				}
-			case 5:
+			case 4, 5:
 				r1, ok1 := tlb.Peek(vpn)
 				r2, ok2 := ref.Peek(vpn)
 				if r1 != r2 || ok1 != ok2 {
@@ -357,7 +317,6 @@ func TestTLBRecencyExhaustive(t *testing.T) {
 		{"reinsert a", func(x *TLB) { x.Insert(a, 5, true, false) }, func(x *refTLB) { x.Insert(a, 5, true, false) }},
 		{"hit a", func(x *TLB) { x.Lookup(a) }, func(x *refTLB) { x.Lookup(a) }},
 		{"hit b", func(x *TLB) { x.Lookup(b) }, func(x *refTLB) { x.Lookup(b) }},
-		{"way-hit b", func(x *TLB) { x.LookupWay(b, 1) }, func(x *refTLB) { x.LookupWay(b, 1) }},
 		{"invalidate a", func(x *TLB) { x.InvalidateVPN(a) }, func(x *refTLB) { x.InvalidateVPN(a) }},
 		{"invalidate b", func(x *TLB) { x.InvalidateVPN(b) }, func(x *refTLB) { x.InvalidateVPN(b) }},
 		{"spurious", func(x *TLB) { x.SpuriousInvalidate(0) }, func(x *refTLB) { x.SpuriousInvalidate(0) }},

@@ -55,7 +55,6 @@ var hot = Spec{
 		in + "phys.(*Memory).GetFreePage",
 		in + "phys.(*Memory).PopClearedCandidate",
 		in + "ppc.(*TLB).Peek",
-		in + "ppc.(*TLB).bumpGen",
 		in + "ppc.(*TLB).Insert",
 		in + "telemetry.(*Phases).Enter",
 		in + "telemetry.(*Phases).Exit",
@@ -102,7 +101,7 @@ var hot = Spec{
 		in + "mmtrace.(*Tracer).SetTask",
 	},
 	Cuts: []Cut{
-		{in + "kernel.(*Kernel).translate", in + "kernel.(*Kernel).translateSlow", "the slow path runs the allocating fault handlers by design"},
+		{in + "kernel.(*Kernel).translate", in + "kernel.(*Kernel).handleFault", "the fault path runs the allocating fault handlers by design"},
 		{in + "kernel.(*Kernel).AccessRun", in + "kernel.(*Kernel).access", "the scalar fallback runs the allocating fault and COW paths by design"},
 	},
 	Ifaces: map[string][]string{

@@ -241,14 +241,14 @@ func Example_idleTask() {
 		k.UserTouchPages(kernel.UserDataBase, 200)
 		k.Exec(img) // lazy context flush: 200+ PTEs become zombies
 		occ := k.M.MMU.HTAB.Occupancy()
-		live := k.M.MMU.HTAB.LiveOccupancy(k.ZombieVSID)
+		live := k.M.MMU.HTAB.LiveOccupancy(k)
 		fmt.Printf("after exec %d: %5d valid PTEs, %4d live, %4d zombies\n",
 			round+1, occ, live, occ-live)
 	}
 	st := k.RunIdleFor(3_000_000) // a long I/O wait
 	occ := k.M.MMU.HTAB.Occupancy()
 	fmt.Printf("idle task ran: %d zombies reclaimed; %d valid PTEs remain (all live: %v)\n",
-		st.Reclaimed, occ, occ == k.M.MMU.HTAB.LiveOccupancy(k.ZombieVSID))
+		st.Reclaimed, occ, occ == k.M.MMU.HTAB.LiveOccupancy(k))
 
 	// Cached idle clearing fills the data cache with useless lines;
 	// uncached clearing leaves it alone. Both bank pages that make

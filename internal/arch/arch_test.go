@@ -173,28 +173,30 @@ func TestHashUsesVSIDForVariation(t *testing.T) {
 
 func TestPTEMatches(t *testing.T) {
 	vpn := VPNOf(0x123456, 0x00404000)
-	p := PTE{Valid: true, VSID: vpn.VSID(), API: vpn.PageIndex(), RPN: 42}
-	if !p.Matches(vpn) {
+	p := NewPTE(vpn, 42, false, false)
+	if !p.Matches(Key(vpn, false)) {
 		t.Fatal("PTE should match its own VPN")
 	}
 	if p.VPN() != vpn {
 		t.Fatalf("VPN() = %#x want %#x", p.VPN(), vpn)
 	}
 	other := VPNOf(0x123457, 0x00404000)
-	if p.Matches(other) {
+	if p.Matches(Key(other, false)) {
 		t.Fatal("PTE must not match different VSID")
 	}
-	p.Valid = false
-	if p.Matches(vpn) {
+	if p.Matches(Key(vpn, true)) {
+		t.Fatal("primary PTE must not match a secondary search")
+	}
+	if p.WithValid(false).Matches(Key(vpn, false)) {
 		t.Fatal("invalid PTE must never match")
 	}
 }
 
 func TestPTEVPNRoundTrip(t *testing.T) {
-	f := func(v VSID, ea EffectiveAddr) bool {
+	f := func(v VSID, ea EffectiveAddr, hash bool) bool {
 		vpn := VPNOf(v&VSIDMask, ea)
-		p := PTE{Valid: true, VSID: vpn.VSID(), API: vpn.PageIndex()}
-		return p.VPN() == vpn && p.Matches(vpn)
+		p := NewPTE(vpn, 0, hash, false)
+		return p.VPN() == vpn && p.Matches(Key(vpn, hash))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -219,7 +221,7 @@ func TestStringFormats(t *testing.T) {
 	if s := PhysAddr(0x1000).String(); s != "0x00001000" {
 		t.Errorf("PhysAddr.String() = %q", s)
 	}
-	p := PTE{Valid: true, VSID: 0x123, API: 0x45, RPN: 0x678}
+	p := NewPTE(VPN(0x123)<<PageIndexBits|0x45, 0x678, false, false)
 	if s := p.String(); s == "" {
 		t.Error("PTE.String() empty")
 	}

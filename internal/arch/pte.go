@@ -2,55 +2,111 @@ package arch
 
 import "fmt"
 
-// PTE is a PowerPC hashed-page-table entry. The real hardware packs
-// this into two 32-bit words; we keep the fields explicit but preserve
-// the architected widths. A PTE associates a virtual page (VSID + page
-// index, plus which hash function located it) with a physical frame and
-// protection/housekeeping bits.
-type PTE struct {
-	// Valid is the V bit. The hardware only matches valid entries.
-	Valid bool
-	// VSID is the 24-bit virtual segment identifier.
-	VSID VSID
-	// API is the abbreviated page index stored in the entry. Together
-	// with the hash that selected the bucket it reconstructs the full
-	// page index; we store the full 16-bit index for simplicity, which
-	// loses no information.
-	API uint32
-	// Hash records whether the entry was placed using the secondary
-	// hash function (the architected H bit).
-	Hash bool
-	// RPN is the 20-bit real (physical) page number.
-	RPN PFN
-	// R and C are the referenced and changed bits maintained by the
-	// table-walk hardware (or the software reload path).
-	R, C bool
-	// WIMG holds the storage-control bits; we track only the
-	// cache-inhibited bit (I) which §8/§9 of the paper care about.
-	CacheInhibited bool
-	// PP is the 2-bit page-protection field.
-	PP uint8
+// PTE is a PowerPC hashed-page-table entry, packed into the 64 bits
+// the hardware gives it (two 32-bit words on the real part), so a
+// PTEG of eight fills exactly one 64-byte host cache line. It
+// associates a virtual page (VSID + page index, plus which hash
+// function located it) with a physical frame. Layout, high bit first:
+//
+//	63      V     valid: the hardware only matches valid entries
+//	62      H     placed by the secondary hash function
+//	61..38  VSID  the 24-bit virtual segment identifier
+//	37..22  PI    the full 16-bit page index
+//	21..2   RPN   the 20-bit real page number
+//	1       I     cache-inhibited, the one WIMG bit §8/§9 care about
+//	0       —     unused
+//
+// The hardware stores only a 6-bit abbreviated page index and
+// recovers the rest from the bucket the entry sits in, which works
+// for tables of at least 1024 groups; the simulator also sweeps
+// smaller tables, so it keeps the whole index. V, H, VSID and page
+// index sit together, so a slot matches with one mask and compare.
+// The hardware's R, C and PP bits are not kept: nothing the
+// simulator measures reads them.
+type PTE uint64
+
+const (
+	pteValid     PTE = 1 << 63
+	pteHash      PTE = 1 << 62
+	pteVPNShift      = 22
+	pteVPN       PTE = (1<<(VSIDBits+PageIndexBits) - 1) << pteVPNShift
+	pteRPNShift      = 2
+	pteRPN       PTE = (1<<20 - 1) << pteRPNShift
+	pteInhibited PTE = 1 << 1
+	// pteKey covers what a search compares: V, H and the virtual page.
+	pteKey = pteValid | pteHash | pteVPN
+)
+
+// NewPTE builds a valid entry translating vpn to rpn. hash is the H
+// bit: whether the entry sits in vpn's secondary bucket.
+func NewPTE(vpn VPN, rpn PFN, hash, inhibited bool) PTE {
+	p := pteValid | PTE(vpn)<<pteVPNShift&pteVPN | PTE(rpn)<<pteRPNShift&pteRPN
+	if hash {
+		p |= pteHash
+	}
+	if inhibited {
+		p |= pteInhibited
+	}
+	return p
 }
 
-// Matches reports whether the entry translates the given virtual page.
-func (p *PTE) Matches(vpn VPN) bool {
-	return p.Valid && p.VSID == vpn.VSID() && p.API == vpn.PageIndex()
+// Key returns what a search for vpn through the given hash function
+// compares each slot against: a valid entry's V, H and virtual page.
+func Key(vpn VPN, hash bool) PTE {
+	key := pteValid | PTE(vpn)<<pteVPNShift&pteVPN
+	if hash {
+		key |= pteHash
+	}
+	return key
 }
 
-// VPN reconstructs the virtual page number the entry translates.
-func (p *PTE) VPN() VPN { return VPN(uint64(p.VSID)<<PageIndexBits | uint64(p.API)) }
+// Matches reports whether the entry is the one a search for key finds
+// — the hardware's compare, one mask and one compare.
+func (p PTE) Matches(key PTE) bool { return p&pteKey == key }
 
-// String renders the entry for debugging and the htabviz tool.
-func (p *PTE) String() string {
+// Valid reports the V bit.
+func (p PTE) Valid() bool { return p&pteValid != 0 }
+
+// Hash reports the H bit: the entry was placed with the secondary hash.
+func (p PTE) Hash() bool { return p&pteHash != 0 }
+
+// VPN returns the virtual page number the entry translates.
+func (p PTE) VPN() VPN { return VPN(p & pteVPN >> pteVPNShift) }
+
+// VSID returns the entry's virtual segment identifier.
+func (p PTE) VSID() VSID { return p.VPN().VSID() }
+
+// RPN returns the real page number.
+func (p PTE) RPN() PFN { return PFN(p & pteRPN >> pteRPNShift) }
+
+// Inhibited reports the cache-inhibited bit.
+func (p PTE) Inhibited() bool { return p&pteInhibited != 0 }
+
+// WithValid returns the entry with its V bit set to v and every other
+// field kept: invalidation leaves the stale tag and frame in place.
+func (p PTE) WithValid(v bool) PTE {
+	if v {
+		return p | pteValid
+	}
+	return p &^ pteValid
+}
+
+// WithRPN returns the entry with its real page number replaced.
+func (p PTE) WithRPN(rpn PFN) PTE {
+	return p&^pteRPN | PTE(rpn)<<pteRPNShift&pteRPN
+}
+
+// String renders the entry for debugging.
+func (p PTE) String() string {
 	v := " "
-	if p.Valid {
+	if p.Valid() {
 		v = "V"
 	}
 	h := " "
-	if p.Hash {
+	if p.Hash() {
 		h = "H"
 	}
-	return fmt.Sprintf("[%s%s vsid=%06x api=%04x rpn=%05x]", v, h, uint32(p.VSID), p.API, uint32(p.RPN))
+	return fmt.Sprintf("[%s%s vsid=%06x api=%04x rpn=%05x]", v, h, uint32(p.VSID()), p.VPN().PageIndex(), uint32(p.RPN()))
 }
 
 // Hashed-page-table geometry. For 32 MB of RAM the architecture-

@@ -2,7 +2,7 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/pagetable"
@@ -15,6 +15,34 @@ type vsidOwner struct {
 	seg int
 }
 
+// sweepScratch is CheckConsistency's working storage, kept in the
+// kernel and reused, so a sweep allocates nothing once the first has
+// sized it — the machine-check handler sweeps after every repair.
+type sweepScratch struct {
+	// pids holds every task's PID in ascending order: each pass over
+	// the tasks runs in it, so the first violation found is
+	// deterministic.
+	pids []uint32
+	// live indexes the live VSIDs (see resolver).
+	live map[arch.VSID]vsidOwner
+	// private marks the frames some live task's tree maps and owns.
+	private pfnSet
+	// users and ids are checkMM's per-descriptor counts and order.
+	users map[uint32]int
+	ids   []uint32
+}
+
+// sortedPIDs refills the scratch PID list in ascending order.
+func (k *Kernel) sortedPIDs() []uint32 {
+	pids := k.sweep.pids[:0]
+	for pid := range k.tasks {
+		pids = append(pids, pid)
+	}
+	slices.Sort(pids)
+	k.sweep.pids = pids
+	return pids
+}
+
 // resolver answers "what is the canonical translation of this VPN?"
 // questions against the kernel's authoritative structures (the live
 // tasks' page trees and the kernel linear/I-O maps). It is the shared
@@ -22,35 +50,43 @@ type vsidOwner struct {
 // handler: both need to decide whether a cached translation agrees
 // with what the software structures say it should be.
 type resolver struct {
-	k           *Kernel
-	live        map[arch.VSID]vsidOwner
-	kernelVSIDs map[arch.VSID]int
+	k    *Kernel
+	live map[arch.VSID]vsidOwner
 }
 
-// newResolver indexes the live VSIDs. It fails if two live contexts
-// share a VSID (invariant 3).
-func (k *Kernel) newResolver() (*resolver, error) {
-	r := &resolver{
-		k:           k,
-		live:        make(map[arch.VSID]vsidOwner),
-		kernelVSIDs: make(map[arch.VSID]int),
+// newResolver indexes the live VSIDs of the tasks in pids order. It
+// fails if two live contexts share a VSID (invariant 3).
+func (k *Kernel) newResolver(pids []uint32) (resolver, error) {
+	if k.sweep.live == nil {
+		k.sweep.live = make(map[arch.VSID]vsidOwner)
 	}
-	for _, t := range k.tasks {
+	r := resolver{k: k, live: k.sweep.live}
+	clear(r.live)
+	for _, pid := range pids {
+		t := k.tasks[pid]
 		if t.State == TaskZombie {
 			continue
 		}
 		for seg := 0; seg < 12; seg++ {
 			v := t.Segs[seg]
 			if prev, dup := r.live[v]; dup && prev.t != t {
-				return nil, fmt.Errorf("VSID %#x shared by live tasks %d and %d", v, prev.t.PID, t.PID)
+				return r, fmt.Errorf("VSID %#x shared by live tasks %d and %d", v, prev.t.PID, t.PID)
 			}
 			r.live[v] = vsidOwner{t, seg}
 		}
 	}
-	for seg := 12; seg < 16; seg++ {
-		r.kernelVSIDs[k.M.MMU.Segment(seg)] = seg
-	}
 	return r, nil
+}
+
+// kernelSeg returns the kernel segment (12..15) whose register holds
+// v, or -1.
+func (r *resolver) kernelSeg(v arch.VSID) int {
+	for seg := 12; seg < 16; seg++ {
+		if r.k.M.MMU.Segment(seg) == v {
+			return seg
+		}
+	}
+	return -1
 }
 
 // canonicalFrame returns the authoritative frame for a VPN under its
@@ -58,7 +94,7 @@ func (k *Kernel) newResolver() (*resolver, error) {
 // (zombies, stale contexts) are exempt: ok is false with no error.
 func (r *resolver) canonicalFrame(vpn arch.VPN) (arch.PFN, bool, error) {
 	v := vpn.VSID()
-	if seg, ok := r.kernelVSIDs[v]; ok {
+	if seg := r.kernelSeg(v); seg >= 0 {
 		ea := arch.EffectiveAddr(uint32(seg)<<arch.SegmentShift | vpn.PageIndex()<<arch.PageShift)
 		if rpn, ok := r.k.ioLinear(ea); ok {
 			return rpn, true, nil
@@ -78,7 +114,7 @@ func (r *resolver) canonicalFrame(vpn arch.VPN) (arch.PFN, bool, error) {
 	if !present {
 		return 0, false, fmt.Errorf("live VSID %#x (task %d) has cached translation for unmapped %v", v, o.t.PID, ea)
 	}
-	return e.RPN, true, nil
+	return e.RPN(), true, nil
 }
 
 // CheckConsistency verifies the translation-coherence invariants that
@@ -106,71 +142,66 @@ func (r *resolver) canonicalFrame(vpn arch.VPN) (arch.PFN, bool, error) {
 //
 // It returns an error describing the first violation found, or nil.
 func (k *Kernel) CheckConsistency() error {
-	r, err := k.newResolver()
+	pids := k.sortedPIDs()
+	r, err := k.newResolver(pids)
 	if err != nil {
 		return err
 	}
 
-	// 1. TLB agreement (both arrays when split).
-	tlbs := []*struct {
-		name string
-		snap map[arch.VPN]arch.PFN
-	}{{"DTLB", k.M.MMU.TLB.Snapshot()}, {"ITLB", nil}}
-	if k.M.MMU.ITLB != k.M.MMU.TLB {
-		tlbs[1].snap = k.M.MMU.ITLB.Snapshot()
-	}
-	for _, tl := range tlbs {
-		for vpn, rpn := range tl.snap {
+	// 1. TLB agreement (both arrays when split), in set order.
+	var cacheErr error
+	check := func(name string) func(vpn arch.VPN, rpn arch.PFN) bool {
+		return func(vpn arch.VPN, rpn arch.PFN) bool {
 			want, ok, err := r.canonicalFrame(vpn)
 			if err != nil {
-				return fmt.Errorf("%s: %w", tl.name, err)
+				cacheErr = fmt.Errorf("%s: %w", name, err)
+				return false
 			}
 			if ok && want != rpn {
-				return fmt.Errorf("%s entry %#x -> frame %#x disagrees with canonical frame %#x", tl.name, vpn, rpn, want)
+				cacheErr = fmt.Errorf("%s entry %#x -> frame %#x disagrees with canonical frame %#x", name, vpn, rpn, want)
+				return false
 			}
+			return true
 		}
 	}
+	k.M.MMU.TLB.ForEachValid(check("DTLB"))
+	if cacheErr == nil && k.M.MMU.ITLB != k.M.MMU.TLB {
+		k.M.MMU.ITLB.ForEachValid(check("ITLB"))
+	}
 
-	// 2. Hash-table agreement.
-	var htabErr error
-	k.M.MMU.HTAB.ForEachValid(func(vpn arch.VPN, rpn arch.PFN) bool {
-		want, ok, err := r.canonicalFrame(vpn)
-		if err != nil {
-			htabErr = fmt.Errorf("HTAB: %w", err)
-			return false
-		}
-		if ok && want != rpn {
-			htabErr = fmt.Errorf("HTAB entry %#x -> frame %#x disagrees with canonical frame %#x", vpn, rpn, want)
-			return false
-		}
-		return true
-	})
-	if htabErr != nil {
-		return htabErr
+	// 2. Hash-table agreement, in bucket order.
+	if cacheErr == nil {
+		k.M.MMU.HTAB.ForEachValid(check("HTAB"))
+	}
+	if cacheErr != nil {
+		return cacheErr
 	}
 
 	// 4. Frame accounting.
-	privateOwner := make(map[arch.PFN]uint32)
-	for _, t := range k.tasks {
+	private := &k.sweep.private
+	private.reset()
+	for _, pid := range pids {
+		t := k.tasks[pid]
 		if t.State == TaskZombie || t.PT == nil {
 			continue
 		}
 		var walkErr error
 		t.PT.Range(0, arch.KernelBase, func(ea arch.EffectiveAddr, e pagetable.Entry) bool {
-			if int(e.RPN) >= k.M.Mem.Frames() {
+			rpn := e.RPN()
+			if int(rpn) >= k.M.Mem.Frames() {
 				// Device space (the frame buffer) — not RAM.
 				return true
 			}
-			if !k.M.Mem.InUse(e.RPN) {
-				walkErr = fmt.Errorf("task %d maps free frame %#x at %v", t.PID, uint32(e.RPN), ea)
+			if !k.M.Mem.InUse(rpn) {
+				walkErr = fmt.Errorf("task %d maps free frame %#x at %v", t.PID, uint32(rpn), ea)
 				return false
 			}
-			if t.owns(e.RPN) {
-				if prev, dup := privateOwner[e.RPN]; dup {
-					walkErr = fmt.Errorf("frame %#x privately owned by tasks %d and %d", uint32(e.RPN), prev, t.PID)
+			if t.owns(rpn) {
+				if private.has(rpn) {
+					walkErr = fmt.Errorf("frame %#x privately owned by tasks %d and %d", uint32(rpn), k.firstPrivateOwner(pids, rpn), t.PID)
 					return false
 				}
-				privateOwner[e.RPN] = t.PID
+				private.add(rpn)
 			}
 			return true
 		})
@@ -189,14 +220,35 @@ func (k *Kernel) CheckConsistency() error {
 	}
 
 	// 5 + 6. mm refcount identities and structure.
-	return k.checkMM()
+	return k.checkMM(pids)
+}
+
+// firstPrivateOwner returns the PID of the first task, in pids order,
+// whose tree maps frame rpn below KernelBase and owns it: the owner a
+// frame-accounting sweep met first. Only the error path calls it.
+func (k *Kernel) firstPrivateOwner(pids []uint32, rpn arch.PFN) uint32 {
+	for _, pid := range pids {
+		t := k.tasks[pid]
+		if t.State == TaskZombie || t.PT == nil || !t.owns(rpn) {
+			continue
+		}
+		found := false
+		t.PT.Range(0, arch.KernelBase, func(_ arch.EffectiveAddr, e pagetable.Entry) bool {
+			found = e.RPN() == rpn
+			return !found
+		})
+		if found {
+			return pid
+		}
+	}
+	return 0
 }
 
 // checkMM verifies invariants 5 and 6: the mm_users/mm_count
 // identities and the structural facts they rest on. Iteration is in
-// sorted ID/PID order so the first violation reported is
-// deterministic.
-func (k *Kernel) checkMM() error {
+// sorted ID/PID order (pids is every task's, ascending) so the first
+// violation reported is deterministic.
+func (k *Kernel) checkMM(pids []uint32) error {
 	// Structure around the current CPU state.
 	if k.activeMM == nil || !k.MMRegistered(k.activeMM) {
 		return fmt.Errorf("active mm is nil or freed")
@@ -217,12 +269,11 @@ func (k *Kernel) checkMM() error {
 	}
 
 	// Per-task structure, and the expected user counts.
-	wantUsers := make(map[uint32]int, len(k.mms))
-	pids := make([]uint32, 0, len(k.tasks))
-	for pid := range k.tasks {
-		pids = append(pids, pid)
+	if k.sweep.users == nil {
+		k.sweep.users = make(map[uint32]int)
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	wantUsers := k.sweep.users
+	clear(wantUsers)
 	for _, pid := range pids {
 		t := k.tasks[pid]
 		if t.State == TaskZombie {
@@ -247,11 +298,12 @@ func (k *Kernel) checkMM() error {
 	}
 
 	// The identities, per live descriptor.
-	ids := make([]uint32, 0, len(k.mms))
+	ids := k.sweep.ids[:0]
 	for id := range k.mms {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	k.sweep.ids = ids
 	for _, id := range ids {
 		m := k.mms[id]
 		if m.Count <= 0 {

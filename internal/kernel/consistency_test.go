@@ -1,11 +1,14 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/clock"
+	"mmutricks/internal/machine"
 )
 
 // TestConsistencyAfterBasicOps checks the coherence invariants after
@@ -45,7 +48,7 @@ func TestConsistencyAfterLazyFlushChurn(t *testing.T) {
 	// The hash table should indeed be full of zombies right now —
 	// the checker must tolerate them.
 	occ := k.M.MMU.HTAB.Occupancy()
-	livePTEs := k.M.MMU.HTAB.LiveOccupancy(k.zombie)
+	livePTEs := k.M.MMU.HTAB.LiveOccupancy(k)
 	if occ <= livePTEs {
 		t.Fatalf("expected zombie PTEs in the table: occ=%d live=%d", occ, livePTEs)
 	}
@@ -163,9 +166,9 @@ func TestConsistencyDetectsCorruption(t *testing.T) {
 				if pte == nil {
 					t.Fatal("setup: data page has no hash-table PTE")
 				}
-				old := pte.RPN
-				pte.RPN = old ^ 0x3ff
-				return func() { pte.RPN = old }
+				old := *pte
+				*pte = old.WithRPN(old.RPN() ^ 0x3ff)
+				return func() { *pte = old }
 			},
 		},
 		{
@@ -240,4 +243,86 @@ func TestConsistencyDetectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConsistencyReportsLowestTLBSet plants two TLB entries that
+// disagree with their canonical frames and requires every sweep to
+// report the same one, the entry in the lower set: the TLB is walked
+// in set order, not through a map whose order varies run to run.
+func TestConsistencyReportsLowestTLBSet(t *testing.T) {
+	k, task := bootTask(t, clock.PPC604At185(), Unoptimized())
+	k.UserTouchPages(UserDataBase, 4)
+	seg := task.Segs[UserDataBase.SegIndex()]
+	// Plant the higher set first, so insertion order cannot pass for
+	// set order.
+	hi := arch.VPNOf(seg, UserDataBase+2*arch.PageSize)
+	lo := arch.VPNOf(seg, UserDataBase+arch.PageSize)
+	sets := uint32(k.M.MMU.TLB.Entries() / 2) // two ways a set
+	if lo.PageIndex()%sets >= hi.PageIndex()%sets {
+		t.Fatalf("setup: %#x is not in a lower set than %#x", lo, hi)
+	}
+	k.M.MMU.TLB.Insert(hi, 0x1234, false, false)
+	k.M.MMU.TLB.Insert(lo, 0x1235, false, false)
+	defer k.M.MMU.InvalidateVPNAll(lo)
+	defer k.M.MMU.InvalidateVPNAll(hi)
+	want := fmt.Sprintf("DTLB entry %#x -> frame 0x1235", lo)
+	for i := 0; i < 50; i++ {
+		err := k.CheckConsistency()
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("sweep %d: %v, want the lower set's entry reported (%s ...)", i, err, want)
+		}
+	}
+}
+
+// TestConsistencyAllocsIndependentOfMappings holds the sweep to a
+// fixed allocation count once its scratch is sized: four tasks with
+// 1024 mapped pages each allocate no more per sweep than four with 64,
+// so neither mapped pages nor RAM can make the machine-check handler's
+// repeated sweeps grow the heap.
+func TestConsistencyAllocsIndependentOfMappings(t *testing.T) {
+	const bound = 0
+	allocs := func(pages int) float64 {
+		k := New(machine.New(clock.PPC604At185()), Optimized())
+		img := k.LoadImage("test", 4)
+		for i := 0; i < 4; i++ {
+			k.Switch(k.Spawn(img))
+			k.UserTouchPages(UserDataBase, pages)
+		}
+		if err := k.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := k.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	big, small := allocs(1024), allocs(64)
+	if big != small || big > bound {
+		t.Fatalf("a sweep allocates %.0f times with 1024 pages a task and %.0f with 64; want the same count, at most %d", big, small, bound)
+	}
+}
+
+// TestConsistencyNamesBothPrivateOwners maps one task's private frame
+// into a second task's tree as that task's own: the sweep reports the
+// frame with the first owner it met (the lower PID) and the second.
+func TestConsistencyNamesBothPrivateOwners(t *testing.T) {
+	k, task := bootTask(t, clock.PPC604At185(), Unoptimized())
+	k.UserTouchPages(UserDataBase, 4)
+	e, ok := task.PT.Lookup(UserDataBase)
+	if !ok || !task.owns(e.RPN()) {
+		t.Fatal("setup: data page not mapped and owned")
+	}
+	other := k.Spawn(k.images["test"])
+	ea := UserDataBase + arch.EffectiveAddr(200*arch.PageSize)
+	if err := other.PT.Map(ea, e.RPN(), false); err != nil {
+		t.Fatal(err)
+	}
+	other.ownFrame(e.RPN())
+	want := fmt.Sprintf("frame %#x privately owned by tasks %d and %d", uint32(e.RPN()), task.PID, other.PID)
+	if err := k.CheckConsistency(); err == nil || err.Error() != want {
+		t.Fatalf("sweep: %v, want %q", err, want)
+	}
+	other.disownFrame(e.RPN())
+	other.PT.Unmap(ea)
 }

@@ -62,14 +62,14 @@ func (k *Kernel) forkCOW(parent, child *Task) {
 			pn := ea.PageNumber()
 			if parent.isCOW(pn) {
 				// Already shared from an earlier fork: one more ref.
-				k.sharedFrames[e.RPN]++
+				k.sharedFrames[e.RPN()]++
 			} else {
-				parent.disownFrame(e.RPN)
-				k.shareCOW(e.RPN)
+				parent.disownFrame(e.RPN())
+				k.shareCOW(e.RPN())
 				parent.markCOW(pn)
 			}
 			child.markCOW(pn)
-			k.mapPage(child, ea, e.RPN, e.Inhibited)
+			k.mapPage(child, ea, e.RPN(), e.Inhibited())
 			// The parent's cached translations would permit stores on
 			// real hardware until downgraded; flush them so both sides
 			// reload read-only state (the flush cost is real, §7).
@@ -93,17 +93,17 @@ func (k *Kernel) cowBreak(t *Task, ea arch.EffectiveAddr) {
 		panic(fmt.Sprintf("kernel: COW break on unmapped page %v", ea))
 	}
 	t.clearCOW(pn)
-	if n := k.sharedFrames[e.RPN]; n <= 1 {
+	if n := k.sharedFrames[e.RPN()]; n <= 1 {
 		// Last sharer: take the frame back exclusively.
-		delete(k.sharedFrames, e.RPN)
-		t.ownFrame(e.RPN)
+		delete(k.sharedFrames, e.RPN())
+		t.ownFrame(e.RPN())
 		return
 	}
-	k.sharedFrames[e.RPN]--
+	k.sharedFrames[e.RPN()]--
 	pfn := k.getFreePage()
 	t.ownFrame(pfn)
-	k.copyPage(e.RPN, pfn)
-	k.mapPage(t, ea.PageBase(), pfn, e.Inhibited)
+	k.copyPage(e.RPN(), pfn)
+	k.mapPage(t, ea.PageBase(), pfn, e.Inhibited())
 	k.flushPage(t, ea.PageBase())
 }
 
@@ -117,7 +117,7 @@ func (k *Kernel) releaseTaskCOW(t *Task, start, end arch.EffectiveAddr) {
 	t.PT.Range(start, end, func(ea arch.EffectiveAddr, e pagetable.Entry) bool {
 		pn := ea.PageNumber()
 		if t.isCOW(pn) {
-			k.releaseCOW(e.RPN)
+			k.releaseCOW(e.RPN())
 			pns = append(pns, pn)
 		}
 		return true

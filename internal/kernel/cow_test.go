@@ -23,7 +23,7 @@ func TestCOWForkSharesThenBreaks(t *testing.T) {
 	if !ok {
 		t.Fatal("child missing COW mapping")
 	}
-	if ce.RPN != pe.RPN {
+	if ce.RPN() != pe.RPN() {
 		t.Fatal("COW fork should share the frame")
 	}
 	if !parent.isCOW(UserDataBase.PageNumber()) || !child.isCOW(UserDataBase.PageNumber()) {
@@ -33,7 +33,7 @@ func TestCOWForkSharesThenBreaks(t *testing.T) {
 	// Child reads: still shared (UserTouchPages issues loads only).
 	k.Switch(child)
 	k.UserTouchPages(UserDataBase, 1)
-	if ce2, _ := child.PT.Lookup(UserDataBase); ce2.RPN != pe.RPN {
+	if ce2, _ := child.PT.Lookup(UserDataBase); ce2.RPN() != pe.RPN() {
 		t.Fatal("a read must not break sharing")
 	}
 
@@ -45,10 +45,10 @@ func TestCOWForkSharesThenBreaks(t *testing.T) {
 		t.Fatal("COW break should count a fault")
 	}
 	ce3, _ := child.PT.Lookup(UserDataBase)
-	if ce3.RPN == pe.RPN {
+	if ce3.RPN() == pe.RPN() {
 		t.Fatal("write did not break sharing")
 	}
-	if !child.owns(ce3.RPN) {
+	if !child.owns(ce3.RPN()) {
 		t.Fatal("child must own its copy")
 	}
 	if child.isCOW(UserDataBase.PageNumber()) {
@@ -63,7 +63,7 @@ func TestCOWForkSharesThenBreaks(t *testing.T) {
 	if k.M.Mem.FreeFrames() != free0 {
 		t.Fatal("last-sharer break must not allocate")
 	}
-	if !parent.owns(pe.RPN) {
+	if !parent.owns(pe.RPN()) {
 		t.Fatal("parent should own the frame exclusively again")
 	}
 	if err := k.CheckConsistency(); err != nil {
@@ -131,17 +131,17 @@ func TestCOWThreeWaySharing(t *testing.T) {
 	k.Switch(c1)
 	c2 := k.Fork() // grandchild shares the same frame
 	e2, _ := c2.PT.Lookup(UserDataBase)
-	if e2.RPN != pe.RPN {
+	if e2.RPN() != pe.RPN() {
 		t.Fatal("grandchild should share the original frame")
 	}
-	if k.sharedFrames[pe.RPN] != 3 {
-		t.Fatalf("refcount = %d, want 3", k.sharedFrames[pe.RPN])
+	if k.sharedFrames[pe.RPN()] != 3 {
+		t.Fatalf("refcount = %d, want 3", k.sharedFrames[pe.RPN()])
 	}
 	// Break in c2: refcount drops to 2, parent/c1 still share.
 	k.Switch(c2)
 	k.UserTouch(UserDataBase, 128)
-	if k.sharedFrames[pe.RPN] != 2 {
-		t.Fatalf("refcount after break = %d, want 2", k.sharedFrames[pe.RPN])
+	if k.sharedFrames[pe.RPN()] != 2 {
+		t.Fatalf("refcount after break = %d, want 2", k.sharedFrames[pe.RPN()])
 	}
 	if err := k.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -155,12 +155,12 @@ func TestCOWMunmapReleasesReferences(t *testing.T) {
 	child := k.Fork()
 	k.Switch(child)
 	e, _ := child.PT.Lookup(addr)
-	if k.sharedFrames[e.RPN] != 2 {
-		t.Fatalf("refcount = %d", k.sharedFrames[e.RPN])
+	if k.sharedFrames[e.RPN()] != 2 {
+		t.Fatalf("refcount = %d", k.sharedFrames[e.RPN()])
 	}
 	k.SysMunmap(addr, 4)
-	if k.sharedFrames[e.RPN] != 1 {
-		t.Fatalf("refcount after munmap = %d, want 1", k.sharedFrames[e.RPN])
+	if k.sharedFrames[e.RPN()] != 1 {
+		t.Fatalf("refcount after munmap = %d, want 1", k.sharedFrames[e.RPN()])
 	}
 	if err := k.CheckConsistency(); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 	"mmutricks/internal/clock"
+	"mmutricks/internal/pagetable"
 	"mmutricks/internal/ppc"
 	"mmutricks/internal/telemetry"
 )
@@ -140,7 +141,7 @@ func (k *Kernel) reload603(t *Task, ea arch.EffectiveAddr, vpn arch.VPN, instr b
 			// The original port kept kernel PTEs in the hash table —
 			// the footprint §5.1 eliminates. Search, insert on miss.
 			if pte := k.softSearch(vpn); pte != nil {
-				tlb.Insert(vpn, pte.RPN, pte.CacheInhibited, true)
+				tlb.Insert(vpn, pte.RPN(), pte.Inhibited(), true)
 				return
 			}
 			k.htabInsert(vpn, rpn, false)
@@ -151,7 +152,7 @@ func (k *Kernel) reload603(t *Task, ea arch.EffectiveAddr, vpn arch.VPN, instr b
 
 	if k.cfg.UseHTAB {
 		if pte := k.softSearch(vpn); pte != nil {
-			tlb.Insert(vpn, pte.RPN, pte.CacheInhibited, false)
+			tlb.Insert(vpn, pte.RPN(), pte.Inhibited(), false)
 			return
 		}
 	}
@@ -163,9 +164,9 @@ func (k *Kernel) reload603(t *Task, ea arch.EffectiveAddr, vpn arch.VPN, instr b
 		}
 	}
 	if k.cfg.UseHTAB {
-		k.htabInsert(vpn, e.RPN, e.Inhibited)
+		k.htabInsert(vpn, e.RPN(), e.Inhibited())
 	}
-	tlb.Insert(vpn, e.RPN, e.Inhibited, false)
+	tlb.Insert(vpn, e.RPN(), e.Inhibited(), false)
 }
 
 // reload604 services the 604's hash-table miss interrupt: find the PTE
@@ -192,7 +193,7 @@ func (k *Kernel) reload604(t *Task, ea arch.EffectiveAddr, vpn arch.VPN) {
 			panic(fmt.Sprintf("kernel: page fault did not map %v", ea))
 		}
 	}
-	k.htabInsert(vpn, e.RPN, e.Inhibited)
+	k.htabInsert(vpn, e.RPN(), e.Inhibited())
 }
 
 // kernelLinear translates a kernel effective address through the linear
@@ -219,7 +220,6 @@ func (k *Kernel) softSearch(vpn arch.VPN) *arch.PTE {
 		} else {
 			k.M.Trc.HTABHitSecondary(vpn.VSID(), 0, cost)
 		}
-		pte.R = true
 	} else {
 		k.M.Trc.HTABMiss(vpn.VSID(), 0, cost)
 	}
@@ -236,12 +236,12 @@ func (k *Kernel) htabInsert(vpn arch.VPN, rpn arch.PFN, inhibited bool) {
 		// we had to occasionally scan the hash table". The unlucky
 		// operation eats a full-table sweep.
 		scanStart := k.M.Led.Now()
-		_, n := k.M.MMU.HTAB.ReclaimScan(0, k.M.MMU.HTAB.Groups(), k.M, k.zombie)
+		_, n := k.M.MMU.HTAB.ReclaimScan(0, k.M.MMU.HTAB.Groups(), k.M, k)
 		k.M.Trc.OnDemandScan(vpn.VSID(), k.M.Led.Now()-scanStart, uint32(n))
 	}
 	start := k.M.Led.Now()
 	k.M.Led.Charge(hashInsertInstr)
-	out, _ := k.M.MMU.HTAB.Insert(vpn, rpn, inhibited, k.M, k.zombie)
+	out, _ := k.M.MMU.HTAB.Insert(vpn, rpn, inhibited, k.M, k)
 	cost := k.M.Led.Now() - start
 	switch out {
 	case ppc.InsertFreeSlot:
@@ -257,7 +257,7 @@ func (k *Kernel) htabInsert(vpn arch.VPN, rpn arch.PFN, inhibited bool) {
 // loads in the worst case" of §6.1: the task's page-directory pointer,
 // the directory entry, and the PTE. A single fused descent of the tree
 // yields both the entry and the addresses to charge.
-func (k *Kernel) treeWalk(t *Task, ea arch.EffectiveAddr) (pagetableEntry, bool) {
+func (k *Kernel) treeWalk(t *Task, ea arch.EffectiveAddr) (pagetable.Entry, bool) {
 	if t == nil {
 		panic(fmt.Sprintf("kernel: user access %v with no task", ea))
 	}
@@ -268,20 +268,11 @@ func (k *Kernel) treeWalk(t *Task, ea arch.EffectiveAddr) (pagetableEntry, bool)
 	// Load 2: the page-directory entry.
 	k.M.MemAccess(pgdAddr, cache.ClassPageTable, inh, false)
 	if pteAddr == 0 {
-		return pagetableEntry{}, false
+		return 0, false
 	}
 	// Load 3: the PTE.
 	k.M.MemAccess(pteAddr, cache.ClassPageTable, inh, false)
-	if !present {
-		return pagetableEntry{}, false
-	}
-	return pagetableEntry{RPN: e.RPN, Inhibited: e.Inhibited}, true
-}
-
-// pagetableEntry mirrors pagetable.Entry without the Present bit.
-type pagetableEntry struct {
-	RPN       arch.PFN
-	Inhibited bool
+	return e, present
 }
 
 // pageFault is do_page_fault: demand paging for a valid region. An

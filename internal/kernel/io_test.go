@@ -51,7 +51,7 @@ func TestIoremapFBPTEPath(t *testing.T) {
 	}
 	// The mappings point at device frames, cache-inhibited.
 	e, ok := task.PT.Lookup(UserFBBase)
-	if !ok || !e.Inhibited || e.RPN != FBPhysBase.Frame() {
+	if !ok || !e.Inhibited() || e.RPN() != FBPhysBase.Frame() {
 		t.Fatalf("FB mapping wrong: %+v ok=%v", e, ok)
 	}
 	// Re-blitting uses the TLB: entries occupied by the frame buffer.

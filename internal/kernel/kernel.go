@@ -66,6 +66,9 @@ type Kernel struct {
 	// accesses it performs do not themselves poll the fault injector or
 	// try to deliver nested machine checks.
 	inMC bool
+
+	// sweep is CheckConsistency's reusable scratch (consistency.go).
+	sweep sweepScratch
 }
 
 // kernelTextBytes and kernelDataBytes size the kernel image regions.
@@ -131,9 +134,10 @@ func (k *Kernel) boot() {
 	k.bootIO()
 }
 
-// zombie classifies a VSID as belonging to a retired context. In eager
-// mode nothing is ever a zombie: flushes physically invalidate.
-func (k *Kernel) zombie(v arch.VSID) bool {
+// ZombieVSID classifies a VSID as belonging to a retired context; it
+// makes the kernel the hash table's ppc.Zombies. In eager mode nothing
+// is ever a zombie: flushes physically invalidate.
+func (k *Kernel) ZombieVSID(v arch.VSID) bool {
 	if !k.cfg.LazyFlush {
 		return false
 	}

@@ -204,7 +204,7 @@ func TestForkCopiesPrivateSharesText(t *testing.T) {
 		t.Fatal("child heap page missing")
 	}
 	pe, _ := parent.PT.Lookup(UserDataBase)
-	if ce.RPN == pe.RPN {
+	if ce.RPN() == pe.RPN() {
 		t.Fatal("child shares parent's private page")
 	}
 	// Text is shared via the page cache: child faults it to the same
@@ -213,7 +213,7 @@ func TestForkCopiesPrivateSharesText(t *testing.T) {
 	k.UserRun(0, 64)
 	cte, _ := child.PT.Lookup(UserTextBase)
 	pte, _ := parent.PT.Lookup(UserTextBase)
-	if cte.RPN != pte.RPN {
+	if cte.RPN() != pte.RPN() {
 		t.Fatal("text frames must be shared")
 	}
 }
@@ -278,8 +278,8 @@ func TestLazyFlushRetiresVSIDs(t *testing.T) {
 	if k.M.MMU.HTAB.Occupancy() != occBefore {
 		t.Fatal("lazy flush physically invalidated PTEs")
 	}
-	if k.M.MMU.HTAB.LiveOccupancy(k.zombie) != occBefore-8 {
-		t.Fatalf("live occupancy = %d", k.M.MMU.HTAB.LiveOccupancy(k.zombie))
+	if k.M.MMU.HTAB.LiveOccupancy(k) != occBefore-8 {
+		t.Fatalf("live occupancy = %d", k.M.MMU.HTAB.LiveOccupancy(k))
 	}
 	// The stale translations never match: touching the pages faults
 	// them in freshly rather than reusing zombies.
@@ -445,7 +445,7 @@ func TestIdleReclaimSweepsZombies(t *testing.T) {
 	k, task := bootTask(t, clock.PPC604At185(), cfg)
 	k.UserTouchPages(UserDataBase, 32)
 	k.flushContext(task) // 32 zombies in the table
-	if z := k.M.MMU.HTAB.Occupancy() - k.M.MMU.HTAB.LiveOccupancy(k.zombie); z < 32 {
+	if z := k.M.MMU.HTAB.Occupancy() - k.M.MMU.HTAB.LiveOccupancy(k); z < 32 {
 		t.Fatalf("zombies in table = %d", z)
 	}
 	st := k.RunIdleFor(2_000_000) // long enough to sweep all 2048 groups
@@ -453,7 +453,7 @@ func TestIdleReclaimSweepsZombies(t *testing.T) {
 		t.Fatalf("reclaimed %d zombies", st.Reclaimed)
 	}
 	occ := k.M.MMU.HTAB.Occupancy()
-	if occ != k.M.MMU.HTAB.LiveOccupancy(k.zombie) {
+	if occ != k.M.MMU.HTAB.LiveOccupancy(k) {
 		t.Fatalf("zombies remain after full sweep: occ=%d", occ)
 	}
 }

@@ -179,7 +179,7 @@ func (k *Kernel) mcRepairHTAB(p faultinject.Pending) {
 				panic(fmt.Sprintf("kernel: HTAB repair of slot %#x not sticking", p.Addr))
 			}
 			e := k.M.MMU.HTAB.ReadSlot(g, s)
-			if !e.Valid || e.VPN() != p.VPN {
+			if !e.Valid() || e.VPN() != p.VPN {
 				break
 			}
 			k.M.MMU.HTAB.InvalidateSlot(g, s, k.M)

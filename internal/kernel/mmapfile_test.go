@@ -19,7 +19,7 @@ func TestMmapFileSharesPageCache(t *testing.T) {
 		t.Fatalf("file mmap faults: %d minor %d major, want 16/0", d.MinorFaults, d.MajorFaults)
 	}
 	e, _ := task.PT.Lookup(addr)
-	if e.RPN != f.Pages[0] {
+	if e.RPN() != f.Pages[0] {
 		t.Fatal("mapping does not share the page-cache frame")
 	}
 	// munmap returns only the PTE page; the file keeps its frames.
@@ -38,7 +38,7 @@ func TestMmapFilePartialWindow(t *testing.T) {
 	addr := k.SysMmapFile(f, 4, 2) // pages 4..5
 	k.UserTouchPages(addr, 2)
 	e, _ := task.PT.Lookup(addr)
-	if e.RPN != f.Pages[4] {
+	if e.RPN() != f.Pages[4] {
 		t.Fatal("window offset ignored")
 	}
 }

@@ -155,7 +155,7 @@ func (k *Kernel) idleReclaimScan() int {
 	defer k.M.Trc.Exit(k.M.Trc.IdleScan())
 	var n int
 	scanStart := k.M.Led.Now()
-	k.idleScan, n = k.M.MMU.HTAB.ReclaimScan(k.idleScan, idleReclaimGroups, k.M, k.zombie)
+	k.idleScan, n = k.M.MMU.HTAB.ReclaimScan(k.idleScan, idleReclaimGroups, k.M, k)
 	if n > 0 {
 		k.M.Trc.IdleReclaim(k.M.Led.Now()-scanStart, uint32(n))
 	}

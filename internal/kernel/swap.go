@@ -128,13 +128,13 @@ func (k *Kernel) reclaimPages(n int) int {
 					if len(victims) >= n-freed {
 						return false
 					}
-					if !t.owns(e.RPN) { // COW-shared or otherwise pinned
+					if !t.owns(e.RPN()) { // COW-shared or otherwise pinned
 						return true
 					}
 					if ea.PageNumber() <= t.reclaimCursor {
 						return true // already stolen this sweep; age others first
 					}
-					victims = append(victims, victim{ea, e.RPN})
+					victims = append(victims, victim{ea, e.RPN()})
 					return true
 				})
 				if len(victims) >= n-freed {

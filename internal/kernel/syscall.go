@@ -223,9 +223,9 @@ func (k *Kernel) unmapRangeFrames(t *Task, start, end arch.EffectiveAddr) {
 	})
 	for _, ea := range eas {
 		e, ok := t.PT.Unmap(ea)
-		if ok && t.owns(e.RPN) {
-			t.disownFrame(e.RPN)
-			k.M.Mem.FreeFrame(e.RPN)
+		if ok && t.owns(e.RPN()) {
+			t.disownFrame(e.RPN())
+			k.M.Mem.FreeFrame(e.RPN())
 		}
 	}
 }

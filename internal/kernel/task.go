@@ -158,6 +158,9 @@ func (s *pfnSet) forEach(fn func(arch.PFN)) {
 
 func (s *pfnSet) clear() { s.bits = nil; s.n = 0 }
 
+// reset empties the set but keeps its storage for reuse.
+func (s *pfnSet) reset() { clear(s.bits); s.n = 0 }
+
 func (t *Task) ownFrame(pfn arch.PFN) { t.owned.add(pfn) }
 
 func (t *Task) owns(pfn arch.PFN) bool { return t.owned.has(pfn) }
@@ -303,7 +306,7 @@ func (k *Kernel) Fork() *Task {
 			parent.PT.Range(r.Start, r.End(), func(ea arch.EffectiveAddr, e pagetable.Entry) bool {
 				pfn := k.getFreePage()
 				child.ownFrame(pfn)
-				k.copyPage(e.RPN, pfn)
+				k.copyPage(e.RPN(), pfn)
 				k.mapPage(child, ea, pfn, false)
 				return true
 			})
@@ -425,10 +428,6 @@ func (k *Kernel) Task(pid uint32) (*Task, bool) {
 
 // Current returns the running task.
 func (k *Kernel) Current() *Task { return k.cur }
-
-// ZombieVSID reports whether v belongs to a retired context — exported
-// for experiments that inspect hash-table composition.
-func (k *Kernel) ZombieVSID(v arch.VSID) bool { return k.zombie(v) }
 
 // ContextAllocator exposes the VSID allocator for experiments.
 func (k *Kernel) ContextAllocator() *vsid.ContextAllocator { return k.ctx }

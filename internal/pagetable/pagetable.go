@@ -7,7 +7,8 @@
 //
 // The in-simulator representation mirrors the structure it models: a
 // dense 1024-entry PGD array of lazily-allocated PTE pages, each a
-// dense 1024-entry array of software PTEs. Lookup, insert and remove
+// dense 1024-entry array of 4-byte software PTEs — 4 KB, the size of
+// the frame the page models. Lookup, insert and remove
 // are two array indexings — no hashing, no map, and zero allocation on
 // the lookup path, which is the simulator's single hottest path (every
 // simulated TLB-miss reload walks this tree). The §6 lesson applied to
@@ -37,15 +38,36 @@ const (
 	EntryBytes = 4
 )
 
-// Entry is one software PTE in the tree.
-type Entry struct {
-	// Present marks the translation valid.
-	Present bool
-	// RPN is the physical frame.
-	RPN arch.PFN
-	// Inhibited marks the page cache-inhibited.
-	Inhibited bool
+// Entry is one software PTE in the tree, packed into the 32 bits the
+// Linux/PPC tree gives it: the physical frame in the top 20 bits (so
+// the word with its flags masked off is the frame's address), the
+// present bit in bit 0 and the cache-inhibited bit in bit 1. The zero
+// Entry is not present.
+type Entry uint32
+
+const (
+	entryPresent   Entry = 1 << 0
+	entryInhibited Entry = 1 << 1
+	entryRPNShift        = arch.PageShift
+)
+
+// NewEntry builds a present entry mapping frame rpn.
+func NewEntry(rpn arch.PFN, inhibited bool) Entry {
+	e := Entry(rpn)<<entryRPNShift | entryPresent
+	if inhibited {
+		e |= entryInhibited
+	}
+	return e
 }
+
+// Present reports whether the entry holds a valid translation.
+func (e Entry) Present() bool { return e&entryPresent != 0 }
+
+// RPN returns the physical frame.
+func (e Entry) RPN() arch.PFN { return arch.PFN(e >> entryRPNShift) }
+
+// Inhibited reports whether the page is cache-inhibited.
+func (e Entry) Inhibited() bool { return e&entryInhibited != 0 }
 
 // ptePage is one lazily-allocated PTE page: the frame backing it in
 // simulated physical memory, a live-entry count so empty pages can be
@@ -103,11 +125,11 @@ func (t *Table) Map(ea arch.EffectiveAddr, rpn arch.PFN, inhibited bool) error {
 		t.ptePages++
 	}
 	pi := pteIndex(ea)
-	if !p.entries[pi].Present {
+	if !p.entries[pi].Present() {
 		p.live++
 		t.count++
 	}
-	p.entries[pi] = Entry{Present: true, RPN: rpn, Inhibited: inhibited}
+	p.entries[pi] = NewEntry(rpn, inhibited)
 	return nil
 }
 
@@ -116,10 +138,10 @@ func (t *Table) Map(ea arch.EffectiveAddr, rpn arch.PFN, inhibited bool) error {
 func (t *Table) Lookup(ea arch.EffectiveAddr) (Entry, bool) {
 	p := t.pages[dirIndex(ea)]
 	if p == nil {
-		return Entry{}, false
+		return 0, false
 	}
 	e := p.entries[pteIndex(ea)]
-	return e, e.Present
+	return e, e.Present()
 }
 
 // Unmap removes the translation, returning the entry it held. Empty
@@ -128,14 +150,14 @@ func (t *Table) Unmap(ea arch.EffectiveAddr) (Entry, bool) {
 	di := dirIndex(ea)
 	p := t.pages[di]
 	if p == nil {
-		return Entry{}, false
+		return 0, false
 	}
 	pi := pteIndex(ea)
 	e := p.entries[pi]
-	if !e.Present {
-		return Entry{}, false
+	if !e.Present() {
+		return 0, false
 	}
-	p.entries[pi] = Entry{}
+	p.entries[pi] = 0
 	p.live--
 	t.count--
 	if p.live == 0 {
@@ -169,12 +191,12 @@ func (t *Table) Walk(ea arch.EffectiveAddr) (e Entry, pgdAddr, pteAddr arch.Phys
 	pgdAddr = t.pgdFrame.Addr() + arch.PhysAddr(di*EntryBytes)
 	p := t.pages[di]
 	if p == nil {
-		return Entry{}, pgdAddr, 0, false
+		return 0, pgdAddr, 0, false
 	}
 	pi := pteIndex(ea)
 	e = p.entries[pi]
 	pteAddr = p.frame.Addr() + arch.PhysAddr(pi*EntryBytes)
-	return e, pgdAddr, pteAddr, e.Present
+	return e, pgdAddr, pteAddr, e.Present()
 }
 
 // PickPresent returns the address of an arbitrary (seeded) present
@@ -193,7 +215,7 @@ func (t *Table) PickPresent(rnd uint64, limit arch.EffectiveAddr) (arch.Effectiv
 			continue
 		}
 		for pi := range p.entries {
-			if !p.entries[pi].Present {
+			if !p.entries[pi].Present() {
 				continue
 			}
 			ea := arch.EffectiveAddr(di)<<DirShift | arch.EffectiveAddr(pi)<<arch.PageShift
@@ -216,10 +238,10 @@ func (t *Table) CorruptRPN(ea arch.EffectiveAddr, flip arch.PFN) (pteAddr arch.P
 		return 0, false
 	}
 	pi := pteIndex(ea)
-	if !p.entries[pi].Present {
+	if !p.entries[pi].Present() {
 		return 0, false
 	}
-	p.entries[pi].RPN ^= flip
+	p.entries[pi] ^= Entry(flip) << entryRPNShift
 	return p.frame.Addr() + arch.PhysAddr(pi*EntryBytes), true
 }
 
@@ -248,7 +270,7 @@ func (t *Table) Range(start, end arch.EffectiveAddr, fn func(ea arch.EffectiveAd
 		}
 		for ; pn < limit; pn++ {
 			e := p.entries[pn&(dirPages-1)]
-			if e.Present {
+			if e.Present() {
 				if !fn(arch.EffectiveAddr(pn)<<arch.PageShift, e) {
 					return
 				}

@@ -3,6 +3,7 @@ package pagetable
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/phys"
@@ -18,20 +19,32 @@ func newTable(t *testing.T) (*Table, *phys.Memory) {
 	return tab, mem
 }
 
+// TestEntryIsArchitectedWidth pins the host footprint of an entry to
+// the width the cache model charges for it, so a PTE page holds 4 KB
+// of entries, the size of the frame it models.
+func TestEntryIsArchitectedWidth(t *testing.T) {
+	if got := unsafe.Sizeof(Entry(0)); got != EntryBytes {
+		t.Fatalf("Entry is %d bytes on the host, want EntryBytes = %d", got, EntryBytes)
+	}
+	if got := unsafe.Sizeof(ptePage{}.entries); got != arch.PageSize {
+		t.Fatalf("a PTE page holds %d bytes of entries, want one %d-byte page", got, arch.PageSize)
+	}
+}
+
 func TestMapLookupUnmap(t *testing.T) {
 	tab, _ := newTable(t)
 	if err := tab.Map(0x00401234, 0x55, false); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := tab.Lookup(0x00401FFF) // same page
-	if !ok || e.RPN != 0x55 || !e.Present {
+	if !ok || e.RPN() != 0x55 || !e.Present() {
 		t.Fatalf("lookup: %+v ok=%v", e, ok)
 	}
 	if _, ok := tab.Lookup(0x00402000); ok {
 		t.Fatal("next page should be unmapped")
 	}
 	old, ok := tab.Unmap(0x00401000)
-	if !ok || old.RPN != 0x55 {
+	if !ok || old.RPN() != 0x55 {
 		t.Fatal("unmap did not return the entry")
 	}
 	if _, ok := tab.Lookup(0x00401234); ok {
@@ -47,7 +60,7 @@ func TestRemapUpdatesInPlace(t *testing.T) {
 	_ = tab.Map(0x1000, 1, false)
 	_ = tab.Map(0x1000, 2, true)
 	e, _ := tab.Lookup(0x1000)
-	if e.RPN != 2 || !e.Inhibited {
+	if e.RPN() != 2 || !e.Inhibited() {
 		t.Fatalf("remap: %+v", e)
 	}
 	if tab.Count() != 1 {
@@ -182,7 +195,7 @@ func TestMapLookupProperty(t *testing.T) {
 			return true // OOM is acceptable
 		}
 		e, ok := tab.Lookup(ea)
-		return ok && e.RPN == rpn && e.Present
+		return ok && e.RPN() == rpn && e.Present()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

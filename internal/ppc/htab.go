@@ -22,6 +22,12 @@ const (
 	InsertEvictZombie
 )
 
+// Zombies classifies VSIDs as belonging to abandoned contexts (the
+// kernel implements it). A nil Zombies counts none as abandoned.
+type Zombies interface {
+	ZombieVSID(v arch.VSID) bool
+}
+
 // HTAB is the PowerPC hashed page table: groups (PTEGs) of eight PTEs,
 // searched with the primary hash and then the secondary hash. It lives
 // at a physical address, and every search/insert/flush step performs a
@@ -33,6 +39,8 @@ type HTAB struct {
 	groups int
 	// ptes holds the whole table flat, group-major, as the hardware
 	// lays it out: group g is ptes[g*PTEGSize:][:PTEGSize] (see bucket).
+	// Each entry is one 8-byte word, so a group fills one 64-byte host
+	// cache line.
 	ptes []arch.PTE
 	base arch.PhysAddr
 	// inhibited marks the table cache-inhibited (§8's proposed fix:
@@ -89,7 +97,7 @@ type runBus interface {
 
 // touchRun performs n consecutive-slot touches starting at slot. The
 // PTE compares interleaved with touches in the scalar loops are free
-// struct reads with no bus side effects, so hoisting the touches into
+// host reads with no bus side effects, so hoisting the touches into
 // one run leaves the bus operation sequence unchanged.
 func (h *HTAB) touchRun(bus Bus, group, slot, n int, write bool) {
 	if bus == nil || n <= 0 {
@@ -106,28 +114,28 @@ func (h *HTAB) touchRun(bus Bus, group, slot, n int, write bool) {
 
 // Search performs the architected table search: up to eight entries in
 // the primary bucket, then up to eight in the secondary. It returns the
-// matching PTE (nil if absent) and the number of PTE memory accesses
+// matching slot (nil if absent) and the number of PTE memory accesses
 // performed — up to the 16 the paper cites. The match slot is computed
 // first (compares are free), then the touches up to and including it
 // are issued as one run — the same addresses in the same order as the
 // scalar touch-then-compare loop.
 func (h *HTAB) Search(vpn arch.VPN, bus Bus) (pte *arch.PTE, primary bool, accesses int) {
 	pg := arch.HashPrimary(vpn, h.groups)
-	pb := h.bucket(pg)
+	pb, key := h.bucket(pg), arch.Key(vpn, false)
 	for s := range pb {
-		if e := &pb[s]; e.Matches(vpn) && !e.Hash {
+		if pb[s].Matches(key) {
 			h.touchRun(bus, pg, 0, s+1, false)
-			return e, true, s + 1
+			return &pb[s], true, s + 1
 		}
 	}
 	h.touchRun(bus, pg, 0, arch.PTEGSize, false)
 	accesses = arch.PTEGSize
 	sg := arch.HashSecondary(vpn, h.groups)
-	sb := h.bucket(sg)
+	sb, key := h.bucket(sg), arch.Key(vpn, true)
 	for s := range sb {
-		if e := &sb[s]; e.Matches(vpn) && e.Hash {
+		if sb[s].Matches(key) {
 			h.touchRun(bus, sg, 0, s+1, false)
-			return e, false, accesses + s + 1
+			return &sb[s], false, accesses + s + 1
 		}
 	}
 	h.touchRun(bus, sg, 0, arch.PTEGSize, false)
@@ -141,7 +149,7 @@ func (h *HTAB) Search(vpn arch.VPN, bus Bus) (pte *arch.PTE, primary bool, acces
 // replacement the paper describes in §7. zombie classifies a VSID as
 // belonging to an abandoned context (may be nil). The returned access
 // count covers finding the slot.
-func (h *HTAB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited bool, bus Bus, zombie func(arch.VSID) bool) (InsertOutcome, int) {
+func (h *HTAB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited bool, bus Bus, zombie Zombies) (InsertOutcome, int) {
 	accesses := 0
 	pg := arch.HashPrimary(vpn, h.groups)
 	sg := arch.HashSecondary(vpn, h.groups)
@@ -154,7 +162,7 @@ func (h *HTAB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited bool, bus Bus, zombi
 	}{{pg, false}, {sg, true}} {
 		b := h.bucket(loc.g)
 		for s := range b {
-			if !b[s].Valid {
+			if !b[s].Valid() {
 				h.touchRun(bus, loc.g, 0, s+1, false)
 				accesses += s + 1
 				h.place(loc.g, s, vpn, rpn, inhibited, loc.hash)
@@ -177,17 +185,14 @@ func (h *HTAB) Insert(vpn arch.VPN, rpn arch.PFN, inhibited bool, bus Bus, zombi
 	h.place(g, pick, vpn, rpn, inhibited, hash)
 	h.touch(bus, g, pick, true)
 	accesses++
-	if zombie != nil && zombie(victim.VSID) {
+	if zombie != nil && zombie.ZombieVSID(victim.VSID()) {
 		return InsertEvictZombie, accesses
 	}
 	return InsertEvictLive, accesses
 }
 
 func (h *HTAB) place(g, s int, vpn arch.VPN, rpn arch.PFN, inhibited, hash bool) {
-	h.bucket(g)[s] = arch.PTE{
-		Valid: true, VSID: vpn.VSID(), API: vpn.PageIndex(),
-		Hash: hash, RPN: rpn, R: true, CacheInhibited: inhibited,
-	}
+	h.bucket(g)[s] = arch.NewPTE(vpn, rpn, hash, inhibited)
 }
 
 // BucketsFull reports whether both buckets an insert for vpn could use
@@ -196,7 +201,7 @@ func (h *HTAB) place(g, s int, vpn arch.VPN, rpn arch.PFN, inhibited, hash bool)
 func (h *HTAB) BucketsFull(vpn arch.VPN) bool {
 	for _, g := range []int{arch.HashPrimary(vpn, h.groups), arch.HashSecondary(vpn, h.groups)} {
 		for _, e := range h.bucket(g) {
-			if !e.Valid {
+			if !e.Valid() {
 				return false
 			}
 		}
@@ -213,7 +218,7 @@ func (h *HTAB) FlushVPN(vpn arch.VPN, bus Bus) (found bool, accesses int) {
 	if pte == nil {
 		return false, accesses
 	}
-	pte.Valid = false
+	*pte = pte.WithValid(false)
 	accesses++ // the invalidating store
 	if bus != nil {
 		// Charge the store against the group the entry lives in; the
@@ -228,7 +233,7 @@ func (h *HTAB) FlushVPN(vpn arch.VPN, bus Bus) (found bool, accesses int) {
 // VSID the kernel marks zombie. It returns the next start position and
 // the number of PTEs reclaimed. Scanning reads each PTE (one access)
 // and writes back reclaimed ones (one more).
-func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (next, reclaimed int) {
+func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie Zombies) (next, reclaimed int) {
 	if zombie == nil {
 		return start, 0
 	}
@@ -249,7 +254,7 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 		b := h.bucket(g)
 		hasZombie := false
 		for s := range b {
-			if b[s].Valid && zombie(b[s].VSID) {
+			if b[s].Valid() && zombie.ZombieVSID(b[s].VSID()) {
 				hasZombie = true
 				break
 			}
@@ -263,8 +268,8 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 		for s := range b {
 			h.touch(bus, g, s, false)
 			e := &b[s]
-			if e.Valid && zombie(e.VSID) {
-				e.Valid = false
+			if e.Valid() && zombie.ZombieVSID(e.VSID()) {
+				*e = e.WithValid(false)
 				h.touch(bus, g, s, true)
 				reclaimed++
 			}
@@ -277,9 +282,9 @@ func (h *HTAB) ReclaimScan(start, n int, bus Bus, zombie func(arch.VSID) bool) (
 // ForEachValid calls fn for every valid PTE in the table, in bucket
 // order; fn returning false stops the walk.
 func (h *HTAB) ForEachValid(fn func(vpn arch.VPN, rpn arch.PFN) bool) {
-	for i := range h.ptes {
-		if e := &h.ptes[i]; e.Valid {
-			if !fn(e.VPN(), e.RPN) {
+	for _, e := range h.ptes {
+		if e.Valid() {
+			if !fn(e.VPN(), e.RPN()) {
 				return
 			}
 		}
@@ -295,8 +300,8 @@ func (h *HTAB) InvalidateAll() {
 // paper's 600–700 vs 1400–2200 out of 16384 measurements.
 func (h *HTAB) Occupancy() int {
 	n := 0
-	for i := range h.ptes {
-		if h.ptes[i].Valid {
+	for _, e := range h.ptes {
+		if e.Valid() {
 			n++
 		}
 	}
@@ -304,10 +309,10 @@ func (h *HTAB) Occupancy() int {
 }
 
 // LiveOccupancy returns how many valid PTEs belong to live contexts.
-func (h *HTAB) LiveOccupancy(zombie func(arch.VSID) bool) int {
+func (h *HTAB) LiveOccupancy(zombie Zombies) int {
 	n := 0
-	for i := range h.ptes {
-		if e := &h.ptes[i]; e.Valid && (zombie == nil || !zombie(e.VSID)) {
+	for _, e := range h.ptes {
+		if e.Valid() && (zombie == nil || !zombie.ZombieVSID(e.VSID())) {
 			n++
 		}
 	}
@@ -322,7 +327,7 @@ func (h *HTAB) OccupancyHistogram() *hwmon.Histogram {
 	for g := 0; g < h.groups; g++ {
 		n := 0
 		for _, e := range h.bucket(g) {
-			if e.Valid {
+			if e.Valid() {
 				n++
 			}
 		}

@@ -3,6 +3,7 @@ package ppc
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
@@ -25,6 +26,24 @@ func (b *countingBus) MemAccess(pa arch.PhysAddr, class cache.Class, inhibited, 
 
 func newTestHTAB() *HTAB { return NewHTAB(arch.DefaultHTABGroups, 0x200000) }
 
+// zombieFunc adapts a predicate to Zombies.
+type zombieFunc func(arch.VSID) bool
+
+func (f zombieFunc) ZombieVSID(v arch.VSID) bool { return f(v) }
+
+// TestHTABSlotIsArchitectedWidth pins the host footprint of a slot to
+// the width the cache model charges for it, so a PTEG is one 64-byte
+// host line as it is one line of the simulated table.
+func TestHTABSlotIsArchitectedWidth(t *testing.T) {
+	h := newTestHTAB()
+	if got := unsafe.Sizeof(h.ptes[0]); got != arch.PTEBytes {
+		t.Fatalf("HTAB slot is %d bytes on the host, want arch.PTEBytes = %d", got, arch.PTEBytes)
+	}
+	if got := unsafe.Sizeof([arch.PTEGSize]arch.PTE{}); got != 64 {
+		t.Fatalf("a PTEG is %d bytes on the host, want one 64-byte line", got)
+	}
+}
+
 func TestHTABGeometryAndPanics(t *testing.T) {
 	h := newTestHTAB()
 	if h.Groups() != 2048 || h.Capacity() != 16384 {
@@ -46,7 +65,7 @@ func TestHTABInsertSearch(t *testing.T) {
 		t.Fatalf("first insert outcome = %v", out)
 	}
 	pte, primary, acc := h.Search(vpn, nil)
-	if pte == nil || pte.RPN != 0x55 {
+	if pte == nil || pte.RPN() != 0x55 {
 		t.Fatal("search failed after insert")
 	}
 	if !primary {
@@ -78,7 +97,7 @@ func TestHTABSecondaryOverflow(t *testing.T) {
 		t.Fatalf("overflow insert outcome = %v (secondary should have room)", out)
 	}
 	pte, primary, acc := h.Search(target, nil)
-	if pte == nil || pte.RPN != 0x99 {
+	if pte == nil || pte.RPN() != 0x99 {
 		t.Fatal("secondary search failed")
 	}
 	if primary {
@@ -87,7 +106,7 @@ func TestHTABSecondaryOverflow(t *testing.T) {
 	if acc <= 8 || acc > 16 {
 		t.Fatalf("secondary search took %d accesses, want 9..16", acc)
 	}
-	if !pte.Hash {
+	if !pte.Hash() {
 		t.Fatal("secondary entries must carry the H bit")
 	}
 }
@@ -135,7 +154,7 @@ func TestHTABEvictionZombieClassification(t *testing.T) {
 		h.Insert(arch.VPNOf(v, 0x1000), arch.PFN(v), false, nil, nil)
 	}
 	// Every resident VSID is zombie.
-	allZombie := func(arch.VSID) bool { return true }
+	allZombie := zombieFunc(func(arch.VSID) bool { return true })
 	out, _ := h.Insert(arch.VPNOf(0x999, 0x1000), 1, false, nil, allZombie)
 	if out != InsertEvictZombie {
 		t.Fatalf("outcome = %v, want zombie eviction", out)
@@ -197,7 +216,7 @@ func TestHTABReclaimScan(t *testing.T) {
 		h.Insert(arch.VPNOf(live, arch.EffectiveAddr(i<<arch.PageShift)), arch.PFN(i), false, nil, nil)
 		h.Insert(arch.VPNOf(dead, arch.EffectiveAddr(i<<arch.PageShift)), arch.PFN(i), false, nil, nil)
 	}
-	isZombie := func(v arch.VSID) bool { return v == dead }
+	isZombie := zombieFunc(func(v arch.VSID) bool { return v == dead })
 	if got := h.LiveOccupancy(isZombie); got != 50 {
 		t.Fatalf("LiveOccupancy = %d", got)
 	}
@@ -245,20 +264,20 @@ func TestInjectedPTEScanWraps(t *testing.T) {
 			h := NewHTAB(groups, 0x200000)
 			for _, g := range []int{pg, sg} {
 				h.place(g, 0, arch.VPNOf(9, arch.EffectiveAddr(g)<<arch.PageShift), 0x40, false, false)
-				h.bucket(g)[0].Valid = sc.valid
+				h.bucket(g)[0] = h.bucket(g)[0].WithValid(sc.valid)
 			}
 			h.place(target, 2, victim, 0x40, false, false)
-			h.bucket(target)[2].Valid = sc.valid
+			h.bucket(target)[2] = h.bucket(target)[2].WithValid(sc.valid)
 			g, s, vpn, ok := sc.scan(h, 1<<40|uint64(start))
 			if !ok || g != target || s != 2 || vpn != victim {
 				t.Fatalf("%s from group %d: group %d slot %d vpn %v ok %v; want group %d slot 2 vpn %v",
 					sc.name, start, g, s, vpn, ok, target, victim)
 			}
-			if e := h.ReadSlot(target, 2); !e.Valid || e.RPN != 0x41 {
+			if e := h.ReadSlot(target, 2); !e.Valid() || e.RPN() != 0x41 {
 				t.Fatalf("%s from group %d: planted entry is %+v, want a valid one with frame 0x41", sc.name, start, e)
 			}
 			for _, g := range []int{pg, sg} {
-				if e := h.ReadSlot(g, 0); e.Valid != sc.valid || e.RPN != 0x40 {
+				if e := h.ReadSlot(g, 0); e.Valid() != sc.valid || e.RPN() != 0x40 {
 					t.Fatalf("%s from group %d: avoided bucket %d changed to %+v", sc.name, start, g, e)
 				}
 			}
@@ -327,7 +346,7 @@ func TestHTABEntryAddrDistinct(t *testing.T) {
 func TestHTABBucketsDisjoint(t *testing.T) {
 	h := NewHTAB(8, 0)
 	for i := range h.ptes {
-		h.ptes[i] = arch.PTE{VSID: arch.VSID(i), API: uint32(i), RPN: arch.PFN(i)}
+		h.ptes[i] = arch.NewPTE(arch.VPN(i), arch.PFN(i), false, false).WithValid(false)
 	}
 	for g := 0; g < h.Groups(); g++ {
 		b := h.bucket(g)
@@ -336,9 +355,9 @@ func TestHTABBucketsDisjoint(t *testing.T) {
 		}
 		before := append([]arch.PTE(nil), h.ptes...)
 		for s := range b {
-			b[s] = arch.PTE{Valid: true, VSID: 0xabcdef, API: 0xffff, Hash: true, RPN: 0xfffff, R: true, C: true}
+			b[s] = arch.NewPTE(arch.VPNOf(0xabcdef, 0xffff<<arch.PageShift), 0xfffff, true, true)
 		}
-		_ = append(b, arch.PTE{Valid: true, RPN: 1})
+		_ = append(b, arch.NewPTE(0, 1, false, false))
 		for _, n := range []int{g - 1, g + 1} {
 			if n < 0 || n >= h.Groups() {
 				continue
@@ -453,7 +472,7 @@ func (b *recordingBus) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache
 func TestReclaimScanRuns(t *testing.T) {
 	const groups = 16
 	live, dead := arch.VSID(1), arch.VSID(2)
-	isZombie := func(v arch.VSID) bool { return v == dead }
+	isZombie := zombieFunc(func(v arch.VSID) bool { return v == dead })
 	cases := []struct {
 		name     string
 		zombies  []int // the groups holding zombie PTEs
@@ -486,7 +505,7 @@ func TestReclaimScanRuns(t *testing.T) {
 				g := (tc.start + i) % groups
 				for s := 0; s < arch.PTEGSize; s++ {
 					want = append(want, sweepRef{h.EntryAddr(g, s), false})
-					if e := h.ReadSlot(g, s); e.Valid && isZombie(e.VSID) && i < groups {
+					if e := h.ReadSlot(g, s); e.Valid() && isZombie(e.VSID()) && i < groups {
 						want = append(want, sweepRef{h.EntryAddr(g, s), true})
 						wantReclaimed++
 					}
@@ -536,7 +555,7 @@ func BenchmarkReclaimScan(b *testing.B) {
 		}
 	}
 	bus := cacheBus{cache.New("D", 32<<10, 4, 32)}
-	isZombie := func(v arch.VSID) bool { return v == 2 }
+	isZombie := zombieFunc(func(v arch.VSID) bool { return v == 2 })
 	const sweep = 8
 	b.ReportAllocs()
 	b.ResetTimer()

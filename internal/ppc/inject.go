@@ -190,8 +190,8 @@ func (h *HTAB) CorruptPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim a
 		}
 		b := h.bucket(g)
 		for s := range b {
-			if e := &b[s]; e.Valid {
-				e.RPN ^= 1
+			if e := &b[s]; e.Valid() {
+				*e = e.WithRPN(e.RPN() ^ 1)
 				return g, s, e.VPN(), true
 			}
 		}
@@ -213,9 +213,8 @@ func (h *HTAB) ResurrectPTE(rnd uint64, avoid arch.VPN) (group, slot int, victim
 		}
 		b := h.bucket(g)
 		for s := range b {
-			if e := &b[s]; !e.Valid && (e.RPN != 0 || e.VSID != 0 || e.API != 0) {
-				e.Valid = true
-				e.RPN ^= 1
+			if e := &b[s]; !e.Valid() && (e.RPN() != 0 || e.VPN() != 0) {
+				*e = e.WithValid(true).WithRPN(e.RPN() ^ 1)
 				return g, s, e.VPN(), true
 			}
 		}
@@ -243,8 +242,8 @@ func (h *HTAB) ReadSlot(group, slot int) arch.PTE { return h.bucket(group)[slot]
 // InvalidateSlot clears one slot's valid bit, charging the store
 // through the bus like every other table write.
 func (h *HTAB) InvalidateSlot(group, slot int, bus Bus) {
-	if e := &h.bucket(group)[slot]; e.Valid {
-		e.Valid = false
+	if e := &h.bucket(group)[slot]; e.Valid() {
+		*e = e.WithValid(false)
 		h.touch(bus, group, slot, true)
 	}
 }

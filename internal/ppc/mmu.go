@@ -169,8 +169,7 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 			m.trc.HTABHitSecondary(vpn.VSID(), ea, walkCost)
 		}
 		m.trc.TLBMiss(vpn.VSID(), ea, walkCost)
-		pte.R = true
-		if m.TLBFor(instr).Insert(vpn, pte.RPN, pte.CacheInhibited, ea.IsKernel()) {
+		if m.TLBFor(instr).Insert(vpn, pte.RPN(), pte.Inhibited(), ea.IsKernel()) {
 			m.trc.TLBEvict(vpn.VSID(), ea)
 		}
 		m.trc.TLBInsert(vpn.VSID(), ea)
@@ -178,7 +177,7 @@ func (m *MMU) Translate(ea arch.EffectiveAddr, instr bool) Result {
 		// access belongs to; an exact transfer moves its cycles to
 		// tlb-miss without a span (no defer on the hot path).
 		m.trc.Phases().Attribute(telemetry.PhaseTLBMiss, walkCost)
-		return Result{PA: pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), Inhibited: pte.CacheInhibited}
+		return Result{PA: pte.RPN().Addr() + arch.PhysAddr(ea.Offset()), Inhibited: pte.Inhibited()}
 	}
 	// Neither bucket matched: hash-table miss interrupt (>= 91 cycles
 	// just to invoke the handler, §5).
@@ -209,7 +208,7 @@ func (m *MMU) Probe(ea arch.EffectiveAddr, instr bool) (arch.PhysAddr, bool) {
 		return rpn.Addr() + arch.PhysAddr(ea.Offset()), true
 	}
 	if pte, _, _ := m.HTAB.Search(vpn, nil); pte != nil {
-		return pte.RPN.Addr() + arch.PhysAddr(ea.Offset()), true
+		return pte.RPN().Addr() + arch.PhysAddr(ea.Offset()), true
 	}
 	return 0, false
 }

@@ -150,8 +150,20 @@ func (t *TLB) KernelEntries() int {
 	return n
 }
 
+// ForEachValid calls fn for every valid entry in set order, way 0
+// first; fn returning false stops the walk.
+func (t *TLB) ForEachValid(fn func(vpn arch.VPN, rpn arch.PFN) bool) {
+	for i := range t.sets {
+		for w := range t.sets[i] {
+			if e := &t.sets[i][w]; e.key != 0 && !fn(e.vpn(), e.rpn) {
+				return
+			}
+		}
+	}
+}
+
 // Snapshot returns the valid translations currently held, keyed by
-// virtual page number — for consistency checking and tools.
+// virtual page number — for tests and tools.
 func (t *TLB) Snapshot() map[arch.VPN]arch.PFN {
 	m := make(map[arch.VPN]arch.PFN)
 	t.each(func(e *TLBEntry) { m[e.vpn()] = e.rpn })

@@ -99,7 +99,7 @@ func sec7LatencyProfile(onDemand bool, rounds int) (mean, p99, worst float64, sc
 			ctxs.Retire(ctx)
 			for page := 0; page < 64 && n > 0; page++ {
 				ea := kernel.UserDataBase + arch.EffectiveAddr(page*arch.PageSize)
-				htab.Insert(arch.VPNOf(vs[ea.SegIndex()], ea), arch.PFN(page), false, nil, k.ZombieVSID)
+				htab.Insert(arch.VPNOf(vs[ea.SegIndex()], ea), arch.PFN(page), false, nil, k)
 				n--
 			}
 		}

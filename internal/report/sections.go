@@ -358,7 +358,7 @@ func runSec7Reclaim(ctx context.Context, s Scale) *Table {
 		d := k.M.Mon.Delta(before)
 		mustConsistent(k)
 		return d.EvictRatio(), k.M.MMU.HTAB.Occupancy(),
-			k.M.MMU.HTAB.LiveOccupancy(k.ZombieVSID),
+			k.M.MMU.HTAB.LiveOccupancy(k),
 			d.HTABHitRate(), d.ZombiesReclaimed
 	}
 	type s7 struct {

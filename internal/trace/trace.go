@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"mmutricks/internal/arch"
 )
@@ -175,8 +176,10 @@ func (w *WorkingSet) Next() arch.EffectiveAddr {
 // prefetchers and spatial locality.
 type PointerChase struct {
 	base arch.EffectiveAddr
-	next []int
-	pos  int
+	// order lists the pages in visiting order; the walk starts at the
+	// position of page 0 and wraps.
+	order []uint32
+	pos   int
 }
 
 // NewPointerChase builds a permutation walk covering every page exactly
@@ -186,21 +189,16 @@ func NewPointerChase(base arch.EffectiveAddr, pages int, seed uint32) *PointerCh
 		panic("trace: non-positive page count")
 	}
 	r := newRNG(seed)
-	perm := make([]int, pages)
-	for i := range perm {
-		perm[i] = i
+	order := make([]uint32, pages)
+	for i := range order {
+		order[i] = uint32(i)
 	}
 	// Sattolo's algorithm: a uniformly random single-cycle permutation.
 	for i := pages - 1; i > 0; i-- {
 		j := r.intn(i)
-		perm[i], perm[j] = perm[j], perm[i]
+		order[i], order[j] = order[j], order[i]
 	}
-	next := make([]int, pages)
-	for i := 0; i < pages-1; i++ {
-		next[perm[i]] = perm[i+1]
-	}
-	next[perm[pages-1]] = perm[0]
-	return &PointerChase{base: base, next: next}
+	return &PointerChase{base: base, order: order, pos: slices.Index(order, 0)}
 }
 
 // Name implements Generator.
@@ -208,8 +206,10 @@ func (p *PointerChase) Name() string { return "pointer-chase" }
 
 // Next implements Generator.
 func (p *PointerChase) Next() arch.EffectiveAddr {
-	ea := p.base + arch.EffectiveAddr(p.pos*arch.PageSize)
-	p.pos = p.next[p.pos]
+	ea := p.base + arch.EffectiveAddr(p.order[p.pos])*arch.PageSize
+	if p.pos++; p.pos == len(p.order) {
+		p.pos = 0
+	}
 	return ea
 }
 

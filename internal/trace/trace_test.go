@@ -82,6 +82,19 @@ func TestPointerChaseIsSingleCycle(t *testing.T) {
 	}
 }
 
+// TestPointerChaseSequencePinned pins two full cycles of one seeded
+// walk, so a change to how the permutation is stored cannot move the
+// references a workload makes.
+func TestPointerChaseSequencePinned(t *testing.T) {
+	want := []int{0, 12, 2, 4, 14, 1, 6, 15, 9, 11, 7, 3, 5, 10, 13, 8}
+	g := NewPointerChase(base, len(want), 7)
+	for i := 0; i < 2*len(want); i++ {
+		if p := pageOf(g.Next()); p != want[i%len(want)] {
+			t.Fatalf("reference %d: page %d, want %d", i, p, want[i%len(want)])
+		}
+	}
+}
+
 func TestZipfianSkew(t *testing.T) {
 	g := NewZipfian(base, 1000, 5)
 	counts := map[int]int{}

@@ -41,6 +41,7 @@ var hot = Spec{
 		in + "faultinject.(*Injector).Suspend",
 		in + "faultinject.(*Injector).Resume",
 		in + "faultinject.(*Injector).HasMC",
+		in + "kernel.(*Kernel).ZombieVSID",
 		in + "kernel.(*Kernel).dataResident",
 		in + "kernel.(*pfnSet).has",
 		in + "kernel.(*pfnSet).remove",
@@ -54,6 +55,9 @@ var hot = Spec{
 		in + "phys.(*Memory).AllocFrame",
 		in + "phys.(*Memory).GetFreePage",
 		in + "phys.(*Memory).PopClearedCandidate",
+		in + "ppc.(*HTAB).Insert",
+		in + "ppc.(*HTAB).FlushVPN",
+		in + "ppc.(*HTAB).ReclaimScan",
 		in + "ppc.(*TLB).Peek",
 		in + "ppc.(*TLB).Insert",
 		in + "telemetry.(*Phases).Enter",
@@ -105,8 +109,9 @@ var hot = Spec{
 		{in + "kernel.(*Kernel).AccessRun", in + "kernel.(*Kernel).access", "the scalar fallback runs the allocating fault and COW paths by design"},
 	},
 	Ifaces: map[string][]string{
-		in + "ppc.Bus":    {in + "machine.(*Machine).MemAccess"},
-		in + "ppc.runBus": {in + "machine.(*Machine).MemAccessRun"},
+		in + "ppc.Bus":     {in + "machine.(*Machine).MemAccess"},
+		in + "ppc.runBus":  {in + "machine.(*Machine).MemAccessRun"},
+		in + "ppc.Zombies": {in + "kernel.(*Kernel).ZombieVSID"},
 	},
 }
 

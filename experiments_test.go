@@ -5,7 +5,6 @@
 package mmutricks_test
 
 import (
-	"context"
 	"testing"
 
 	"mmutricks/internal/ablate"
@@ -16,30 +15,10 @@ import (
 	"mmutricks/internal/lmbench"
 	"mmutricks/internal/machine"
 	"mmutricks/internal/oscompare"
-	"mmutricks/internal/report"
 )
 
 func newSuite(model clock.CPUModel, cfg kernel.Config) *lmbench.Suite {
 	return lmbench.New(kernel.New(machine.New(model), cfg))
-}
-
-// TestAllExperimentsRun smoke-runs every registered experiment.
-func TestAllExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	for _, e := range report.All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tb := e.Run(context.Background(), report.Quick)
-			if len(tb.Rows) == 0 {
-				t.Fatalf("%s produced no rows", e.ID)
-			}
-			if tb.Render() == "" {
-				t.Fatal("empty render")
-			}
-		})
-	}
 }
 
 // Table 1 (§6.2): bypassing the hash table lets the 603/180 keep pace

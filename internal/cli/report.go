@@ -2,8 +2,6 @@ package cli
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -137,13 +135,6 @@ func (d *benchDoc) setSpeedup(seq, par time.Duration) {
 	}
 }
 
-// counterChecksum fingerprints a rendered table: sha256, truncated to
-// 16 hex digits (drift detection, not cryptography).
-func counterChecksum(t *report.Table) string {
-	sum := sha256.Sum256([]byte(t.Render()))
-	return hex.EncodeToString(sum[:8])
-}
-
 // benchHarness times the full registry once sequentially (exact
 // per-experiment attribution) and once on j workers, checks the two
 // rendered outputs are byte-identical, and writes the comparison as
@@ -182,7 +173,7 @@ func benchHarness(f *flagSet, stdout io.Writer, path string, scale report.Scale,
 			ID:              r.Experiment.ID,
 			WallMS:          float64(r.Wall.Microseconds()) / 1000,
 			SimCycles:       r.SimCycles,
-			CounterChecksum: counterChecksum(r.Table),
+			CounterChecksum: r.Table.CounterChecksum(),
 		})
 	}
 	doc.SimCyclesPerSec = float64(totalCycles) / seqWall.Seconds()

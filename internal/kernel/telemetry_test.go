@@ -264,3 +264,31 @@ func TestPhasesSurviveRecoveredPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeadTaskStaysTraced pins a known defect: Exit and killTask clear
+// the current task without telling the tracer, so an event emitted
+// after either one (before the next switch) is attributed to the dead
+// PID. Fixing it moves per-task attribution in recordings, so the fix
+// belongs to ROADMAP item 1's re-pin and must flip this test.
+func TestDeadTaskStaysTraced(t *testing.T) {
+	for _, kill := range []bool{false, true} {
+		k, _ := bootTask(t, clock.PPC604At185(), Optimized())
+		k.M.Trc.Enable()
+		child := k.Fork()
+		k.Switch(child)
+		if kill {
+			k.killTask(child)
+		} else {
+			k.Exit()
+		}
+		if k.Current() != nil {
+			t.Fatalf("kill=%v: a task is still current", kill)
+		}
+		k.M.Trc.IdleReclaim(0, 0)
+		ev := k.M.Trc.Events()
+		if got := ev[len(ev)-1].Task; got != child.PID {
+			t.Fatalf("kill=%v: the next event went to PID %d; the known defect gives the dead PID %d", kill, got, child.PID)
+		}
+		k.Wait(child)
+	}
+}

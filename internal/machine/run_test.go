@@ -169,6 +169,33 @@ func TestFetchRunMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestFetchRunEntriesDependOnRoute pins a known defect: a cold 64-line
+// FetchRun charges the same fill cycles to PhaseFetch on both routes,
+// but the untraced route attributes them in one Attribute call and so
+// counts one entry, while the traced route takes the scalar Fetch and
+// counts one per miss. phase_enters and the telemetry-phases "enters"
+// column therefore count different things for fetch. Fixing it moves
+// those counts, so the fix belongs to ROADMAP item 1's re-pin and must
+// flip this test.
+func TestFetchRunEntriesDependOnRoute(t *testing.T) {
+	enters := map[bool]uint64{}
+	for _, traced := range []bool{false, true} {
+		m := New(clock.PPC604At185())
+		m.Trc.Phases().Enable(telemetry.Options{})
+		if traced {
+			m.Trc.Enable()
+		}
+		m.FetchRun(0x1000, 64, m.Model.LineSize, cache.ClassKernelText, false)
+		if got := m.Trc.Phases().Cycles(telemetry.PhaseFetch); got != 2176 {
+			t.Fatalf("traced=%v: %d fetch-phase cycles, want 2176 (64 fills)", traced, got)
+		}
+		enters[traced] = m.Trc.Phases().Enters(telemetry.PhaseFetch)
+	}
+	if enters[false] != 1 || enters[true] != 64 {
+		t.Fatalf("fetch entries: untraced %d, traced %d; the known defect reads 1 and 64", enters[false], enters[true])
+	}
+}
+
 // pairTwins returns two machines of model with the same warm D-cache:
 // lines of another region, every other one dirty, fill every set, so
 // the pair run evicts clean and dirty victims, and every third line of

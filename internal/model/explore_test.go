@@ -43,7 +43,7 @@ func TestExhaustiveClean(t *testing.T) {
 // TestMutantsCaught seeds each mutation and requires the checker to
 // find a violation, with the minimal (BFS-shortest) trace pinned.
 // skip-unuse-put is the same mutation the //go:build mmumutant kernel
-// build carries, so this is the model half of the CI mutation gate.
+// build carries, so this is the model half of the mutation gate.
 func TestMutantsCaught(t *testing.T) {
 	p := Params{CPUs: 1, Tasks: 2, MMs: 2, Gens: 2}
 	cases := []struct {

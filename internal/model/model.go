@@ -124,8 +124,8 @@ func Init(p Params) State {
 // Mutant selects a seeded bug to plant in the transition relation —
 // the model-side mirror of the kernel's //go:build mmumutant seams.
 // The checker must produce a counterexample for every non-None value;
-// that the real kernel build-tag mutant is caught end to end is CI's
-// mutation gate.
+// that the real kernel build-tag mutant is caught end to end is the
+// mutation gate, TestMutantGate.
 type Mutant int
 
 const (

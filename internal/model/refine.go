@@ -18,8 +18,9 @@ import (
 // mm_users/mm_count values, plus a full kernel CheckConsistency. A
 // divergence is minimized by greedy step removal into the shortest
 // replayable script that still distinguishes the two. This is also
-// the teeth of the CI mutation gate: the same walks against the
-// -tags mmumutant kernel build must produce a counterexample.
+// the teeth of the mutation gate (TestMutantGate): the same walks
+// against the -tags mmumutant kernel build must produce a
+// counterexample.
 
 // RefineOpts tunes Refine.
 type RefineOpts struct {
@@ -29,7 +30,7 @@ type RefineOpts struct {
 	// Mutant plants a bug in the SHADOW model (the kernel stays as
 	// built): the refinement must then report a divergence, which
 	// exercises the full detect-and-minimize path without a mutant
-	// kernel build. The CI mutation gate is the converse: a faithful
+	// kernel build. The mutation gate is the converse: a faithful
 	// shadow against the -tags mmumutant kernel.
 	Mutant Mutant
 }

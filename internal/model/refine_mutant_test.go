@@ -11,14 +11,11 @@ import (
 // only under the mmumutant build tag: the kernel build skips the
 // final mmput in UnuseMM (internal/kernel/mm_mutant.go), and the
 // faithful shadow model must catch it and minimize the divergence to
-// the adopt/release pair. CI runs this via
-//
-//	go test -tags mmumutant ./internal/model/ -run TestRefineCatchesKernelMutant
-//
-// and separately requires `mmumodel -refine` under the same tag to
-// emit a counterexample. If this test ever passes on a faithful build
-// (it is tag-gated so it cannot run there by accident), or fails to
-// find the planted bug, the refinement harness has lost its teeth.
+// the adopt/release pair. The untagged TestMutantGate runs this under
+// the tag and requires it to pass. If this test ever passes on a
+// faithful build (it is tag-gated so it cannot run there by accident),
+// or fails to find the planted bug, the refinement harness has lost
+// its teeth.
 func TestRefineCatchesKernelMutant(t *testing.T) {
 	p := Params{CPUs: 1, Tasks: 2, MMs: 2, Gens: 3}
 	res, err := Refine(p, RefineOpts{Walks: 30, Steps: 80, Seed: 1})

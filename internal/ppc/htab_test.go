@@ -188,8 +188,8 @@ func TestHTABFlushVPN(t *testing.T) {
 // charges its invalidating store at the table's base (PTEG 0, slot 0),
 // not at the flushed entry's own address as its comment says. Fixing
 // it changes the counter checksums and bench/mmubench/golden.json, so
-// the fix waits for a change allowed to re-pin both (ROADMAP open item
-// 7), and must flip this test.
+// the fix waits for a change allowed to re-pin both (ROADMAP item 1),
+// and must flip this test.
 func TestFlushVPNStoreChargedAtTableBase(t *testing.T) {
 	h := newTestHTAB()
 	vpn := arch.VPNOf(3, 0x00002000)

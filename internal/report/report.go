@@ -6,6 +6,8 @@ package report
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -58,6 +60,16 @@ func (t *Table) Render() string {
 		fmt.Fprintf(&b, "\nnote: %s\n", n)
 	}
 	return b.String()
+}
+
+// CounterChecksum fingerprints the rendered table: sha256, truncated
+// to 16 hex digits (drift detection, not cryptography). Every count
+// and every value derived from one shows up in the render, so a
+// drifted simulated counter moves the checksum; BENCH_harness.json
+// commits one per experiment.
+func (t *Table) CounterChecksum() string {
+	sum := sha256.Sum256([]byte(t.Render()))
+	return hex.EncodeToString(sum[:8])
 }
 
 func renderGrid(headers []string, rows [][]string, tag string) string {

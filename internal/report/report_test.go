@@ -112,22 +112,3 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	register(Experiment{ID: "figure1"})
 }
-
-// TestExperimentDeterminism locks the whole pipeline: rendering an
-// experiment twice yields byte-identical output.
-func TestExperimentDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs experiments twice")
-	}
-	for _, id := range []string{"figure1", "sec5.2-htab-util", "sec7-lazy"} {
-		e, ok := Find(id)
-		if !ok {
-			t.Fatalf("missing %s", id)
-		}
-		a := e.Run(context.Background(), Quick).Render()
-		b := e.Run(context.Background(), Quick).Render()
-		if a != b {
-			t.Errorf("%s not deterministic", id)
-		}
-	}
-}

@@ -2,8 +2,11 @@ package report
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +21,10 @@ func resetPool(t *testing.T) {
 
 // TestRunAllDeterministicAcrossParallelism is the harness's core
 // contract: the full registry rendered from a sequential run and from
-// an 8-worker run must be byte-identical.
+// an 8-worker run must be byte-identical, and must match the committed
+// BENCH_harness.json: the same experiment ids in the same order, and
+// each experiment's counter_checksum, a fingerprint of its render. Each
+// experiment is its own subtest, so a failure names the experiment.
 func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry twice is slow; run without -short")
@@ -27,21 +33,58 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 		t.Skip("full registry twice is impractically slow under the race detector (TestRunnerSmallConcurrent covers racing)")
 	}
 	resetPool(t)
-	render := func(rs []RunResult) string {
-		var b strings.Builder
-		for _, r := range rs {
-			if r.Err != nil {
-				t.Fatalf("experiment %s failed: %v", r.Experiment.ID, r.Err)
-			}
-			b.WriteString(r.Table.Render())
-			b.WriteByte('\n')
-		}
-		return b.String()
+	blob, err := os.ReadFile("../../BENCH_harness.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := render(RunAll(context.Background(), Quick, 1))
-	par := render(RunAll(context.Background(), Quick, 8))
-	if seq != par {
-		t.Fatalf("-j 1 and -j 8 output differ:\n-j1 %d bytes, -j8 %d bytes", len(seq), len(par))
+	var doc struct {
+		Experiments []struct {
+			ID              string `json:"id"`
+			CounterChecksum string `json:"counter_checksum"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatalf("BENCH_harness.json: %v", err)
+	}
+	want := map[string]string{}
+	var wantIDs, gotIDs []string
+	for _, e := range doc.Experiments {
+		want[e.ID] = e.CounterChecksum
+		wantIDs = append(wantIDs, e.ID)
+	}
+
+	seqRuns := RunAll(context.Background(), Quick, 1)
+	parRuns := RunAll(context.Background(), Quick, 8)
+	if len(seqRuns) != len(parRuns) {
+		t.Fatalf("-j 1 ran %d experiments, -j 8 ran %d", len(seqRuns), len(parRuns))
+	}
+	const repin = "regenerate BENCH_harness.json with `make bench` only as a deliberate re-pin (ROADMAP item 1)"
+	for i, seq := range seqRuns {
+		id := seq.Experiment.ID
+		gotIDs = append(gotIDs, id)
+		par := parRuns[i]
+		t.Run(id, func(t *testing.T) {
+			for _, r := range []RunResult{seq, par} {
+				if r.Err != nil {
+					t.Fatalf("experiment %s failed: %v", r.Experiment.ID, r.Err)
+				}
+			}
+			if par.Experiment.ID != id {
+				t.Fatalf("-j 8 result %d is %s, -j 1 result is %s", i, par.Experiment.ID, id)
+			}
+			if len(seq.Table.Rows) == 0 {
+				t.Fatalf("%s produced no rows", id)
+			}
+			if s, p := seq.Table.Render(), par.Table.Render(); s != p {
+				t.Fatalf("-j 1 and -j 8 output of %s differ: -j1 %d bytes, -j8 %d bytes", id, len(s), len(p))
+			}
+			if sum, ok := want[id]; ok && sum != seq.Table.CounterChecksum() {
+				t.Errorf("simulated counters moved: the counter_checksum of %s differs from BENCH_harness.json; %s", id, repin)
+			}
+		})
+	}
+	if !slices.Equal(gotIDs, wantIDs) {
+		t.Errorf("experiment ids differ from BENCH_harness.json; %s\ngot  %q\nwant %q", repin, gotIDs, wantIDs)
 	}
 }
 

@@ -1,21 +1,17 @@
 #!/bin/sh
-# bench_smoke.sh — the harness performance-identity smoke. Wall times
-# move with the host, so this gate checks everything about the bench
-# that must NOT move:
+# bench_smoke.sh — the PGO profile smoke. The benchmark (bench/run.sh)
+# builds cmd/mmureport, and `go build` applies the profile checked in
+# there, so this gate checks that:
 #
 #   1. the checked-in PGO profile (cmd/mmureport/default.pgo) parses,
 #      and still profiles the batched cache path — a rename or removal
 #      of the hot entry points makes the profile stale, and a stale
 #      profile silently builds an unoptimized harness;
-#   2. the harness builds with the profile applied explicitly;
-#   3. a quick-scale bench run reproduces the committed
-#      BENCH_harness.json experiment list and per-experiment hwmon
-#      counter checksums exactly, and its sequential and parallel
-#      outputs are byte-identical.
+#   2. the harness builds with the profile applied explicitly.
 #
-# A checksum diff here means simulated counters drifted: either a bug,
-# or an intended behavior change that must regenerate the committed
-# baseline with `make bench`.
+# The per-experiment counter checksums in BENCH_harness.json are held
+# by internal/report's TestRunAllDeterministicAcrossParallelism under
+# plain `go test ./...`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,19 +34,4 @@ done
 echo '== build with the profile applied'
 go build -pgo=cmd/mmureport/default.pgo -o "$tmp/mmureport" ./cmd/mmureport
 
-echo '== quick-scale counter checksums vs committed BENCH_harness.json'
-"$tmp/mmureport" -quick -benchjson "$tmp/bench.json"
-for field in '"id"' '"counter_checksum"'; do
-	grep "$field" BENCH_harness.json > "$tmp/want" || true
-	grep "$field" "$tmp/bench.json" > "$tmp/got" || true
-	if ! diff -u "$tmp/want" "$tmp/got"; then
-		echo "bench_smoke: $field drifted from the committed BENCH_harness.json — simulated counters changed; if intended, regenerate the baseline with 'make bench'" >&2
-		exit 1
-	fi
-done
-if ! grep -q '"identical_output": true' "$tmp/bench.json"; then
-	echo 'bench_smoke: sequential and parallel harness output differ — -j determinism is broken' >&2
-	exit 1
-fi
-
-echo 'bench_smoke: counters identical, profile fresh, pgo build ok'
+echo 'bench_smoke: profile fresh, pgo build ok'

@@ -1,6 +1,6 @@
 // Package analysis is a self-contained miniature of the
 // golang.org/x/tools/go/analysis API, carrying exactly the surface the
-// mmulint analyzers need. The container this repo builds in has no
+// repo's analyzers need. The container this repo builds in has no
 // network and no module cache, so x/tools cannot be vendored; the types
 // here mirror its shapes (Analyzer, Pass, Diagnostic) closely enough
 // that the analyzers could be ported to the real framework by swapping
@@ -16,9 +16,9 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -list output.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description shown by `mmulint -list`.
+	// Doc is the one-paragraph description of what the analyzer checks.
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
@@ -52,7 +52,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Category: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// NewPass builds a Pass; drivers (mmulint, analysistest) use it.
+// NewPass builds a Pass; the driver package uses it.
 func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
 	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, report: report}
 }

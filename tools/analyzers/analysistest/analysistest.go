@@ -22,7 +22,7 @@ import (
 // analyzer, and reports mismatches against want comments via t.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
-	prog, err := load.Load(load.Config{FakeRoot: testdata + "/src", Tests: true}, paths...)
+	prog, err := load.Load(load.Config{FakeRoot: testdata + "/src"}, paths...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}

@@ -1,5 +1,5 @@
 // Package annotation parses the //mmutricks:* directive grammar the
-// mmulint analyzers enforce. The grammar (also documented in DESIGN.md):
+// repo's analyzers enforce. The grammar (also documented in DESIGN.md):
 //
 //	//mmutricks:free <reason>
 //	    On a function declaration: the function deliberately performs

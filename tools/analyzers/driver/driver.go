@@ -1,6 +1,6 @@
 // Package driver runs a set of analyzers over loaded packages and
-// collects their diagnostics in deterministic order. cmd/mmulint and
-// the analysistest harness share it.
+// collects their diagnostics in deterministic order. The suite's
+// TestLint and the analysistest harness share it.
 package driver
 
 import (

@@ -1,5 +1,5 @@
 // Package load turns package patterns into parsed, type-checked
-// packages for the mmulint analyzers. It is the offline stand-in for
+// packages for the repo's analyzers. It is the offline stand-in for
 // golang.org/x/tools/go/packages: module-internal imports are resolved
 // by walking the module tree and type-checking from source, and
 // standard-library imports fall back to the compiler's source importer
@@ -28,10 +28,6 @@ import (
 type Config struct {
 	// Dir is a directory inside the module to load (defaults to ".").
 	Dir string
-	// Tests includes *_test.go files in requested packages (in-package
-	// test files are merged; external _test packages are returned as
-	// separate packages with an "_test" path suffix).
-	Tests bool
 	// FakeRoot, when set, resolves every non-stdlib import path as a
 	// subdirectory of this root instead of using module resolution —
 	// the analysistest fixture layout (testdata/src/<path>).
@@ -71,7 +67,9 @@ type loader struct {
 }
 
 // Load resolves patterns ("./...", a directory, or an import path) and
-// returns the requested packages, type-checked.
+// returns the requested packages, type-checked with their test files:
+// in-package test files are merged, and an external _test package is
+// returned as a separate package with an "_test" path suffix.
 func Load(cfg Config, patterns ...string) (*Program, error) {
 	if cfg.Dir == "" {
 		cfg.Dir = "."
@@ -253,15 +251,13 @@ func (l *loader) dirFor(path string) (string, bool) {
 	return "", false
 }
 
-// loadRequested loads one requested package (with tests if configured)
-// and, when external test files exist, the companion _test package.
+// loadRequested loads one requested package with its in-package test
+// files merged and, when external test files exist, the companion
+// _test package.
 func (l *loader) loadRequested(path string) (pkg, xtest *Package, err error) {
-	pkg, err = l.load(path, l.cfg.Tests)
+	pkg, err = l.load(path, true)
 	if err != nil {
 		return nil, nil, err
-	}
-	if !l.cfg.Tests {
-		return pkg, nil, nil
 	}
 	dir, _ := l.dirFor(path)
 	bp, err := build.ImportDir(dir, 0)
